@@ -75,7 +75,10 @@ def _parse_threshold_list(text: str) -> list[float]:
         tok = tok.strip()
         if not tok:
             continue
-        value = float(tok)
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ConfigError(f"threshold {tok!r} is not a number") from None
         if value > 1.0:
             value /= 100.0  # percent form, e.g. 95 -> 0.95
         if not 0 < value <= 1:
@@ -91,6 +94,8 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     if not 0 <= args.magnitude < 1:
         raise ConfigError(f"--magnitude must be in [0, 1), got {args.magnitude}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     network = _load_case(args.case)
     t0 = time.perf_counter()
     dataset = generate_dataset(network, args.samples, args.magnitude, args.seed, threads=args.threads)

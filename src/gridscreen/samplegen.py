@@ -12,6 +12,7 @@ changing the result.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -140,12 +141,15 @@ def generate_dataset(
 
     Infeasible draws are discarded and redrawn (the total is recorded in the
     dataset metadata).  Fails fast if the unperturbed base case is already
-    infeasible.
+    infeasible.  Samples are solved in min(threads, cpu count, count)
+    worker processes; the result does not depend on that number.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0 <= magnitude < 1:
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     base_sol = solve_opf(network, network.base_load(), full_monitored_set(network))
     if base_sol.status != "optimal":
         raise RuntimeError(f"base-case OPF is {base_sol.status}; cannot generate samples")
@@ -157,12 +161,14 @@ def generate_dataset(
         count=count,
         base_mva=network.base_mva,
     )
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # more workers than cores or samples would only add start-up cost
+    workers = min(threads, os.cpu_count() or 1, count)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 _generate_one,
                 [network] * count, [magnitude] * count, [seed] * count, range(count),
-                chunksize=max(1, count // (8 * threads)),
+                chunksize=max(1, count // (8 * workers)),
             ))
     else:
         results = [_generate_one(network, magnitude, seed, i) for i in range(count)]

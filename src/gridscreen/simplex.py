@@ -5,12 +5,25 @@ where any bound may be infinite.  Free variables are handled natively by the
 bounded-variable mechanics (no variable splitting); fixed variables
 (lb == ub) never enter the basis.
 
-Two phases: a starting basis of artificial variables is driven to zero under
-a sum-of-infeasibilities objective, then the true objective is optimized.
-Pricing is Dantzig (most negative reduced cost); Bland's smallest-index rule
-engages after 3*(#vars + #rows) consecutive degenerate steps so cycling
-cannot occur.  The basis inverse is maintained by pivot updates and
-refactorized periodically.
+Starting basis (a crash basis: Bixby, ORSA J. Computing 1992; Maros,
+Computational Techniques of the Simplex Method, 2003, ch. 9): nonbasic
+variables sit at a finite bound (free ones at 0).  An inequality row that
+this point satisfies keeps its own slack basic; equality rows and violated
+inequality rows get an artificial.  Each free column is then pivoted into
+the basis in place of the artificial on which it has the largest
+coefficient.  After one refactorization a negative basic slack hands its row
+to an artificial of sign -1 and a negative artificial flips its sign, so
+phase 1 starts feasible.  Artificials that start nonbasic or that the crash
+replaces are fixed at zero and never enter.
+
+Two phases: the remaining artificials are driven to zero under a
+sum-of-infeasibilities objective, then the true objective is optimized.
+Pricing is Dantzig (most negative reduced cost); the ratio test takes the
+largest pivot among near-ties, and Bland's smallest-index rule engages after
+3*(#vars + #rows) consecutive degenerate steps so cycling cannot occur.  The
+basis inverse is maintained by pivot updates and refactorized periodically.
+Each solution reports iteration, pivot, bound-flip and refactorization
+counts.
 """
 
 from __future__ import annotations
@@ -131,11 +144,12 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     a[me:, n:] = np.eye(mi)
     lb = np.concatenate([lp.lower, np.zeros(mi)])
     ub = np.concatenate([lp.upper, np.full(mi, np.inf)])
+    slack_cols = np.concatenate([np.full(me, -1), np.arange(n, n_total)])
 
-    core = _Core(a, b, lb, ub, max_iterations)
+    core = _Core(a, b, lb, ub, slack_cols, max_iterations)
     status = core.run_two_phase(np.concatenate([lp.c, np.zeros(mi)]))
     if status != "optimal":
-        return LpSolution(status=status, iterations=core.iterations)
+        return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics())
 
     x_full = core.solution()
     x = x_full[:n]
@@ -144,16 +158,22 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
         x=x,
         objective=float(lp.c @ x),
         iterations=core.iterations,
-        diagnostics={"phase1_iterations": core.phase1_iterations},
+        diagnostics=core.diagnostics(),
     )
 
 
 class _Core:
-    """Simplex engine on the standard-form system a x (+ artificials) = b."""
+    """Simplex engine on the standard-form system a x (+ artificials) = b.
 
-    def __init__(self, a, b, lb, ub, max_iterations):
+    slack_cols[i] is the column of row i's slack (a unit column with bounds
+    [0, inf)), or -1 for an equality row.
+    """
+
+    def __init__(self, a, b, lb, ub, slack_cols, max_iterations):
         self.m, n_real = a.shape
         self.n_real = n_real
+        rows = np.arange(self.m)
+        art = n_real + rows
         # artificial columns appended after real+slack columns
         self.a = np.hstack([a, np.zeros((self.m, self.m))])
         self.b = b
@@ -163,42 +183,87 @@ class _Core:
         self.max_iterations = max_iterations or max(2000, 50 * (self.n + self.m))
         self.iterations = 0
         self.phase1_iterations = 0
+        self.pivots = 0
+        self.bound_flips = 0
+        self.refactorizations = 0
+        self.bland_engaged = False
         self.bland_threshold = 3 * (self.n + self.m)
+        self.slack_row = np.full(self.n, -1)
+        has_slack = slack_cols >= 0
+        self.slack_row[slack_cols[has_slack]] = rows[has_slack]
 
-        self.status = np.empty(self.n, dtype=int)
-        for j in range(n_real):
-            if self.lb[j] == self.ub[j]:
-                self.status[j] = _FIXED
-            elif np.isfinite(self.lb[j]):
-                self.status[j] = _AT_LOWER
-            elif np.isfinite(self.ub[j]):
-                self.status[j] = _AT_UPPER
-            else:
-                self.status[j] = _FREE
+        self.status = np.select(
+            [self.lb == self.ub, np.isfinite(self.lb), np.isfinite(self.ub)],
+            [_FIXED, _AT_LOWER, _AT_UPPER],
+            _FREE,
+        )
 
-        # residual of nonbasic start point determines artificial orientation
+        # slack start: an inequality row that the nonbasic start point
+        # satisfies keeps its slack basic and its artificial stays fixed at
+        # 0; every other row starts on an artificial oriented to be >= 0
         x_nb = self._nonbasic_values(np.arange(n_real))
         resid = b - a @ x_nb
+        slack_start = has_slack & (resid >= 0)
         signs = np.where(resid >= 0, 1.0, -1.0)
-        for i in range(self.m):
-            self.a[i, n_real + i] = signs[i]
-        self.basis = np.arange(n_real, n_real + self.m)
+        self.a[rows, art] = signs
+        self.status[art] = np.where(slack_start, _FIXED, _BASIC)
+        self.basis = np.where(slack_start, slack_cols, art)
         self.status[self.basis] = _BASIC
         self.binv = np.diag(signs)  # inverse of the initial +/-1 diagonal basis
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
+        self._crash_free_columns()
+
+    def _crash_free_columns(self):
+        """Pivot each free column in for an artificial, then restore phase-1 feasibility.
+
+        The reverse of _drive_out_artificials: the artificial row with the
+        largest |w_r| is replaced, which keeps the basis well conditioned.
+        """
+        free = np.flatnonzero(self.status == _FREE)
+        for q in free:
+            w = self.binv @ self.a[:, q]
+            on_art = np.flatnonzero(self.basis >= self.n_real)
+            mag = np.abs(w[on_art])
+            if mag.size == 0 or mag.max() <= 1e-7:
+                continue  # no artificial row that q can replace; q stays nonbasic
+            r = int(on_art[np.argmax(mag)])
+            self.status[q] = _BASIC
+            self.status[self.basis[r]] = _FIXED
+            self._pivot(r, q, w)
+        if free.size:
+            self._refactorize()
+        # free basics carry no bounds; a negative basic slack hands its row
+        # to an artificial of sign -1, and a negative artificial flips sign
+        for r in np.flatnonzero(self.x_basic < 0):
+            j = self.basis[r]
+            if j >= self.n_real:
+                self.a[j - self.n_real, j] *= -1.0
+            elif self.slack_row[j] >= 0:
+                art = self.n_real + self.slack_row[j]
+                self.a[self.slack_row[j], art] = -1.0
+                self.status[j] = _AT_LOWER
+                self.status[art] = _BASIC
+                self.basis[r] = art
+            else:
+                continue
+            # negating basis column r negates row r of its inverse
+            self.binv[r, :] *= -1.0
+            self.x_basic[r] *= -1.0
+
+    def diagnostics(self) -> dict:
+        return {
+            "phase1_iterations": self.phase1_iterations,
+            "pivots": self.pivots,
+            "bound_flips": self.bound_flips,
+            "refactorizations": self.refactorizations,
+            "bland_engaged": self.bland_engaged,
+        }
 
     def _nonbasic_values(self, cols) -> np.ndarray:
-        vals = np.zeros(len(cols))
-        for idx, j in enumerate(cols):
-            s = self.status[j]
-            if s in (_AT_LOWER, _FIXED):
-                vals[idx] = self.lb[j]
-            elif s == _AT_UPPER:
-                vals[idx] = self.ub[j]
-            else:
-                vals[idx] = 0.0
-        return vals
+        s = self.status[cols]
+        at_lb = (s == _AT_LOWER) | (s == _FIXED)
+        return np.where(at_lb, self.lb[cols], np.where(s == _AT_UPPER, self.ub[cols], 0.0))
 
     def _recompute_basics(self):
         nonbasic = np.flatnonzero(self.status != _BASIC)
@@ -214,6 +279,7 @@ class _Core:
             raise SingularBasisError("basis matrix singular at refactorization") from None
         if not np.all(np.isfinite(self.binv)):
             raise SingularBasisError("basis inverse non-finite after refactorization")
+        self.refactorizations += 1
         self.pivots_since_refactor = 0
         self._recompute_basics()
 
@@ -261,10 +327,11 @@ class _Core:
         piv = w[r]
         if abs(piv) < 1e-12:
             raise SingularBasisError(f"pivot element too small: {piv!r}")
-        self.binv[r, :] /= piv
-        others = np.arange(self.m) != r
-        self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+        pivot_row = self.binv[r, :] / piv
+        self.binv -= np.outer(w, pivot_row)
+        self.binv[r, :] = pivot_row
         self.basis[r] = q
+        self.pivots += 1
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= _REFACTOR_EVERY:
             self._refactorize()
@@ -303,37 +370,25 @@ class _Core:
             w = self.binv @ self.a[:, q]
             delta = -direction * w  # rate of change of each basic value per unit step
 
-            # ratio test: basic variables hitting a bound, or the entering
-            # variable flipping to its opposite bound
+            # ratio test over the rows that can block: basic variables moving
+            # toward a finite bound; within 1e-12 of the minimum step the
+            # largest |w| leaves (under Bland's rule, the smallest index)
+            piv_tol = 1e-9 * max(1.0, float(np.abs(w).max()))
+            lo = self.lb[self.basis]
+            hi = self.ub[self.basis]
+            falling = (delta < -piv_tol) & np.isfinite(lo)
+            blocking = np.flatnonzero(falling | ((delta > piv_tol) & np.isfinite(hi)))
             t_limit = np.inf
             leave_row = -1
-            wmax = max(1.0, float(np.abs(w).max()))
-            piv_tol = 1e-9 * wmax
-            for i in range(self.m):
-                di = delta[i]
-                if di < -piv_tol:
-                    lo = self.lb[self.basis[i]]
-                    if np.isfinite(lo):
-                        t = (self.x_basic[i] - lo) / (-di)
-                    else:
-                        continue
-                elif di > piv_tol:
-                    hi = self.ub[self.basis[i]]
-                    if np.isfinite(hi):
-                        t = (hi - self.x_basic[i]) / di
-                    else:
-                        continue
+            if blocking.size:
+                bound = np.where(falling[blocking], lo[blocking], hi[blocking])
+                steps = np.maximum((bound - self.x_basic[blocking]) / delta[blocking], 0.0)
+                t_limit = float(steps.min())
+                tied = blocking[steps <= t_limit + 1e-12]
+                if bland:
+                    leave_row = int(tied[np.argmin(self.basis[tied])])
                 else:
-                    continue
-                t = max(t, 0.0)
-                if t < t_limit - 1e-12:
-                    t_limit, leave_row = t, i
-                elif t <= t_limit + 1e-12 and leave_row >= 0:
-                    if bland:
-                        if self.basis[i] < self.basis[leave_row]:
-                            leave_row = i
-                    elif abs(w[i]) > abs(w[leave_row]):
-                        leave_row = i
+                    leave_row = int(tied[np.argmax(np.abs(w[tied]))])
 
             gap = self.ub[q] - self.lb[q]
             if gap <= t_limit and np.isfinite(gap):
@@ -341,6 +396,7 @@ class _Core:
                 t = gap
                 self.x_basic += t * delta
                 self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
+                self.bound_flips += 1
             elif leave_row < 0:
                 if phase == 1:
                     raise SingularBasisError("phase-1 direction unbounded: numerical failure")
@@ -363,6 +419,7 @@ class _Core:
                 degen_run += 1
                 if degen_run > self.bland_threshold:
                     bland = True
+                    self.bland_engaged = True
             else:
                 degen_run = 0
                 bland = False

@@ -70,6 +70,7 @@ def test_gen_data_deterministic(workspace, tmp_path):
     ["gen-data", "--case", TRI3, "--samples", "0", "--out", "x.jsonl"],
     ["gen-data", "--case", TRI3, "--samples", "5", "--magnitude", "1.5", "--out", "x.jsonl"],
     ["gen-data", "--case", "missing.case", "--samples", "5", "--out", "x.jsonl"],
+    ["gen-data", "--case", TRI3, "--samples", "5", "--threads", "0", "--out", "x.jsonl"],
 ])
 def test_gen_data_config_errors(argv, capsys):
     assert main(argv) == 2
@@ -213,6 +214,15 @@ def test_sweep_bad_threshold(workspace, capsys):
     assert main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", "150",
                  "--out-dir", "x"]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_sweep_non_numeric_threshold(workspace, capsys):
+    _, data, _ = workspace
+    assert main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", "0.9,abc",
+                 "--out-dir", "x"]) == 2
+    err = capsys.readouterr().err
+    assert "'abc' is not a number" in err
+    assert "ValueError" not in err
 
 
 def test_solve_monitor_all(capsys):

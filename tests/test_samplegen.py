@@ -15,6 +15,7 @@ from gridscreen import (
     split_dataset,
     write_dataset,
 )
+from gridscreen import samplegen
 from gridscreen.samplegen import Dataset, Sample, derive_seed
 
 
@@ -129,6 +130,8 @@ def test_generate_validation(tri3):
         generate_dataset(tri3, 0, 0.1, seed=1)
     with pytest.raises(ValueError):
         generate_dataset(tri3, 5, 1.2, seed=1)
+    with pytest.raises(ValueError):
+        generate_dataset(tri3, 5, 0.1, seed=1, threads=0)
 
 
 def test_generate_infeasible_base_fails_fast(tri3_text):
@@ -152,6 +155,33 @@ def test_generate_parallel_matches_serial(tri3):
     for sa, sb in zip(serial.samples, parallel.samples):
         assert sa.load_mw.tolist() == sb.load_mw.tolist()
         assert sa.objective == sb.objective
+
+
+def test_generate_worker_count_capped(tri3, monkeypatch):
+    """Workers never exceed the cores or the samples, whatever --threads says."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(samplegen, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(samplegen.os, "cpu_count", lambda: 4)
+    reference = generate_dataset(tri3, 6, 0.1, seed=3)
+    capped = generate_dataset(tri3, 6, 0.1, seed=3, threads=10_000)
+    generate_dataset(tri3, 3, 0.1, seed=3, threads=64)
+    generate_dataset(tri3, 1, 0.1, seed=3, threads=64)  # one sample: no pool
+    assert started == [4, 3]
+    assert [s.objective for s in capped.samples] == [s.objective for s in reference.samples]
 
 
 def test_stored_flows_within_limits(tri3_dataset, tri3):

@@ -83,6 +83,31 @@ def test_iteration_limit_distinct_from_infeasible(tri3):
         solve_lp(problem, max_iterations=2)
 
 
+def test_solver_counters_bound_flips():
+    # both columns run from lower to upper bound without a basis change
+    sol = solve_lp(lp([-1.0, -1.0], [0.0, 0.0], [1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0]))
+    assert sol.objective == pytest.approx(-2.0, abs=1e-9)
+    assert sol.diagnostics["bound_flips"] == 2
+    assert sol.diagnostics["pivots"] == 0
+    assert sol.diagnostics["bland_engaged"] is False
+
+
+def test_case14_iteration_counts(case14):
+    """The crash start keeps phase 1 short; counts repeat on any machine."""
+    rng = np.random.default_rng(0)
+    base = case14.base_load()
+    phase1, total = [], []
+    for _ in range(20):
+        load = base * rng.uniform(0.9, 1.1, base.size)
+        sol = solve_lp(build_opf(case14, load, full_monitored_set(case14)))
+        assert sol.status == "optimal"
+        assert sol.diagnostics["refactorizations"] >= 1
+        phase1.append(sol.diagnostics["phase1_iterations"])
+        total.append(sol.iterations)
+    assert np.mean(phase1) <= 15
+    assert np.mean(total) <= 30
+
+
 def test_beale_cycling_example_terminates():
     sol = solve_lp(lp(
         [-0.75, 150.0, -0.02, 6.0], [0.0] * 4, [np.inf] * 4,
@@ -146,9 +171,32 @@ def _random_degenerate_problem(rng):
     return c, lower, upper, a_eq, b_eq, a_ub, b_ub
 
 
+def _random_crash_problem(rng):
+    # mostly free columns, equality rows with linear combinations of earlier
+    # rows (consistent or not) and inequality rows that the start point
+    # violates: every branch of the crash start runs
+    n = int(rng.integers(3, 12))
+    free = rng.random(n) < 0.6
+    c = rng.normal(0, 3, n).round(2)
+    lower = np.where(free, -np.inf, rng.uniform(-3, 0, n).round(2))
+    upper = np.where(free, np.inf, rng.uniform(0.5, 4, n).round(2))
+    base = rng.normal(0, 2, (int(rng.integers(1, n)), n)).round(2)
+    b_base = rng.normal(0, 2, base.shape[0]).round(2)
+    mix = rng.integers(-1, 2, (int(rng.integers(0, 3)), base.shape[0])).astype(float)
+    a_eq = np.vstack([base, mix @ base])
+    b_eq = np.concatenate([b_base, mix @ b_base])
+    if mix.shape[0] and rng.random() < 0.3:
+        b_eq[-1] += 1.0
+    mi = int(rng.integers(1, 8))
+    a_ub = rng.normal(0, 2, (mi, n)).round(2)
+    b_ub = rng.normal(-1, 2, mi).round(2)
+    return c, lower, upper, a_eq, b_eq, a_ub, b_ub
+
+
 @pytest.mark.parametrize("maker,trials,seed", [
     (_random_problem, 250, 0),
     (_random_degenerate_problem, 80, 1),
+    (_random_crash_problem, 250, 2),
 ])
 def test_random_cross_check_against_scipy(maker, trials, seed):
     """Status and optimum agree with an independent solver; solutions are feasible."""
