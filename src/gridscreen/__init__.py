@@ -5,13 +5,13 @@ from .simplex import LinearProgram, LpSolution, SimplexIterationLimit, SingularB
 from .dcopf import DispatchSolution, ViolationReport, build_opf, check_limits, full_monitored_set, line_flows, solve_opf
 from .samplegen import (
     Dataset, Normalizer, Sample,
-    apply_normalizer, derive_seed, extract_features, fit_normalizer, generate_dataset,
+    derive_seed, extract_features, fit_normalizer, generate_dataset,
     label_sample, perturb_load, read_dataset, split_dataset, write_dataset,
 )
 from .gnn import (
     MlpModel, Model, ModelConfig, TrainHistory, TrainResult,
     edge_accuracy, init_mlp, init_model, load_model, loss_mse,
-    mlp_backward, mlp_forward, model_backward, model_forward,
+    mlp_forward, model_backward, model_forward,
     predict_congested, save_model, train, xenet_layer_forward,
 )
 from .pipeline import (
@@ -26,12 +26,12 @@ __all__ = [
     "LinearProgram", "LpSolution", "SimplexIterationLimit", "SingularBasisError", "solve_lp",
     "DispatchSolution", "ViolationReport", "build_opf", "check_limits",
     "full_monitored_set", "line_flows", "solve_opf",
-    "Dataset", "Normalizer", "Sample", "apply_normalizer", "derive_seed",
+    "Dataset", "Normalizer", "Sample", "derive_seed",
     "extract_features", "fit_normalizer", "generate_dataset", "label_sample",
     "perturb_load", "read_dataset", "split_dataset", "write_dataset",
     "MlpModel", "Model", "ModelConfig", "TrainHistory", "TrainResult",
     "edge_accuracy", "init_mlp", "init_model", "load_model", "loss_mse",
-    "mlp_backward", "mlp_forward", "model_backward", "model_forward",
+    "mlp_forward", "model_backward", "model_forward",
     "predict_congested", "save_model", "train", "xenet_layer_forward",
     "EvalReport", "ModelPredictor", "OraclePredictor", "RopfResult",
     "correlate_violations_type2", "evaluate", "run_ropf", "summary_row", "threshold_sweep",

@@ -22,6 +22,7 @@ from .pipeline import (
     ModelPredictor,
     evaluate,
     summary_row,
+    threshold_sweep,
     write_branch_csv,
     write_cost_csv,
     write_report_json,
@@ -43,23 +44,27 @@ class ConfigError(ValueError):
     """User-facing configuration problem; maps to exit code 2."""
 
 
-def _load_case(path: str):
+def _read_input(kind: str, path: str, reader):
+    """reader(path) on an existing file; a malformed file is a ConfigError."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"case file not found: {p}")
+        raise ConfigError(f"{kind} file not found: {p}")
     try:
-        return parse_case(p.read_text(encoding="utf-8"))
+        return reader(p)
     except CaseError as exc:
         raise ConfigError(f"{p}: {exc}") from None
+    except ValueError as exc:  # dataset and model readers name the file themselves
+        raise ConfigError(str(exc)) from None
+
+
+def _load_case(path: str):
+    return _read_input("case", path, lambda p: parse_case(p.read_text(encoding="utf-8")))
 
 
 def _load_dataset_for(network, path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"dataset file not found: {p}")
-    dataset = read_dataset(p)
-    if dataset.network_fingerprint != network.fingerprint():
-        raise ConfigError(f"{p}: dataset was generated from a different network than the case file")
+    dataset = _read_input("dataset", path, read_dataset)
+    if dataset.network.fingerprint() != network.fingerprint():
+        raise ConfigError(f"{path}: dataset was generated from a different network than the case file")
     return dataset
 
 
@@ -106,7 +111,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _build_model(kind: str, config: ModelConfig, network, dataset, train_split):
+def _build_model(kind: str, config: ModelConfig, network, train_split):
     normalizer = fit_normalizer(train_split)
     sample = train_split[0]
     init = init_model if kind == "gnn" else init_mlp
@@ -145,7 +150,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, _ = split_dataset(dataset, SPLIT_RATIOS, args.seed)
     config = _config_from_flags(args)
-    model = _build_model(args.baseline, config, network, dataset, train_split)
+    model = _build_model(args.baseline, config, network, train_split)
     result = train(model, network, train_split, val_split, threshold)
     save_model(result.best_model, args.out)
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
@@ -177,10 +182,7 @@ def _tau_tag(threshold: float) -> str:
 def cmd_eval(args) -> int:
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise ConfigError(f"model file not found: {model_path}")
-    model = load_model(model_path)
+    model = _read_input("model", args.model, load_model)
     threshold = args.threshold if args.threshold is not None else model.trained_threshold
     if threshold is None:
         raise ConfigError("--threshold required: model file records no training threshold")
@@ -205,22 +207,21 @@ def cmd_sweep(args) -> int:
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, test_split = split_dataset(dataset, SPLIT_RATIOS, args.seed)
+    config = _config_from_flags(args)
+    results = threshold_sweep(
+        network, train_split, val_split, test_split, taus,
+        model_factory=lambda tau: _build_model(args.baseline, config, network, train_split),
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for tau in taus:
-        config = _config_from_flags(args)
-        model = _build_model(args.baseline, config, network, dataset, train_split)
-        result = train(model, network, train_split, val_split, tau)
-        save_model(result.best_model, out_dir / f"model_{_tau_tag(tau)}.json")
-        report = evaluate(network, ModelPredictor(result.best_model, to_graph(network)),
-                          test_split, tau)
-        _write_eval_outputs(report, out_dir, _tau_tag(tau))
-        reports.append(report)
+    for report, model in results:
+        tag = _tau_tag(report.threshold)
+        save_model(model, out_dir / f"model_{tag}.json")
+        _write_eval_outputs(report, out_dir, tag)
         row = summary_row(report)
-        print(f"threshold {tau}: error {row['prediction_error_pct']:.4f}%, "
+        print(f"threshold {report.threshold}: error {row['prediction_error_pct']:.4f}%, "
               f"monitored {row['pct_lines_monitored']:.2f}%, time {row['time_pct']:.2f}%")
-    write_sweep_csv(reports, out_dir / "sweep.csv")
+    write_sweep_csv([report for report, _ in results], out_dir / "sweep.csv")
     print(f"sweep table -> {out_dir / 'sweep.csv'}")
     return 0
 
@@ -288,6 +289,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """Model kind, training hyperparameters and seed, shared by train and sweep."""
+    p.add_argument("--baseline", choices=("gnn", "mlp"), default="gnn")
+    p.add_argument("--epochs", type=int, default=250)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--layers", type=int, default=4)
+    p.add_argument("--channels", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="gridscreen",
@@ -314,13 +326,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="loading threshold as a fraction in (0, 1]")
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="history CSV path (default: <out>_history.csv)")
-    p.add_argument("--baseline", choices=("gnn", "mlp"), default="gnn")
-    p.add_argument("--epochs", type=int, default=250)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    _add_model_flags(p)
     p.set_defaults(func=cmd_train)
     subs["train"] = p
 
@@ -341,13 +347,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--thresholds", required=True,
                    help="comma list; values above 1 are read as percent (e.g. 70,75,95)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--baseline", choices=("gnn", "mlp"), default="gnn")
-    p.add_argument("--epochs", type=int, default=250)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    _add_model_flags(p)
     p.set_defaults(func=cmd_sweep)
     subs["sweep"] = p
 

@@ -66,19 +66,12 @@ def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram
     c = np.zeros(n)
     lower = np.empty(n)
     upper = np.empty(n)
-    names = []
     for gi, gen in enumerate(network.generators):
         c[gi] = gen.cost_per_mwh
         lower[gi] = gen.p_min_mw
         upper[gi] = gen.p_max_mw
-        names.append(f"pg_{gi}_bus{gen.bus}")
-    for bi, bus in enumerate(network.buses):
-        col = ng + bi
-        if bi == network.slack_index:
-            lower[col] = upper[col] = 0.0
-        else:
-            lower[col], upper[col] = -np.inf, np.inf
-        names.append(f"theta_{bus.id}")
+    lower[ng:], upper[ng:] = -np.inf, np.inf
+    lower[ng + network.slack_index] = upper[ng + network.slack_index] = 0.0
 
     # nodal balance in per-unit: sum(P_g)/base + incoming - outgoing flows = d/base
     a_eq = np.zeros((nb, n))
@@ -109,7 +102,6 @@ def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram
     return LinearProgram(
         c=c, lower=lower, upper=upper,
         a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-        names=tuple(names),
     )
 
 

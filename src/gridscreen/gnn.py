@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcase import GraphTopology, Network, to_graph
-from .samplegen import Normalizer, Sample, derive_seed
+from .samplegen import Normalizer, Sample, derive_seed, label_sample
 
 MODEL_FORMAT_VERSION = 1
 
@@ -110,7 +110,7 @@ class MlpModel:
     config: ModelConfig
     binding: Binding
     normalizer: Normalizer
-    node_layers: list[tuple[np.ndarray, np.ndarray]]   # 4 x (W, b)
+    node_layers: list[tuple[np.ndarray, np.ndarray]]   # num_layers x (W, b)
     edge_layers: list[tuple[np.ndarray, np.ndarray]]
     w_out: np.ndarray    # (node_channels + edge_channels, num_branches * 2)
     b_out: np.ndarray
@@ -142,6 +142,53 @@ def _xavier(gen: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return gen.uniform(-a, a, (fan_in, fan_out))
 
 
+def _parameter_shapes(kind: str, config: ModelConfig, binding: Binding) -> list[tuple[str, tuple]]:
+    """Name and shape of every parameter of a `kind` model, in parameters() order."""
+    c_n, c_e = config.node_channels, config.edge_channels
+    shapes = []
+    if kind == "gnn":
+        in_n, in_e = binding.node_feature_width, binding.edge_feature_width
+        for i in range(config.num_layers):
+            shapes += [
+                (f"layers.{i}.w_edge", (2 * in_n + in_e, c_e)), (f"layers.{i}.b_edge", (c_e,)),
+                (f"layers.{i}.w_node", (in_n + 2 * c_e, c_n)), (f"layers.{i}.b_node", (c_n,)),
+            ]
+            in_n, in_e = c_n, c_e
+        out_in, out_size = c_e, config.output_classes
+    else:
+        for tag, width, channels in (
+            ("node", binding.num_buses * binding.node_feature_width, c_n),
+            ("edge", binding.num_branches * binding.edge_feature_width, c_e),
+        ):
+            for i in range(config.num_layers):
+                shapes += [(f"{tag}_layers.{i}.W", (width, channels)), (f"{tag}_layers.{i}.b", (channels,))]
+                width = channels
+        out_in, out_size = c_n + c_e, binding.num_branches * config.output_classes
+    return shapes + [("dense.w_out", (out_in, out_size)), ("dense.b_out", (out_size,))]
+
+
+def _assemble(kind, config, binding, normalizer, arrays, trained_threshold=None):
+    """A `kind` model from its parameter arrays in parameters() order."""
+    *body, w_out, b_out = arrays
+    common = dict(config=config, binding=binding, normalizer=normalizer,
+                  w_out=w_out, b_out=b_out, trained_threshold=trained_threshold)
+    if kind == "gnn":
+        return Model(layers=[XenetLayer(*body[i:i + 4]) for i in range(0, len(body), 4)], **common)
+    pairs = list(zip(body[0::2], body[1::2]))
+    half = len(pairs) // 2
+    return MlpModel(node_layers=pairs[:half], edge_layers=pairs[half:], **common)
+
+
+def _init(kind, config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer):
+    """Xavier-uniform weights, zero biases, drawn in parameter order from the config seed."""
+    binding = Binding(num_buses, num_branches, node_feature_width, edge_feature_width)
+    gen = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0)))
+    arrays = [_xavier(gen, *shape) if len(shape) == 2 else np.zeros(shape)
+              for _, shape in _parameter_shapes(kind, config, binding)]
+    normalizer = normalizer or _identity_normalizer(node_feature_width, edge_feature_width)
+    return _assemble(kind, config, binding, normalizer, arrays)
+
+
 def init_model(
     config: ModelConfig,
     node_feature_width: int,
@@ -152,26 +199,7 @@ def init_model(
     normalizer: Normalizer | None = None,
 ) -> Model:
     """Xavier-uniform weights, zero biases, deterministic for a given seed."""
-    gen = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0)))
-    layers = []
-    in_n, in_e = node_feature_width, edge_feature_width
-    for _ in range(config.num_layers):
-        c_e, c_n = config.edge_channels, config.node_channels
-        layers.append(XenetLayer(
-            w_edge=_xavier(gen, 2 * in_n + in_e, c_e),
-            b_edge=np.zeros(c_e),
-            w_node=_xavier(gen, in_n + 2 * c_e, c_n),
-            b_node=np.zeros(c_n),
-        ))
-        in_n, in_e = c_n, c_e
-    return Model(
-        config=config,
-        binding=Binding(num_buses, num_branches, node_feature_width, edge_feature_width),
-        normalizer=normalizer or _identity_normalizer(node_feature_width, edge_feature_width),
-        layers=layers,
-        w_out=_xavier(gen, config.edge_channels, config.output_classes),
-        b_out=np.zeros(config.output_classes),
-    )
+    return _init("gnn", config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer)
 
 
 def init_mlp(
@@ -183,26 +211,8 @@ def init_mlp(
     num_branches: int,
     normalizer: Normalizer | None = None,
 ) -> MlpModel:
-    gen = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0)))
-    node_layers, edge_layers = [], []
-    width = num_buses * node_feature_width
-    for _ in range(4):
-        node_layers.append((_xavier(gen, width, config.node_channels), np.zeros(config.node_channels)))
-        width = config.node_channels
-    width = num_branches * edge_feature_width
-    for _ in range(4):
-        edge_layers.append((_xavier(gen, width, config.edge_channels), np.zeros(config.edge_channels)))
-        width = config.edge_channels
-    return MlpModel(
-        config=config,
-        binding=Binding(num_buses, num_branches, node_feature_width, edge_feature_width),
-        normalizer=normalizer or _identity_normalizer(node_feature_width, edge_feature_width),
-        node_layers=node_layers,
-        edge_layers=edge_layers,
-        w_out=_xavier(gen, config.node_channels + config.edge_channels,
-                      num_branches * config.output_classes),
-        b_out=np.zeros(num_branches * config.output_classes),
-    )
+    """The baseline with `config.num_layers` dense layers per stack; seeded like init_model."""
+    return _init("mlp", config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +448,6 @@ def _mlp_backward_batch(model: MlpModel, node_features, edge_features, labels_on
     return grads, loss
 
 
-def mlp_backward(model: MlpModel, node_features, edge_features, labels_one_hot, topology=None):
-    if node_features.size == 0:
-        raise ValueError("empty batch")
-    return _mlp_backward_batch(model, node_features, edge_features, labels_one_hot)
-
-
 def forward_any(model, node_features, edge_features, topology):
     """Batched forward for either model kind; inputs (B, N, fn) / (B, K, fe)."""
     if model.kind == "gnn":
@@ -498,14 +502,6 @@ class _Adam:
             p -= self.lr * (self.m[name] / correct1) / (np.sqrt(self.v[name] / correct2) + self.eps)
 
 
-def _one_hot_labels(samples: list[Sample], threshold: float) -> np.ndarray:
-    """(B, K, 2) one-hot targets from stored flows and the rating feature column."""
-    flows = np.stack([s.flows_mw for s in samples])
-    ratings = np.stack([s.edge_features[:, 1] for s in samples])
-    congested = (np.abs(flows) >= threshold * ratings).astype(float)
-    return np.stack([1.0 - congested, congested], axis=-1)
-
-
 def edge_accuracy(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
     """Fraction of branches classified correctly; a 0.5 tie counts as congested."""
     pred = probs[..., 1] >= 0.5
@@ -536,12 +532,16 @@ def train(
     epochs = cfg.epochs if epochs is None else epochs
     topology = to_graph(network)
 
+    def one_hot(split):
+        congested = np.stack([label_sample(s.flows_mw, network, threshold) for s in split]).astype(float)
+        return np.stack([1.0 - congested, congested], axis=-1)
+
     xn_tr = np.stack([s.node_features for s in train_split])
     xe_tr = np.stack([s.edge_features for s in train_split])
-    y_tr = _one_hot_labels(train_split, threshold)
+    y_tr = one_hot(train_split)
     xn_va = np.stack([s.node_features for s in val_split])
     xe_va = np.stack([s.edge_features for s in val_split])
-    y_va = _one_hot_labels(val_split, threshold)
+    y_va = one_hot(val_split)
 
     model.trained_threshold = threshold
     optimizer = _Adam(model.parameters(), cfg.learning_rate)
@@ -614,47 +614,45 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a model file; its keys and every array shape are checked against its binding."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: corrupt model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: corrupt model file: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format_version {version!r}")
-    config = ModelConfig(**doc["config"])
-    binding = Binding(**doc["binding"])
-    normalizer = Normalizer.from_dict(doc["normalizer"])
     kind = doc.get("kind", "gnn")
-    w_out = np.asarray(doc["dense"]["W_out"], dtype=float)
-    b_out = np.asarray(doc["dense"]["b_out"], dtype=float)
-    if kind == "gnn":
-        layers = [
-            XenetLayer(
-                w_edge=np.asarray(ld["W_edge"], dtype=float),
-                b_edge=np.asarray(ld["b_edge"], dtype=float),
-                w_node=np.asarray(ld["W_node"], dtype=float),
-                b_node=np.asarray(ld["b_node"], dtype=float),
-            )
-            for ld in doc["layers"]
-        ]
-        return Model(
-            config=config, binding=binding, normalizer=normalizer,
-            layers=layers, w_out=w_out, b_out=b_out,
-            trained_threshold=doc.get("trained_threshold"),
-        )
-    if kind == "mlp":
-        node_layers = [
-            (np.asarray(ld["W"], dtype=float), np.asarray(ld["b"], dtype=float))
-            for ld in doc["node_layers"]
-        ]
-        edge_layers = [
-            (np.asarray(ld["W"], dtype=float), np.asarray(ld["b"], dtype=float))
-            for ld in doc["edge_layers"]
-        ]
-        return MlpModel(
-            config=config, binding=binding, normalizer=normalizer,
-            node_layers=node_layers, edge_layers=edge_layers, w_out=w_out, b_out=b_out,
-            trained_threshold=doc.get("trained_threshold"),
-        )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    if kind not in ("gnn", "mlp"):
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    try:
+        config = ModelConfig(**doc["config"])
+        binding = Binding(**doc["binding"])
+        normalizer = Normalizer.from_dict(doc["normalizer"])
+        if kind == "gnn":
+            named = [(f"layers.{i}.{key.lower()}", ld[key]) for i, ld in enumerate(doc["layers"])
+                     for key in ("W_edge", "b_edge", "W_node", "b_node")]
+        else:
+            named = [(f"{tag}_layers.{i}.{key}", ld[key]) for tag in ("node", "edge")
+                     for i, ld in enumerate(doc[f"{tag}_layers"]) for key in ("W", "b")]
+        named += [("dense.w_out", doc["dense"]["W_out"]), ("dense.b_out", doc["dense"]["b_out"])]
+        arrays = [np.asarray(value, dtype=float) for _, value in named]
+        expected = _parameter_shapes(kind, config, binding)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model file: {exc}") from None
+    found = [(name, a.shape) for (name, _), a in zip(named, arrays)]
+    for stat, width in (("node", binding.node_feature_width), ("edge", binding.edge_feature_width)):
+        for part in ("mean", "std"):
+            found.append((f"normalizer.{stat}_{part}", getattr(normalizer, f"{stat}_{part}").shape))
+            expected.append((f"normalizer.{stat}_{part}", (width,)))
+    if found != expected:
+        wrong = sorted(set(found) - set(expected))
+        missing = sorted(set(expected) - set(found))
+        raise ValueError(f"{path}: arrays do not match the binding and config: "
+                         f"found {wrong}, expected {missing}")
+    return _assemble(kind, config, binding, normalizer, arrays, doc.get("trained_threshold"))

@@ -88,13 +88,6 @@ class Network:
         t = np.array([self.bus_index[b.to_bus] for b in self.branches], dtype=int)
         return f, t
 
-    def generators_at(self) -> list[list[int]]:
-        """Generator indices per internal bus index."""
-        at: list[list[int]] = [[] for _ in self.buses]
-        for gi, gen in enumerate(self.generators):
-            at[self.bus_index[gen.bus]].append(gi)
-        return at
-
     def base_load(self) -> np.ndarray:
         return np.array([b.base_load_mw for b in self.buses], dtype=float)
 
@@ -285,10 +278,7 @@ def to_graph(network: Network) -> GraphTopology:
     nb = network.num_buses
     edge_from, edge_to = network.branch_endpoints()
     adjacency = np.zeros((nb, nb), dtype=int)
-    degree = np.zeros(nb, dtype=int)
-    for f, t in zip(edge_from, edge_to):
-        adjacency[f, t] = 1
-        adjacency[t, f] = 1
-        degree[f] += 1
-        degree[t] += 1
+    adjacency[edge_from, edge_to] = 1
+    adjacency[edge_to, edge_from] = 1
+    degree = np.bincount(edge_from, minlength=nb) + np.bincount(edge_to, minlength=nb)
     return GraphTopology(adjacency=adjacency, degree=degree, edge_from=edge_from, edge_to=edge_to)

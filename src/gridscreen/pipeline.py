@@ -246,30 +246,30 @@ def threshold_sweep(
     model_factory=None,
     use_oracle: bool = False,
     epochs: int | None = None,
-) -> list[EvalReport]:
-    """One evaluation per threshold, ascending.
+) -> list[tuple[EvalReport, object]]:
+    """One (report, model) pair per threshold, ascending.
 
-    With `use_oracle`, predictions are the derived labels themselves
-    (no training).  Otherwise `model_factory(threshold)` must produce a
-    fresh untrained model, which is trained on labels at that threshold
-    (same config and seed each time) and evaluated via its best-validation
-    snapshot.
+    With `use_oracle`, predictions are the derived labels themselves (no
+    training) and the model is None.  Otherwise `model_factory(threshold)`
+    must produce a fresh untrained model, which is trained on labels at that
+    threshold (same config and seed each time); its best-validation snapshot
+    is evaluated and returned.
     """
     if not thresholds:
         raise ValueError("threshold list must be non-empty")
+    if not use_oracle and model_factory is None:
+        raise ValueError("model_factory required unless use_oracle is set")
     taus = sorted(set(float(t) for t in thresholds))
     topology = to_graph(network)
-    reports = []
+    results = []
     for tau in taus:
         if use_oracle:
-            predictor = OraclePredictor(network, tau)
+            model, predictor = None, OraclePredictor(network, tau)
         else:
-            if model_factory is None:
-                raise ValueError("model_factory required unless use_oracle is set")
-            result = train(model_factory(tau), network, train_split, val_split, tau, epochs=epochs)
-            predictor = ModelPredictor(result.best_model, topology)
-        reports.append(evaluate(network, predictor, test_split, tau))
-    return reports
+            model = train(model_factory(tau), network, train_split, val_split, tau, epochs=epochs).best_model
+            predictor = ModelPredictor(model, topology)
+        results.append((evaluate(network, predictor, test_split, tau), model))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Labeled-corpus generation: perturb loads, solve full OPF, extract features.
 
-Congestion labels are never persisted; they are recomputed from the stored
-flows for whatever loading threshold is requested, so one dataset serves
-every threshold without skew.
+A dataset persists only what varies between samples: the loads and the
+full-problem flows and objective.  The case is stored once in the header,
+and node/edge features are derived from it on read.  Congestion labels are
+never persisted; they are recomputed from the stored flows for whatever
+loading threshold is requested, so one dataset serves every threshold
+without skew.
 
 Randomness is counter-based (Philox keyed by run seed and sample index), so
 sample i is reproducible in isolation and generation parallelizes without
@@ -13,14 +16,16 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dcopf import full_monitored_set, solve_opf
-from .netcase import BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, Network, to_graph
+from .netcase import (
+    BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
+    serialize_case, to_graph,
+)
 
 NODE_FEATURE_WIDTH = 7
 EDGE_FEATURE_WIDTH = 2
@@ -89,16 +94,14 @@ class Sample:
     edge_features: np.ndarray
     flows_mw: np.ndarray
     objective: float
-    solve_seconds: float
 
 
 @dataclass
 class Dataset:
-    network_fingerprint: str
+    network: Network
     seed: int
     magnitude: float
     count: int
-    base_mva: float
     redraws: int = 0
     samples: list[Sample] = field(default_factory=list)
 
@@ -111,9 +114,7 @@ def _generate_one(network: Network, magnitude: float, seed: int, index: int) -> 
     redraws = 0
     while True:
         load = base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
-        t0 = time.perf_counter()
         sol = solve_opf(network, load, monitored)
-        elapsed = time.perf_counter() - t0
         if sol.status == "optimal":
             node, edge = extract_features(network, load)
             return Sample(
@@ -123,7 +124,6 @@ def _generate_one(network: Network, magnitude: float, seed: int, index: int) -> 
                 edge_features=edge,
                 flows_mw=sol.flows,
                 objective=sol.objective,
-                solve_seconds=elapsed,
             ), redraws
         redraws += 1
         if redraws >= _MAX_REDRAWS_PER_SAMPLE:
@@ -154,13 +154,7 @@ def generate_dataset(
     if base_sol.status != "optimal":
         raise RuntimeError(f"base-case OPF is {base_sol.status}; cannot generate samples")
 
-    dataset = Dataset(
-        network_fingerprint=network.fingerprint(),
-        seed=seed,
-        magnitude=magnitude,
-        count=count,
-        base_mva=network.base_mva,
-    )
+    dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
     # more workers than cores or samples would only add start-up cost
     workers = min(threads, os.cpu_count() or 1, count)
     if workers > 1:
@@ -245,27 +239,25 @@ def fit_normalizer(train: list[Sample]) -> Normalizer:
     )
 
 
-def apply_normalizer(normalizer: Normalizer, node_features: np.ndarray, edge_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return normalizer.apply_node(node_features), normalizer.apply_edge(edge_features)
-
-
 # ---------------------------------------------------------------------------
 # JSON Lines persistence
 # ---------------------------------------------------------------------------
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
+
+_HEADER_KEYS = ("format_version", "case", "seed", "magnitude", "count", "redraws")
+_ROW_KEYS = ("sample_id", "load_mw", "flows_mw", "objective")
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """One header line, then one JSON object per sample (format_version 1)."""
+    """One header line carrying the case text, then one JSON object per sample."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = {
             "format_version": DATASET_FORMAT_VERSION,
-            "network_fingerprint": dataset.network_fingerprint,
+            "case": serialize_case(dataset.network),
             "seed": dataset.seed,
             "magnitude": dataset.magnitude,
             "count": dataset.count,
-            "base_mva": dataset.base_mva,
             "redraws": dataset.redraws,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -273,45 +265,71 @@ def write_dataset(dataset: Dataset, path) -> None:
             row = {
                 "sample_id": s.sample_id,
                 "load_mw": s.load_mw.tolist(),
-                "node_features": s.node_features.tolist(),
-                "edge_features": s.edge_features.tolist(),
                 "flows_mw": s.flows_mw.tolist(),
                 "objective": s.objective,
-                "solve_seconds": s.solve_seconds,
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _parse_line(path, line_no: int, line: str) -> dict:
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {line_no}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: line {line_no}: expected a JSON object")
+    return doc
+
+
+def _check_keys(path, line_no: int, doc: dict, keys: tuple[str, ...]) -> None:
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{path}: line {line_no}: missing key(s) {', '.join(missing)}")
+
+
+def _vector(path, line_no: int, row: dict, key: str, size: int) -> np.ndarray:
+    try:
+        values = np.asarray(row[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: line {line_no}: {key} is not a list of numbers") from None
+    if values.shape != (size,):
+        raise ValueError(f"{path}: line {line_no}: {key} has shape {values.shape}, "
+                         f"the network needs ({size},)")
+    return values
+
+
 def read_dataset(path) -> Dataset:
+    """Parse a format-2 dataset; features are rebuilt from the embedded case.
+
+    Any malformed line raises ValueError naming the file and line number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line.strip():
             raise ValueError(f"{path}: empty dataset file")
-        header = json.loads(header_line)
+        header = _parse_line(path, 1, header_line)
         version = header.get("format_version")
         if version != DATASET_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported dataset format_version {version!r}")
-        dataset = Dataset(
-            network_fingerprint=header["network_fingerprint"],
-            seed=header["seed"],
-            magnitude=header["magnitude"],
-            count=header["count"],
-            base_mva=header["base_mva"],
-            redraws=header.get("redraws", 0),
-        )
-        for line in fh:
+            hint = "; regenerate it with gen-data" if version == 1 else ""
+            raise ValueError(f"{path}: unsupported dataset format_version {version!r}{hint}")
+        _check_keys(path, 1, header, _HEADER_KEYS)
+        if not isinstance(header["case"], str):
+            raise ValueError(f"{path}: line 1: case is not a string")
+        try:
+            network = parse_case(header["case"])
+        except CaseError as exc:
+            raise ValueError(f"{path}: line 1: embedded case: {exc}") from None
+        dataset = Dataset(network, header["seed"], header["magnitude"], header["count"],
+                          header["redraws"])
+        for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            dataset.samples.append(Sample(
-                sample_id=row["sample_id"],
-                load_mw=np.asarray(row["load_mw"], dtype=float),
-                node_features=np.asarray(row["node_features"], dtype=float),
-                edge_features=np.asarray(row["edge_features"], dtype=float),
-                flows_mw=np.asarray(row["flows_mw"], dtype=float),
-                objective=row["objective"],
-                solve_seconds=row["solve_seconds"],
-            ))
+            row = _parse_line(path, line_no, line)
+            _check_keys(path, line_no, row, _ROW_KEYS)
+            load = _vector(path, line_no, row, "load_mw", network.num_buses)
+            flows = _vector(path, line_no, row, "flows_mw", network.num_branches)
+            node, edge = extract_features(network, load)
+            dataset.samples.append(Sample(row["sample_id"], load, node, edge, flows, row["objective"]))
     if len(dataset.samples) != dataset.count:
         raise ValueError(f"{path}: header count {dataset.count} != {len(dataset.samples)} sample lines")
     return dataset

@@ -61,7 +61,6 @@ class LinearProgram:
     b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -72,10 +71,8 @@ class LinearProgram:
         self.b_eq = np.asarray(self.b_eq, dtype=float)
         self.a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, n)
         self.b_ub = np.asarray(self.b_ub, dtype=float)
-        if not self.names:
-            self.names = tuple(f"x{j}" for j in range(n))
-        if self.lower.size != n or self.upper.size != n or len(self.names) != n:
-            raise ValueError("bounds/names length must match objective length")
+        if self.lower.size != n or self.upper.size != n:
+            raise ValueError("bounds length must match objective length")
         if self.b_eq.size != self.a_eq.shape[0] or self.b_ub.size != self.a_ub.shape[0]:
             raise ValueError("constraint matrix/rhs dimensions inconsistent")
         if not np.all(np.isfinite(self.c)):

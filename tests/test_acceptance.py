@@ -238,7 +238,7 @@ def test_criterion_7_learning_sanity(trained14, case14_splits):
 def test_criterion_8_threshold_sweep_trends(case14, case14_splits):
     _, _, test_split = case14_splits
     subset = test_split[:150]
-    reports = threshold_sweep(case14, [], [], subset, TAUS, use_oracle=True)
+    reports = [report for report, _ in threshold_sweep(case14, [], [], subset, TAUS, use_oracle=True)]
     fractions = [r.pct_lines_monitored for r in reports]
     for lo, hi in zip(fractions[1:], fractions[:-1]):
         assert lo <= hi + 1e-12  # weakly decreasing in tau (oracle-label nesting)
@@ -308,7 +308,7 @@ def test_criterion_9_violation_overlay(tri3, tri3_dataset, case14, trained14, ca
 
 
 def _normalized_bytes(path):
-    """Canonical text with every timing field nulled; handles JSON and JSON Lines."""
+    """Canonical JSON text with every timing field nulled."""
 
     def strip(obj):
         if isinstance(obj, dict):
@@ -318,12 +318,7 @@ def _normalized_bytes(path):
             return [strip(v) for v in obj]
         return obj
 
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        docs = [json.loads(text)]
-    except json.JSONDecodeError:
-        docs = [json.loads(line) for line in text.splitlines() if line.strip()]
-    return "\n".join(json.dumps(strip(doc), sort_keys=True) for doc in docs)
+    return json.dumps(strip(json.loads(Path(path).read_text(encoding="utf-8"))), sort_keys=True)
 
 
 def test_criterion_10_determinism(tmp_path):
@@ -345,7 +340,7 @@ def test_criterion_10_determinism(tmp_path):
         runs.append((data, model, out / "report_095.json"))
 
     (data_a, model_a, report_a), (data_b, model_b, report_b) = runs
-    assert _normalized_bytes(data_a) == _normalized_bytes(data_b)
+    assert data_a.read_bytes() == data_b.read_bytes()
     assert model_a.read_bytes() == model_b.read_bytes()
     assert _normalized_bytes(report_a) == _normalized_bytes(report_b)
-    _report(10, "determinism", "dataset, model, report byte-identical (timing excluded)")
+    _report(10, "determinism", "dataset, model byte-identical; report identical (timing excluded)")

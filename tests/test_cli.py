@@ -10,16 +10,6 @@ CASES = Path(__file__).resolve().parents[1] / "cases"
 TRI3 = str(CASES / "tri3.case")
 
 
-def _normalized_jsonl(path):
-    """Dataset bytes with timing fields nulled, for determinism comparison."""
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        row = json.loads(line)
-        row.pop("solve_seconds", None)
-        rows.append(json.dumps(row, sort_keys=True))
-    return "\n".join(rows)
-
-
 def _normalized_report(path):
     def strip(obj):
         if isinstance(obj, dict):
@@ -63,7 +53,7 @@ def test_gen_data_deterministic(workspace, tmp_path):
     again = tmp_path / "again.jsonl"
     assert main(["gen-data", "--case", TRI3, "--samples", "60", "--magnitude", "0.1",
                  "--seed", "7", "--out", str(again)]) == 0
-    assert _normalized_jsonl(data) == _normalized_jsonl(again)
+    assert data.read_bytes() == again.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -135,6 +125,21 @@ def test_train_fingerprint_mismatch(workspace, capsys):
     assert "different network" in capsys.readouterr().err
 
 
+def test_train_malformed_dataset_names_file_and_line(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    lines = data.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["load_mw"] = row["load_mw"][:2]
+    lines[2] = json.dumps(row)
+    bad = tmp_path / "short.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--case", TRI3, "--data", str(bad), "--threshold", "0.9",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "short.jsonl: line 3: load_mw" in err
+    assert "Error" not in err
+
+
 def test_train_mlp_baseline(workspace, tmp_path):
     _, data, _ = workspace
     out = tmp_path / "mlp.json"
@@ -173,6 +178,19 @@ def test_eval_missing_model_names_path(workspace, capsys):
     assert main(["eval", "--case", TRI3, "--data", str(data),
                  "--model", "ghost.json", "--out-dir", "out"]) == 2
     assert "ghost.json" in capsys.readouterr().err
+
+
+def test_eval_model_without_config(workspace, tmp_path, capsys):
+    _, data, model = workspace
+    doc = json.loads(model.read_text())
+    del doc["config"]
+    bad = tmp_path / "noconfig.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--case", TRI3, "--data", str(data), "--model", str(bad),
+                 "--out-dir", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert "noconfig.json" in err and "config" in err
+    assert "KeyError" not in err
 
 
 def test_eval_threshold_mismatch_warns_but_runs(workspace, tmp_path, capsys):

@@ -427,7 +427,7 @@ def _sample_like(net):
     from gridscreen.samplegen import Sample
 
     node, edge = extract_features(net, net.base_load())
-    return Sample(0, net.base_load(), node, edge, np.zeros(net.num_branches), 0.0, 0.0)
+    return Sample(0, net.base_load(), node, edge, np.zeros(net.num_branches), 0.0)
 
 
 def test_edge_accuracy_tie_counts_congested():
@@ -470,6 +470,34 @@ def test_save_load_mlp_round_trip(tmp_path, tri3):
     assert back.kind == "mlp"
     for (na, pa), (nb, pb) in zip(model.parameters(), back.parameters()):
         assert na == nb and np.array_equal(pa, pb)
+
+
+def test_mlp_honours_num_layers(tmp_path):
+    model = init_mlp(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3)
+    assert len(model.node_layers) == 2 and len(model.edge_layers) == 2
+    path = tmp_path / "mlp.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert len(back.node_layers) == 2 and len(back.edge_layers) == 2
+    for (na, pa), (nb, pb) in zip(model.parameters(), back.parameters(), strict=True):
+        assert na == nb and np.array_equal(pa, pb)
+
+
+def test_load_model_shape_checked_against_binding(tmp_path):
+    import json
+    path = tmp_path / "model.json"
+    save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
+    saved = path.read_text()
+    doc = json.loads(saved)
+    doc["layers"][1]["W_node"] = doc["layers"][1]["W_node"][:-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"layers\.1\.w_node"):
+        load_model(path)
+    doc = json.loads(saved)
+    doc["binding"]["node_feature_width"] = 6
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"do not match the binding.*layers\.0\.w_edge"):
+        load_model(path)
 
 
 def test_load_version_mismatch(tmp_path, tri3):

@@ -170,7 +170,9 @@ def test_correlate_zero_violations(tri3, tri3_dataset):
 def test_sweep_oracle_monitored_nesting(case14, case14_splits):
     _, _, test_split = case14_splits
     taus = [0.70, 0.75, 0.80, 0.85, 0.90, 0.95]
-    reports = threshold_sweep(case14, [], [], test_split[:40], taus, use_oracle=True)
+    results = threshold_sweep(case14, [], [], test_split[:40], taus, use_oracle=True)
+    assert all(model is None for _, model in results)
+    reports = [report for report, _ in results]
     assert len(reports) == 6
     assert [r.threshold for r in reports] == taus
     fractions = [r.pct_lines_monitored for r in reports]
@@ -185,9 +187,9 @@ def test_sweep_oracle_monitored_nesting(case14, case14_splits):
 
 
 def test_sweep_unsorted_input_sorted_output(tri3, tri3_dataset):
-    reports = threshold_sweep(tri3, [], [], tri3_dataset.samples[:10],
+    results = threshold_sweep(tri3, [], [], tri3_dataset.samples[:10],
                               [0.95, 0.7, 0.8], use_oracle=True)
-    assert [r.threshold for r in reports] == [0.7, 0.8, 0.95]
+    assert [r.threshold for r, _ in results] == [0.7, 0.8, 0.95]
 
 
 def test_sweep_requires_factory_or_oracle(tri3, tri3_dataset):
@@ -206,11 +208,12 @@ def test_sweep_trains_fresh_model_per_threshold(tri3, tri3_dataset):
             7, 2, num_buses=3, num_branches=3, normalizer=fit_normalizer(train_split),
         )
 
-    reports = threshold_sweep(tri3, train_split, val_split, test_split[:10],
+    results = threshold_sweep(tri3, train_split, val_split, test_split[:10],
                               [0.95, 0.7], model_factory=factory, epochs=25)
-    assert [r.threshold for r in reports] == [0.7, 0.95]
-    for r in reports:
+    assert [r.threshold for r, _ in results] == [0.7, 0.95]
+    for r, model in results:
         assert r.edge_prediction_error_pct <= 40.0  # learnable at both thresholds
+        assert model.trained_threshold == r.threshold
 
 
 def test_summary_row_table_columns(tri3, tri3_dataset):

@@ -12,6 +12,7 @@ from gridscreen import (
     parse_case,
     perturb_load,
     read_dataset,
+    serialize_case,
     split_dataset,
     write_dataset,
 )
@@ -104,7 +105,6 @@ def test_generate_single_unperturbed(tri3):
     assert s.load_mw.tolist() == tri3.base_load().tolist()
     assert s.flows_mw == pytest.approx([10.0, 80.0, 70.0], abs=1e-6)
     assert s.objective == pytest.approx(2100.0, abs=1e-6)
-    assert s.solve_seconds > 0
 
 
 def test_generate_deterministic(tri3):
@@ -197,10 +197,10 @@ def test_features_finite(tri3_dataset):
 
 def _dummy_dataset(n):
     samples = [
-        Sample(i, np.zeros(1), np.zeros((1, 7)), np.zeros((1, 2)), np.zeros(1), 0.0, 0.0)
+        Sample(i, np.zeros(1), np.zeros((1, 7)), np.zeros((1, 2)), np.zeros(1), 0.0)
         for i in range(n)
     ]
-    return Dataset("fp", 0, 0.1, n, 100.0, 0, samples)
+    return Dataset(None, 0, 0.1, n, 0, samples)
 
 
 def test_split_sizes_large_corpus():
@@ -272,7 +272,7 @@ def test_dataset_round_trip(tmp_path, tri3, tri3_dataset):
     path = tmp_path / "ds.jsonl"
     write_dataset(tri3_dataset, path)
     back = read_dataset(path)
-    assert back.network_fingerprint == tri3.fingerprint()
+    assert back.network == tri3
     assert back.count == tri3_dataset.count
     assert back.seed == tri3_dataset.seed
     assert back.magnitude == tri3_dataset.magnitude
@@ -284,7 +284,6 @@ def test_dataset_round_trip(tmp_path, tri3, tri3_dataset):
         assert sa.edge_features.tolist() == sb.edge_features.tolist()
         assert sa.flows_mw.tolist() == sb.flows_mw.tolist()
         assert sa.objective == sb.objective
-        assert sa.solve_seconds == sb.solve_seconds
 
 
 def test_dataset_line_layout(tmp_path, tri3_dataset):
@@ -293,16 +292,11 @@ def test_dataset_line_layout(tmp_path, tri3_dataset):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == tri3_dataset.count + 1
     header = json.loads(lines[0])
-    assert header["format_version"] == 1
-    assert set(header) == {
-        "format_version", "network_fingerprint", "seed", "magnitude",
-        "count", "base_mva", "redraws",
-    }
+    assert header["format_version"] == 2
+    assert set(header) == {"format_version", "case", "seed", "magnitude", "count", "redraws"}
+    assert header["case"] == serialize_case(tri3_dataset.network)
     row = json.loads(lines[1])
-    assert set(row) == {
-        "sample_id", "load_mw", "node_features", "edge_features",
-        "flows_mw", "objective", "solve_seconds",
-    }
+    assert set(row) == {"sample_id", "load_mw", "flows_mw", "objective"}
 
 
 def test_dataset_version_check(tmp_path, tri3_dataset):
@@ -322,4 +316,39 @@ def test_dataset_count_check(tmp_path, tri3_dataset):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="count"):
+        read_dataset(path)
+
+
+def _rewrite(path, line_no, edit):
+    """Apply `edit` to the JSON object on 1-based line `line_no` of a dataset file."""
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[line_no - 1])
+    edit(doc)
+    lines[line_no - 1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_dataset_header_missing_key(tmp_path, tri3_dataset):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(tri3_dataset, path)
+    _rewrite(path, 1, lambda header: header.pop("case"))
+    with pytest.raises(ValueError, match=r"ds\.jsonl: line 1: missing key\(s\) case"):
+        read_dataset(path)
+
+
+def test_dataset_bad_json_line(tmp_path, tri3_dataset):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(tri3_dataset, path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:-5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"ds\.jsonl: line 3: invalid JSON"):
+        read_dataset(path)
+
+
+def test_dataset_v1_rejected(tmp_path, tri3_dataset):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(tri3_dataset, path)
+    _rewrite(path, 1, lambda header: header.update(format_version=1))
+    with pytest.raises(ValueError, match="format_version 1; regenerate it with gen-data"):
         read_dataset(path)
