@@ -1,10 +1,10 @@
 """DC optimal power flow: LP assembly, solve, branch flows, limit checks.
 
-Variables are generator outputs (MW) and bus voltage angles (radians, slack
-pinned to zero).  Nodal balance rows are scaled to per-unit for conditioning;
-flow-limit rows are written in MW.  The reduced variant keeps flow limits
-only for a monitored subset of branches, while flows are always computed for
-every branch afterwards so violations can be audited.
+The LP is the shift-factor (PTDF) form (Stott, Jardim & Alsac, "DC power flow
+revisited", IEEE TPWRS 2009): its variables are the generator outputs in MW,
+with one balance row and two rows per monitored branch, so the reduced
+variant, which limits only a monitored subset, shrinks with that subset.
+Flows are computed for every branch afterwards so violations can be audited.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ REPORT_TOL_MW = 1e-6
 class DispatchSolution:
     status: str                      # 'optimal' | 'infeasible' | 'unbounded'
     p_g: np.ndarray | None           # per-generator MW
-    theta: np.ndarray | None         # per-bus radians, slack = 0
     flows: np.ndarray | None         # per-branch MW, all branches
     objective: float | None          # sum of cost * output
 
@@ -47,89 +46,75 @@ def _check_monitored(network: Network, monitored) -> list[int]:
     return mon
 
 
-def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram:
-    """Assemble the dispatch LP with flow limits only for monitored branches.
+def _shift_factors(network: Network) -> np.ndarray:
+    """(K, N) MW flow on each branch per MW injected at a bus and withdrawn at the slack."""
+    ef, et = network.branch_endpoints()
+    unit = np.eye(network.num_buses)
+    incidence = unit[ef] - unit[et]
+    weighted = incidence / network.branch_reactance()[:, None]
+    keep = np.arange(network.num_buses) != network.slack_index
+    susceptance = incidence[:, keep].T @ weighted[:, keep]
+    ptdf = np.zeros_like(incidence)
+    ptdf[:, keep] = np.linalg.solve(susceptance, weighted[:, keep].T).T
+    return ptdf
 
-    Variables are ordered [P_g for each generator, theta for each bus].
-    """
+
+def _flow_terms(network: Network, load_mw) -> tuple[np.ndarray, np.ndarray]:
+    """S, f0 with all branch flows = S @ P_g - f0 MW (S: PTDF at generator buses, f0: PTDF @ load)."""
     load = np.asarray(load_mw, dtype=float)
     if load.shape != (network.num_buses,):
         raise ValueError(f"load vector length {load.size} != number of buses {network.num_buses}")
+    ptdf = _shift_factors(network)
+    return ptdf[:, [network.bus_index[gen.bus] for gen in network.generators]], ptdf @ load
+
+
+def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram:
+    """Assemble the dispatch LP with flow limits only for monitored branches.
+
+    The variables are the generator outputs P_g.  One equality row holds
+    sum(P_g) = sum(load).  With S_M and f0_M the flow terms of the monitored
+    branches (see _flow_terms), the inequality rows are
+    S_M P_g - f0_M <= rating, then their negations.
+    """
+    shift, base_flow = _flow_terms(network, load_mw)
     mon = _check_monitored(network, monitored)
-
-    ng, nb, nk = network.num_generators, network.num_buses, network.num_branches
-    base = network.base_mva
-    n = ng + nb
-    ef, et = network.branch_endpoints()
-    x = network.branch_reactance()
-
-    c = np.zeros(n)
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for gi, gen in enumerate(network.generators):
-        c[gi] = gen.cost_per_mwh
-        lower[gi] = gen.p_min_mw
-        upper[gi] = gen.p_max_mw
-    lower[ng:], upper[ng:] = -np.inf, np.inf
-    lower[ng + network.slack_index] = upper[ng + network.slack_index] = 0.0
-
-    # nodal balance in per-unit: sum(P_g)/base + incoming - outgoing flows = d/base
-    a_eq = np.zeros((nb, n))
-    b_eq = load / base
-    for gi, gen in enumerate(network.generators):
-        a_eq[network.bus_index[gen.bus], gi] = 1.0 / base
-    for k in range(nk):
-        f, t, sus = ef[k], et[k], 1.0 / x[k]
-        # flow_pu[k] = (theta_f - theta_t) / x_k, leaves f, enters t
-        a_eq[f, ng + f] -= sus
-        a_eq[f, ng + t] += sus
-        a_eq[t, ng + f] += sus
-        a_eq[t, ng + t] -= sus
-
-    # |flow| <= rating, in MW, one row per side per monitored branch
-    a_ub = np.zeros((2 * len(mon), n))
-    b_ub = np.empty(2 * len(mon))
-    for row, k in enumerate(mon):
-        f, t = ef[k], et[k]
-        coef = base / x[k]
-        a_ub[2 * row, ng + f] = coef
-        a_ub[2 * row, ng + t] = -coef
-        b_ub[2 * row] = network.branches[k].rate_a_mw
-        a_ub[2 * row + 1, ng + f] = -coef
-        a_ub[2 * row + 1, ng + t] = coef
-        b_ub[2 * row + 1] = network.branches[k].rate_a_mw
-
+    if network.num_generators == 0:
+        raise ValueError("network has no generators, so the dispatch LP has no variable")
+    shift, base_flow, rating = shift[mon], base_flow[mon], network.branch_rating()[mon]
     return LinearProgram(
-        c=c, lower=lower, upper=upper,
-        a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+        c=[gen.cost_per_mwh for gen in network.generators],
+        lower=[gen.p_min_mw for gen in network.generators],
+        upper=[gen.p_max_mw for gen in network.generators],
+        a_eq=np.ones((1, network.num_generators)), b_eq=[np.sum(load_mw)],
+        a_ub=np.vstack([shift, -shift]),
+        b_ub=np.concatenate([rating + base_flow, rating - base_flow]),
     )
 
 
-def line_flows(network: Network, theta: np.ndarray) -> np.ndarray:
-    """Branch flows in MW from bus angles: (theta_from - theta_to)/x * base."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (network.num_buses,):
-        raise ValueError(f"theta length {theta.size} != number of buses {network.num_buses}")
-    ef, et = network.branch_endpoints()
-    return (theta[ef] - theta[et]) / network.branch_reactance() * network.base_mva
+def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.ndarray:
+    """Branch flows in MW: PTDF @ (generation - load) per bus, the slack taking any imbalance."""
+    p_g = np.asarray(p_g, dtype=float)
+    if p_g.shape != (network.num_generators,):
+        raise ValueError(f"p_g length {p_g.size} != number of generators {network.num_generators}")
+    shift, base_flow = _flow_terms(network, load_mw)
+    return shift @ p_g - base_flow
 
 
 def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolution:
     """Solve the (reduced) OPF; flows are populated for all branches."""
-    lp = build_opf(network, load_mw, monitored)
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        return DispatchSolution(status=sol.status, p_g=None, theta=None, flows=None, objective=None)
-    ng = network.num_generators
-    p_g = sol.x[:ng]
-    theta = sol.x[ng:]
-    return DispatchSolution(
-        status="optimal",
-        p_g=p_g,
-        theta=theta,
-        flows=line_flows(network, theta),
-        objective=sol.objective,
-    )
+    if network.num_generators:
+        sol = solve_lp(build_opf(network, load_mw, monitored))
+        status, p_g, objective = sol.status, sol.x, sol.objective
+    else:
+        # no LP column: the rows are constants, met only by zero net load
+        # that keeps the monitored branches within their ratings
+        p_g, objective = np.zeros(0), 0.0
+        flags = check_limits(network, line_flows(network, p_g, load_mw)).flags
+        mon = _check_monitored(network, monitored)
+        status = "optimal" if abs(np.sum(load_mw)) <= REPORT_TOL_MW and not flags[mon].any() else "infeasible"
+    if status != "optimal":
+        return DispatchSolution(status=status, p_g=None, flows=None, objective=None)
+    return DispatchSolution(status=status, p_g=p_g, flows=line_flows(network, p_g, load_mw), objective=objective)
 
 
 def check_limits(network: Network, flows: np.ndarray, tolerance_mw: float = REPORT_TOL_MW) -> ViolationReport:

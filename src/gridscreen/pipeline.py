@@ -74,12 +74,11 @@ def run_ropf(network: Network, sample: Sample, monitored) -> RopfResult:
             f"sample {sample.sample_id}: reduced problem reported {sol.status} although the "
             f"full problem was feasible; this indicates a solver bug"
         )
-    ng = network.num_generators
-    flows = line_flows(network, sol.x[ng:])
+    flows = line_flows(network, sol.x, sample.load_mw)
     return RopfResult(
         sample_id=sample.sample_id,
         monitored=monitored,
-        p_g=sol.x[:ng],
+        p_g=sol.x,
         flows=flows,
         violations=check_limits(network, flows, REPORT_TOL_MW),
         ropf_objective=sol.objective,

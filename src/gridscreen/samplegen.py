@@ -15,13 +15,14 @@ changing the result.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import full_monitored_set, solve_opf
+from .dcopf import REPORT_TOL_MW, full_monitored_set, solve_opf
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
@@ -77,13 +78,18 @@ def extract_features(network: Network, load_mw: np.ndarray) -> tuple[np.ndarray,
 
 
 def label_sample(flows_mw: np.ndarray, network: Network, threshold: float) -> np.ndarray:
-    """Binary per-branch labels: 1 where |flow| >= threshold * rating (inclusive)."""
+    """Binary per-branch labels: 1 where |flow| reaches threshold * rating.
+
+    A flow within REPORT_TOL_MW below the boundary counts as reaching it (the
+    tolerance check_limits allows above a rating), so the label never turns
+    on the last bits of a binding flow.
+    """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     flows = np.asarray(flows_mw, dtype=float)
     if flows.shape != (network.num_branches,):
         raise ValueError(f"flows length {flows.size} != number of branches {network.num_branches}")
-    return (np.abs(flows) >= threshold * network.branch_rating()).astype(int)
+    return (np.abs(flows) > threshold * network.branch_rating() - REPORT_TOL_MW).astype(int)
 
 
 @dataclass
@@ -295,13 +301,27 @@ def _vector(path, line_no: int, row: dict, key: str, size: int) -> np.ndarray:
     if values.shape != (size,):
         raise ValueError(f"{path}: line {line_no}: {key} has shape {values.shape}, "
                          f"the network needs ({size},)")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: line {line_no}: {key} has a non-finite value")
     return values
+
+
+def _objective(path, line_no: int, row: dict) -> float:
+    value = row["objective"]
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{path}: line {line_no}: objective is not a finite number: {value!r}")
 
 
 def read_dataset(path) -> Dataset:
     """Parse a format-2 dataset; features are rebuilt from the embedded case.
 
     Any malformed line raises ValueError naming the file and line number.
+    Only the load column of the node features varies between rows, so the
+    features are derived once and the edge matrix is shared, read-only.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -321,6 +341,8 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{path}: line 1: embedded case: {exc}") from None
         dataset = Dataset(network, header["seed"], header["magnitude"], header["count"],
                           header["redraws"])
+        node_template, edge = extract_features(network, network.base_load())
+        edge.flags.writeable = False
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -328,8 +350,12 @@ def read_dataset(path) -> Dataset:
             _check_keys(path, line_no, row, _ROW_KEYS)
             load = _vector(path, line_no, row, "load_mw", network.num_buses)
             flows = _vector(path, line_no, row, "flows_mw", network.num_branches)
-            node, edge = extract_features(network, load)
-            dataset.samples.append(Sample(row["sample_id"], load, node, edge, flows, row["objective"]))
+            sample_id = row["sample_id"]
+            if isinstance(sample_id, bool) or not isinstance(sample_id, int):
+                raise ValueError(f"{path}: line {line_no}: sample_id is not an integer: {sample_id!r}")
+            node = node_template.copy()
+            node[:, 0] = load
+            dataset.samples.append(Sample(sample_id, load, node, edge, flows, _objective(path, line_no, row)))
     if len(dataset.samples) != dataset.count:
         raise ValueError(f"{path}: header count {dataset.count} != {len(dataset.samples)} sample lines")
     return dataset

@@ -127,17 +127,22 @@ def test_train_fingerprint_mismatch(workspace, capsys):
 
 def test_train_malformed_dataset_names_file_and_line(workspace, tmp_path, capsys):
     _, data, _ = workspace
-    lines = data.read_text().splitlines()
-    row = json.loads(lines[2])
-    row["load_mw"] = row["load_mw"][:2]
-    lines[2] = json.dumps(row)
-    bad = tmp_path / "short.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    assert main(["train", "--case", TRI3, "--data", str(bad), "--threshold", "0.9",
-                 "--out", str(tmp_path / "x.json")]) == 2
-    err = capsys.readouterr().err
-    assert "short.jsonl: line 3: load_mw" in err
-    assert "Error" not in err
+    edits = {
+        "load_mw": lambda row: {**row, "load_mw": row["load_mw"][:2]},
+        "objective": lambda row: {**row, "objective": "abc"},
+        "flows_mw": lambda row: {**row, "flows_mw": [float("nan")] + row["flows_mw"][1:]},
+        "sample_id": lambda row: {**row, "sample_id": "x"},
+    }
+    for key, edit in edits.items():
+        lines = data.read_text().splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])))
+        bad = tmp_path / f"bad_{key}.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--case", TRI3, "--data", str(bad), "--threshold", "0.9",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"bad_{key}.jsonl: line 3: {key}" in err
+        assert "Error" not in err
 
 
 def test_train_mlp_baseline(workspace, tmp_path):

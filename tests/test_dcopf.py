@@ -14,9 +14,9 @@ from gridscreen import (
 
 def test_build_counts_full(tri3):
     problem = build_opf(tri3, tri3.base_load(), full_monitored_set(tri3))
-    assert problem.num_variables == 5          # 2 generators + 3 angles
-    assert problem.a_eq.shape == (3, 5)
-    assert problem.a_ub.shape == (6, 5)
+    assert problem.num_variables == 2          # one per generator
+    assert problem.a_eq.shape == (1, 2)
+    assert problem.a_ub.shape == (6, 2)
 
 
 def test_build_counts_empty_and_single(tri3):
@@ -24,10 +24,10 @@ def test_build_counts_empty_and_single(tri3):
     assert build_opf(tri3, tri3.base_load(), {1}).a_ub.shape[0] == 2
 
 
-def test_build_slack_angle_pinned(tri3):
+def test_build_balance_row(tri3):
     problem = build_opf(tri3, tri3.base_load(), frozenset())
-    slack_col = tri3.num_generators + tri3.slack_index
-    assert problem.lower[slack_col] == 0.0 and problem.upper[slack_col] == 0.0
+    assert problem.a_eq.tolist() == [[1.0, 1.0]]     # sum of P_g ...
+    assert problem.b_eq.tolist() == [150.0]          # ... = sum of load
 
 
 def test_build_load_length_error(tri3):
@@ -46,7 +46,6 @@ def test_tri3_full_solution(tri3):
     assert sol.objective == pytest.approx(2100.0, abs=1e-6)
     assert sol.p_g == pytest.approx([90.0, 60.0], abs=1e-6)
     assert sol.flows == pytest.approx([10.0, 80.0, 70.0], abs=1e-6)
-    assert sol.theta == pytest.approx([0.0, -0.01, -0.08], abs=1e-9)
 
 
 def test_tri3_unmonitored_solution(tri3):
@@ -63,33 +62,47 @@ def test_tri3_overload_infeasible(tri3):
     assert sol.p_g is None and sol.flows is None
 
 
-def test_line_flows_zero_angles(tri3):
-    assert line_flows(tri3, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+def test_line_flows_zero_injection(tri3):
+    assert line_flows(tri3, np.zeros(2), np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_line_flows_direct_substitution(tri3):
-    flows = line_flows(tri3, np.array([0.0, -0.01, -0.08]))
+    flows = line_flows(tri3, np.array([90.0, 60.0]), tri3.base_load())
     assert flows == pytest.approx([10.0, 80.0, 70.0], abs=1e-9)
 
 
 def test_line_flows_antisymmetric(tri3_text, tri3):
     reversed_text = tri3_text.replace("1 3 0.1 80.0", "3 1 0.1 80.0")
     net_rev = parse_case(reversed_text)
-    theta = np.array([0.0, -0.01, -0.08])
-    assert line_flows(net_rev, theta)[1] == -line_flows(tri3, theta)[1]
+    p_g, load = np.array([90.0, 60.0]), tri3.base_load()
+    assert line_flows(net_rev, p_g, load)[1] == -line_flows(tri3, p_g, load)[1]
 
 
 def test_line_flows_linear(tri3):
     rng = np.random.default_rng(0)
-    t1, t2 = rng.normal(size=3), rng.normal(size=3)
-    lhs = line_flows(tri3, 2.0 * t1 + 0.5 * t2)
-    rhs = 2.0 * line_flows(tri3, t1) + 0.5 * line_flows(tri3, t2)
+    p1, p2 = rng.normal(size=2), rng.normal(size=2)
+    d1, d2 = rng.normal(size=3), rng.normal(size=3)
+    lhs = line_flows(tri3, 2.0 * p1 + 0.5 * p2, 2.0 * d1 + 0.5 * d2)
+    rhs = 2.0 * line_flows(tri3, p1, d1) + 0.5 * line_flows(tri3, p2, d2)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_line_flows_length_error(tri3):
-    with pytest.raises(ValueError):
-        line_flows(tri3, np.zeros(2))
+    with pytest.raises(ValueError, match="p_g length"):
+        line_flows(tri3, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="load vector length"):
+        line_flows(tri3, np.zeros(2), np.zeros(2))
+
+
+def test_no_generator_case(tri3):
+    # the LP would have no column; a network may still parse without generators
+    from dataclasses import replace
+
+    bare = replace(tri3, generators=())
+    assert solve_opf(bare, tri3.base_load(), full_monitored_set(tri3)).status == "infeasible"
+    sol = solve_opf(bare, np.zeros(3), full_monitored_set(tri3))
+    assert sol.status == "optimal" and sol.objective == 0.0
+    assert sol.p_g.size == 0 and sol.flows.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_check_limits_at_limit_not_flagged(tri3):
@@ -187,10 +200,16 @@ def test_tri3_matches_grid_search_oracle(tri3):
     assert sol.objective <= objective + 1e-6
 
 
-def test_oracle_flows_agree_with_angle_flows(tri3):
+def test_oracle_flows_agree_with_line_flows(tri3, case14):
     sol = solve_opf(tri3, tri3.base_load(), full_monitored_set(tri3))
     flows = oracles.oracle_flows(tri3, sol.p_g, tri3.base_load())
     assert flows == pytest.approx(sol.flows, abs=1e-7)
+    # balanced random dispatches on case14, against the explicit-inverse reference
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        load = case14.base_load() * rng.uniform(0.9, 1.1, case14.num_buses)
+        p_g = rng.dirichlet(np.ones(case14.num_generators)) * load.sum()
+        assert np.abs(line_flows(case14, p_g, load) - oracles.oracle_flows(case14, p_g, load)).max() <= 1e-9
 
 
 RING4 = """

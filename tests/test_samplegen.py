@@ -90,6 +90,9 @@ def test_labels_tri3(tri3):
 def test_labels_tau_one_marks_binding_only(tri3):
     labels = label_sample(np.array([10.0, 80.0, 70.0]), tri3, 1.0)
     assert labels.tolist() == [0, 1, 0]
+    # a binding flow's last bits do not decide its label
+    assert label_sample(np.array([10.0, 80.0 - 1e-12, 70.0]), tri3, 1.0).tolist() == [0, 1, 0]
+    assert label_sample(np.array([10.0, 80.0 - 1e-3, 70.0]), tri3, 1.0).tolist() == [0, 0, 0]
 
 
 def test_labels_validation(tri3):
@@ -282,6 +285,7 @@ def test_dataset_round_trip(tmp_path, tri3, tri3_dataset):
         assert sa.load_mw.tolist() == sb.load_mw.tolist()
         assert sa.node_features.tolist() == sb.node_features.tolist()
         assert sa.edge_features.tolist() == sb.edge_features.tolist()
+        assert not sb.edge_features.flags.writeable   # shared between samples
         assert sa.flows_mw.tolist() == sb.flows_mw.tolist()
         assert sa.objective == sb.objective
 

@@ -93,7 +93,7 @@ def test_solver_counters_bound_flips():
 
 
 def test_case14_iteration_counts(case14):
-    """The crash start keeps phase 1 short; counts repeat on any machine."""
+    """The shift-factor LP and the crash start keep the solve short; counts repeat on any machine."""
     rng = np.random.default_rng(0)
     base = case14.base_load()
     phase1, total = [], []
@@ -104,8 +104,8 @@ def test_case14_iteration_counts(case14):
         assert sol.diagnostics["refactorizations"] >= 1
         phase1.append(sol.diagnostics["phase1_iterations"])
         total.append(sol.iterations)
-    assert np.mean(phase1) <= 15
-    assert np.mean(total) <= 30
+    assert np.mean(phase1) <= 4
+    assert np.mean(total) <= 6
 
 
 def test_beale_cycling_example_terminates():
