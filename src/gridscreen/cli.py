@@ -235,7 +235,16 @@ def _read_load_file(path: str, network) -> np.ndarray:
         values = json.loads(text) if text.startswith("[") else [float(t) for t in text.split()]
     except (json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"{p}: cannot parse load file: {exc}") from None
-    load = np.asarray(values, dtype=float)
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{p}: the load must be a flat list of numbers")
+    try:
+        load = np.asarray(values, dtype=float)
+        finite = np.isfinite(load).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{p}: the load has a non-finite value")
     if load.size != network.num_buses:
         raise ConfigError(f"{p}: {load.size} load values for {network.num_buses} buses")
     return load

@@ -4,7 +4,10 @@ The LP is the shift-factor (PTDF) form (Stott, Jardim & Alsac, "DC power flow
 revisited", IEEE TPWRS 2009): its variables are the generator outputs in MW,
 with one balance row and two rows per monitored branch, so the reduced
 variant, which limits only a monitored subset, shrinks with that subset.
-Flows are computed for every branch afterwards so violations can be audited.
+The PTDF and the other constants of the LP are derived once per Network
+(see netcase.Network), so a build only slices the monitored rows and
+multiplies the PTDF by the load.  Flows are computed for every branch
+afterwards so violations can be audited.
 """
 
 from __future__ import annotations
@@ -46,46 +49,33 @@ def _check_monitored(network: Network, monitored) -> list[int]:
     return mon
 
 
-def _shift_factors(network: Network) -> np.ndarray:
-    """(K, N) MW flow on each branch per MW injected at a bus and withdrawn at the slack."""
-    ef, et = network.branch_endpoints()
-    unit = np.eye(network.num_buses)
-    incidence = unit[ef] - unit[et]
-    weighted = incidence / network.branch_reactance()[:, None]
-    keep = np.arange(network.num_buses) != network.slack_index
-    susceptance = incidence[:, keep].T @ weighted[:, keep]
-    ptdf = np.zeros_like(incidence)
-    ptdf[:, keep] = np.linalg.solve(susceptance, weighted[:, keep].T).T
-    return ptdf
-
-
-def _flow_terms(network: Network, load_mw) -> tuple[np.ndarray, np.ndarray]:
-    """S, f0 with all branch flows = S @ P_g - f0 MW (S: PTDF at generator buses, f0: PTDF @ load)."""
+def _check_load(network: Network, load_mw) -> np.ndarray:
     load = np.asarray(load_mw, dtype=float)
     if load.shape != (network.num_buses,):
         raise ValueError(f"load vector length {load.size} != number of buses {network.num_buses}")
-    ptdf = _shift_factors(network)
-    return ptdf[:, [network.bus_index[gen.bus] for gen in network.generators]], ptdf @ load
+    if not np.isfinite(load).all():
+        raise ValueError("load vector has a non-finite value")
+    return load
 
 
 def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram:
     """Assemble the dispatch LP with flow limits only for monitored branches.
 
     The variables are the generator outputs P_g.  One equality row holds
-    sum(P_g) = sum(load).  With S_M and f0_M the flow terms of the monitored
-    branches (see _flow_terms), the inequality rows are
-    S_M P_g - f0_M <= rating, then their negations.
+    sum(P_g) = sum(load).  With S = network.gen_ptdf and f0 = network.ptdf @
+    load, the flows are S P_g - f0, and the inequality rows are
+    S_M P_g - f0_M <= rating_M over the monitored rows M, then their
+    negations.  Every constant but f0 is derived once per Network.
     """
-    shift, base_flow = _flow_terms(network, load_mw)
+    load = _check_load(network, load_mw)
     mon = _check_monitored(network, monitored)
     if network.num_generators == 0:
         raise ValueError("network has no generators, so the dispatch LP has no variable")
-    shift, base_flow, rating = shift[mon], base_flow[mon], network.branch_rating()[mon]
+    # all rows of f0, so each LP row matches line_flows to the bit
+    shift, base_flow, rating = network.gen_ptdf[mon], (network.ptdf @ load)[mon], network.rating[mon]
     return LinearProgram(
-        c=[gen.cost_per_mwh for gen in network.generators],
-        lower=[gen.p_min_mw for gen in network.generators],
-        upper=[gen.p_max_mw for gen in network.generators],
-        a_eq=np.ones((1, network.num_generators)), b_eq=[np.sum(load_mw)],
+        c=network.gen_cost, lower=network.gen_p_min, upper=network.gen_p_max,
+        a_eq=np.ones((1, network.num_generators)), b_eq=[load.sum()],
         a_ub=np.vstack([shift, -shift]),
         b_ub=np.concatenate([rating + base_flow, rating - base_flow]),
     )
@@ -96,8 +86,7 @@ def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.nda
     p_g = np.asarray(p_g, dtype=float)
     if p_g.shape != (network.num_generators,):
         raise ValueError(f"p_g length {p_g.size} != number of generators {network.num_generators}")
-    shift, base_flow = _flow_terms(network, load_mw)
-    return shift @ p_g - base_flow
+    return network.gen_ptdf @ p_g - network.ptdf @ _check_load(network, load_mw)
 
 
 def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolution:
@@ -124,8 +113,7 @@ def check_limits(network: Network, flows: np.ndarray, tolerance_mw: float = REPO
         raise ValueError(f"flows length {flows.size} != number of branches {network.num_branches}")
     if tolerance_mw < 0:
         raise ValueError("tolerance must be >= 0")
-    rating = network.branch_rating()
-    over = np.abs(flows) - rating
+    over = np.abs(flows) - network.rating
     flags = over > tolerance_mw
     return ViolationReport(
         flags=flags,

@@ -5,12 +5,17 @@ are introduced by the header lines ``#BASE``, ``#BUS``, ``#GEN`` and
 ``#BRANCH``; rows are whitespace-separated numeric columns; ``%`` starts a
 comment line.  Anything outside this subset is a parse error with the line
 number reported.
+
+A Network also derives, once, the read-only arrays the dispatch LP reads on
+every sample: the shift factors (PTDF), their generator-bus columns, the
+branch ratings and the generator cost and bound vectors.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +65,12 @@ class Network:
 
     ``buses``, ``branches`` and ``generators`` are ordered tuples; all
     derived index maps refer to positions in those tuples.
+
+    The cached properties below are derived on first use and then shared,
+    read-only.  cached_property stores them in the instance ``__dict__``, so
+    they stay out of ``__eq__``, ``serialize_case`` and ``fingerprint``, and
+    ``__getstate__`` leaves them out of a pickle (an unpickled array would
+    be writable again); ``dataclasses.replace`` gives a Network of its own.
     """
 
     base_mva: float
@@ -94,12 +105,60 @@ class Network:
     def branch_reactance(self) -> np.ndarray:
         return np.array([b.reactance_pu for b in self.branches], dtype=float)
 
-    def branch_rating(self) -> np.ndarray:
-        return np.array([b.rate_a_mw for b in self.branches], dtype=float)
-
     def fingerprint(self) -> str:
         """Stable content hash of the serialized case."""
         return hashlib.sha256(serialize_case(self).encode("utf-8")).hexdigest()
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def rating(self) -> np.ndarray:
+        """(K,) branch ratings in MW."""
+        return _read_only(np.array([b.rate_a_mw for b in self.branches], dtype=float))
+
+    @cached_property
+    def ptdf(self) -> np.ndarray:
+        """(K, N) MW flow on each branch per MW injected at a bus and withdrawn at the slack."""
+        return _read_only(_shift_factors(self))
+
+    @cached_property
+    def gen_ptdf(self) -> np.ndarray:
+        """(K, G) the PTDF columns of the generator buses, in generator order."""
+        return _read_only(self.ptdf[:, [self.bus_index[gen.bus] for gen in self.generators]])
+
+    @cached_property
+    def gen_cost(self) -> np.ndarray:
+        """(G,) generator cost per MWh."""
+        return _read_only(np.array([gen.cost_per_mwh for gen in self.generators], dtype=float))
+
+    @cached_property
+    def gen_p_min(self) -> np.ndarray:
+        """(G,) generator lower limits in MW."""
+        return _read_only(np.array([gen.p_min_mw for gen in self.generators], dtype=float))
+
+    @cached_property
+    def gen_p_max(self) -> np.ndarray:
+        """(G,) generator upper limits in MW."""
+        return _read_only(np.array([gen.p_max_mw for gen in self.generators], dtype=float))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _shift_factors(network: Network) -> np.ndarray:
+    """(K, N) shift factors from one solve on the slack-reduced susceptance matrix."""
+    ef, et = network.branch_endpoints()
+    unit = np.eye(network.num_buses)
+    incidence = unit[ef] - unit[et]
+    weighted = incidence / network.branch_reactance()[:, None]
+    keep = np.arange(network.num_buses) != network.slack_index
+    susceptance = incidence[:, keep].T @ weighted[:, keep]
+    ptdf = np.zeros_like(incidence)
+    ptdf[:, keep] = np.linalg.solve(susceptance, weighted[:, keep].T).T
+    return ptdf
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def extract_features(network: Network, load_mw: np.ndarray) -> tuple[np.ndarray,
     onehot_col = {BUS_TYPE_LOAD: 4, BUS_TYPE_GENERATOR: 5, BUS_TYPE_SLACK: 6}
     for bi, bus in enumerate(network.buses):
         node[bi, onehot_col[bus.bus_type]] = 1.0
-    edge = np.column_stack([network.branch_reactance(), network.branch_rating()])
+    edge = np.column_stack([network.branch_reactance(), network.rating])
     return node, edge
 
 
@@ -89,7 +89,7 @@ def label_sample(flows_mw: np.ndarray, network: Network, threshold: float) -> np
     flows = np.asarray(flows_mw, dtype=float)
     if flows.shape != (network.num_branches,):
         raise ValueError(f"flows length {flows.size} != number of branches {network.num_branches}")
-    return (np.abs(flows) > threshold * network.branch_rating() - REPORT_TOL_MW).astype(int)
+    return (np.abs(flows) > threshold * network.rating - REPORT_TOL_MW).astype(int)
 
 
 @dataclass
@@ -112,8 +112,23 @@ class Dataset:
     samples: list[Sample] = field(default_factory=list)
 
 
-def _generate_one(network: Network, magnitude: float, seed: int, index: int) -> tuple[Sample, int]:
-    """Draw loads for one sample, redrawing from the same stream until feasible."""
+def _feature_template(network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Node and edge features at the base load; the edge matrix is read-only, to be shared.
+
+    Only the load column of the node features varies between samples.
+    """
+    node, edge = extract_features(network, network.base_load())
+    edge.flags.writeable = False
+    return node, edge
+
+
+def _generate_one(network: Network, magnitude: float, seed: int, index: int,
+                  template: tuple[np.ndarray, np.ndarray]) -> tuple[Sample, int]:
+    """Draw loads for one sample, redrawing from the same stream until feasible.
+
+    `template` is _feature_template(network); the sample's node features are
+    a copy of it with the drawn load in column 0.
+    """
     base = network.base_load()
     gen = _generator(derive_seed(seed, index))
     monitored = full_monitored_set(network)
@@ -122,12 +137,13 @@ def _generate_one(network: Network, magnitude: float, seed: int, index: int) -> 
         load = base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
         sol = solve_opf(network, load, monitored)
         if sol.status == "optimal":
-            node, edge = extract_features(network, load)
+            node = template[0].copy()
+            node[:, 0] = load
             return Sample(
                 sample_id=index,
                 load_mw=load,
                 node_features=node,
-                edge_features=edge,
+                edge_features=template[1],
                 flows_mw=sol.flows,
                 objective=sol.objective,
             ), redraws
@@ -161,6 +177,7 @@ def generate_dataset(
         raise RuntimeError(f"base-case OPF is {base_sol.status}; cannot generate samples")
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
+    template = _feature_template(network)
     # more workers than cores or samples would only add start-up cost
     workers = min(threads, os.cpu_count() or 1, count)
     if workers > 1:
@@ -168,10 +185,10 @@ def generate_dataset(
             results = list(pool.map(
                 _generate_one,
                 [network] * count, [magnitude] * count, [seed] * count, range(count),
-                chunksize=max(1, count // (8 * workers)),
+                [template] * count, chunksize=max(1, count // (8 * workers)),
             ))
     else:
-        results = [_generate_one(network, magnitude, seed, i) for i in range(count)]
+        results = [_generate_one(network, magnitude, seed, i, template) for i in range(count)]
     for sample, redraws in results:
         dataset.samples.append(sample)
         dataset.redraws += redraws
@@ -320,8 +337,7 @@ def read_dataset(path) -> Dataset:
     """Parse a format-2 dataset; features are rebuilt from the embedded case.
 
     Any malformed line raises ValueError naming the file and line number.
-    Only the load column of the node features varies between rows, so the
-    features are derived once and the edge matrix is shared, read-only.
+    The features come from one _feature_template, as in generate_dataset.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -341,8 +357,7 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{path}: line 1: embedded case: {exc}") from None
         dataset = Dataset(network, header["seed"], header["magnitude"], header["count"],
                           header["redraws"])
-        node_template, edge = extract_features(network, network.base_load())
-        edge.flags.writeable = False
+        node_template, edge = _feature_template(network)
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

@@ -22,8 +22,13 @@ Pricing is Dantzig (most negative reduced cost); the ratio test takes the
 largest pivot among near-ties, and Bland's smallest-index rule engages after
 3*(#vars + #rows) consecutive degenerate steps so cycling cannot occur.  The
 basis inverse is maintained by pivot updates and refactorized periodically.
-Each solution reports iteration, pivot, bound-flip and refactorization
-counts.
+The optimal vertex is read with one final solve of B x_B = b - N x_N on the
+optimal basis, with no inverse formed; that solve counts as a
+refactorization.  Each solution reports iteration, pivot, bound-flip and
+refactorization counts.
+
+A LinearProgram rejects NaN anywhere and infinities outside the bounds when
+it is built, so a bad input fails there rather than mid-solve.
 """
 
 from __future__ import annotations
@@ -75,8 +80,18 @@ class LinearProgram:
             raise ValueError("bounds length must match objective length")
         if self.b_eq.size != self.a_eq.shape[0] or self.b_ub.size != self.a_ub.shape[0]:
             raise ValueError("constraint matrix/rhs dimensions inconsistent")
-        if not np.all(np.isfinite(self.c)):
+        if not np.isfinite(self.c).all():
             raise ValueError("objective coefficients must be finite")
+        # an infinite b_ub would make a basic slack infinite; drop the row instead
+        for name in ("a_eq", "b_eq", "a_ub", "b_ub"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite entry")
+        # a bound may be infinite, where a column has no limit on that side
+        for name in ("lower", "upper"):
+            if np.isnan(getattr(self, name)).any():
+                raise ValueError(f"{name} has a NaN entry")
+        if (self.lower == np.inf).any() or (self.upper == -np.inf).any():
+            raise ValueError("a lower bound of +inf or an upper bound of -inf admits no value")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 
@@ -189,16 +204,16 @@ class _Core:
         has_slack = slack_cols >= 0
         self.slack_row[slack_cols[has_slack]] = rows[has_slack]
 
-        self.status = np.select(
-            [self.lb == self.ub, np.isfinite(self.lb), np.isfinite(self.ub)],
-            [_FIXED, _AT_LOWER, _AT_UPPER],
-            _FREE,
-        )
+        # every column starts nonbasic at a finite bound, lower first, or
+        # free at 0; lb == ub makes it fixed
+        lo_finite, hi_finite = np.isfinite(self.lb), np.isfinite(self.ub)
+        self.status = np.where(lo_finite, _AT_LOWER, np.where(hi_finite, _AT_UPPER, _FREE))
+        self.status[self.lb == self.ub] = _FIXED
+        x_nb = np.where(lo_finite, self.lb, np.where(hi_finite, self.ub, 0.0))[:n_real]
 
         # slack start: an inequality row that the nonbasic start point
         # satisfies keeps its slack basic and its artificial stays fixed at
         # 0; every other row starts on an artificial oriented to be >= 0
-        x_nb = self._nonbasic_values(np.arange(n_real))
         resid = b - a @ x_nb
         slack_start = has_slack & (resid >= 0)
         signs = np.where(resid >= 0, 1.0, -1.0)
@@ -422,9 +437,21 @@ class _Core:
                 bland = False
 
     def solution(self) -> np.ndarray:
-        self._refactorize()
+        """The optimal vertex: nonbasic values at their bounds, x_B from one solve with B.
+
+        The solve is the solution's factorization of the basis and counts
+        as a refactorization; no inverse is formed.
+        """
         x = np.empty(self.n)
         nonbasic = np.flatnonzero(self.status != _BASIC)
         x[nonbasic] = self._nonbasic_values(nonbasic)
-        x[self.basis] = self.x_basic
+        rhs = self.b - self.a[:, nonbasic] @ x[nonbasic]
+        try:
+            x_basic = np.linalg.solve(self.a[:, self.basis], rhs)
+        except np.linalg.LinAlgError:
+            raise SingularBasisError("basis matrix singular at the final solve") from None
+        if not np.all(np.isfinite(x_basic)):
+            raise SingularBasisError("basic values non-finite at the final solve")
+        self.refactorizations += 1
+        x[self.basis] = x_basic
         return x

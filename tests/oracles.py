@@ -51,7 +51,7 @@ def grid_search_opf(network, load, monitored, step=0.1):
     ptdf = ptdf_matrix(network)
     gbus = [network.bus_index[g.bus] for g in gens]
     costs = np.array([g.cost_per_mwh for g in gens])
-    rate = network.branch_rating()
+    rate = network.rating
     mon = sorted(monitored)
 
     def axis(g):

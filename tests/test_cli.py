@@ -284,6 +284,22 @@ def test_solve_load_length_error(tmp_path, capsys):
     assert "3 buses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[1.0, NaN, 2.0]",
+    "[1.0, Infinity, 2.0]",
+    "[1.0, null, 2.0]",
+    '[1.0, "two", 3.0]',
+    "[[1.0, 2.0, 3.0]]",
+], ids=["nan", "inf", "null", "string", "nested"])
+def test_solve_malformed_load_is_a_config_error(tmp_path, capsys, text):
+    load = tmp_path / "load.json"
+    load.write_text(text)
+    assert main(["solve", "--case", TRI3, "--load", str(load)]) == 2
+    err = capsys.readouterr().err
+    assert str(load) in err
+    assert "Error" not in err   # no exception class name: not a runtime failure
+
+
 def test_usage_error_exit_code():
     assert main(["gen-data", "--case", TRI3]) == 2  # missing required flags
     assert main([]) == 2

@@ -1,15 +1,20 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import oracles
+from gridscreen import netcase
 from gridscreen import (
     build_opf,
     check_limits,
     full_monitored_set,
     line_flows,
     parse_case,
+    run_ropf,
     solve_opf,
 )
+from gridscreen.samplegen import Sample
 
 
 def test_build_counts_full(tri3):
@@ -33,6 +38,16 @@ def test_build_balance_row(tri3):
 def test_build_load_length_error(tri3):
     with pytest.raises(ValueError, match="load vector length"):
         build_opf(tri3, np.zeros(4), frozenset())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_load_rejected(tri3, bad):
+    load = tri3.base_load()
+    load[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        build_opf(tri3, load, full_monitored_set(tri3))
+    with pytest.raises(ValueError, match="non-finite"):
+        line_flows(tri3, np.zeros(2), load)
 
 
 def test_build_monitored_range_error(tri3):
@@ -171,7 +186,7 @@ def test_full_monitoring_equivalence(case14):
 def test_feasibility_equality_and_monitored_never_violate(case14):
     rng = np.random.default_rng(7)
     base = case14.base_load()
-    rating = case14.branch_rating()
+    rating = case14.rating
     checked_equal = 0
     for _ in range(30):
         load = base * rng.uniform(0.9, 1.1, base.size)
@@ -210,6 +225,34 @@ def test_oracle_flows_agree_with_line_flows(tri3, case14):
         load = case14.base_load() * rng.uniform(0.9, 1.1, case14.num_buses)
         p_g = rng.dirichlet(np.ones(case14.num_generators)) * load.sum()
         assert np.abs(line_flows(case14, p_g, load) - oracles.oracle_flows(case14, p_g, load)).max() <= 1e-9
+
+
+def test_ptdf_derived_once_per_network(monkeypatch, case14):
+    calls = []
+
+    def counting(network):
+        calls.append(network)
+        return shift_factors(network)
+
+    shift_factors = netcase._shift_factors
+    monkeypatch.setattr(netcase, "_shift_factors", counting)
+    net = parse_case(netcase.serialize_case(case14))   # a Network with an empty cache
+    rng = np.random.default_rng(3)
+    for i in range(10):
+        load = net.base_load() * rng.uniform(0.9, 1.1, net.num_buses)
+        full = solve_opf(net, load, full_monitored_set(net))
+        check_limits(net, full.flows)
+        sample = Sample(i, load, None, None, full.flows, full.objective)
+        run_ropf(net, sample, {0, 3})
+    assert len(calls) == 1 and calls[0] is net
+
+
+def test_oracle_keeps_its_own_ptdf(case14):
+    source = inspect.getsource(oracles)
+    assert "gridscreen" not in source and "_shift_factors" not in source
+    assert ".ptdf" not in source and "gen_ptdf" not in source
+    assert "np.linalg.inv" in source     # the explicit-inverse derivation
+    assert np.abs(oracles.ptdf_matrix(case14) - case14.ptdf).max() <= 1e-12
 
 
 RING4 = """

@@ -1,7 +1,12 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridscreen import CaseError, parse_case, serialize_case, to_graph
+
+DERIVED = ("rating", "ptdf", "gen_ptdf", "gen_cost", "gen_p_min", "gen_p_max")
 
 PATH_CASE = """
 #BASE
@@ -145,3 +150,36 @@ def test_graph_properties_random(seed):
     assert np.all(np.diag(topo.adjacency) == 0)
     assert topo.degree.sum() == 2 * net.num_branches
     assert parse_case(serialize_case(net)) == net
+
+
+def test_derived_arrays_read_only(tri3_text):
+    net = parse_case(tri3_text)
+    assert net.rating.tolist() == [200.0, 80.0, 200.0]
+    assert net.gen_cost.tolist() == [10.0, 20.0] and net.gen_p_max.tolist() == [200.0, 200.0]
+    assert net.gen_ptdf.tolist() == net.ptdf[:, [0, 1]].tolist()
+    for name in DERIVED:
+        array = getattr(net, name)
+        assert getattr(net, name) is array          # derived once
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_derived_arrays_stay_out_of_identity(tri3_text):
+    net = parse_case(tri3_text)
+    fingerprint = net.fingerprint()
+    for name in DERIVED:
+        getattr(net, name)
+    assert net.fingerprint() == fingerprint
+    assert parse_case(serialize_case(net)) == net
+    back = pickle.loads(pickle.dumps(net))
+    assert back == net
+    assert not set(DERIVED) & set(vars(back))       # not pickled ...
+    assert back.ptdf.tolist() == net.ptdf.tolist()  # ... but derived again
+    assert not back.ptdf.flags.writeable
+
+
+def test_replace_derives_afresh(tri3):
+    tri3.rating
+    doubled = tuple(replace(br, rate_a_mw=2 * br.rate_a_mw) for br in tri3.branches)
+    assert replace(tri3, branches=doubled).rating.tolist() == [400.0, 160.0, 400.0]
+    assert tri3.rating.tolist() == [200.0, 80.0, 200.0]

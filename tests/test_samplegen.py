@@ -192,6 +192,20 @@ def test_stored_flows_within_limits(tri3_dataset, tri3):
         assert not check_limits(tri3, s.flows_mw).any_violation
 
 
+def test_generate_features_from_one_template(tri3, monkeypatch):
+    """Features are derived once per dataset; each sample only sets its load column."""
+    calls = []
+    extract = samplegen.extract_features
+    monkeypatch.setattr(samplegen, "extract_features", lambda *a: calls.append(a) or extract(*a))
+    ds = generate_dataset(tri3, 8, 0.1, seed=2)
+    assert len(calls) == 1
+    for s in ds.samples:
+        node, edge = extract(tri3, s.load_mw)
+        assert s.node_features.tolist() == node.tolist()
+        assert s.edge_features is ds.samples[0].edge_features
+        assert s.edge_features.tolist() == edge.tolist() and not s.edge_features.flags.writeable
+
+
 def test_features_finite(tri3_dataset):
     for s in tri3_dataset.samples[:100]:
         assert np.isfinite(s.node_features).all()

@@ -135,6 +135,38 @@ def test_container_validation(field, bad):
         lp(**kwargs)
 
 
+@pytest.mark.parametrize("field,value,match", [
+    ("a_eq", [[1.0, np.nan]], "a_eq"), ("a_eq", [[np.inf, 1.0]], "a_eq"),
+    ("b_eq", [np.nan], "b_eq"), ("b_eq", [-np.inf], "b_eq"),
+    ("a_ub", [[1.0, -np.inf]], "a_ub"),
+    ("b_ub", [np.nan], "b_ub"), ("b_ub", [np.inf], "b_ub"),
+    ("lower", [0.0, np.nan], "lower"), ("upper", [np.nan, 2.0], "upper"),
+    ("lower", [np.inf, 0.0], "admits no value"), ("upper", [2.0, -np.inf], "admits no value"),
+])
+def test_container_rejects_non_finite(field, value, match):
+    kwargs = dict(c=[1.0, 1.0], lower=[-np.inf, 0.0], upper=[2.0, 2.0],
+                  a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, 0.0]], b_ub=[1.0])
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=match):
+        LinearProgram(**kwargs)
+
+
+def test_container_accepts_infinite_bounds():
+    sol = solve_lp(lp([1.0, -1.0], [-np.inf, 0.0], [np.inf, 3.0],
+                      a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, 0.0]], b_ub=[1e300]))
+    assert sol.status == "optimal"
+    assert sol.x.tolist() == pytest.approx([-2.0, 3.0])
+
+
+def test_optimal_vertex_counts_one_final_factorization():
+    # no pivot and no periodic refactorization: the only factorization is
+    # the final solve that reads x_B
+    sol = solve_lp(lp([1.0, 2.0], [0.0, 0.0], [5.0, 5.0], a_ub=[[1.0, 1.0]], b_ub=[4.0]))
+    assert sol.x.tolist() == [0.0, 0.0]
+    assert sol.diagnostics["pivots"] == 0
+    assert sol.diagnostics["refactorizations"] == 1
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError):
         lp([1.0, 2.0], [0.0], [1.0])
