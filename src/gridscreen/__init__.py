@@ -11,12 +11,11 @@ from .samplegen import (
 from .gnn import (
     MlpModel, Model, ModelConfig, TrainHistory, TrainResult,
     edge_accuracy, init_mlp, init_model, load_model, loss_mse,
-    mlp_forward, model_backward, model_forward,
-    predict_congested, save_model, train, xenet_layer_forward,
+    predict_congested, save_model, train,
 )
 from .pipeline import (
     EvalReport, ModelPredictor, OraclePredictor, RopfResult,
-    correlate_violations_type2, evaluate, run_ropf, summary_row, threshold_sweep,
+    evaluate, run_ropf, summary_row, threshold_sweep,
     write_branch_csv, write_cost_csv, write_report_json, write_sweep_csv, write_wrong_histogram_csv,
 )
 
@@ -31,10 +30,9 @@ __all__ = [
     "perturb_load", "read_dataset", "split_dataset", "write_dataset",
     "MlpModel", "Model", "ModelConfig", "TrainHistory", "TrainResult",
     "edge_accuracy", "init_mlp", "init_model", "load_model", "loss_mse",
-    "mlp_forward", "model_backward", "model_forward",
-    "predict_congested", "save_model", "train", "xenet_layer_forward",
+    "predict_congested", "save_model", "train",
     "EvalReport", "ModelPredictor", "OraclePredictor", "RopfResult",
-    "correlate_violations_type2", "evaluate", "run_ropf", "summary_row", "threshold_sweep",
+    "evaluate", "run_ropf", "summary_row", "threshold_sweep",
     "write_branch_csv", "write_cost_csv", "write_report_json", "write_sweep_csv",
     "write_wrong_histogram_csv",
 ]

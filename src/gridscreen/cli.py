@@ -166,10 +166,7 @@ def cmd_train(args) -> int:
 def _write_eval_outputs(report, out_dir: Path, tag: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out_dir / f"report_{tag}.json")
-    with open(out_dir / f"summary_{tag}.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary_row(report)))
-        writer.writeheader()
-        writer.writerow(summary_row(report))
+    write_sweep_csv([report], out_dir / f"summary_{tag}.csv")
     write_branch_csv(report, out_dir / f"branches_{tag}.csv")
     write_wrong_histogram_csv(report, out_dir / f"wrong_histogram_{tag}.csv")
     write_cost_csv(report, out_dir / f"costs_{tag}.csv")

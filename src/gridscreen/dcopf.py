@@ -12,6 +12,7 @@ afterwards so violations can be audited.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ class DispatchSolution:
     p_g: np.ndarray | None           # per-generator MW
     flows: np.ndarray | None         # per-branch MW, all branches
     objective: float | None          # sum of cost * output
+    solve_seconds: float             # wall time of solve_lp alone
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,6 @@ def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram
     """
     load = _check_load(network, load_mw)
     mon = _check_monitored(network, monitored)
-    if network.num_generators == 0:
-        raise ValueError("network has no generators, so the dispatch LP has no variable")
     # all rows of f0, so each LP row matches line_flows to the bit
     shift, base_flow, rating = network.gen_ptdf[mon], (network.ptdf @ load)[mon], network.rating[mon]
     return LinearProgram(
@@ -90,20 +90,19 @@ def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.nda
 
 
 def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolution:
-    """Solve the (reduced) OPF; flows are populated for all branches."""
-    if network.num_generators:
-        sol = solve_lp(build_opf(network, load_mw, monitored))
-        status, p_g, objective = sol.status, sol.x, sol.objective
-    else:
-        # no LP column: the rows are constants, met only by zero net load
-        # that keeps the monitored branches within their ratings
-        p_g, objective = np.zeros(0), 0.0
-        flags = check_limits(network, line_flows(network, p_g, load_mw)).flags
-        mon = _check_monitored(network, monitored)
-        status = "optimal" if abs(np.sum(load_mw)) <= REPORT_TOL_MW and not flags[mon].any() else "infeasible"
-    if status != "optimal":
-        return DispatchSolution(status=status, p_g=None, flows=None, objective=None)
-    return DispatchSolution(status=status, p_g=p_g, flows=line_flows(network, p_g, load_mw), objective=objective)
+    """Build, solve and read back the (reduced) OPF; flows cover all branches.
+
+    Only solve_lp is timed.  Without generators the LP has no column, so it
+    is feasible only for zero net load that the monitored ratings admit.
+    """
+    lp = build_opf(network, load_mw, monitored)
+    t0 = time.perf_counter()
+    sol = solve_lp(lp)
+    seconds = time.perf_counter() - t0
+    if sol.status != "optimal":
+        return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None, solve_seconds=seconds)
+    return DispatchSolution(status=sol.status, p_g=sol.x, flows=line_flows(network, sol.x, load_mw),
+                            objective=sol.objective, solve_seconds=seconds)
 
 
 def check_limits(network: Network, flows: np.ndarray, tolerance_mw: float = REPORT_TOL_MW) -> ViolationReport:

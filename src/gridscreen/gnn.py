@@ -252,17 +252,6 @@ def _backprop(dz: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (dz.reshape(batch * rows, width) @ w.T).reshape(batch, rows, -1)
 
 
-def xenet_layer_forward(
-    layer: XenetLayer,
-    node_emb: np.ndarray,
-    edge_emb: np.ndarray,
-    topology: GraphTopology,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One message-passing step on single-sample (N, c) / (K, c) embeddings."""
-    h, e, _ = _layer_forward_batch(layer, node_emb[None], edge_emb[None], topology)
-    return h[0], e[0]
-
-
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x (B, R, S) @ w (S, C) + b as one 2-D GEMM; row content fixes row bits."""
     batch, rows, width = x.shape
@@ -314,16 +303,6 @@ def _forward_batch(model, node_features, edge_features, topology, want_cache=Fal
     if want_cache:
         return probs, (caches, e)
     return probs
-
-
-def model_forward(
-    model: Model,
-    node_features: np.ndarray,
-    edge_features: np.ndarray,
-    topology: GraphTopology,
-) -> np.ndarray:
-    """Per-branch class probabilities (K, 2) for one sample."""
-    return _forward_batch(model, node_features[None], edge_features[None], topology)[0]
 
 
 def loss_mse(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
@@ -379,13 +358,6 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
     return grads, loss
 
 
-def model_backward(model: Model, node_features, edge_features, labels_one_hot, topology):
-    """Gradients and loss for a batch; arrays are (B, N, fn), (B, K, fe), (B, K, 2)."""
-    if node_features.size == 0:
-        raise ValueError("empty batch")
-    return _backward_batch(model, node_features, edge_features, labels_one_hot, topology)
-
-
 # --- MLP baseline ---------------------------------------------------------
 
 
@@ -411,10 +383,6 @@ def _mlp_forward_batch(model: MlpModel, node_features, edge_features, want_cache
     if want_cache:
         return probs, (cache_n, cache_e, joint)
     return probs
-
-
-def mlp_forward(model: MlpModel, node_features, edge_features, topology=None) -> np.ndarray:
-    return _mlp_forward_batch(model, node_features[None], edge_features[None])[0]
 
 
 def _mlp_backward_batch(model: MlpModel, node_features, edge_features, labels_one_hot):
@@ -456,6 +424,9 @@ def forward_any(model, node_features, edge_features, topology):
 
 
 def _backward_any(model, node_features, edge_features, labels, topology):
+    """Gradients and loss for a batch; arrays are (B, N, fn), (B, K, fe), (B, K, 2)."""
+    if node_features.size == 0:
+        raise ValueError("empty batch")
     if model.kind == "gnn":
         return _backward_batch(model, node_features, edge_features, labels, topology)
     return _mlp_backward_batch(model, node_features, edge_features, labels)

@@ -25,7 +25,8 @@ basis inverse is maintained by pivot updates and refactorized periodically.
 The optimal vertex is read with one final solve of B x_B = b - N x_N on the
 optimal basis, with no inverse formed; that solve counts as a
 refactorization.  Each solution reports iteration, pivot, bound-flip and
-refactorization counts.
+refactorization counts.  An LP without rows (bounds only) or without
+columns (constant rows) runs through the same two phases.
 
 A LinearProgram rejects NaN anywhere and infinities outside the bounds when
 it is built, so a bad input fails there rather than mid-solve.
@@ -72,10 +73,11 @@ class LinearProgram:
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         n = self.c.size
-        self.a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n)
         self.b_eq = np.asarray(self.b_eq, dtype=float)
-        self.a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, n)
         self.b_ub = np.asarray(self.b_ub, dtype=float)
+        # with no column a matrix has no row length, so its rhs gives the row count
+        self.a_eq = np.asarray(self.a_eq, dtype=float).reshape(self.b_eq.size if n == 0 else -1, n)
+        self.a_ub = np.asarray(self.a_ub, dtype=float).reshape(self.b_ub.size if n == 0 else -1, n)
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bounds length must match objective length")
         if self.b_eq.size != self.a_eq.shape[0] or self.b_ub.size != self.a_ub.shape[0]:
@@ -109,18 +111,6 @@ class LpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _favorable_bound(c_j: float, lo: float, hi: float) -> float:
-    if c_j > 0:
-        return lo
-    if c_j < 0:
-        return hi
-    if np.isfinite(lo):
-        return lo
-    if np.isfinite(hi):
-        return hi
-    return 0.0
-
-
 def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve an LP, reporting optimal/infeasible/unbounded faithfully.
 
@@ -131,21 +121,12 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
     m = me + mi
 
-    if m == 0:
-        # pure bound minimization
-        x = np.empty(n)
-        for j in range(n):
-            v = _favorable_bound(lp.c[j], lp.lower[j], lp.upper[j])
-            if not np.isfinite(v):
-                return LpSolution(status="unbounded")
-            x[j] = v
-        return LpSolution(status="optimal", x=x, objective=float(lp.c @ x))
-
     # standard form rows [A_eq; A_ub], one slack per inequality row,
-    # equilibrated so coefficient magnitudes are <= 1 per row
+    # equilibrated so coefficient magnitudes are <= 1 per row (an all-zero
+    # row, as every row of a zero-column LP is, keeps the 1e-12 floor)
     a_rows = np.vstack([lp.a_eq, lp.a_ub])
     b = np.concatenate([lp.b_eq, lp.b_ub])
-    scale = np.maximum(np.abs(a_rows).max(axis=1), 1e-12)
+    scale = np.maximum(np.abs(a_rows).max(axis=1, initial=0.0), 1e-12)
     a_rows = a_rows / scale[:, None]
     b = b / scale
 
@@ -318,10 +299,8 @@ class _Core:
         return self._iterate(c2, phase=2)
 
     def _drive_out_artificials(self):
-        for r in range(self.m):
+        for r in np.flatnonzero(self.basis >= self.n_real):
             j = self.basis[r]
-            if j < self.n_real:
-                continue
             row = self.binv[r, :] @ self.a[:, : self.n_real]
             candidates = np.flatnonzero(
                 (np.abs(row) > 1e-7) & (self.status[: self.n_real] != _BASIC)
@@ -349,7 +328,7 @@ class _Core:
             self._refactorize()
 
     def _iterate(self, c: np.ndarray, phase: int) -> str:
-        dual_tol = 1e-8 * max(1.0, float(np.abs(c).max()))
+        dual_tol = 1e-8 * max(1.0, float(np.abs(c).max(initial=0.0)))
         degen_run = 0
         bland = False
         while True:
@@ -385,7 +364,7 @@ class _Core:
             # ratio test over the rows that can block: basic variables moving
             # toward a finite bound; within 1e-12 of the minimum step the
             # largest |w| leaves (under Bland's rule, the smallest index)
-            piv_tol = 1e-9 * max(1.0, float(np.abs(w).max()))
+            piv_tol = 1e-9 * max(1.0, float(np.abs(w).max(initial=0.0)))
             lo = self.lb[self.basis]
             hi = self.ub[self.basis]
             falling = (delta < -piv_tol) & np.isfinite(lo)

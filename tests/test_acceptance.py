@@ -18,13 +18,11 @@ from gridscreen import (
     ModelPredictor,
     OraclePredictor,
     check_limits,
-    correlate_violations_type2,
     evaluate,
     fit_normalizer,
     init_mlp,
     init_model,
     label_sample,
-    model_forward,
     run_ropf,
     solve_opf,
     threshold_sweep,
@@ -33,7 +31,7 @@ from gridscreen import (
 )
 from gridscreen.cli import main as cli_main
 from gridscreen.dcopf import full_monitored_set
-from gridscreen.gnn import _backward_any, forward_any, mlp_forward
+from gridscreen.gnn import _backward_any, forward_any
 from gridscreen.netcase import GraphTopology
 
 CASES = Path(__file__).resolve().parents[1] / "cases"
@@ -184,8 +182,8 @@ def test_criterion_6_permutation_equivariance(case14):
     rng = np.random.default_rng(123)
     xn = rng.normal(size=(14, 7))
     xe = rng.normal(size=(20, 2))
-    base_gnn = model_forward(gnn, xn, xe, topo)
-    base_mlp = mlp_forward(mlp, xn, xe)
+    base_gnn = forward_any(gnn, xn[None], xe[None], topo)[0]
+    base_mlp = forward_any(mlp, xn[None], xe[None], None)[0]
     counterexample = False
     for _ in range(20):
         perm = rng.permutation(14)
@@ -196,8 +194,8 @@ def test_criterion_6_permutation_equivariance(case14):
             edge_from=inv[topo.edge_from],
             edge_to=inv[topo.edge_to],
         )
-        assert np.array_equal(model_forward(gnn, xn[perm], xe, topo_p), base_gnn)
-        if not np.array_equal(mlp_forward(mlp, xn[perm], xe), base_mlp):
+        assert np.array_equal(forward_any(gnn, xn[perm][None], xe[None], topo_p)[0], base_gnn)
+        if not np.array_equal(forward_any(mlp, xn[perm][None], xe[None], None)[0], base_mlp):
             counterexample = True
     assert counterexample
     _report(6, "permutation equivariance", "20/20 bit-identical; baseline counterexample found")
@@ -282,10 +280,6 @@ def test_criterion_9_violation_overlay(tri3, tri3_dataset, case14, trained14, ca
     assert partial.branch_false_neg == type2.tolist()
     assert partial.branch_violations == viol.tolist()
     assert partial.branch_type2_violation_overlap == overlap.tolist()
-    overlay = correlate_violations_type2(partial)
-    for k, row in enumerate(overlay):
-        assert row["type2"] == type2[k] and row["violations"] == viol[k]
-        assert row["overlap"] == overlap[k]
 
     # an intentionally blind predictor on tri3 produces real violations, still consistent
     class Nothing:

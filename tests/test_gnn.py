@@ -10,17 +10,13 @@ from gridscreen import (
     label_sample,
     load_model,
     loss_mse,
-    mlp_forward,
-    model_backward,
-    model_forward,
     predict_congested,
     save_model,
     split_dataset,
     to_graph,
     train,
-    xenet_layer_forward,
 )
-from gridscreen.gnn import _backward_any, forward_any
+from gridscreen.gnn import _backward_any, _layer_forward_batch, forward_any
 from gridscreen.netcase import GraphTopology
 
 SMALL = dict(num_layers=2, node_channels=8, edge_channels=8)
@@ -101,8 +97,8 @@ def test_init_seed_changes_weights():
 def test_layer_zero_params_zero_outputs(tri3):
     topo = to_graph(tri3)
     model = _zero(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3))
-    h, e = xenet_layer_forward(model.layers[0], np.random.default_rng(0).normal(size=(3, 7)),
-                               np.ones((3, 2)), topo)
+    h, e, _ = _layer_forward_batch(model.layers[0], np.random.default_rng(0).normal(size=(1, 3, 7)),
+                                   np.ones((1, 3, 2)), topo)
     assert np.all(h == 0.0) and np.all(e == 0.0)
 
 
@@ -119,8 +115,8 @@ def test_layer_isolated_node_uses_self_only():
     rng = np.random.default_rng(1)
     h = rng.normal(size=(3, 4))
     e = rng.normal(size=(1, 2))
-    h1, _ = xenet_layer_forward(layer, h, e, topo)
-    h2, _ = xenet_layer_forward(layer, np.vstack([h[:2], h[2] * 0 + 99.0]), e, topo)
+    h1 = _layer_forward_batch(layer, h[None], e[None], topo)[0][0]
+    h2 = _layer_forward_batch(layer, np.vstack([h[:2], h[2] * 0 + 99.0])[None], e[None], topo)[0][0]
     # only the isolated node's own row reacts to its feature change
     assert np.array_equal(h1[:2], h2[:2])
     assert not np.array_equal(h1[2], h2[2])
@@ -133,7 +129,7 @@ def test_layer_isolated_node_uses_self_only():
 def test_zero_model_outputs_half(tri3):
     topo = to_graph(tri3)
     model = _zero(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3))
-    probs = model_forward(model, np.ones((3, 7)), np.ones((3, 2)), topo)
+    probs = forward_any(model, np.ones((3, 7))[None], np.ones((3, 2))[None], topo)[0]
     assert np.all(probs == 0.5)
 
 
@@ -141,7 +137,7 @@ def test_rows_sum_to_one(tri3):
     topo = to_graph(tri3)
     model = init_model(ModelConfig(**SMALL, seed=8), 7, 2, num_buses=3, num_branches=3)
     rng = np.random.default_rng(2)
-    probs = model_forward(model, rng.normal(size=(3, 7)), rng.normal(size=(3, 2)), topo)
+    probs = forward_any(model, rng.normal(size=(3, 7))[None], rng.normal(size=(3, 2))[None], topo)[0]
     assert probs.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-9)
     assert np.all((probs >= 0) & (probs <= 1))
 
@@ -150,9 +146,9 @@ def test_forward_width_mismatch(tri3):
     topo = to_graph(tri3)
     model = init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3)
     with pytest.raises(ValueError, match="binding"):
-        model_forward(model, np.ones((3, 6)), np.ones((3, 2)), topo)
+        forward_any(model, np.ones((3, 6))[None], np.ones((3, 2))[None], topo)
     with pytest.raises(ValueError, match="binding"):
-        model_forward(model, np.ones((4, 7)), np.ones((3, 2)), topo)
+        forward_any(model, np.ones((4, 7))[None], np.ones((3, 2))[None], topo)
 
 
 def test_permutation_equivariance_exact(case14):
@@ -161,16 +157,16 @@ def test_permutation_equivariance_exact(case14):
     rng = np.random.default_rng(99)
     xn = rng.normal(size=(14, 7))
     xe = rng.normal(size=(20, 2))
-    base = model_forward(model, xn, xe, topo)
+    base = forward_any(model, xn[None], xe[None], topo)[0]
     for _ in range(20):
         perm = rng.permutation(14)
-        out = model_forward(model, xn[perm], xe, _permuted(topo, perm))
+        out = forward_any(model, xn[perm][None], xe[None], _permuted(topo, perm))[0]
         assert np.array_equal(out, base)
 
 
 def test_mlp_zero_model_outputs_half(tri3):
     model = _zero(init_mlp(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3))
-    probs = mlp_forward(model, np.ones((3, 7)), np.ones((3, 2)))
+    probs = forward_any(model, np.ones((3, 7))[None], np.ones((3, 2))[None], None)[0]
     assert np.all(probs == 0.5)
 
 
@@ -179,9 +175,9 @@ def test_mlp_not_equivariant(case14):
     rng = np.random.default_rng(99)
     xn = rng.normal(size=(14, 7))
     xe = rng.normal(size=(20, 2))
-    base = mlp_forward(model, xn, xe)
+    base = forward_any(model, xn[None], xe[None], None)[0]
     assert any(
-        not np.array_equal(mlp_forward(model, xn[rng.permutation(14)], xe), base)
+        not np.array_equal(forward_any(model, xn[rng.permutation(14)][None], xe[None], None)[0], base)
         for _ in range(20)
     )
 
@@ -195,10 +191,10 @@ def test_receptive_field_node_perturbation():
     rng = np.random.default_rng(5)
     xn = rng.normal(size=(n, 3))
     xe = rng.normal(size=(n - 1, 2))
-    base = model_forward(model, xn, xe, topo)
+    base = forward_any(model, xn[None], xe[None], topo)[0]
     xn2 = xn.copy()
     xn2[0] += 1.0
-    out = model_forward(model, xn2, xe, topo)
+    out = forward_any(model, xn2[None], xe[None], topo)[0]
     changed = np.flatnonzero(np.any(out != base, axis=1))
     # edge k touches nodes {k, k+1}; reachable within L=2 layers: dist(nearer endpoint) <= 1
     assert set(changed) <= {0, 1}
@@ -214,10 +210,10 @@ def test_receptive_field_edge_rating_perturbation():
     rng = np.random.default_rng(6)
     xn = rng.normal(size=(n, 3))
     xe = rng.normal(size=(n - 1, 2))
-    base = model_forward(model, xn, xe, topo)
+    base = forward_any(model, xn[None], xe[None], topo)[0]
     xe2 = xe.copy()
     xe2[0, 1] *= 2.0
-    out = model_forward(model, xn, xe2, topo)
+    out = forward_any(model, xn[None], xe2[None], topo)[0]
     changed = np.flatnonzero(np.any(out != base, axis=1))
     assert set(changed) <= {0, 1, 2}
     assert 0 in changed
@@ -297,7 +293,7 @@ def test_gradient_zero_at_exact_fit(tri3):
     xn = rng.normal(size=(2, 3, 7))
     xe = rng.normal(size=(2, 3, 2))
     y = forward_any(model, xn, xe, topo)
-    grads, loss = model_backward(model, xn, xe, y, topo)
+    grads, loss = _backward_any(model, xn, xe, y, topo)
     assert loss == 0.0
     assert max(np.abs(g).max() for g in grads.values()) <= 1e-6
 
@@ -312,7 +308,7 @@ def test_gradient_paths_wiring(tri3):
     xe = rng.normal(size=(2, 3, 2))
     lab = rng.integers(0, 2, (2, 3)).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
-    grads, _ = model_backward(model, xn, xe, y, topo)
+    grads, _ = _backward_any(model, xn, xe, y, topo)
     assert np.abs(grads["dense.w_out"]).max() > 0
     for name, g in grads.items():
         if name.startswith("layers."):
@@ -323,7 +319,7 @@ def test_backward_empty_batch_error(tri3):
     topo = to_graph(tri3)
     model = init_model(ModelConfig(**SMALL, seed=9), 7, 2, num_buses=3, num_branches=3)
     with pytest.raises(ValueError):
-        model_backward(model, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), topo)
+        _backward_any(model, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), topo)
 
 
 # --- training ----------------------------------------------------------------
@@ -457,8 +453,8 @@ def test_save_load_round_trip(tmp_path, tri3, tri3_dataset):
     topo = to_graph(tri3)
     s = train_split[0]
     assert np.array_equal(
-        model_forward(result.best_model, s.node_features, s.edge_features, topo),
-        model_forward(back, s.node_features, s.edge_features, topo),
+        forward_any(result.best_model, s.node_features[None], s.edge_features[None], topo)[0],
+        forward_any(back, s.node_features[None], s.edge_features[None], topo)[0],
     )
 
 
@@ -527,4 +523,4 @@ def test_loaded_model_binding_enforced(tmp_path, tri3, case14):
     back = load_model(path)
     topo14 = to_graph(case14)
     with pytest.raises(ValueError, match="binding"):
-        model_forward(back, np.ones((14, 7)), np.ones((20, 2)), topo14)
+        forward_any(back, np.ones((14, 7))[None], np.ones((20, 2))[None], topo14)

@@ -6,8 +6,8 @@ import pytest
 from gridscreen import (
     ModelConfig,
     ModelPredictor,
+    EvalReport,
     OraclePredictor,
-    correlate_violations_type2,
     evaluate,
     fit_normalizer,
     init_model,
@@ -24,7 +24,6 @@ from gridscreen import (
     write_sweep_csv,
     write_wrong_histogram_csv,
 )
-from gridscreen.pipeline import read_report_json
 
 
 class FixedPredictor:
@@ -139,32 +138,29 @@ def test_evaluate_validation(tri3, tri3_dataset):
         evaluate(tri3, OraclePredictor(tri3, 0.95), tri3_dataset.samples[:2], 1.5)
 
 
-def test_evaluate_accepts_bare_model(tri3, tri3_dataset):
+def test_evaluate_trained_model_predictor(tri3, tri3_dataset):
     train_split, val_split, _ = split_dataset(tri3_dataset, (0.8, 0.1, 0.1), seed=1)
     model = init_model(ModelConfig(num_layers=2, node_channels=8, edge_channels=8, seed=2),
                        7, 2, num_buses=3, num_branches=3,
                        normalizer=fit_normalizer(train_split))
     result = train(model, tri3, train_split, val_split, threshold=0.95, epochs=30)
-    report = evaluate(tri3, result.best_model, tri3_dataset.samples[:20], 0.95)
+    predictor = ModelPredictor(result.best_model, to_graph(tri3))
+    report = evaluate(tri3, predictor, tri3_dataset.samples[:20], 0.95)
     assert report.edge_prediction_error_pct <= 5.0
 
 
 def test_correlate_overlay_consistency(tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, FixedPredictor(frozenset()))
-    overlay = correlate_violations_type2(report)
-    assert len(overlay) == tri3.num_branches
-    for k, row in enumerate(overlay):
-        assert row["branch"] == report.branch_labels[k]
-        assert row["type2"] == report.branch_false_neg[k]
-        assert row["violations"] == report.branch_violations[k]
-        assert row["overlap"] <= min(row["type2"], row["violations"])
+    assert len(report.branch_type2_violation_overlap) == tri3.num_branches
+    for type2, violations, overlap in zip(report.branch_false_neg, report.branch_violations,
+                                          report.branch_type2_violation_overlap):
+        assert overlap <= min(type2, violations)
 
 
 def test_correlate_zero_violations(tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, OraclePredictor(tri3, 0.95))
-    overlay = correlate_violations_type2(report)
-    assert all(row["overlap"] == 0 for row in overlay)
-    assert all(row["violations"] == 0 for row in overlay)
+    assert all(overlap == 0 for overlap in report.branch_type2_violation_overlap)
+    assert all(violations == 0 for violations in report.branch_violations)
 
 
 def test_sweep_oracle_monitored_nesting(case14, case14_splits):
@@ -231,7 +227,7 @@ def test_csv_writers_recompute_from_json(tmp_path, tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, FixedPredictor(frozenset()), n=15)
     json_path = tmp_path / "report.json"
     write_report_json(report, json_path)
-    loaded = read_report_json(json_path)
+    loaded = EvalReport(**json.loads(json_path.read_text(encoding="utf-8")))
 
     for writer, name in [
         (write_branch_csv, "branch.csv"),
@@ -256,7 +252,7 @@ def test_report_json_round_trip_fields(tmp_path, tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, OraclePredictor(tri3, 0.95), n=10)
     path = tmp_path / "report.json"
     write_report_json(report, path)
-    loaded = read_report_json(path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["threshold"] == report.threshold
     assert loaded["num_samples"] == 10
     assert loaded["branch_true_pos"] == report.branch_true_pos
