@@ -6,7 +6,7 @@ from .dcopf import DispatchSolution, ViolationReport, build_opf, check_limits, f
 from .samplegen import (
     Dataset, Normalizer, Sample,
     derive_seed, extract_features, fit_normalizer, generate_dataset,
-    label_sample, perturb_load, read_dataset, split_dataset, write_dataset,
+    label_sample, read_dataset, split_dataset, write_dataset,
 )
 from .gnn import (
     MlpModel, Model, ModelConfig, TrainHistory, TrainResult,
@@ -27,7 +27,7 @@ __all__ = [
     "full_monitored_set", "line_flows", "solve_opf",
     "Dataset", "Normalizer", "Sample", "derive_seed",
     "extract_features", "fit_normalizer", "generate_dataset", "label_sample",
-    "perturb_load", "read_dataset", "split_dataset", "write_dataset",
+    "read_dataset", "split_dataset", "write_dataset",
     "MlpModel", "Model", "ModelConfig", "TrainHistory", "TrainResult",
     "edge_accuracy", "init_mlp", "init_model", "load_model", "loss_mse",
     "predict_congested", "save_model", "train",

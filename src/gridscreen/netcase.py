@@ -165,12 +165,10 @@ def _shift_factors(network: Network) -> np.ndarray:
 class GraphTopology:
     """Bus connectivity derived from a Network.
 
-    ``adjacency`` saturates at 1 for parallel branches while ``degree``
-    counts every incident branch, so degree is usable as a node feature and
-    adjacency only encodes reachability.
+    ``degree`` counts every incident branch, parallel ones included, so it
+    is usable as a node feature.
     """
 
-    adjacency: np.ndarray   # nb x nb, binary, symmetric, zero diagonal
     degree: np.ndarray      # per-bus incident branch count
     edge_from: np.ndarray   # internal from-bus index per branch
     edge_to: np.ndarray     # internal to-bus index per branch
@@ -333,11 +331,8 @@ def serialize_case(network: Network) -> str:
 
 
 def to_graph(network: Network) -> GraphTopology:
-    """Derive adjacency, per-bus degree and the directed edge list."""
+    """Derive per-bus degree and the directed edge list."""
     nb = network.num_buses
     edge_from, edge_to = network.branch_endpoints()
-    adjacency = np.zeros((nb, nb), dtype=int)
-    adjacency[edge_from, edge_to] = 1
-    adjacency[edge_to, edge_from] = 1
     degree = np.bincount(edge_from, minlength=nb) + np.bincount(edge_to, minlength=nb)
-    return GraphTopology(adjacency=adjacency, degree=degree, edge_from=edge_from, edge_to=edge_to)
+    return GraphTopology(degree=degree, edge_from=edge_from, edge_to=edge_to)

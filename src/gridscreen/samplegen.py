@@ -44,14 +44,6 @@ def _generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def perturb_load(base_mw: np.ndarray, magnitude: float, rng_seed: int) -> np.ndarray:
-    """Scale each bus load by an independent Uniform(1-m, 1+m) factor."""
-    if not 0 <= magnitude < 1:
-        raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
-    base = np.asarray(base_mw, dtype=float)
-    return base * _generator(rng_seed).uniform(1 - magnitude, 1 + magnitude, base.size)
-
-
 def extract_features(network: Network, load_mw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-bus and per-branch feature matrices.
 

@@ -5,19 +5,17 @@ where any bound may be infinite.  Free variables are handled natively by the
 bounded-variable mechanics (no variable splitting); fixed variables
 (lb == ub) never enter the basis.
 
-Starting basis (a crash basis: Bixby, ORSA J. Computing 1992; Maros,
-Computational Techniques of the Simplex Method, 2003, ch. 9): nonbasic
-variables sit at a finite bound (free ones at 0).  An inequality row that
-this point satisfies keeps its own slack basic; equality rows and violated
-inequality rows get an artificial.  Each free column is then pivoted into
-the basis in place of the artificial on which it has the largest
-coefficient.  After one refactorization a negative basic slack hands its row
-to an artificial of sign -1 and a negative artificial flips its sign, so
-phase 1 starts feasible.  Artificials that start nonbasic or that the crash
-replaces are fixed at zero and never enter.
+Starting basis (Maros, Computational Techniques of the Simplex Method,
+2003, ch. 9): nonbasic variables sit at a finite bound (free ones at 0, from
+where ordinary pricing lets them enter).  An inequality row that this point
+satisfies keeps its own slack basic; equality rows and violated inequality
+rows get an artificial whose sign makes it nonnegative, so phase 1 starts
+feasible.  Artificials that start nonbasic are fixed at zero and never enter.
 
-Two phases: the remaining artificials are driven to zero under a
+Two phases: the basic artificials are driven to zero under a
 sum-of-infeasibilities objective, then the true objective is optimized.
+The LP is infeasible when an artificial ends phase 1 above 1e-7 times
+max(1, |b|) of its own row, so the verdict does not depend on other rows.
 Pricing is Dantzig (most negative reduced cost); the ratio test takes the
 largest pivot among near-ties, and Bland's smallest-index rule engages after
 3*(#vars + #rows) consecutive degenerate steps so cycling cannot occur.  The
@@ -116,17 +114,22 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
 
     Raises SimplexIterationLimit when the pivot budget runs out (distinct
     from infeasibility) and SingularBasisError on an unrecoverable basis.
+    max_iterations=None uses a budget that grows with the LP's size.
     """
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1 or None, got {max_iterations}")
     n = lp.num_variables
     me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
     m = me + mi
 
     # standard form rows [A_eq; A_ub], one slack per inequality row,
-    # equilibrated so coefficient magnitudes are <= 1 per row (an all-zero
-    # row, as every row of a zero-column LP is, keeps the 1e-12 floor)
+    # equilibrated so coefficient magnitudes are <= 1 per row, with a 1e-12
+    # floor; an all-zero row, as every row of a zero-column LP is, keeps
+    # scale 1 so its rhs is judged as given
     a_rows = np.vstack([lp.a_eq, lp.a_ub])
     b = np.concatenate([lp.b_eq, lp.b_ub])
-    scale = np.maximum(np.abs(a_rows).max(axis=1, initial=0.0), 1e-12)
+    row_max = np.abs(a_rows).max(axis=1, initial=0.0)
+    scale = np.where(row_max > 0.0, np.maximum(row_max, 1e-12), 1.0)
     a_rows = a_rows / scale[:, None]
     b = b / scale
 
@@ -173,7 +176,9 @@ class _Core:
         self.lb = np.concatenate([lb, np.zeros(self.m)])
         self.ub = np.concatenate([ub, np.full(self.m, np.inf)])
         self.n = self.a.shape[1]
-        self.max_iterations = max_iterations or max(2000, 50 * (self.n + self.m))
+        if max_iterations is None:
+            max_iterations = max(2000, 50 * (self.n + self.m))
+        self.max_iterations = max_iterations
         self.iterations = 0
         self.phase1_iterations = 0
         self.pivots = 0
@@ -181,9 +186,6 @@ class _Core:
         self.refactorizations = 0
         self.bland_engaged = False
         self.bland_threshold = 3 * (self.n + self.m)
-        self.slack_row = np.full(self.n, -1)
-        has_slack = slack_cols >= 0
-        self.slack_row[slack_cols[has_slack]] = rows[has_slack]
 
         # every column starts nonbasic at a finite bound, lower first, or
         # free at 0; lb == ub makes it fixed
@@ -196,7 +198,7 @@ class _Core:
         # satisfies keeps its slack basic and its artificial stays fixed at
         # 0; every other row starts on an artificial oriented to be >= 0
         resid = b - a @ x_nb
-        slack_start = has_slack & (resid >= 0)
+        slack_start = (slack_cols >= 0) & (resid >= 0)
         signs = np.where(resid >= 0, 1.0, -1.0)
         self.a[rows, art] = signs
         self.status[art] = np.where(slack_start, _FIXED, _BASIC)
@@ -205,44 +207,6 @@ class _Core:
         self.binv = np.diag(signs)  # inverse of the initial +/-1 diagonal basis
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
-        self._crash_free_columns()
-
-    def _crash_free_columns(self):
-        """Pivot each free column in for an artificial, then restore phase-1 feasibility.
-
-        The reverse of _drive_out_artificials: the artificial row with the
-        largest |w_r| is replaced, which keeps the basis well conditioned.
-        """
-        free = np.flatnonzero(self.status == _FREE)
-        for q in free:
-            w = self.binv @ self.a[:, q]
-            on_art = np.flatnonzero(self.basis >= self.n_real)
-            mag = np.abs(w[on_art])
-            if mag.size == 0 or mag.max() <= 1e-7:
-                continue  # no artificial row that q can replace; q stays nonbasic
-            r = int(on_art[np.argmax(mag)])
-            self.status[q] = _BASIC
-            self.status[self.basis[r]] = _FIXED
-            self._pivot(r, q, w)
-        if free.size:
-            self._refactorize()
-        # free basics carry no bounds; a negative basic slack hands its row
-        # to an artificial of sign -1, and a negative artificial flips sign
-        for r in np.flatnonzero(self.x_basic < 0):
-            j = self.basis[r]
-            if j >= self.n_real:
-                self.a[j - self.n_real, j] *= -1.0
-            elif self.slack_row[j] >= 0:
-                art = self.n_real + self.slack_row[j]
-                self.a[self.slack_row[j], art] = -1.0
-                self.status[j] = _AT_LOWER
-                self.status[art] = _BASIC
-                self.basis[r] = art
-            else:
-                continue
-            # negating basis column r negates row r of its inverse
-            self.binv[r, :] *= -1.0
-            self.x_basic[r] *= -1.0
 
     def diagnostics(self) -> dict:
         return {
@@ -284,10 +248,10 @@ class _Core:
         if status != "optimal":
             # a bounded-below phase-1 objective cannot be unbounded
             raise SingularBasisError("phase-1 terminated abnormally: " + status)
-        feas_tol = 1e-7 * max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        art = self.basis >= self.n_real
-        phase1_obj = float(np.sum(np.abs(self.x_basic[art]))) if art.any() else 0.0
-        if phase1_obj > feas_tol:
+        # each basic artificial is judged against the rhs of its own row
+        art_rows = np.flatnonzero(self.basis >= self.n_real)
+        own_b = self.b[self.basis[art_rows] - self.n_real]
+        if np.any(np.abs(self.x_basic[art_rows]) > 1e-7 * np.maximum(1.0, np.abs(own_b))):
             return "infeasible"
         self._drive_out_artificials()
         # artificials are pinned at zero for phase 2

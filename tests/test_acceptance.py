@@ -189,7 +189,6 @@ def test_criterion_6_permutation_equivariance(case14):
         perm = rng.permutation(14)
         inv = np.argsort(perm)
         topo_p = GraphTopology(
-            adjacency=topo.adjacency[np.ix_(perm, perm)],
             degree=topo.degree[perm],
             edge_from=inv[topo.edge_from],
             edge_to=inv[topo.edge_to],

@@ -118,6 +118,12 @@ def test_no_generator_case(tri3):
     sol = solve_opf(bare, np.zeros(3), full_monitored_set(tri3))
     assert sol.status == "optimal" and sol.objective == 0.0
     assert sol.p_g.size == 0 and sol.flows.tolist() == [0.0, 0.0, 0.0]
+    # a tiny net load gets the same verdict whichever lines are monitored,
+    # as a relaxation must: within the 1e-7 MW tolerance or not
+    for net_load, status in ((1e-12, "optimal"), (5e-8, "optimal"), (5e-6, "infeasible")):
+        load = np.array([0.0, 0.0, net_load])
+        for monitored in (full_monitored_set(tri3), ()):
+            assert solve_opf(bare, load, monitored).status == status, (net_load, monitored)
 
 
 def test_check_limits_at_limit_not_flagged(tri3):

@@ -31,16 +31,13 @@ def _zero(model):
 def _path_topology(n_nodes):
     ef = np.arange(n_nodes - 1)
     et = np.arange(1, n_nodes)
-    adj = np.zeros((n_nodes, n_nodes), dtype=int)
-    adj[ef, et] = adj[et, ef] = 1
-    deg = adj.sum(axis=1)
-    return GraphTopology(adjacency=adj, degree=deg, edge_from=ef, edge_to=et)
+    deg = np.bincount(ef, minlength=n_nodes) + np.bincount(et, minlength=n_nodes)
+    return GraphTopology(degree=deg, edge_from=ef, edge_to=et)
 
 
 def _permuted(topology, perm):
     inv = np.argsort(perm)
     return GraphTopology(
-        adjacency=topology.adjacency[np.ix_(perm, perm)],
         degree=topology.degree[perm],
         edge_from=inv[topology.edge_from],
         edge_to=inv[topology.edge_to],
@@ -105,7 +102,6 @@ def test_layer_zero_params_zero_outputs(tri3):
 def test_layer_isolated_node_uses_self_only():
     # 3 nodes but only one edge 0-1; node 2 is isolated
     topo = GraphTopology(
-        adjacency=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
         degree=np.array([1, 1, 0]),
         edge_from=np.array([0]),
         edge_to=np.array([1]),

@@ -10,50 +10,31 @@ from gridscreen import (
     generate_dataset,
     label_sample,
     parse_case,
-    perturb_load,
     read_dataset,
     serialize_case,
     split_dataset,
     write_dataset,
 )
 from gridscreen import samplegen
-from gridscreen.samplegen import Dataset, Sample, derive_seed
+from gridscreen.samplegen import Dataset, Sample
 
 
-def test_perturb_zero_magnitude(tri3):
-    base = tri3.base_load()
-    assert perturb_load(base, 0.0, derive_seed(1, 0)).tolist() == base.tolist()
+def test_perturb_zero_load_fixed(tri3):
+    # tri3 buses 1 and 2 carry no load; bus 3 carries 150 MW
+    loads = np.stack([s.load_mw for s in generate_dataset(tri3, 20, 0.1, seed=9).samples])
+    assert np.all(loads[:, :2] == 0.0)
+    assert np.all(loads[:, 2] != 150.0)
 
 
-def test_perturb_zero_load_fixed():
-    base = np.array([0.0, 10.0, 0.0])
-    out = perturb_load(base, 0.1, derive_seed(9, 4))
-    assert out[0] == 0.0 and out[2] == 0.0
-    assert out[1] != 10.0
-
-
-def test_perturb_statistics():
-    base = np.full(1, 100.0)
-    draws = np.array([perturb_load(base, 0.1, derive_seed(3, i))[0] for i in range(10_000)])
-    assert draws.min() >= 90.0
-    assert draws.max() <= 110.0
-    assert abs(draws.mean() - 100.0) <= 0.5
-
-
-def test_perturb_deterministic():
-    base = np.array([5.0, 7.0])
-    a = perturb_load(base, 0.2, derive_seed(1, 2))
-    b = perturb_load(base, 0.2, derive_seed(1, 2))
-    c = perturb_load(base, 0.2, derive_seed(1, 3))
-    assert a.tolist() == b.tolist()
-    assert a.tolist() != c.tolist()
-
-
-def test_perturb_magnitude_validation():
-    with pytest.raises(ValueError):
-        perturb_load(np.ones(2), 1.0, 0)
-    with pytest.raises(ValueError):
-        perturb_load(np.ones(2), -0.1, 0)
+def test_perturb_statistics(case14_dataset, case14):
+    # no draw was redrawn, so the loads are the raw Uniform(1-m, 1+m) factors times the base
+    assert case14_dataset.redraws == 0 and case14_dataset.magnitude == 0.1
+    base = case14.base_load()
+    loaded = base != 0.0
+    ratios = np.stack([s.load_mw for s in case14_dataset.samples])[:, loaded] / base[loaded]
+    assert ratios.min() >= 0.9
+    assert ratios.max() <= 1.1
+    assert abs(ratios.mean() - 1.0) <= 0.005
 
 
 def test_features_tri3(tri3):
@@ -118,6 +99,8 @@ def test_generate_deterministic(tri3):
         assert sa.flows_mw.tolist() == sb.flows_mw.tolist()
         assert sa.objective == sb.objective
     assert a.redraws == b.redraws
+    c = generate_dataset(tri3, 20, 0.1, seed=43)
+    assert a.samples[0].load_mw.tolist() != c.samples[0].load_mw.tolist()
 
 
 def test_generate_label_regression(tri3_dataset, tri3):
@@ -133,6 +116,10 @@ def test_generate_validation(tri3):
         generate_dataset(tri3, 0, 0.1, seed=1)
     with pytest.raises(ValueError):
         generate_dataset(tri3, 5, 1.2, seed=1)
+    with pytest.raises(ValueError):
+        generate_dataset(tri3, 5, 1.0, seed=1)
+    with pytest.raises(ValueError):
+        generate_dataset(tri3, 5, -0.1, seed=1)
     with pytest.raises(ValueError):
         generate_dataset(tri3, 5, 0.1, seed=1, threads=0)
 

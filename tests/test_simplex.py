@@ -63,6 +63,36 @@ def test_free_variable_equality():
     assert sol.x[1] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_free_column_enters_by_pricing():
+    # the start point x0 = 0 satisfies the row, so phase 1 has no artificial
+    # and the free column enters in phase 2 because its cost prices it in
+    sol = solve_lp(lp([1.0], [-np.inf], [np.inf], a_ub=[[-1.0]], b_ub=[2.0]))
+    assert sol.status == "optimal"
+    assert sol.x[0] == pytest.approx(-2.0, abs=1e-9)
+    assert sol.diagnostics["phase1_iterations"] == 1 and sol.diagnostics["pivots"] == 1
+
+
+def test_slack_start_keeps_satisfied_rows():
+    # only the violated row (x0 + x1 >= 1) starts on an artificial
+    sol = solve_lp(lp([1.0, 1.0], [0.0, 0.0], [np.inf, np.inf],
+                      a_ub=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], b_ub=[5.0, 5.0, -1.0]))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1.0, abs=1e-9)
+    assert sol.diagnostics["pivots"] == 1
+
+
+def test_phase1_verdict_per_row():
+    # an artificial is judged against the rhs of its own row, so a row with a
+    # large rhs elsewhere cannot make a 5e-6 residual pass as feasible
+    for extra_rhs in ([], [1e6]):
+        rows = [[1.0]] * len(extra_rhs)
+        near = solve_lp(lp([0.0], [0.0], [1.0], a_eq=[[1.0]], b_eq=[1.0 + 1e-9],
+                           a_ub=rows, b_ub=extra_rhs))
+        far = solve_lp(lp([0.0], [0.0], [1.0], a_eq=[[1.0]], b_eq=[1.0 + 5e-6],
+                          a_ub=rows, b_ub=extra_rhs))
+        assert (near.status, far.status) == ("optimal", "infeasible"), extra_rhs
+
+
 def test_fixed_variable_stays_fixed():
     sol = solve_lp(lp([-1.0, -1.0], [0.0, 2.0], [5.0, 2.0],
                       a_ub=[[1.0, 1.0]], b_ub=[4.0]))
@@ -81,6 +111,10 @@ def test_iteration_limit_distinct_from_infeasible(tri3):
     problem = build_opf(tri3, tri3.base_load(), full_monitored_set(tri3))
     with pytest.raises(SimplexIterationLimit):
         solve_lp(problem, max_iterations=2)
+    # only None selects the default budget; a budget below one is an input error
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_lp(problem, max_iterations=bad)
 
 
 def test_solver_counters_bound_flips():
@@ -93,7 +127,7 @@ def test_solver_counters_bound_flips():
 
 
 def test_case14_iteration_counts(case14):
-    """The shift-factor LP and the crash start keep the solve short; counts repeat on any machine."""
+    """The shift-factor LP and the slack start keep the solve short; counts repeat on any machine."""
     rng = np.random.default_rng(0)
     base = case14.base_load()
     phase1, total = [], []
@@ -203,10 +237,12 @@ def _random_degenerate_problem(rng):
     return c, lower, upper, a_eq, b_eq, a_ub, b_ub
 
 
-def _random_crash_problem(rng):
-    # mostly free columns, equality rows with linear combinations of earlier
-    # rows (consistent or not) and inequality rows that the start point
-    # violates: every branch of the crash start runs
+def _random_free_column_problem(rng):
+    # mostly free columns, which start nonbasic at 0 and must enter through
+    # pricing; equality rows with linear combinations of earlier rows
+    # (consistent or not), which leave dependent artificials basic; and
+    # inequality rows that the start point violates, which start on an
+    # artificial
     n = int(rng.integers(3, 12))
     free = rng.random(n) < 0.6
     c = rng.normal(0, 3, n).round(2)
@@ -228,7 +264,7 @@ def _random_crash_problem(rng):
 @pytest.mark.parametrize("maker,trials,seed", [
     (_random_problem, 250, 0),
     (_random_degenerate_problem, 80, 1),
-    (_random_crash_problem, 250, 2),
+    (_random_free_column_problem, 250, 2),
 ])
 def test_random_cross_check_against_scipy(maker, trials, seed):
     """Status and optimum agree with an independent solver; solutions are feasible."""
