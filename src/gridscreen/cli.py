@@ -68,6 +68,13 @@ def _load_dataset_for(network, path: str):
     return dataset
 
 
+def _check_out_dir(path: str) -> None:
+    """An output file's directory must exist before any work starts."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigError(f"output directory {parent} does not exist (for {path})")
+
+
 def _check_threshold(value: float) -> float:
     if not 0 < value <= 1:
         raise ConfigError(f"threshold must be in (0, 1], got {value}")
@@ -101,6 +108,7 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"--magnitude must be in [0, 1), got {args.magnitude}")
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    _check_out_dir(args.out)
     network = _load_case(args.case)
     t0 = time.perf_counter()
     dataset = generate_dataset(network, args.samples, args.magnitude, args.seed, threads=args.threads)
@@ -146,6 +154,9 @@ def _config_from_flags(args) -> ModelConfig:
 
 def cmd_train(args) -> int:
     threshold = _check_threshold(args.threshold)
+    history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
+    _check_out_dir(args.out)
+    _check_out_dir(history_path)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, _ = split_dataset(dataset, SPLIT_RATIOS, args.seed)
@@ -153,7 +164,6 @@ def cmd_train(args) -> int:
     model = _build_model(args.baseline, config, network, train_split)
     result = train(model, network, train_split, val_split, threshold)
     save_model(result.best_model, args.out)
-    history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
     _write_history_csv(result.history, history_path)
     last = len(result.history) - 1
     print(f"trained {args.baseline} for {len(result.history)} epochs at threshold {threshold}: "
@@ -384,6 +394,15 @@ def main(argv=None) -> int:
             overrides = json.loads(config_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             print(f"error: {config_path}: invalid JSON: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(overrides, dict):
+            print(f"error: {config_path}: the config must be a JSON object of flag defaults",
+                  file=sys.stderr)
+            return 2
+        nested = sorted(k for k, v in overrides.items() if isinstance(v, (list, dict)))
+        if nested:
+            print(f"error: {config_path}: config key {nested[0]!r} must be a single value, "
+                  f"not a list or object", file=sys.stderr)
             return 2
         command = next((a for a in argv if a in subs), None)
         target = subs.get(command)

@@ -315,7 +315,7 @@ def loss_mse(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
 
 
 def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology):
-    """Exact gradients of the batch-mean MSE loss for every parameter."""
+    """Exact gradients of the batch-mean MSE loss for every parameter, with the loss and probabilities."""
     probs, (caches, e_last) = _forward_batch(model, node_features, edge_features, topology, want_cache=True)
     batch = probs.shape[0]
     loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
@@ -355,7 +355,7 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
         d_h = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], et, topology.degree.size)
         d_node = d_h
         d_edge = d_edge_stack[:, :, 2 * in_n:]
-    return grads, loss
+    return grads, loss, probs
 
 
 # --- MLP baseline ---------------------------------------------------------
@@ -413,7 +413,7 @@ def _mlp_backward_batch(model: MlpModel, node_features, edge_features, labels_on
             grads[f"{tag}_layers.{i}.W"] = x_in.T @ dz_i
             grads[f"{tag}_layers.{i}.b"] = dz_i.sum(axis=0)
             d_x = dz_i @ w.T
-    return grads, loss
+    return grads, loss, probs
 
 
 def forward_any(model, node_features, edge_features, topology):
@@ -424,7 +424,7 @@ def forward_any(model, node_features, edge_features, topology):
 
 
 def _backward_any(model, node_features, edge_features, labels, topology):
-    """Gradients and loss for a batch; arrays are (B, N, fn), (B, K, fe), (B, K, 2)."""
+    """Gradients, loss and probabilities for a batch; arrays are (B, N, fn), (B, K, fe), (B, K, 2)."""
     if node_features.size == 0:
         raise ValueError("empty batch")
     if model.kind == "gnn":
@@ -473,11 +473,14 @@ class _Adam:
             p -= self.lr * (self.m[name] / correct1) / (np.sqrt(self.v[name] / correct2) + self.eps)
 
 
+def _count_correct(probs: np.ndarray, labels_one_hot: np.ndarray) -> int:
+    """Branches classified correctly; a 0.5 tie counts as congested."""
+    return int(np.count_nonzero((probs[..., 1] >= 0.5) == (labels_one_hot[..., 1] >= 0.5)))
+
+
 def edge_accuracy(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
     """Fraction of branches classified correctly; a 0.5 tie counts as congested."""
-    pred = probs[..., 1] >= 0.5
-    truth = labels_one_hot[..., 1] >= 0.5
-    return float((pred == truth).mean())
+    return _count_correct(probs, labels_one_hot) / labels_one_hot[..., 1].size
 
 
 def train(
@@ -491,9 +494,12 @@ def train(
     """Adam mini-batch training against labels derived at `threshold`.
 
     Batch order reshuffles deterministically per epoch from the config seed.
-    Loss and accuracy are measured on the full splits after each epoch, and
-    the best-validation-loss parameter snapshot is kept alongside the final
-    model.  Raises on a non-finite loss, naming the epoch and batch.
+    Validation loss and accuracy are measured on the full validation split
+    after each epoch, and the best-validation-loss parameter snapshot is kept
+    alongside the final model.  Training loss and accuracy are running means
+    over the epoch's mini-batches, each batch measured by its own forward pass
+    before its Adam step.  Raises on a non-finite loss, naming the epoch and
+    batch.
     """
     if not train_split or not val_split:
         raise ValueError("train and validation splits must be non-empty")
@@ -525,20 +531,22 @@ def train(
         order = np.random.Generator(
             np.random.Philox(key=derive_seed(cfg.seed, epoch + 1))
         ).permutation(n)
+        loss_sum, correct = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            grads, loss = _backward_any(model, xn_tr[idx], xe_tr[idx], y_tr[idx], topology)
+            grads, loss, probs = _backward_any(model, xn_tr[idx], xe_tr[idx], y_tr[idx], topology)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             optimizer.step(model.parameters(), grads)
+            loss_sum += loss * idx.size
+            correct += _count_correct(probs, y_tr[idx])
 
-        probs_tr = forward_any(model, xn_tr, xe_tr, topology)
         probs_va = forward_any(model, xn_va, xe_va, topology)
-        history.train_loss.append(loss_mse(probs_tr, y_tr))
+        history.train_loss.append(loss_sum / n)
         history.val_loss.append(loss_mse(probs_va, y_va))
-        history.train_acc.append(edge_accuracy(probs_tr, y_tr))
+        history.train_acc.append(correct / y_tr[..., 1].size)
         history.val_acc.append(edge_accuracy(probs_va, y_va))
         if history.val_loss[-1] < best_val:
             best_val = history.val_loss[-1]
@@ -579,9 +587,10 @@ def save_model(model, path) -> None:
         doc["node_layers"] = [{"W": w.tolist(), "b": b.tolist()} for w, b in model.node_layers]
         doc["edge_layers"] = [{"W": w.tolist(), "b": b.tolist()} for w, b in model.edge_layers]
     doc["dense"] = {"W_out": model.w_out.tolist(), "b_out": model.b_out.tolist()}
+    # one dumps call: json.dump streams through the pure-Python encoder
+    text = json.dumps(doc, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path):

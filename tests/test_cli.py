@@ -323,3 +323,45 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"sample": 5}))
     assert main(["--config", str(cfg), "gen-data", "--case", TRI3, "--out", "x"]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[1, 2]", "JSON object"),
+    ('{"samples": [3]}', "'samples'"),
+    ('{"seed": {"value": 3}}', "'seed'"),
+], ids=["top-level-list", "list-value", "object-value"])
+def test_config_file_wrong_shape(tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "gen-data", "--case", TRI3, "--out",
+                 str(tmp_path / "x.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and named in err
+    assert "Error" not in err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output directory was checked")
+
+
+def test_gen_data_missing_out_dir_fails_first(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gridscreen.cli.generate_dataset", _no_work)
+    out = tmp_path / "no_such_dir" / "x.jsonl"
+    assert main(["gen-data", "--case", TRI3, "--samples", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out.parent) in err
+    assert "Error" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--history"])
+def test_train_missing_out_dir_fails_first(workspace, tmp_path, capsys, monkeypatch, flag):
+    _, data, _ = workspace
+    monkeypatch.setattr("gridscreen.cli.train", _no_work)
+    paths = {"--out": str(tmp_path / "m.json"), "--history": str(tmp_path / "h.csv")}
+    paths[flag] = str(tmp_path / "no_such_dir" / "x")
+    assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "0.95",
+                 "--out", paths["--out"], "--history", paths["--history"]]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "no_such_dir") in err
+    assert "Error" not in err
+    assert not (tmp_path / "m.json").exists()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gridscreen import (
     to_graph,
     train,
 )
+import gridscreen.gnn as gnn_module
 from gridscreen.gnn import _backward_any, _layer_forward_batch, forward_any
 from gridscreen.netcase import GraphTopology
 
@@ -229,7 +232,7 @@ def test_loss_examples():
 
 
 def _fd_worst(model, xn, xe, y, topo, n_draws, seed=17, h=1e-5):
-    grads, _ = _backward_any(model, xn, xe, y, topo)
+    grads, _, _ = _backward_any(model, xn, xe, y, topo)
 
     def loss_at():
         probs = forward_any(model, xn, xe, topo)
@@ -289,7 +292,7 @@ def test_gradient_zero_at_exact_fit(tri3):
     xn = rng.normal(size=(2, 3, 7))
     xe = rng.normal(size=(2, 3, 2))
     y = forward_any(model, xn, xe, topo)
-    grads, loss = _backward_any(model, xn, xe, y, topo)
+    grads, loss, _ = _backward_any(model, xn, xe, y, topo)
     assert loss == 0.0
     assert max(np.abs(g).max() for g in grads.values()) <= 1e-6
 
@@ -304,7 +307,7 @@ def test_gradient_paths_wiring(tri3):
     xe = rng.normal(size=(2, 3, 2))
     lab = rng.integers(0, 2, (2, 3)).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
-    grads, _ = _backward_any(model, xn, xe, y, topo)
+    grads, _, _ = _backward_any(model, xn, xe, y, topo)
     assert np.abs(grads["dense.w_out"]).max() > 0
     for name, g in grads.items():
         if name.startswith("layers."):
@@ -375,6 +378,34 @@ def test_train_best_snapshot_tracks_val(tri3, tri3_dataset):
     topo = to_graph(tri3)
     best_loss = loss_mse(forward_any(result.best_model, xn, xe, topo), y)
     assert best_loss == pytest.approx(min(result.history.val_loss), abs=1e-12)
+
+
+def test_train_history_is_running_batch_mean(tri3, tri3_dataset, monkeypatch):
+    # 400 training samples in batches of 32: twelve full batches and one of 16
+    train_split, val_split, _ = split_dataset(tri3_dataset, (0.8, 0.1, 0.1), seed=1)
+    model = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3,
+                       normalizer=fit_normalizer(train_split))
+    batches = []
+
+    def recording(model, xn, xe, labels, topology):
+        grads, loss, probs = _backward_any(model, xn, xe, labels, topology)
+        correct = int(((probs[..., 1] >= 0.5) == (labels[..., 1] >= 0.5)).sum())
+        batches.append((xn.shape[0], loss, correct, labels[..., 1].size))
+        return grads, loss, probs
+
+    monkeypatch.setattr(gnn_module, "_backward_any", recording)
+    epochs = 4
+    result = train(model, tri3, train_split, val_split, threshold=0.95, epochs=epochs)
+    n = len(train_split)
+    per_epoch = len(batches) // epochs
+    assert len(batches) == epochs * per_epoch and sorted({b[0] for b in batches}) == [16, 32]
+    for e in range(epochs):
+        epoch = batches[e * per_epoch:(e + 1) * per_epoch]
+        assert sum(size for size, *_ in epoch) == n
+        mean_loss = sum(size * loss for size, loss, _, _ in epoch) / n
+        assert result.history.train_loss[e] == pytest.approx(mean_loss, rel=0, abs=1e-12)
+        correct = sum(c for _, _, c, _ in epoch)
+        assert result.history.train_acc[e] == correct / sum(t for *_, t in epoch)
 
 
 def test_train_validation_errors(tri3, tri3_dataset):
@@ -452,6 +483,17 @@ def test_save_load_round_trip(tmp_path, tri3, tri3_dataset):
         forward_any(result.best_model, s.node_features[None], s.edge_features[None], topo)[0],
         forward_any(back, s.node_features[None], s.edge_features[None], topo)[0],
     )
+
+
+@pytest.mark.parametrize("init, digest", [
+    (init_model, "f89a98790313c9f3367a24d6bec0e1687f28b1cf9e730669f776b08a36ad33bf"),
+    (init_mlp, "ab453cd379eed1623d2e30810df3f7c7e9e1dea5fce1f0899db13fb386e322aa"),
+], ids=["gnn", "mlp"])
+def test_save_model_bytes_pinned(tmp_path, init, digest):
+    # the model file format: the bytes of a fixed untrained tri3-sized model never change
+    path = tmp_path / "model.json"
+    save_model(init(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_save_load_mlp_round_trip(tmp_path, tri3):
