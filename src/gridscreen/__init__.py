@@ -9,7 +9,7 @@ from .samplegen import (
     label_sample, read_dataset, split_dataset, write_dataset,
 )
 from .gnn import (
-    MlpModel, Model, ModelConfig, TrainHistory, TrainResult,
+    Model, ModelConfig, TrainHistory, TrainResult,
     edge_accuracy, init_mlp, init_model, load_model, loss_mse,
     predict_congested, save_model, train,
 )
@@ -28,7 +28,7 @@ __all__ = [
     "Dataset", "Normalizer", "Sample", "derive_seed",
     "extract_features", "fit_normalizer", "generate_dataset", "label_sample",
     "read_dataset", "split_dataset", "write_dataset",
-    "MlpModel", "Model", "ModelConfig", "TrainHistory", "TrainResult",
+    "Model", "ModelConfig", "TrainHistory", "TrainResult",
     "edge_accuracy", "init_mlp", "init_model", "load_model", "loss_mse",
     "predict_congested", "save_model", "train",
     "EvalReport", "ModelPredictor", "OraclePredictor", "RopfResult",

@@ -157,10 +157,10 @@ def cmd_train(args) -> int:
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
     _check_out_dir(args.out)
     _check_out_dir(history_path)
+    config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, _ = split_dataset(dataset, SPLIT_RATIOS, args.seed)
-    config = _config_from_flags(args)
     model = _build_model(args.baseline, config, network, train_split)
     result = train(model, network, train_split, val_split, threshold)
     save_model(result.best_model, args.out)
@@ -211,10 +211,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     taus = _parse_threshold_list(args.thresholds)
+    config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, test_split = split_dataset(dataset, SPLIT_RATIOS, args.seed)
-    config = _config_from_flags(args)
     results = threshold_sweep(
         network, train_split, val_split, test_split, taus,
         model_factory=lambda tau: _build_model(args.baseline, config, network, train_split),
@@ -378,6 +378,36 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs
 
 
+def _config_tokens(path: Path, parser: argparse.ArgumentParser) -> list[str]:
+    """A --config file's entries as --flag=value tokens, each checked by its flag's own conversion."""
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        overrides = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object of flag defaults")
+    flags = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    unknown = sorted(set(k.replace("-", "_") for k in overrides) - set(flags))
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {unknown}")
+    tokens = []
+    for key, value in overrides.items():
+        action = flags[key.replace("-", "_")]
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ValueError
+            converted = (action.type or str)(str(value))
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"{path}: config key {key!r}: {json.dumps(value)} is not a valid "
+                              f"{action.option_strings[0]} value") from None
+        tokens.append(f"{action.option_strings[0]}={value}")
+    return tokens
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     pre = argparse.ArgumentParser(add_help=False)
@@ -385,38 +415,15 @@ def main(argv=None) -> int:
     known, _ = pre.parse_known_args(argv)
     parser, subs = build_parser()
 
-    if known.config:
-        config_path = Path(known.config)
-        if not config_path.is_file():
-            print(f"error: config file not found: {config_path}", file=sys.stderr)
-            return 2
+    command = next((a for a in argv if a in subs), None)
+    if known.config and command is not None:
+        # right after the subcommand, so the explicit flags that follow win
+        at = argv.index(command) + 1
         try:
-            overrides = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            print(f"error: {config_path}: invalid JSON: {exc}", file=sys.stderr)
+            argv[at:at] = _config_tokens(Path(known.config), subs[command])
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(overrides, dict):
-            print(f"error: {config_path}: the config must be a JSON object of flag defaults",
-                  file=sys.stderr)
-            return 2
-        nested = sorted(k for k, v in overrides.items() if isinstance(v, (list, dict)))
-        if nested:
-            print(f"error: {config_path}: config key {nested[0]!r} must be a single value, "
-                  f"not a list or object", file=sys.stderr)
-            return 2
-        command = next((a for a in argv if a in subs), None)
-        target = subs.get(command)
-        if target is not None:
-            valid = {a.dest for a in target._actions}
-            mapped = {k.replace("-", "_"): v for k, v in overrides.items()}
-            unknown = set(mapped) - valid
-            if unknown:
-                print(f"error: {config_path}: unknown config keys: {sorted(unknown)}", file=sys.stderr)
-                return 2
-            target.set_defaults(**mapped)
-            for action in target._actions:
-                if action.dest in mapped:
-                    action.required = False
 
     try:
         args = parser.parse_args(argv)

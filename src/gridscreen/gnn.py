@@ -10,7 +10,9 @@ embeddings into two-class softmax rows per branch.
 Training minimizes mean squared error between the softmax rows and one-hot
 congestion labels with Adam; gradients are exact reverse-mode derivatives of
 the forward pass, all in 64-bit floats.  A topology-blind MLP over flattened
-features implements the same contract for baseline comparison.
+features implements the same contract for baseline comparison.  Both kinds
+are one `Model` type whose `params` map each parameter name to its array;
+a model file stores that map as one flat `params` object (format 2).
 
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
@@ -27,7 +29,7 @@ import numpy as np
 from .netcase import GraphTopology, Network, to_graph
 from .samplegen import Normalizer, Sample, derive_seed, label_sample
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -46,8 +48,8 @@ class ModelConfig:
         for name in ("num_layers", "node_channels", "edge_channels", "seed", "epochs", "batch_size"):
             if getattr(self, name) < 0 or (name not in ("seed",) and getattr(self, name) == 0):
                 raise ValueError(f"config field {name} must be positive, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.activation != "relu":
             raise ValueError(f"unsupported activation {self.activation!r}")
         if self.output_classes != 2:
@@ -68,65 +70,24 @@ class Binding:
 
 
 @dataclass
-class XenetLayer:
-    w_edge: np.ndarray   # (2*in_node + in_edge, edge_channels)
-    b_edge: np.ndarray
-    w_node: np.ndarray   # (in_node + 2*edge_channels, node_channels)
-    b_node: np.ndarray
-
-
-@dataclass
 class Model:
+    """A GNN (`kind` "gnn") or the topology-blind MLP baseline (`kind` "mlp").
+
+    `params` maps each parameter name to its array, in `_parameter_shapes`
+    order; the forward and backward passes read their weights from it by name.
+    """
+
+    kind: str
     config: ModelConfig
     binding: Binding
     normalizer: Normalizer
-    layers: list[XenetLayer]
-    w_out: np.ndarray    # (edge_channels, 2)
-    b_out: np.ndarray
+    params: dict[str, np.ndarray]
     trained_threshold: float | None = None
 
-    kind = "gnn"
-
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out += [
-                (f"layers.{i}.w_edge", layer.w_edge),
-                (f"layers.{i}.b_edge", layer.b_edge),
-                (f"layers.{i}.w_node", layer.w_node),
-                (f"layers.{i}.b_node", layer.b_node),
-            ]
-        out += [("dense.w_out", self.w_out), ("dense.b_out", self.b_out)]
-        return out
+        return list(self.params.items())
 
     def copy(self) -> "Model":
-        return copy.deepcopy(self)
-
-
-@dataclass
-class MlpModel:
-    """Baseline: flattened node and edge features through separate dense stacks."""
-
-    config: ModelConfig
-    binding: Binding
-    normalizer: Normalizer
-    node_layers: list[tuple[np.ndarray, np.ndarray]]   # num_layers x (W, b)
-    edge_layers: list[tuple[np.ndarray, np.ndarray]]
-    w_out: np.ndarray    # (node_channels + edge_channels, num_branches * 2)
-    b_out: np.ndarray
-    trained_threshold: float | None = None
-
-    kind = "mlp"
-
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for tag, stack in (("node", self.node_layers), ("edge", self.edge_layers)):
-            for i, (w, b) in enumerate(stack):
-                out += [(f"{tag}_layers.{i}.W", w), (f"{tag}_layers.{i}.b", b)]
-        out += [("dense.w_out", self.w_out), ("dense.b_out", self.b_out)]
-        return out
-
-    def copy(self) -> "MlpModel":
         return copy.deepcopy(self)
 
 
@@ -167,26 +128,14 @@ def _parameter_shapes(kind: str, config: ModelConfig, binding: Binding) -> list[
     return shapes + [("dense.w_out", (out_in, out_size)), ("dense.b_out", (out_size,))]
 
 
-def _assemble(kind, config, binding, normalizer, arrays, trained_threshold=None):
-    """A `kind` model from its parameter arrays in parameters() order."""
-    *body, w_out, b_out = arrays
-    common = dict(config=config, binding=binding, normalizer=normalizer,
-                  w_out=w_out, b_out=b_out, trained_threshold=trained_threshold)
-    if kind == "gnn":
-        return Model(layers=[XenetLayer(*body[i:i + 4]) for i in range(0, len(body), 4)], **common)
-    pairs = list(zip(body[0::2], body[1::2]))
-    half = len(pairs) // 2
-    return MlpModel(node_layers=pairs[:half], edge_layers=pairs[half:], **common)
-
-
 def _init(kind, config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer):
     """Xavier-uniform weights, zero biases, drawn in parameter order from the config seed."""
     binding = Binding(num_buses, num_branches, node_feature_width, edge_feature_width)
     gen = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0)))
-    arrays = [_xavier(gen, *shape) if len(shape) == 2 else np.zeros(shape)
-              for _, shape in _parameter_shapes(kind, config, binding)]
+    params = {name: _xavier(gen, *shape) if len(shape) == 2 else np.zeros(shape)
+              for name, shape in _parameter_shapes(kind, config, binding)}
     normalizer = normalizer or _identity_normalizer(node_feature_width, edge_feature_width)
-    return _assemble(kind, config, binding, normalizer, arrays)
+    return Model(kind, config, binding, normalizer, params)
 
 
 def init_model(
@@ -210,7 +159,7 @@ def init_mlp(
     num_buses: int,
     num_branches: int,
     normalizer: Normalizer | None = None,
-) -> MlpModel:
+) -> Model:
     """The baseline with `config.num_layers` dense layers per stack; seeded like init_model."""
     return _init("mlp", config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer)
 
@@ -258,16 +207,18 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (x.reshape(batch * rows, width) @ w).reshape(batch, rows, -1) + b
 
 
-def _layer_forward_batch(layer, h, e, topology, want_cache=False):
+def _layer_forward_batch(params, i, h, e, topology, want_cache=False):
+    """Message-passing layer i, its weights read from `params` by name."""
+    p = f"layers.{i}."
     ef, et = topology.edge_from, topology.edge_to
     nb = topology.degree.size
     edge_stack = np.concatenate([h[:, ef, :], h[:, et, :], e], axis=2)
-    z_edge = _affine(edge_stack, layer.w_edge, layer.b_edge)
+    z_edge = _affine(edge_stack, params[p + "w_edge"], params[p + "b_edge"])
     msg = np.maximum(z_edge, 0.0)
     sum_out = _scatter_sum(msg, ef, nb)
     sum_in = _scatter_sum(msg, et, nb)
     node_stack = np.concatenate([h, sum_out, sum_in], axis=2)
-    z_node = _affine(node_stack, layer.w_node, layer.b_node)
+    z_node = _affine(node_stack, params[p + "w_node"], params[p + "b_node"])
     h_next = np.maximum(z_node, 0.0)
     cache = (edge_stack, z_edge > 0, node_stack, z_node > 0) if want_cache else None
     return h_next, msg, cache
@@ -293,13 +244,11 @@ def _forward_batch(model, node_features, edge_features, topology, want_cache=Fal
     h = model.normalizer.apply_node(node_features)
     e = model.normalizer.apply_edge(edge_features)
     caches = []
-    for layer in model.layers:
-        h_next, msg, cache = _layer_forward_batch(layer, h, e, topology, want_cache)
-        if want_cache:
-            caches.append(cache)
+    for i in range(model.config.num_layers):
+        h_next, msg, cache = _layer_forward_batch(model.params, i, h, e, topology, want_cache)
+        caches.append(cache)
         h, e = h_next, msg
-    logits = _affine(e, model.w_out, model.b_out)
-    probs = _softmax(logits)
+    probs = _softmax(_affine(e, model.params["dense.w_out"], model.params["dense.b_out"]))
     if want_cache:
         return probs, (caches, e)
     return probs
@@ -314,45 +263,50 @@ def loss_mse(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
     return float(np.mean((probs - labels_one_hot) ** 2))
 
 
+def _mse_head(probs, labels_one_hot):
+    """Batch-mean MSE loss of (B, K, 2) softmax rows and its gradient at the logits."""
+    batch = probs.shape[0]
+    loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
+    # d(mean MSE)/d(probs), then back through the per-row softmax
+    dprobs = 2.0 * (probs - labels_one_hot) / (probs.shape[1] * probs.shape[2]) / batch
+    return loss, probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+
+
 def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology):
     """Exact gradients of the batch-mean MSE loss for every parameter, with the loss and probabilities."""
     probs, (caches, e_last) = _forward_batch(model, node_features, edge_features, topology, want_cache=True)
-    batch = probs.shape[0]
-    loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
-
-    # d(mean MSE)/d(probs), then back through the per-row softmax
-    dprobs = 2.0 * (probs - labels_one_hot) / (probs.shape[1] * probs.shape[2]) / batch
-    dz = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    loss, dz = _mse_head(probs, labels_one_hot)
+    params, nb = model.params, topology.degree.size
 
     grads: dict[str, np.ndarray] = {}
     grads["dense.w_out"] = _grad_weights(e_last, dz)
     grads["dense.b_out"] = dz.sum(axis=(0, 1))
-    d_edge = _backprop(dz, model.w_out)
-    d_node = np.zeros((batch, topology.degree.size, model.config.node_channels))
+    d_edge = _backprop(dz, params["dense.w_out"])
+    d_node = np.zeros((probs.shape[0], nb, model.config.node_channels))
 
     ef, et = topology.edge_from, topology.edge_to
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
+    for i in range(model.config.num_layers - 1, -1, -1):
+        p = f"layers.{i}."
         edge_stack, edge_mask, node_stack, node_mask = caches[i]
-        in_n = node_stack.shape[2] - 2 * layer.w_edge.shape[1]
+        c_e = params[p + "w_edge"].shape[1]
+        in_n = node_stack.shape[2] - 2 * c_e
 
         dz_node = d_node * node_mask
-        grads[f"layers.{i}.w_node"] = _grad_weights(node_stack, dz_node)
-        grads[f"layers.{i}.b_node"] = dz_node.sum(axis=(0, 1))
-        d_node_stack = _backprop(dz_node, layer.w_node)
-        c_e = layer.w_edge.shape[1]
+        grads[p + "w_node"] = _grad_weights(node_stack, dz_node)
+        grads[p + "b_node"] = dz_node.sum(axis=(0, 1))
+        d_node_stack = _backprop(dz_node, params[p + "w_node"])
         d_h = d_node_stack[:, :, :in_n]
         d_sum_out = d_node_stack[:, :, in_n:in_n + c_e]
         d_sum_in = d_node_stack[:, :, in_n + c_e:]
 
         d_msg = d_edge + d_sum_out[:, ef, :] + d_sum_in[:, et, :]
         dz_edge = d_msg * edge_mask
-        grads[f"layers.{i}.w_edge"] = _grad_weights(edge_stack, dz_edge)
-        grads[f"layers.{i}.b_edge"] = dz_edge.sum(axis=(0, 1))
-        d_edge_stack = _backprop(dz_edge, layer.w_edge)
+        grads[p + "w_edge"] = _grad_weights(edge_stack, dz_edge)
+        grads[p + "b_edge"] = dz_edge.sum(axis=(0, 1))
+        d_edge_stack = _backprop(dz_edge, params[p + "w_edge"])
 
-        d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], ef, topology.degree.size)
-        d_h = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], et, topology.degree.size)
+        d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], ef, nb)
+        d_h = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], et, nb)
         d_node = d_h
         d_edge = d_edge_stack[:, :, 2 * in_n:]
     return grads, loss, probs
@@ -361,58 +315,48 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
 # --- MLP baseline ---------------------------------------------------------
 
 
-def _mlp_forward_batch(model: MlpModel, node_features, edge_features, want_cache=False):
+def _mlp_forward_batch(model: Model, node_features, edge_features, want_cache=False):
+    """Flattened node and edge features through separate dense relu stacks, then the head."""
     _check_widths(model, node_features, edge_features)
     batch = node_features.shape[0]
-    xn = model.normalizer.apply_node(node_features).reshape(batch, -1)
-    xe = model.normalizer.apply_edge(edge_features).reshape(batch, -1)
-    cache_n, cache_e = [], []
-    for w, b in model.node_layers:
-        z = xn @ w + b
-        cache_n.append((xn, z > 0))
-        xn = np.maximum(z, 0.0)
-    for w, b in model.edge_layers:
-        z = xe @ w + b
-        cache_e.append((xe, z > 0))
-        xe = np.maximum(z, 0.0)
-    joint = np.concatenate([xn, xe], axis=1)
-    logits = (joint @ model.w_out + model.b_out).reshape(
+    caches, tops = {}, []
+    for tag, x in (("node", model.normalizer.apply_node(node_features)),
+                   ("edge", model.normalizer.apply_edge(edge_features))):
+        x = x.reshape(batch, -1)
+        for i in range(model.config.num_layers):
+            p = f"{tag}_layers.{i}."
+            z = x @ model.params[p + "W"] + model.params[p + "b"]
+            caches[p] = (x, z > 0)
+            x = np.maximum(z, 0.0)
+        tops.append(x)
+    joint = np.concatenate(tops, axis=1)
+    logits = (joint @ model.params["dense.w_out"] + model.params["dense.b_out"]).reshape(
         batch, model.binding.num_branches, model.config.output_classes
     )
     probs = _softmax(logits)
     if want_cache:
-        return probs, (cache_n, cache_e, joint)
+        return probs, (caches, joint)
     return probs
 
 
-def _mlp_backward_batch(model: MlpModel, node_features, edge_features, labels_one_hot):
-    probs, (cache_n, cache_e, joint) = _mlp_forward_batch(
-        model, node_features, edge_features, want_cache=True
-    )
-    batch = probs.shape[0]
-    loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
-    dprobs = 2.0 * (probs - labels_one_hot) / (probs.shape[1] * probs.shape[2]) / batch
-    dz = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dflat = dz.reshape(batch, -1)
+def _mlp_backward_batch(model: Model, node_features, edge_features, labels_one_hot):
+    probs, (caches, joint) = _mlp_forward_batch(model, node_features, edge_features, want_cache=True)
+    loss, dz = _mse_head(probs, labels_one_hot)
+    dflat = dz.reshape(probs.shape[0], -1)
 
     grads: dict[str, np.ndarray] = {}
     grads["dense.w_out"] = joint.T @ dflat
     grads["dense.b_out"] = dflat.sum(axis=0)
-    d_joint = dflat @ model.w_out.T
+    d_joint = dflat @ model.params["dense.w_out"].T
     nch = model.config.node_channels
-    d_xn, d_xe = d_joint[:, :nch], d_joint[:, nch:]
-
-    for tag, stack, caches, d_x in (
-        ("node", model.node_layers, cache_n, d_xn),
-        ("edge", model.edge_layers, cache_e, d_xe),
-    ):
-        for i in range(len(stack) - 1, -1, -1):
-            w, _ = stack[i]
-            x_in, mask = caches[i]
+    for tag, d_x in (("node", d_joint[:, :nch]), ("edge", d_joint[:, nch:])):
+        for i in range(model.config.num_layers - 1, -1, -1):
+            p = f"{tag}_layers.{i}."
+            x_in, mask = caches[p]
             dz_i = d_x * mask
-            grads[f"{tag}_layers.{i}.W"] = x_in.T @ dz_i
-            grads[f"{tag}_layers.{i}.b"] = dz_i.sum(axis=0)
-            d_x = dz_i @ w.T
+            grads[p + "W"] = x_in.T @ dz_i
+            grads[p + "b"] = dz_i.sum(axis=0)
+            d_x = dz_i @ model.params[p + "W"].T
     return grads, loss, probs
 
 
@@ -574,19 +518,8 @@ def save_model(model, path) -> None:
         "config": model.config.to_dict(),
         "binding": dict(model.binding.__dict__),
         "normalizer": model.normalizer.to_dict(),
+        "params": {name: array.tolist() for name, array in model.params.items()},
     }
-    if model.kind == "gnn":
-        doc["layers"] = [
-            {
-                "W_edge": layer.w_edge.tolist(), "b_edge": layer.b_edge.tolist(),
-                "W_node": layer.w_node.tolist(), "b_node": layer.b_node.tolist(),
-            }
-            for layer in model.layers
-        ]
-    else:
-        doc["node_layers"] = [{"W": w.tolist(), "b": b.tolist()} for w, b in model.node_layers]
-        doc["edge_layers"] = [{"W": w.tolist(), "b": b.tolist()} for w, b in model.edge_layers]
-    doc["dense"] = {"W_out": model.w_out.tolist(), "b_out": model.b_out.tolist()}
     # one dumps call: json.dump streams through the pure-Python encoder
     text = json.dumps(doc, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -594,7 +527,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Read a model file; its keys and every array shape are checked against its binding."""
+    """Read a model file, checking every array's name, shape and values against its config and binding."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -604,35 +537,37 @@ def load_model(path):
         raise ValueError(f"{path}: corrupt model file: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format_version {version!r}")
+        hint = "; retrain it with train" if version == 1 else ""
+        raise ValueError(f"{path}: unsupported model format_version {version!r}{hint}")
     kind = doc.get("kind", "gnn")
     if kind not in ("gnn", "mlp"):
         raise ValueError(f"{path}: unknown model kind {kind!r}")
+    threshold = doc.get("trained_threshold")
+    if threshold is not None and (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+                                  or not 0 < threshold <= 1):
+        raise ValueError(f"{path}: trained_threshold must be null or a number in (0, 1], got {threshold!r}")
     try:
         config = ModelConfig(**doc["config"])
         binding = Binding(**doc["binding"])
         normalizer = Normalizer.from_dict(doc["normalizer"])
-        if kind == "gnn":
-            named = [(f"layers.{i}.{key.lower()}", ld[key]) for i, ld in enumerate(doc["layers"])
-                     for key in ("W_edge", "b_edge", "W_node", "b_node")]
-        else:
-            named = [(f"{tag}_layers.{i}.{key}", ld[key]) for tag in ("node", "edge")
-                     for i, ld in enumerate(doc[f"{tag}_layers"]) for key in ("W", "b")]
-        named += [("dense.w_out", doc["dense"]["W_out"]), ("dense.b_out", doc["dense"]["b_out"])]
-        arrays = [np.asarray(value, dtype=float) for _, value in named]
-        expected = _parameter_shapes(kind, config, binding)
+        params = {name: np.asarray(value, dtype=float) for name, value in doc["params"].items()}
+        shapes = _parameter_shapes(kind, config, binding)
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model file: {exc}") from None
-    found = [(name, a.shape) for (name, _), a in zip(named, arrays)]
-    for stat, width in (("node", binding.node_feature_width), ("edge", binding.edge_feature_width)):
-        for part in ("mean", "std"):
-            found.append((f"normalizer.{stat}_{part}", getattr(normalizer, f"{stat}_{part}").shape))
-            expected.append((f"normalizer.{stat}_{part}", (width,)))
+    stats = {f"normalizer.{name}": getattr(normalizer, name)
+             for name in ("node_mean", "node_std", "edge_mean", "edge_std")}
+    expected = sorted(shapes + [(f"normalizer.{stat}_{part}", (width,)) for stat, width in
+                                (("node", binding.node_feature_width), ("edge", binding.edge_feature_width))
+                                for part in ("mean", "std")])
+    found = sorted((name, a.shape) for name, a in [*params.items(), *stats.items()])
     if found != expected:
-        wrong = sorted(set(found) - set(expected))
-        missing = sorted(set(expected) - set(found))
         raise ValueError(f"{path}: arrays do not match the binding and config: "
-                         f"found {wrong}, expected {missing}")
-    return _assemble(kind, config, binding, normalizer, arrays, doc.get("trained_threshold"))
+                         f"found {sorted(set(found) - set(expected))}, "
+                         f"expected {sorted(set(expected) - set(found))}")
+    bad = [name for name, a in [*params.items(), *stats.items()]
+           if not np.isfinite(a).all() or (name.endswith("_std") and not (a > 0).all())]
+    if bad:
+        raise ValueError(f"{path}: {bad[0]} has a non-finite value or a std that is not positive")
+    return Model(kind, config, binding, normalizer, {name: params[name] for name, _ in shapes}, threshold)

@@ -79,7 +79,7 @@ def test_gen_data_runtime_failure(tmp_path, tri3_text, capsys):
 def test_train_outputs(workspace):
     root, data, model = workspace
     doc = json.loads(model.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["kind"] == "gnn"
     assert doc["trained_threshold"] == 0.95
     history = root / "m_history.csv"
@@ -104,11 +104,14 @@ def test_train_threshold_range(workspace, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
-def test_train_bad_hyperparameters_are_config_errors(workspace, capsys):
+def test_train_bad_hyperparameters_are_config_errors(workspace, capsys, monkeypatch):
     _, data, _ = workspace
-    assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "0.9",
-                 "--epochs", "0", "--out", "x.json"]) == 2
-    assert "epochs" in capsys.readouterr().err
+    monkeypatch.setattr("gridscreen.cli.read_dataset", _no_work)  # rejected before the dataset is read
+    for flags, named in ((["--epochs", "0"], "epochs"), (["--lr", "nan"], "learning_rate"),
+                         (["--lr", "inf"], "learning_rate")):
+        assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "0.9",
+                     *flags, "--out", "x.json"]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_train_missing_dataset(capsys):
@@ -277,6 +280,27 @@ def test_solve_infeasible_is_not_an_error(tmp_path, capsys):
     assert "status: infeasible" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.update(trained_threshold="abc"), "trained_threshold"),
+    (lambda doc: doc.update(trained_threshold=True), "trained_threshold"),
+    (lambda doc: doc["params"]["dense.w_out"][0].__setitem__(0, float("nan")), "dense.w_out"),
+    (lambda doc: doc["normalizer"]["node_std"].__setitem__(0, 0.0), "normalizer.node_std"),
+    (lambda doc: doc.update(format_version=1), "retrain it with train"),
+], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1"])
+def test_eval_rejects_bad_model_values(workspace, tmp_path, capsys, edit, named):
+    _, data, model = workspace
+    doc = json.loads(model.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--case", TRI3, "--data", str(data), "--model", str(bad),
+                 "--out-dir", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err
+    assert "Error" not in err
+    assert not (tmp_path / "e").exists()
+
+
 def test_solve_load_length_error(tmp_path, capsys):
     load = tmp_path / "load.json"
     load.write_text("[1.0, 2.0]")
@@ -329,15 +353,20 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ("[1, 2]", "JSON object"),
     ('{"samples": [3]}', "'samples'"),
     ('{"seed": {"value": 3}}', "'seed'"),
-], ids=["top-level-list", "list-value", "object-value"])
+    # each value goes through its flag's own conversion, as on the command line
+    ('{"samples": 2.5}', "'samples'"),
+    ('{"samples": null}', "'samples'"),
+    ('{"samples": true}', "'samples'"),
+], ids=["top-level-list", "list-value", "object-value", "float-for-int", "null-value", "bool-value"])
 def test_config_file_wrong_shape(tmp_path, capsys, text, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    assert main(["--config", str(cfg), "gen-data", "--case", TRI3, "--out",
-                 str(tmp_path / "x.jsonl")]) == 2
+    out = tmp_path / "x.jsonl"
+    assert main(["--config", str(cfg), "gen-data", "--case", TRI3, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and named in err
     assert "Error" not in err
+    assert not out.exists()
 
 
 def _no_work(*args, **kwargs):

@@ -88,7 +88,7 @@ def test_init_biases_zero_weights_bounded():
 def test_init_seed_changes_weights():
     a = init_model(ModelConfig(**SMALL, seed=1), 7, 2, num_buses=3, num_branches=3)
     b = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3)
-    assert not np.array_equal(a.layers[0].w_edge, b.layers[0].w_edge)
+    assert not np.array_equal(a.params["layers.0.w_edge"], b.params["layers.0.w_edge"])
 
 
 # --- layer and model forward ------------------------------------------------
@@ -97,7 +97,7 @@ def test_init_seed_changes_weights():
 def test_layer_zero_params_zero_outputs(tri3):
     topo = to_graph(tri3)
     model = _zero(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3))
-    h, e, _ = _layer_forward_batch(model.layers[0], np.random.default_rng(0).normal(size=(1, 3, 7)),
+    h, e, _ = _layer_forward_batch(model.params, 0, np.random.default_rng(0).normal(size=(1, 3, 7)),
                                    np.ones((1, 3, 2)), topo)
     assert np.all(h == 0.0) and np.all(e == 0.0)
 
@@ -110,18 +110,18 @@ def test_layer_isolated_node_uses_self_only():
         edge_to=np.array([1]),
     )
     model = init_model(ModelConfig(**SMALL, seed=3), 4, 2, num_buses=3, num_branches=1)
-    layer = model.layers[0]
+    params = model.params
     rng = np.random.default_rng(1)
     h = rng.normal(size=(3, 4))
     e = rng.normal(size=(1, 2))
-    h1 = _layer_forward_batch(layer, h[None], e[None], topo)[0][0]
-    h2 = _layer_forward_batch(layer, np.vstack([h[:2], h[2] * 0 + 99.0])[None], e[None], topo)[0][0]
+    h1 = _layer_forward_batch(params, 0, h[None], e[None], topo)[0][0]
+    h2 = _layer_forward_batch(params, 0, np.vstack([h[:2], h[2] * 0 + 99.0])[None], e[None], topo)[0][0]
     # only the isolated node's own row reacts to its feature change
     assert np.array_equal(h1[:2], h2[:2])
     assert not np.array_equal(h1[2], h2[2])
     # and its message sums are empty: update equals stacking zeros
     stacked = np.concatenate([h[2], np.zeros(8), np.zeros(8)])
-    expect = np.maximum(stacked @ layer.w_node + layer.b_node, 0.0)
+    expect = np.maximum(stacked @ params["layers.0.w_node"] + params["layers.0.b_node"], 0.0)
     assert h1[2] == pytest.approx(expect, abs=1e-12)
 
 
@@ -301,7 +301,7 @@ def test_gradient_paths_wiring(tri3):
     # zeroing the head cuts every layer off from the loss; only the head sees gradient
     topo = to_graph(tri3)
     model = init_model(ModelConfig(**SMALL, seed=9), 7, 2, num_buses=3, num_branches=3)
-    model.w_out[...] = 0.0
+    model.params["dense.w_out"][...] = 0.0
     rng = np.random.default_rng(4)
     xn = rng.normal(size=(2, 3, 7))
     xe = rng.normal(size=(2, 3, 2))
@@ -486,8 +486,8 @@ def test_save_load_round_trip(tmp_path, tri3, tri3_dataset):
 
 
 @pytest.mark.parametrize("init, digest", [
-    (init_model, "f89a98790313c9f3367a24d6bec0e1687f28b1cf9e730669f776b08a36ad33bf"),
-    (init_mlp, "ab453cd379eed1623d2e30810df3f7c7e9e1dea5fce1f0899db13fb386e322aa"),
+    (init_model, "6669d2c7b426b322908c9b71eba6a6a84b53914e9da6cbe8e342d8ef5ce0938f"),
+    (init_mlp, "698796e710efe1d901ef7d03cf4e84c5801bb83b39983232cd7c60f87c233ab5"),
 ], ids=["gnn", "mlp"])
 def test_save_model_bytes_pinned(tmp_path, init, digest):
     # the model file format: the bytes of a fixed untrained tri3-sized model never change
@@ -508,11 +508,12 @@ def test_save_load_mlp_round_trip(tmp_path, tri3):
 
 def test_mlp_honours_num_layers(tmp_path):
     model = init_mlp(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3)
-    assert len(model.node_layers) == 2 and len(model.edge_layers) == 2
+    stacks = ["node_layers.0.W", "node_layers.1.W", "edge_layers.0.W", "edge_layers.1.W"]
+    assert [name for name in model.params if name.endswith(".W")] == stacks
     path = tmp_path / "mlp.json"
     save_model(model, path)
     back = load_model(path)
-    assert len(back.node_layers) == 2 and len(back.edge_layers) == 2
+    assert [name for name in back.params if name.endswith(".W")] == stacks
     for (na, pa), (nb, pb) in zip(model.parameters(), back.parameters(), strict=True):
         assert na == nb and np.array_equal(pa, pb)
 
@@ -523,9 +524,19 @@ def test_load_model_shape_checked_against_binding(tmp_path):
     save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
     saved = path.read_text()
     doc = json.loads(saved)
-    doc["layers"][1]["W_node"] = doc["layers"][1]["W_node"][:-1]
+    doc["params"]["layers.1.w_node"] = doc["params"]["layers.1.w_node"][:-1]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"layers\.1\.w_node"):
+        load_model(path)
+    doc = json.loads(saved)
+    doc["params"]["layers.2.w_edge"] = doc["params"]["layers.1.w_edge"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"found \[\('layers\.2\.w_edge', \(24, 8\)\)\], expected \[\]"):
+        load_model(path)
+    doc = json.loads(saved)
+    del doc["params"]["dense.b_out"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"found \[\], expected \[\('dense\.b_out', \(2,\)\)\]"):
         load_model(path)
     doc = json.loads(saved)
     doc["binding"]["node_feature_width"] = 6
@@ -540,9 +551,25 @@ def test_load_version_mismatch(tmp_path, tri3):
     save_model(model, path)
     import json
     doc = json.loads(path.read_text())
-    doc["format_version"] = 2
+    doc["format_version"] = 3
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format_version"):
+    with pytest.raises(ValueError, match="format_version 3$"):
+        load_model(path)
+
+
+def test_model_v1_rejected(tmp_path):
+    # format 1 nested the arrays per layer; such a file is retrained, not converted
+    import json
+    path = tmp_path / "model.json"
+    save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
+    doc = json.loads(path.read_text())
+    params = doc.pop("params")
+    doc["format_version"] = 1
+    doc["layers"] = [{key: params[f"layers.{i}.{key.lower()}"] for key in ("W_edge", "b_edge", "W_node", "b_node")}
+                     for i in range(2)]
+    doc["dense"] = {"W_out": params["dense.w_out"], "b_out": params["dense.b_out"]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format_version 1; retrain it with train"):
         load_model(path)
 
 
