@@ -12,7 +12,9 @@ congestion labels with Adam; gradients are exact reverse-mode derivatives of
 the forward pass, all in 64-bit floats.  A topology-blind MLP over flattened
 features implements the same contract for baseline comparison.  Both kinds
 are one `Model` type whose `params` map each parameter name to its array;
-a model file stores that map as one flat `params` object (format 2).
+a model file stores that map as one flat `params` object whose values are
+base64 strings of little-endian float64 bytes (format 3).  The shapes are not
+stored: the config and binding determine them.
 
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
@@ -20,16 +22,19 @@ buses reproduces per-branch outputs bit for bit.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .netcase import GraphTopology, Network, to_graph
-from .samplegen import Normalizer, Sample, derive_seed, label_sample
+from .samplegen import Normalizer, Sample, _write_atomic, derive_seed, label_sample
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -46,10 +51,14 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("num_layers", "node_channels", "edge_channels", "seed", "epochs", "batch_size"):
-            if getattr(self, name) < 0 or (name not in ("seed",) and getattr(self, name) == 0):
-                raise ValueError(f"config field {name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"config field {name} must be an integer, got {value!r}")
+            if value < 0 or (name != "seed" and value == 0):
+                raise ValueError(f"config field {name} must be positive, got {value}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be a positive finite number, got {lr!r}")
         if self.activation != "relu":
             raise ValueError(f"unsupported activation {self.activation!r}")
         if self.output_classes != 2:
@@ -169,20 +178,13 @@ def init_mlp(
 # ---------------------------------------------------------------------------
 
 
-def _incidence(index: np.ndarray, num_nodes: int) -> np.ndarray:
-    inc = np.zeros((index.size, num_nodes))
-    inc[np.arange(index.size), index] = 1.0
-    return inc
+def _scatter_sum(values: np.ndarray, incidence: np.ndarray) -> np.ndarray:
+    """(B, K, C) edge values -> (B, N, C) node sums, given a (K, N) 0/1 incidence matrix.
 
-
-def _scatter_sum(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
-    """(B, K, C) edge values -> (B, N, C) node sums.
-
-    Implemented as a matmul with a 0/1 incidence matrix: the contraction runs
-    over the branch axis in a fixed order, so relabeling buses permutes output
-    rows without changing a single bit of any sum.
+    The contraction runs over the branch axis in a fixed order, so relabeling
+    buses permutes output rows without changing a single bit of any sum.
     """
-    return np.tensordot(values, _incidence(index, num_nodes), axes=([1], [0])).transpose(0, 2, 1)
+    return np.tensordot(values, incidence, axes=([1], [0])).transpose(0, 2, 1)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -211,12 +213,11 @@ def _layer_forward_batch(params, i, h, e, topology, want_cache=False):
     """Message-passing layer i, its weights read from `params` by name."""
     p = f"layers.{i}."
     ef, et = topology.edge_from, topology.edge_to
-    nb = topology.degree.size
     edge_stack = np.concatenate([h[:, ef, :], h[:, et, :], e], axis=2)
     z_edge = _affine(edge_stack, params[p + "w_edge"], params[p + "b_edge"])
     msg = np.maximum(z_edge, 0.0)
-    sum_out = _scatter_sum(msg, ef, nb)
-    sum_in = _scatter_sum(msg, et, nb)
+    sum_out = _scatter_sum(msg, topology.incidence_from)
+    sum_in = _scatter_sum(msg, topology.incidence_to)
     node_stack = np.concatenate([h, sum_out, sum_in], axis=2)
     z_node = _affine(node_stack, params[p + "w_node"], params[p + "b_node"])
     h_next = np.maximum(z_node, 0.0)
@@ -305,8 +306,8 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
         grads[p + "b_edge"] = dz_edge.sum(axis=(0, 1))
         d_edge_stack = _backprop(dz_edge, params[p + "w_edge"])
 
-        d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], ef, nb)
-        d_h = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], et, nb)
+        d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], topology.incidence_from)
+        d_h = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to)
         d_node = d_h
         d_edge = d_edge_stack[:, :, 2 * in_n:]
     return grads, loss, probs
@@ -511,6 +512,7 @@ def predict_congested(model, sample: Sample, topology: GraphTopology) -> frozens
 
 
 def save_model(model, path) -> None:
+    """Write a format-3 model file: each parameter array as base64 of its little-endian float64 bytes."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
@@ -518,16 +520,32 @@ def save_model(model, path) -> None:
         "config": model.config.to_dict(),
         "binding": dict(model.binding.__dict__),
         "normalizer": model.normalizer.to_dict(),
-        "params": {name: array.tolist() for name, array in model.params.items()},
+        "params": {name: base64.b64encode(np.ascontiguousarray(array, "<f8").tobytes()).decode("ascii")
+                   for name, array in model.params.items()},
     }
     # one dumps call: json.dump streams through the pure-Python encoder
-    text = json.dumps(doc, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_atomic(path, [json.dumps(doc, sort_keys=True) + "\n"])
+
+
+def _decode_array(path, name: str, value, shape: tuple) -> np.ndarray:
+    """A writable float64 array of `shape` from a base64 string of little-endian float64 bytes."""
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"{path}: params {name} is not a base64 string: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{path}: params {name} holds {len(raw)} bytes; its shape {shape} "
+                         f"from the config and binding needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, "<f8").astype(float).reshape(shape)
+
+
+def _mismatch(path, found: set, expected: set) -> ValueError:
+    return ValueError(f"{path}: arrays do not match the binding and config: "
+                      f"found {sorted(found - expected)}, expected {sorted(expected - found)}")
 
 
 def load_model(path):
-    """Read a model file, checking every array's name, shape and values against its config and binding."""
+    """Read a model file, checking every array's name, size and values against its config and binding."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -537,7 +555,7 @@ def load_model(path):
         raise ValueError(f"{path}: corrupt model file: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        hint = "; retrain it with train" if version == 1 else ""
+        hint = "; retrain it with train" if version in (1, 2) else ""
         raise ValueError(f"{path}: unsupported model format_version {version!r}{hint}")
     kind = doc.get("kind", "gnn")
     if kind not in ("gnn", "mlp"):
@@ -550,24 +568,26 @@ def load_model(path):
         config = ModelConfig(**doc["config"])
         binding = Binding(**doc["binding"])
         normalizer = Normalizer.from_dict(doc["normalizer"])
-        params = {name: np.asarray(value, dtype=float) for name, value in doc["params"].items()}
+        blobs = dict(doc["params"])
         shapes = _parameter_shapes(kind, config, binding)
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model file: {exc}") from None
+    declared = {name for name, _ in shapes}
+    if set(blobs) != declared:
+        raise _mismatch(path, set(blobs), declared)
+    params = {name: _decode_array(path, name, blobs[name], shape) for name, shape in shapes}
     stats = {f"normalizer.{name}": getattr(normalizer, name)
              for name in ("node_mean", "node_std", "edge_mean", "edge_std")}
-    expected = sorted(shapes + [(f"normalizer.{stat}_{part}", (width,)) for stat, width in
-                                (("node", binding.node_feature_width), ("edge", binding.edge_feature_width))
-                                for part in ("mean", "std")])
-    found = sorted((name, a.shape) for name, a in [*params.items(), *stats.items()])
+    found = {(name, a.shape) for name, a in stats.items()}
+    expected = {(f"normalizer.{stat}_{part}", (width,)) for stat, width in
+                (("node", binding.node_feature_width), ("edge", binding.edge_feature_width))
+                for part in ("mean", "std")}
     if found != expected:
-        raise ValueError(f"{path}: arrays do not match the binding and config: "
-                         f"found {sorted(set(found) - set(expected))}, "
-                         f"expected {sorted(set(expected) - set(found))}")
+        raise _mismatch(path, found, expected)
     bad = [name for name, a in [*params.items(), *stats.items()]
            if not np.isfinite(a).all() or (name.endswith("_std") and not (a > 0).all())]
     if bad:
         raise ValueError(f"{path}: {bad[0]} has a non-finite value or a std that is not positive")
-    return Model(kind, config, binding, normalizer, {name: params[name] for name, _ in shapes}, threshold)
+    return Model(kind, config, binding, normalizer, params, threshold)

@@ -166,12 +166,20 @@ class GraphTopology:
     """Bus connectivity derived from a Network.
 
     ``degree`` counts every incident branch, parallel ones included, so it
-    is usable as a node feature.
+    is usable as a node feature.  The (K, N) 0/1 incidence matrices of the
+    branch ends are derived once, read-only, when the topology is built.
     """
 
     degree: np.ndarray      # per-bus incident branch count
     edge_from: np.ndarray   # internal from-bus index per branch
     edge_to: np.ndarray     # internal to-bus index per branch
+    incidence_from: np.ndarray = field(init=False, repr=False, compare=False)
+    incidence_to: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        unit = np.eye(self.degree.size)
+        object.__setattr__(self, "incidence_from", _read_only(unit[self.edge_from]))
+        object.__setattr__(self, "incidence_to", _read_only(unit[self.edge_to]))
 
 
 def _parse_row(parts: list[str], expected: int, line_no: int) -> list[float]:
@@ -331,7 +339,7 @@ def serialize_case(network: Network) -> str:
 
 
 def to_graph(network: Network) -> GraphTopology:
-    """Derive per-bus degree and the directed edge list."""
+    """Derive per-bus degree, the directed edge list and its incidence matrices."""
     nb = network.num_buses
     edge_from, edge_to = network.branch_endpoints()
     degree = np.bincount(edge_from, minlength=nb) + np.bincount(edge_to, minlength=nb)

@@ -14,6 +14,8 @@ changing the result.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -264,26 +266,39 @@ _HEADER_KEYS = ("format_version", "case", "seed", "magnitude", "count", "redraws
 _ROW_KEYS = ("sample_id", "load_mw", "flows_mw", "objective")
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write the strings of `chunks` to a temporary file beside `path`, then rename it over `path`.
+
+    If writing raises, `path` keeps its old content and the temporary file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """One header line carrying the case text, then one JSON object per sample."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = {
-            "format_version": DATASET_FORMAT_VERSION,
-            "case": serialize_case(dataset.network),
-            "seed": dataset.seed,
-            "magnitude": dataset.magnitude,
-            "count": dataset.count,
-            "redraws": dataset.redraws,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in dataset.samples:
-            row = {
-                "sample_id": s.sample_id,
-                "load_mw": s.load_mw.tolist(),
-                "flows_mw": s.flows_mw.tolist(),
-                "objective": s.objective,
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    header = {
+        "format_version": DATASET_FORMAT_VERSION,
+        "case": serialize_case(dataset.network),
+        "seed": dataset.seed,
+        "magnitude": dataset.magnitude,
+        "count": dataset.count,
+        "redraws": dataset.redraws,
+    }
+    rows = ({
+        "sample_id": s.sample_id,
+        "load_mw": s.load_mw.tolist(),
+        "flows_mw": s.flows_mw.tolist(),
+        "objective": s.objective,
+    } for s in dataset.samples)
+    _write_atomic(path, (json.dumps(doc, sort_keys=True) + "\n" for doc in itertools.chain([header], rows)))
 
 
 def _parse_line(path, line_no: int, line: str) -> dict:

@@ -1,6 +1,8 @@
+import base64
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridscreen import load_model
@@ -79,7 +81,7 @@ def test_gen_data_runtime_failure(tmp_path, tri3_text, capsys):
 def test_train_outputs(workspace):
     root, data, model = workspace
     doc = json.loads(model.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert doc["kind"] == "gnn"
     assert doc["trained_threshold"] == 0.95
     history = root / "m_history.csv"
@@ -280,13 +282,23 @@ def test_solve_infeasible_is_not_an_error(tmp_path, capsys):
     assert "status: infeasible" in capsys.readouterr().out
 
 
+def _with_nan(blob):
+    """A model file's base64 float64 array with its first value replaced by NaN."""
+    values = np.frombuffer(base64.b64decode(blob), "<f8").copy()
+    values[0] = np.nan
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda doc: doc.update(trained_threshold="abc"), "trained_threshold"),
     (lambda doc: doc.update(trained_threshold=True), "trained_threshold"),
-    (lambda doc: doc["params"]["dense.w_out"][0].__setitem__(0, float("nan")), "dense.w_out"),
+    (lambda doc: doc["params"].update({"dense.w_out": _with_nan(doc["params"]["dense.w_out"])}), "dense.w_out"),
     (lambda doc: doc["normalizer"]["node_std"].__setitem__(0, 0.0), "normalizer.node_std"),
     (lambda doc: doc.update(format_version=1), "retrain it with train"),
-], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1"])
+    (lambda doc: doc["config"].update(num_layers=True), "num_layers"),
+    (lambda doc: doc["config"].update(epochs=2.5), "epochs"),
+], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1", "config-bool",
+        "config-float"])
 def test_eval_rejects_bad_model_values(workspace, tmp_path, capsys, edit, named):
     _, data, model = workspace
     doc = json.loads(model.read_text())

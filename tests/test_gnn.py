@@ -1,4 +1,6 @@
+import base64
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +33,15 @@ def _zero(model):
     return model
 
 
+def _blob(array):
+    """A model file's encoding of one parameter array."""
+    return base64.b64encode(np.asarray(array, "<f8").tobytes()).decode("ascii")
+
+
+def _unblob(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
 def _path_topology(n_nodes):
     ef = np.arange(n_nodes - 1)
     et = np.arange(1, n_nodes)
@@ -59,6 +70,7 @@ def test_config_defaults():
 @pytest.mark.parametrize("bad", [
     dict(num_layers=0), dict(learning_rate=0.0), dict(output_classes=3),
     dict(activation="tanh"), dict(batch_size=-1),
+    dict(num_layers=True), dict(epochs=2.5), dict(learning_rate=True),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -486,14 +498,46 @@ def test_save_load_round_trip(tmp_path, tri3, tri3_dataset):
 
 
 @pytest.mark.parametrize("init, digest", [
-    (init_model, "6669d2c7b426b322908c9b71eba6a6a84b53914e9da6cbe8e342d8ef5ce0938f"),
-    (init_mlp, "698796e710efe1d901ef7d03cf4e84c5801bb83b39983232cd7c60f87c233ab5"),
+    (init_model, "d478708a4d833b839800a67b8499b322c4038bca204814c9ab837be316533d5b"),
+    (init_mlp, "9861ebeab888d4b195f5084d51069a1d6211cf50814b10ea891e3b4bdfa6f315"),
 ], ids=["gnn", "mlp"])
 def test_save_model_bytes_pinned(tmp_path, init, digest):
     # the model file format: the bytes of a fixed untrained tri3-sized model never change
     path = tmp_path / "model.json"
     save_model(init(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_save_load_gnn_round_trip_bit_identical(tmp_path):
+    model = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3)
+    w = model.params["layers.0.w_edge"]
+    w[0, :4] = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).tiny]
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert list(back.params) == list(model.params)
+    for name, array in model.params.items():
+        loaded = back.params[name]
+        assert loaded.shape == array.shape and loaded.dtype == np.float64
+        assert loaded.tobytes() == array.tobytes(), name
+        assert loaded.flags.writeable
+    save_model(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_save_model_rename_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
+    old = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_model(init_model(ModelConfig(**SMALL, seed=1), 7, 2, num_buses=3, num_branches=3), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_save_load_mlp_round_trip(tmp_path, tri3):
@@ -519,47 +563,67 @@ def test_mlp_honours_num_layers(tmp_path):
 
 
 def test_load_model_shape_checked_against_binding(tmp_path):
-    import json
     path = tmp_path / "model.json"
     save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
     saved = path.read_text()
     doc = json.loads(saved)
-    doc["params"]["layers.1.w_node"] = doc["params"]["layers.1.w_node"][:-1]
+    doc["params"]["layers.1.w_node"] = _blob(_unblob(doc["params"]["layers.1.w_node"])[:-8])
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"layers\.1\.w_node"):
+    with pytest.raises(ValueError, match=r"layers\.1\.w_node holds 1472 bytes; its shape \(24, 8\)"):
         load_model(path)
     doc = json.loads(saved)
     doc["params"]["layers.2.w_edge"] = doc["params"]["layers.1.w_edge"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"found \[\('layers\.2\.w_edge', \(24, 8\)\)\], expected \[\]"):
+    with pytest.raises(ValueError, match=r"found \['layers\.2\.w_edge'\], expected \[\]"):
         load_model(path)
     doc = json.loads(saved)
     del doc["params"]["dense.b_out"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"found \[\], expected \[\('dense\.b_out', \(2,\)\)\]"):
+    with pytest.raises(ValueError, match=r"found \[\], expected \['dense\.b_out'\]"):
         load_model(path)
     doc = json.loads(saved)
     doc["binding"]["node_feature_width"] = 6
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"do not match the binding.*layers\.0\.w_edge"):
+    with pytest.raises(ValueError, match=r"layers\.0\.w_edge holds 1024 bytes; its shape \(14, 8\) from the "
+                                         r"config and binding"):
         load_model(path)
+    doc = json.loads(saved)
+    doc["normalizer"]["edge_std"] = [1.0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"found \[\('normalizer\.edge_std', \(1,\)\)\], "
+                                         r"expected \[\('normalizer\.edge_std', \(2,\)\)\]"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob[:-4] + "*AA=", "not a base64 string"),
+    (lambda blob: _blob(_unblob(blob)[:-1]), "holds 56 bytes; its shape (8,)"),
+    (lambda blob: _unblob(blob).tolist(), "not a base64 string"),
+], ids=["not-base64", "one-float-short", "list"])
+def test_load_model_rejects_bad_blob(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
+    doc = json.loads(path.read_text())
+    doc["params"]["layers.1.b_node"] = edit(doc["params"]["layers.1.b_node"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert f"{path}: params layers.1.b_node " in str(info.value) and message in str(info.value)
 
 
 def test_load_version_mismatch(tmp_path, tri3):
     model = init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3)
     path = tmp_path / "model.json"
     save_model(model, path)
-    import json
     doc = json.loads(path.read_text())
-    doc["format_version"] = 3
+    doc["format_version"] = 4
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format_version 3$"):
+    with pytest.raises(ValueError, match="format_version 4$"):
         load_model(path)
 
 
 def test_model_v1_rejected(tmp_path):
     # format 1 nested the arrays per layer; such a file is retrained, not converted
-    import json
     path = tmp_path / "model.json"
     save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
     doc = json.loads(path.read_text())
@@ -570,6 +634,19 @@ def test_model_v1_rejected(tmp_path):
     doc["dense"] = {"W_out": params["dense.w_out"], "b_out": params["dense.b_out"]}
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version 1; retrain it with train"):
+        load_model(path)
+
+
+def test_model_v2_rejected(tmp_path):
+    # format 2 stored each array as nested JSON lists; such a file is retrained, not converted
+    model = init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 2
+    doc["params"] = {name: array.tolist() for name, array in model.params.items()}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format_version 2; retrain it with train"):
         load_model(path)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -314,6 +315,20 @@ def test_dataset_line_layout(tmp_path, tri3_dataset):
     assert header["case"] == serialize_case(tri3_dataset.network)
     row = json.loads(lines[1])
     assert set(row) == {"sample_id", "load_mw", "flows_mw", "objective"}
+
+
+def test_write_dataset_interrupted_keeps_old_file(tmp_path, tri3_dataset):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(tri3_dataset, path)
+    old = path.read_bytes()
+    # the third row cannot be encoded, so the write raises after the header and two rows
+    samples = list(tri3_dataset.samples)
+    samples[2] = dataclasses.replace(samples[2], objective=object())
+    broken = dataclasses.replace(tri3_dataset, samples=samples)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_dataset(broken, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
 
 
 def test_dataset_version_check(tmp_path, tri3_dataset):
