@@ -270,8 +270,10 @@ def _write_atomic(path, chunks) -> None:
     """Write the strings of `chunks` to a temporary file beside `path`, then rename it over `path`.
 
     If writing raises, `path` keeps its old content and the temporary file is removed.
+    A symlink at `path` stays a symlink: its target is replaced.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)

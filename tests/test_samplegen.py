@@ -331,6 +331,17 @@ def test_write_dataset_interrupted_keeps_old_file(tmp_path, tri3_dataset):
     assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
 
 
+def test_write_dataset_through_symlink(tmp_path, tri3_dataset):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "ds.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    write_dataset(tri3_dataset, link)
+    assert link.is_symlink()
+    assert read_dataset(target).count == tri3_dataset.count
+
+
 def test_dataset_version_check(tmp_path, tri3_dataset):
     path = tmp_path / "ds.jsonl"
     write_dataset(tri3_dataset, path)
