@@ -167,19 +167,23 @@ class GraphTopology:
 
     ``degree`` counts every incident branch, parallel ones included, so it
     is usable as a node feature.  The (K, N) 0/1 incidence matrices of the
-    branch ends are derived once, read-only, when the topology is built.
+    branch ends are cached properties: derived on first use, then shared,
+    read-only.
     """
 
     degree: np.ndarray      # per-bus incident branch count
     edge_from: np.ndarray   # internal from-bus index per branch
     edge_to: np.ndarray     # internal to-bus index per branch
-    incidence_from: np.ndarray = field(init=False, repr=False, compare=False)
-    incidence_to: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        unit = np.eye(self.degree.size)
-        object.__setattr__(self, "incidence_from", _read_only(unit[self.edge_from]))
-        object.__setattr__(self, "incidence_to", _read_only(unit[self.edge_to]))
+    @cached_property
+    def incidence_from(self) -> np.ndarray:
+        """(K, N) 1 where a branch leaves a bus."""
+        return _read_only(np.eye(self.degree.size)[self.edge_from])
+
+    @cached_property
+    def incidence_to(self) -> np.ndarray:
+        """(K, N) 1 where a branch enters a bus."""
+        return _read_only(np.eye(self.degree.size)[self.edge_to])
 
 
 def _parse_row(parts: list[str], expected: int, line_no: int) -> list[float]:
@@ -339,7 +343,7 @@ def serialize_case(network: Network) -> str:
 
 
 def to_graph(network: Network) -> GraphTopology:
-    """Derive per-bus degree, the directed edge list and its incidence matrices."""
+    """Derive per-bus degree and the directed edge list."""
     nb = network.num_buses
     edge_from, edge_to = network.branch_endpoints()
     degree = np.bincount(edge_from, minlength=nb) + np.bincount(edge_to, minlength=nb)

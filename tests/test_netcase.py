@@ -117,6 +117,15 @@ def test_to_graph_triangle(tri3):
     assert topo.edge_to.tolist() == et.tolist()
 
 
+def test_to_graph_incidence_shared_read_only(tri3):
+    topo = to_graph(tri3)
+    ef, et = tri3.branch_endpoints()
+    for incidence, ends in ((topo.incidence_from, ef), (topo.incidence_to, et)):
+        assert incidence.shape == (3, 3) and not incidence.flags.writeable
+        assert incidence.tolist() == np.eye(3)[ends].tolist()
+    assert topo.incidence_from is topo.incidence_from
+
+
 def test_to_graph_path():
     topo = to_graph(parse_case(PATH_CASE))
     assert topo.degree.tolist() == [1, 2, 1]
