@@ -15,8 +15,7 @@ from .gnn import (
 )
 from .pipeline import (
     EvalReport, ModelPredictor, OraclePredictor, RopfResult,
-    evaluate, run_ropf, summary_row, threshold_sweep,
-    write_branch_csv, write_cost_csv, write_report_json, write_sweep_csv, write_wrong_histogram_csv,
+    evaluate, run_ropf, threshold_sweep, write_report, write_sweep_csv,
 )
 
 __all__ = [
@@ -32,7 +31,5 @@ __all__ = [
     "edge_accuracy", "init_mlp", "init_model", "load_model", "loss_mse",
     "predict_congested", "save_model", "train",
     "EvalReport", "ModelPredictor", "OraclePredictor", "RopfResult",
-    "evaluate", "run_ropf", "summary_row", "threshold_sweep",
-    "write_branch_csv", "write_cost_csv", "write_report_json", "write_sweep_csv",
-    "write_wrong_histogram_csv",
+    "evaluate", "run_ropf", "threshold_sweep", "write_report", "write_sweep_csv",
 ]

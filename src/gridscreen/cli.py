@@ -18,17 +18,7 @@ import numpy as np
 from .dcopf import check_limits, full_monitored_set, solve_opf
 from .gnn import ModelConfig, init_mlp, init_model, load_model, save_model, train
 from .netcase import CaseError, parse_case, to_graph
-from .pipeline import (
-    ModelPredictor,
-    evaluate,
-    summary_row,
-    threshold_sweep,
-    write_branch_csv,
-    write_cost_csv,
-    write_report_json,
-    write_sweep_csv,
-    write_wrong_histogram_csv,
-)
+from .pipeline import ModelPredictor, evaluate, threshold_sweep, write_report, write_sweep_csv
 from .samplegen import (
     fit_normalizer,
     generate_dataset,
@@ -173,15 +163,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_eval_outputs(report, out_dir: Path, tag: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_json(report, out_dir / f"report_{tag}.json")
-    write_sweep_csv([report], out_dir / f"summary_{tag}.csv")
-    write_branch_csv(report, out_dir / f"branches_{tag}.csv")
-    write_wrong_histogram_csv(report, out_dir / f"wrong_histogram_{tag}.csv")
-    write_cost_csv(report, out_dir / f"costs_{tag}.csv")
-
-
 def _tau_tag(threshold: float) -> str:
     return f"{int(round(threshold * 100)):03d}"
 
@@ -200,12 +181,11 @@ def cmd_eval(args) -> int:
     _, _, test_split = split_dataset(dataset, SPLIT_RATIOS, args.seed)
     predictor = ModelPredictor(model, to_graph(network))
     report = evaluate(network, predictor, test_split, threshold)
-    _write_eval_outputs(report, Path(args.out_dir), _tau_tag(threshold))
-    row = summary_row(report)
-    print(f"threshold {threshold}: prediction error {row['prediction_error_pct']:.4f}%, "
-          f"samples over limit {row['pct_samples_over_limit']:.2f}%, "
-          f"lines monitored {row['pct_lines_monitored']:.2f}%, "
-          f"time {row['time_pct']:.2f}% of full")
+    write_report(report, args.out_dir, _tau_tag(threshold))
+    print(f"threshold {threshold}: prediction error {report.edge_prediction_error_pct:.4f}%, "
+          f"samples over limit {report.pct_samples_with_violation:.2f}%, "
+          f"lines monitored {report.pct_lines_monitored:.2f}%, "
+          f"time {report.time_pct:.2f}% of full")
     return 0
 
 
@@ -224,10 +204,9 @@ def cmd_sweep(args) -> int:
     for report, model in results:
         tag = _tau_tag(report.threshold)
         save_model(model, out_dir / f"model_{tag}.json")
-        _write_eval_outputs(report, out_dir, tag)
-        row = summary_row(report)
-        print(f"threshold {report.threshold}: error {row['prediction_error_pct']:.4f}%, "
-              f"monitored {row['pct_lines_monitored']:.2f}%, time {row['time_pct']:.2f}%")
+        write_report(report, out_dir, tag)
+        print(f"threshold {report.threshold}: error {report.edge_prediction_error_pct:.4f}%, "
+              f"monitored {report.pct_lines_monitored:.2f}%, time {report.time_pct:.2f}%")
     write_sweep_csv([report for report, _ in results], out_dir / "sweep.csv")
     print(f"sweep table -> {out_dir / 'sweep.csv'}")
     return 0

@@ -22,7 +22,6 @@ buses reproduces per-branch outputs bit for bit.
 
 from __future__ import annotations
 
-import base64
 import copy
 import json
 import math
@@ -32,7 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcase import GraphTopology, Network, to_graph
-from .samplegen import Normalizer, Sample, _write_atomic, derive_seed, label_sample
+from .samplegen import (
+    Normalizer, Sample, _decode_array, _encode_array, _write_atomic, derive_seed, label_sample,
+)
 
 MODEL_FORMAT_VERSION = 3
 
@@ -520,23 +521,10 @@ def save_model(model, path) -> None:
         "config": model.config.to_dict(),
         "binding": dict(model.binding.__dict__),
         "normalizer": model.normalizer.to_dict(),
-        "params": {name: base64.b64encode(np.ascontiguousarray(array, "<f8").tobytes()).decode("ascii")
-                   for name, array in model.params.items()},
+        "params": {name: _encode_array(array) for name, array in model.params.items()},
     }
     # one dumps call: json.dump streams through the pure-Python encoder
     _write_atomic(path, [json.dumps(doc, sort_keys=True) + "\n"])
-
-
-def _decode_array(path, name: str, value, shape: tuple) -> np.ndarray:
-    """A writable float64 array of `shape` from a base64 string of little-endian float64 bytes."""
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise ValueError(f"{path}: params {name} is not a base64 string: {exc}") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{path}: params {name} holds {len(raw)} bytes; its shape {shape} "
-                         f"from the config and binding needs {8 * math.prod(shape)}")
-    return np.frombuffer(raw, "<f8").astype(float).reshape(shape)
 
 
 def _mismatch(path, found: set, expected: set) -> ValueError:
@@ -577,7 +565,8 @@ def load_model(path):
     declared = {name for name, _ in shapes}
     if set(blobs) != declared:
         raise _mismatch(path, set(blobs), declared)
-    params = {name: _decode_array(path, name, blobs[name], shape) for name, shape in shapes}
+    params = {name: _decode_array(blobs[name], shape, f"{path}: params {name}", "the config and binding")
+              for name, shape in shapes}
     stats = {f"normalizer.{name}": getattr(normalizer, name)
              for name in ("node_mean", "node_std", "edge_mean", "edge_std")}
     found = {(name, a.shape) for name, a in stats.items()}
@@ -586,7 +575,7 @@ def load_model(path):
                 for part in ("mean", "std")}
     if found != expected:
         raise _mismatch(path, found, expected)
-    bad = [name for name, a in [*params.items(), *stats.items()]
+    bad = [name for name, a in stats.items()
            if not np.isfinite(a).all() or (name.endswith("_std") and not (a > 0).all())]
     if bad:
         raise ValueError(f"{path}: {bad[0]} has a non-finite value or a std that is not positive")

@@ -1,6 +1,6 @@
 """Reduced-OPF evaluation: screen lines, re-solve, audit, and aggregate metrics.
 
-Given a congestion predictor (a trained model, or the stored-flow oracle),
+Given a congestion predictor (a trained model, or the full-problem-flow oracle),
 each test sample is re-solved monitoring only the predicted-critical lines.
 The run collects per-branch confusion counts, violation counts and their
 overlap with missed-congestion errors, monitored-line fractions, per-sample
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class RopfResult:
 
 
 class OraclePredictor:
-    """Predicts exactly the label set derived from each sample's stored flows."""
+    """Predicts exactly the label set derived from each sample's full-problem flows."""
 
     def __init__(self, network: Network, threshold: float):
         self.network = network
@@ -270,52 +271,39 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
-def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_sweep_csv(reports: list[EvalReport], path) -> None:
+    """One SWEEP_CSV_COLUMNS row per report."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_CSV_COLUMNS)
+        writer.writerows([r.threshold, r.time_pct, r.pct_samples_with_violation, r.pct_lines_monitored,
+                          r.edge_prediction_error_pct] for r in reports)
+
+
+def write_report(report: EvalReport, out_dir, tag: str) -> None:
+    """Write report_<tag>.json and the summary, branches, wrong_histogram and costs CSVs to `out_dir`."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / f"report_{tag}.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def summary_row(report: EvalReport) -> dict:
-    return {
-        "threshold": report.threshold,
-        "time_pct": report.time_pct,
-        "pct_samples_over_limit": report.pct_samples_with_violation,
-        "pct_lines_monitored": report.pct_lines_monitored,
-        "prediction_error_pct": report.edge_prediction_error_pct,
+    write_sweep_csv([report], out_dir / f"summary_{tag}.csv")
+    tables = {
+        "branches": (
+            ["branch", "true_pos", "true_neg", "type1", "type2", "violations", "type2_violation_overlap"],
+            zip(report.branch_labels, report.branch_true_pos, report.branch_true_neg,
+                report.branch_false_pos, report.branch_false_neg,
+                report.branch_violations, report.branch_type2_violation_overlap),
+        ),
+        "wrong_histogram": (["n_wrong_predictions", "n_samples"], enumerate(report.wrong_prediction_histogram)),
+        "costs": (
+            ["sample_id", "full_objective", "ropf_objective", "cost_delta"],
+            ([row["sample_id"], row["full_objective"], row["ropf_objective"], row["cost_delta"]]
+             for row in report.per_sample),
+        ),
     }
-
-
-def write_sweep_csv(reports: list[EvalReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
-        writer.writeheader()
-        for report in reports:
-            writer.writerow(summary_row(report))
-
-
-def write_branch_csv(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["branch", "true_pos", "true_neg", "type1", "type2",
-                         "violations", "type2_violation_overlap"])
-        writer.writerows(zip(
-            report.branch_labels, report.branch_true_pos, report.branch_true_neg,
-            report.branch_false_pos, report.branch_false_neg,
-            report.branch_violations, report.branch_type2_violation_overlap,
-        ))
-
-
-def write_wrong_histogram_csv(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_wrong_predictions", "n_samples"])
-        writer.writerows(enumerate(report.wrong_prediction_histogram))
-
-
-def write_cost_csv(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "full_objective", "ropf_objective", "cost_delta"])
-        writer.writerows([row["sample_id"], row["full_objective"], row["ropf_objective"], row["cost_delta"]]
-                         for row in report.per_sample)
+    for name, (header, rows) in tables.items():
+        with open(out_dir / f"{name}_{tag}.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)

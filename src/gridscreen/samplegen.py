@@ -1,11 +1,11 @@
 """Labeled-corpus generation: perturb loads, solve full OPF, extract features.
 
 A dataset persists only what varies between samples: the loads and the
-full-problem flows and objective.  The case is stored once in the header,
-and node/edge features are derived from it on read.  Congestion labels are
-never persisted; they are recomputed from the stored flows for whatever
-loading threshold is requested, so one dataset serves every threshold
-without skew.
+full-problem dispatch.  The case is stored once in the header; node/edge
+features, flows and objective are derived from it on read, by the same code
+that built them at generation.  Congestion labels are never persisted; they
+are recomputed from the flows for whatever loading threshold is requested,
+so one dataset serves every threshold without skew.
 
 Randomness is counter-based (Philox keyed by run seed and sample index), so
 sample i is reproducible in isolation and generation parallelizes without
@@ -14,6 +14,7 @@ changing the result.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import itertools
 import json
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, full_monitored_set, solve_opf
+from .dcopf import REPORT_TOL_MW, full_monitored_set, line_flows, solve_opf
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
@@ -90,6 +91,7 @@ def label_sample(flows_mw: np.ndarray, network: Network, threshold: float) -> np
 class Sample:
     sample_id: int
     load_mw: np.ndarray
+    p_g: np.ndarray                  # full-problem dispatch, per generator MW
     node_features: np.ndarray
     edge_features: np.ndarray
     flows_mw: np.ndarray
@@ -116,13 +118,23 @@ def _feature_template(network: Network) -> tuple[np.ndarray, np.ndarray]:
     return node, edge
 
 
+def _build_sample(network: Network, sample_id: int, load: np.ndarray, p_g: np.ndarray,
+                  template: tuple[np.ndarray, np.ndarray]) -> Sample:
+    """A sample from its load and dispatch; flows, objective and features are derived.
+
+    `template` is _feature_template(network); the node features are a copy of
+    it with the load in column 0.  Generation and read_dataset both build
+    samples here, so a sample read back equals the one generated.
+    """
+    node = template[0].copy()
+    node[:, 0] = load
+    return Sample(sample_id, load, p_g, node, template[1], line_flows(network, p_g, load),
+                  float(network.gen_cost @ p_g))
+
+
 def _generate_one(network: Network, magnitude: float, seed: int, index: int,
                   template: tuple[np.ndarray, np.ndarray]) -> tuple[Sample, int]:
-    """Draw loads for one sample, redrawing from the same stream until feasible.
-
-    `template` is _feature_template(network); the sample's node features are
-    a copy of it with the drawn load in column 0.
-    """
+    """Draw loads for one sample, redrawing from the same stream until feasible."""
     base = network.base_load()
     gen = _generator(derive_seed(seed, index))
     monitored = full_monitored_set(network)
@@ -131,16 +143,7 @@ def _generate_one(network: Network, magnitude: float, seed: int, index: int,
         load = base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
         sol = solve_opf(network, load, monitored)
         if sol.status == "optimal":
-            node = template[0].copy()
-            node[:, 0] = load
-            return Sample(
-                sample_id=index,
-                load_mw=load,
-                node_features=node,
-                edge_features=template[1],
-                flows_mw=sol.flows,
-                objective=sol.objective,
-            ), redraws
+            return _build_sample(network, index, load, sol.p_g, template), redraws
         redraws += 1
         if redraws >= _MAX_REDRAWS_PER_SAMPLE:
             raise RuntimeError(f"sample {index}: no feasible load after {redraws} redraws")
@@ -260,10 +263,10 @@ def fit_normalizer(train: list[Sample]) -> Normalizer:
 # JSON Lines persistence
 # ---------------------------------------------------------------------------
 
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
 
 _HEADER_KEYS = ("format_version", "case", "seed", "magnitude", "count", "redraws")
-_ROW_KEYS = ("sample_id", "load_mw", "flows_mw", "objective")
+_ROW_KEYS = ("sample_id", "load_mw", "p_g")
 
 
 def _write_atomic(path, chunks) -> None:
@@ -284,6 +287,30 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
+def _encode_array(array) -> str:
+    """Base64 text of an array's little-endian float64 bytes in C order; datasets and models store arrays so."""
+    return base64.b64encode(np.ascontiguousarray(array, "<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(value, shape: tuple, name: str, origin: str) -> np.ndarray:
+    """A writable finite float64 array of `shape` from _encode_array text.
+
+    Errors start with `name`, which says where the value was read, and say
+    that `origin` gave the shape.
+    """
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"{name} is not a base64 string: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{name} holds {len(raw)} bytes; its shape {shape} "
+                         f"from {origin} needs {8 * math.prod(shape)}")
+    array = np.frombuffer(raw, "<f8").astype(float).reshape(shape)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has a non-finite value")
+    return array
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """One header line carrying the case text, then one JSON object per sample."""
     header = {
@@ -296,9 +323,8 @@ def write_dataset(dataset: Dataset, path) -> None:
     }
     rows = ({
         "sample_id": s.sample_id,
-        "load_mw": s.load_mw.tolist(),
-        "flows_mw": s.flows_mw.tolist(),
-        "objective": s.objective,
+        "load_mw": _encode_array(s.load_mw),
+        "p_g": _encode_array(s.p_g),
     } for s in dataset.samples)
     _write_atomic(path, (json.dumps(doc, sort_keys=True) + "\n" for doc in itertools.chain([header], rows)))
 
@@ -319,34 +345,28 @@ def _check_keys(path, line_no: int, doc: dict, keys: tuple[str, ...]) -> None:
         raise ValueError(f"{path}: line {line_no}: missing key(s) {', '.join(missing)}")
 
 
-def _vector(path, line_no: int, row: dict, key: str, size: int) -> np.ndarray:
-    try:
-        values = np.asarray(row[key], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: line {line_no}: {key} is not a list of numbers") from None
-    if values.shape != (size,):
-        raise ValueError(f"{path}: line {line_no}: {key} has shape {values.shape}, "
-                         f"the network needs ({size},)")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: line {line_no}: {key} has a non-finite value")
-    return values
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _objective(path, line_no: int, row: dict) -> float:
-    value = row["objective"]
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ValueError(f"{path}: line {line_no}: objective is not a finite number: {value!r}")
+def _check_header(path, header: dict) -> None:
+    """Reject a header value of the wrong type or range, naming its key."""
+    rules = {
+        "case": ("a string", lambda v: isinstance(v, str)),
+        "seed": ("an integer", _is_int),
+        "magnitude": ("a number in [0, 1)", lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v < 1),
+        "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+        "redraws": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    }
+    for key, (wanted, ok) in rules.items():
+        if not ok(header[key]):
+            raise ValueError(f"{path}: line 1: {key} must be {wanted}, got {header[key]!r}")
 
 
 def read_dataset(path) -> Dataset:
-    """Parse a format-2 dataset; features are rebuilt from the embedded case.
+    """Parse a format-3 dataset; every sample is rebuilt by _build_sample from the embedded case.
 
     Any malformed line raises ValueError naming the file and line number.
-    The features come from one _feature_template, as in generate_dataset.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -355,31 +375,29 @@ def read_dataset(path) -> Dataset:
         header = _parse_line(path, 1, header_line)
         version = header.get("format_version")
         if version != DATASET_FORMAT_VERSION:
-            hint = "; regenerate it with gen-data" if version == 1 else ""
+            hint = "; regenerate it with gen-data" if version in (1, 2) else ""
             raise ValueError(f"{path}: unsupported dataset format_version {version!r}{hint}")
         _check_keys(path, 1, header, _HEADER_KEYS)
-        if not isinstance(header["case"], str):
-            raise ValueError(f"{path}: line 1: case is not a string")
+        _check_header(path, header)
         try:
             network = parse_case(header["case"])
         except CaseError as exc:
             raise ValueError(f"{path}: line 1: embedded case: {exc}") from None
         dataset = Dataset(network, header["seed"], header["magnitude"], header["count"],
                           header["redraws"])
-        node_template, edge = _feature_template(network)
+        template = _feature_template(network)
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             row = _parse_line(path, line_no, line)
             _check_keys(path, line_no, row, _ROW_KEYS)
-            load = _vector(path, line_no, row, "load_mw", network.num_buses)
-            flows = _vector(path, line_no, row, "flows_mw", network.num_branches)
             sample_id = row["sample_id"]
-            if isinstance(sample_id, bool) or not isinstance(sample_id, int):
+            if not _is_int(sample_id):
                 raise ValueError(f"{path}: line {line_no}: sample_id is not an integer: {sample_id!r}")
-            node = node_template.copy()
-            node[:, 0] = load
-            dataset.samples.append(Sample(sample_id, load, node, edge, flows, _objective(path, line_no, row)))
+            where = f"{path}: line {line_no}: "
+            load = _decode_array(row["load_mw"], (network.num_buses,), where + "load_mw", "the case")
+            p_g = _decode_array(row["p_g"], (network.num_generators,), where + "p_g", "the case")
+            dataset.samples.append(_build_sample(network, sample_id, load, p_g, template))
     if len(dataset.samples) != dataset.count:
         raise ValueError(f"{path}: header count {dataset.count} != {len(dataset.samples)} sample lines")
     return dataset

@@ -12,6 +12,21 @@ CASES = Path(__file__).resolve().parents[1] / "cases"
 TRI3 = str(CASES / "tri3.case")
 
 
+def _unblob(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def _blob(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _with_nan(blob):
+    """A base64 float64 array, from a dataset or model file, with its first value replaced by NaN."""
+    values = _unblob(blob).copy()
+    values[0] = np.nan
+    return _blob(values)
+
+
 def _normalized_report(path):
     def strip(obj):
         if isinstance(obj, dict):
@@ -133,21 +148,40 @@ def test_train_fingerprint_mismatch(workspace, capsys):
 def test_train_malformed_dataset_names_file_and_line(workspace, tmp_path, capsys):
     _, data, _ = workspace
     edits = {
-        "load_mw": lambda row: {**row, "load_mw": row["load_mw"][:2]},
-        "objective": lambda row: {**row, "objective": "abc"},
-        "flows_mw": lambda row: {**row, "flows_mw": [float("nan")] + row["flows_mw"][1:]},
+        "load_mw": lambda row: {**row, "load_mw": _blob(_unblob(row["load_mw"])[:2])},
+        "p_g": lambda row: {**row, "p_g": "not*base64"},
+        "p_g_nan": lambda row: {**row, "p_g": _with_nan(row["p_g"])},
         "sample_id": lambda row: {**row, "sample_id": "x"},
     }
-    for key, edit in edits.items():
+    for case, edit in edits.items():
+        key = case.removesuffix("_nan")
         lines = data.read_text().splitlines()
         lines[2] = json.dumps(edit(json.loads(lines[2])))
-        bad = tmp_path / f"bad_{key}.jsonl"
+        bad = tmp_path / f"bad_{case}.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         assert main(["train", "--case", TRI3, "--data", str(bad), "--threshold", "0.9",
                      "--out", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
-        assert f"bad_{key}.jsonl: line 3: {key}" in err
+        assert f"bad_{case}.jsonl: line 3: {key}" in err
         assert "Error" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("count", "5"), ("count", -1), ("count", True), ("seed", [1]), ("seed", 1.0),
+    ("redraws", "x"), ("redraws", -1), ("magnitude", "big"), ("magnitude", 1.0), ("magnitude", False),
+], ids=["count-string", "count-negative", "count-bool", "seed-list", "seed-float", "redraws-string",
+        "redraws-negative", "magnitude-string", "magnitude-one", "magnitude-bool"])
+def test_train_bad_dataset_header_names_key(workspace, tmp_path, capsys, key, value):
+    _, data, _ = workspace
+    lines = data.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--case", TRI3, "--data", str(bad), "--threshold", "0.9",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.jsonl: line 1: {key} must be" in err
+    assert "Error" not in err
 
 
 def test_train_mlp_baseline(workspace, tmp_path):
@@ -280,13 +314,6 @@ def test_solve_infeasible_is_not_an_error(tmp_path, capsys):
     load.write_text("[0.0, 0.0, 450.0]")
     assert main(["solve", "--case", TRI3, "--load", str(load)]) == 0
     assert "status: infeasible" in capsys.readouterr().out
-
-
-def _with_nan(blob):
-    """A model file's base64 float64 array with its first value replaced by NaN."""
-    values = np.frombuffer(base64.b64decode(blob), "<f8").copy()
-    values[0] = np.nan
-    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
 @pytest.mark.parametrize("edit, named", [

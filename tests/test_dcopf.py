@@ -248,7 +248,7 @@ def test_ptdf_derived_once_per_network(monkeypatch, case14):
         load = net.base_load() * rng.uniform(0.9, 1.1, net.num_buses)
         full = solve_opf(net, load, full_monitored_set(net))
         check_limits(net, full.flows)
-        sample = Sample(i, load, None, None, full.flows, full.objective)
+        sample = Sample(i, load, full.p_g, None, None, full.flows, full.objective)
         run_ropf(net, sample, {0, 3})
     assert len(calls) == 1 and calls[0] is net
 

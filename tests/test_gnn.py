@@ -462,7 +462,7 @@ def _sample_like(net):
     from gridscreen.samplegen import Sample
 
     node, edge = extract_features(net, net.base_load())
-    return Sample(0, net.base_load(), node, edge, np.zeros(net.num_branches), 0.0)
+    return Sample(0, net.base_load(), np.zeros(net.num_generators), node, edge, np.zeros(net.num_branches), 0.0)
 
 
 def test_edge_accuracy_tie_counts_congested():

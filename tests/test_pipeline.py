@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -14,15 +15,11 @@ from gridscreen import (
     label_sample,
     run_ropf,
     split_dataset,
-    summary_row,
     threshold_sweep,
     to_graph,
     train,
-    write_branch_csv,
-    write_cost_csv,
-    write_report_json,
+    write_report,
     write_sweep_csv,
-    write_wrong_histogram_csv,
 )
 
 
@@ -212,47 +209,45 @@ def test_sweep_trains_fresh_model_per_threshold(tri3, tri3_dataset):
         assert model.trained_threshold == r.threshold
 
 
-def test_summary_row_table_columns(tri3, tri3_dataset):
+def test_summary_row_table_columns(tmp_path, tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, OraclePredictor(tri3, 0.95), n=10)
-    row = summary_row(report)
+    write_report(report, tmp_path, "095")
+    with open(tmp_path / "summary_095.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    row = rows[0]
     assert list(row) == ["threshold", "time_pct", "pct_samples_over_limit",
                          "pct_lines_monitored", "prediction_error_pct"]
-    assert row["threshold"] == 0.95
-    assert 0 <= row["pct_lines_monitored"] <= 100
-    assert row["time_pct"] > 0
+    assert float(row["threshold"]) == 0.95
+    assert 0 <= float(row["pct_lines_monitored"]) <= 100
+    assert float(row["time_pct"]) > 0
 
 
 def test_csv_writers_recompute_from_json(tmp_path, tri3, tri3_dataset):
     """Emitting from the report object or its JSON round trip is byte-identical."""
     report = _eval_tri3(tri3, tri3_dataset, FixedPredictor(frozenset()), n=15)
-    json_path = tmp_path / "report.json"
-    write_report_json(report, json_path)
-    loaded = EvalReport(**json.loads(json_path.read_text(encoding="utf-8")))
+    write_report(report, tmp_path / "obj", "095")
+    loaded = EvalReport(**json.loads((tmp_path / "obj" / "report_095.json").read_text(encoding="utf-8")))
+    write_report(loaded, tmp_path / "json", "095")
 
-    for writer, name in [
-        (write_branch_csv, "branch.csv"),
-        (write_wrong_histogram_csv, "hist.csv"),
-        (write_cost_csv, "cost.csv"),
-    ]:
-        from_obj = tmp_path / f"obj_{name}"
-        from_json = tmp_path / f"json_{name}"
-        writer(report, from_obj)
-        writer(loaded, from_json)
-        assert from_obj.read_bytes() == from_json.read_bytes()
+    names = ["report_095.json", "summary_095.csv", "branches_095.csv", "wrong_histogram_095.csv",
+             "costs_095.csv"]
+    assert sorted(p.name for p in (tmp_path / "obj").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "obj" / name).read_bytes() == (tmp_path / "json" / name).read_bytes(), name
 
     a, b = tmp_path / "sweep_a.csv", tmp_path / "sweep_b.csv"
     write_sweep_csv([report], a)
     write_sweep_csv([loaded], b)
-    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() == b.read_bytes() == (tmp_path / "obj" / "summary_095.csv").read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "threshold,time_pct,pct_samples_over_limit,pct_lines_monitored,prediction_error_pct"
 
 
 def test_report_json_round_trip_fields(tmp_path, tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, OraclePredictor(tri3, 0.95), n=10)
-    path = tmp_path / "report.json"
-    write_report_json(report, path)
-    loaded = json.loads(path.read_text(encoding="utf-8"))
+    write_report(report, tmp_path, "095")
+    loaded = json.loads((tmp_path / "report_095.json").read_text(encoding="utf-8"))
     assert loaded["threshold"] == report.threshold
     assert loaded["num_samples"] == 10
     assert loaded["branch_true_pos"] == report.branch_true_pos

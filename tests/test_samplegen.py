@@ -214,7 +214,7 @@ def test_features_finite(tri3_dataset):
 
 def _dummy_dataset(n):
     samples = [
-        Sample(i, np.zeros(1), np.zeros((1, 7)), np.zeros((1, 2)), np.zeros(1), 0.0)
+        Sample(i, np.zeros(1), np.zeros(1), np.zeros((1, 7)), np.zeros((1, 2)), np.zeros(1), 0.0)
         for i in range(n)
     ]
     return Dataset(None, 0, 0.1, n, 0, samples)
@@ -300,8 +300,10 @@ def test_dataset_round_trip(tmp_path, tri3, tri3_dataset):
         assert sa.node_features.tolist() == sb.node_features.tolist()
         assert sa.edge_features.tolist() == sb.edge_features.tolist()
         assert not sb.edge_features.flags.writeable   # shared between samples
-        assert sa.flows_mw.tolist() == sb.flows_mw.tolist()
-        assert sa.objective == sb.objective
+        # bit for bit: the stored dispatch, and the flows and objective derived from it
+        assert sa.p_g.tobytes() == sb.p_g.tobytes()
+        assert sa.flows_mw.tobytes() == sb.flows_mw.tobytes()
+        assert np.float64(sa.objective).tobytes() == np.float64(sb.objective).tobytes()
 
 
 def test_dataset_line_layout(tmp_path, tri3_dataset):
@@ -310,11 +312,11 @@ def test_dataset_line_layout(tmp_path, tri3_dataset):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == tri3_dataset.count + 1
     header = json.loads(lines[0])
-    assert header["format_version"] == 2
+    assert header["format_version"] == 3
     assert set(header) == {"format_version", "case", "seed", "magnitude", "count", "redraws"}
     assert header["case"] == serialize_case(tri3_dataset.network)
     row = json.loads(lines[1])
-    assert set(row) == {"sample_id", "load_mw", "flows_mw", "objective"}
+    assert set(row) == {"sample_id", "load_mw", "p_g"}
 
 
 def test_write_dataset_interrupted_keeps_old_file(tmp_path, tri3_dataset):
@@ -323,9 +325,9 @@ def test_write_dataset_interrupted_keeps_old_file(tmp_path, tri3_dataset):
     old = path.read_bytes()
     # the third row cannot be encoded, so the write raises after the header and two rows
     samples = list(tri3_dataset.samples)
-    samples[2] = dataclasses.replace(samples[2], objective=object())
+    samples[2] = dataclasses.replace(samples[2], p_g=object())
     broken = dataclasses.replace(tri3_dataset, samples=samples)
-    with pytest.raises(TypeError, match="not JSON serializable"):
+    with pytest.raises(TypeError, match="float"):
         write_dataset(broken, path)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
@@ -389,9 +391,11 @@ def test_dataset_bad_json_line(tmp_path, tri3_dataset):
         read_dataset(path)
 
 
-def test_dataset_v1_rejected(tmp_path, tri3_dataset):
+@pytest.mark.parametrize("version", [1, 2])
+def test_dataset_v1_rejected(tmp_path, tri3_dataset, version):
+    # formats 1 and 2 stored flows and objective, not the dispatch; such a file is regenerated
     path = tmp_path / "ds.jsonl"
     write_dataset(tri3_dataset, path)
-    _rewrite(path, 1, lambda header: header.update(format_version=1))
-    with pytest.raises(ValueError, match="format_version 1; regenerate it with gen-data"):
+    _rewrite(path, 1, lambda header: header.update(format_version=version))
+    with pytest.raises(ValueError, match=f"format_version {version}; regenerate it with gen-data"):
         read_dataset(path)
