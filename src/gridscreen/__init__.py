@@ -10,7 +10,7 @@ from .samplegen import (
 )
 from .gnn import (
     Model, ModelConfig, TrainHistory, TrainResult,
-    edge_accuracy, init_mlp, init_model, load_model, loss_mse,
+    edge_accuracy, init_model, load_model, loss_mse,
     predict_congested, save_model, train,
 )
 from .pipeline import (
@@ -28,7 +28,7 @@ __all__ = [
     "extract_features", "fit_normalizer", "generate_dataset", "label_sample",
     "read_dataset", "split_dataset", "write_dataset",
     "Model", "ModelConfig", "TrainHistory", "TrainResult",
-    "edge_accuracy", "init_mlp", "init_model", "load_model", "loss_mse",
+    "edge_accuracy", "init_model", "load_model", "loss_mse",
     "predict_congested", "save_model", "train",
     "EvalReport", "ModelPredictor", "OraclePredictor", "RopfResult",
     "evaluate", "run_ropf", "threshold_sweep", "write_report", "write_sweep_csv",

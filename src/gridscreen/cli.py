@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .dcopf import check_limits, full_monitored_set, solve_opf
-from .gnn import ModelConfig, init_mlp, init_model, load_model, save_model, train
+from .gnn import Binding, ModelConfig, init_model, load_model, save_model, train
 from .netcase import CaseError, parse_case, to_graph
 from .pipeline import ModelPredictor, evaluate, threshold_sweep, write_report, write_sweep_csv
 from .samplegen import (
+    EDGE_FEATURE_WIDTH,
+    NODE_FEATURE_WIDTH,
     fit_normalizer,
     generate_dataset,
     read_dataset,
@@ -63,6 +65,23 @@ def _check_out_dir(path: str) -> None:
     parent = Path(path).parent
     if not parent.is_dir():
         raise ConfigError(f"output directory {parent} does not exist (for {path})")
+
+
+def _check_out_dir_target(path: str) -> None:
+    """An --out-dir must be a directory, or creatable as one, before any work starts."""
+    p = Path(path)
+    existing = next(a for a in (p, *p.parents) if a.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {p}: {existing} exists and is not a directory")
+
+
+def _check_binding(model, network, path: str) -> None:
+    """The model must have been built for this case's buses, branches and feature widths."""
+    case = Binding(network.num_buses, network.num_branches, NODE_FEATURE_WIDTH, EDGE_FEATURE_WIDTH)
+    wrong = [f"{name} {value} (the case has {getattr(case, name)})"
+             for name, value in model.binding.__dict__.items() if value != getattr(case, name)]
+    if wrong:
+        raise ConfigError(f"{path}: model does not fit the case: " + ", ".join(wrong))
 
 
 def _check_threshold(value: float) -> float:
@@ -112,14 +131,14 @@ def cmd_gen_data(args) -> int:
 def _build_model(kind: str, config: ModelConfig, network, train_split):
     normalizer = fit_normalizer(train_split)
     sample = train_split[0]
-    init = init_model if kind == "gnn" else init_mlp
-    return init(
+    return init_model(
         config,
         sample.node_features.shape[1],
         sample.edge_features.shape[1],
         num_buses=network.num_buses,
         num_branches=network.num_branches,
         normalizer=normalizer,
+        kind=kind,
     )
 
 
@@ -168,9 +187,11 @@ def _tau_tag(threshold: float) -> str:
 
 
 def cmd_eval(args) -> int:
+    _check_out_dir_target(args.out_dir)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     model = _read_input("model", args.model, load_model)
+    _check_binding(model, network, args.model)
     threshold = args.threshold if args.threshold is not None else model.trained_threshold
     if threshold is None:
         raise ConfigError("--threshold required: model file records no training threshold")
@@ -191,6 +212,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     taus = _parse_threshold_list(args.thresholds)
+    _check_out_dir_target(args.out_dir)
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)

@@ -11,10 +11,13 @@ Training minimizes mean squared error between the softmax rows and one-hot
 congestion labels with Adam; gradients are exact reverse-mode derivatives of
 the forward pass, all in 64-bit floats.  A topology-blind MLP over flattened
 features implements the same contract for baseline comparison.  Both kinds
-are one `Model` type whose `params` map each parameter name to its array;
-a model file stores that map as one flat `params` object whose values are
-base64 strings of little-endian float64 bytes (format 3).  The shapes are not
-stored: the config and binding determine them.
+are one `Model` type whose `params` map each parameter name to its array, and
+`init_model(kind=...)` builds either.  They share one dense layer (`_dense`
+and `_dense_backward`), one forward (`_forward`: the kind's encoder, then the
+shared head) and one backward (`_backward_batch`).  A model file stores the
+`params` map as one flat object whose values are base64 strings of
+little-endian float64 bytes (format 3).  The shapes are not stored: the
+config and binding determine them.
 
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
@@ -78,6 +81,11 @@ class Binding:
     node_feature_width: int
     edge_feature_width: int
 
+    def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"binding field {name} must be a positive integer, got {value!r}")
+
 
 @dataclass
 class Model:
@@ -138,16 +146,6 @@ def _parameter_shapes(kind: str, config: ModelConfig, binding: Binding) -> list[
     return shapes + [("dense.w_out", (out_in, out_size)), ("dense.b_out", (out_size,))]
 
 
-def _init(kind, config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer):
-    """Xavier-uniform weights, zero biases, drawn in parameter order from the config seed."""
-    binding = Binding(num_buses, num_branches, node_feature_width, edge_feature_width)
-    gen = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0)))
-    params = {name: _xavier(gen, *shape) if len(shape) == 2 else np.zeros(shape)
-              for name, shape in _parameter_shapes(kind, config, binding)}
-    normalizer = normalizer or _identity_normalizer(node_feature_width, edge_feature_width)
-    return Model(kind, config, binding, normalizer, params)
-
-
 def init_model(
     config: ModelConfig,
     node_feature_width: int,
@@ -156,22 +154,18 @@ def init_model(
     num_buses: int,
     num_branches: int,
     normalizer: Normalizer | None = None,
+    kind: str = "gnn",
 ) -> Model:
-    """Xavier-uniform weights, zero biases, deterministic for a given seed."""
-    return _init("gnn", config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer)
-
-
-def init_mlp(
-    config: ModelConfig,
-    node_feature_width: int,
-    edge_feature_width: int,
-    *,
-    num_buses: int,
-    num_branches: int,
-    normalizer: Normalizer | None = None,
-) -> Model:
-    """The baseline with `config.num_layers` dense layers per stack; seeded like init_model."""
-    return _init("mlp", config, node_feature_width, edge_feature_width, num_buses, num_branches, normalizer)
+    """A `kind` model ("gnn" or the "mlp" baseline): Xavier-uniform weights and zero biases,
+    drawn in parameter order from the config seed."""
+    if kind not in ("gnn", "mlp"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    binding = Binding(num_buses, num_branches, node_feature_width, edge_feature_width)
+    gen = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0)))
+    params = {name: _xavier(gen, *shape) if len(shape) == 2 else np.zeros(shape)
+              for name, shape in _parameter_shapes(kind, config, binding)}
+    normalizer = normalizer or _identity_normalizer(node_feature_width, edge_feature_width)
+    return Model(kind, config, binding, normalizer, params)
 
 
 # ---------------------------------------------------------------------------
@@ -193,67 +187,89 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _grad_weights(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Weight gradient for y = x @ w: contract (B, R, S) with (B, R, C) to (S, C)."""
-    return x.reshape(-1, x.shape[2]).T @ dz.reshape(-1, dz.shape[2])
-
-
-def _backprop(dz: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Input gradient for y = x @ w: (B, R, C) @ w.T as one GEMM."""
-    batch, rows, width = dz.shape
-    return (dz.reshape(batch * rows, width) @ w.T).reshape(batch, rows, -1)
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x (B, R, S) @ w (S, C) + b as one 2-D GEMM; row content fixes row bits."""
+def _affine(params, w, b, x: np.ndarray) -> np.ndarray:
+    """x (B, R, S) @ params[w] (S, C) + params[b] as one 2-D GEMM; row content fixes row bits."""
     batch, rows, width = x.shape
-    return (x.reshape(batch * rows, width) @ w).reshape(batch, rows, -1) + b
+    return (x.reshape(batch * rows, width) @ params[w]).reshape(batch, rows, -1) + params[b]
 
 
-def _layer_forward_batch(params, i, h, e, topology, want_cache=False):
+def _dense(params, w, b, x, keep=False):
+    """relu(x @ params[w] + params[b]) for a (B, R, S) input, and the cache `_dense_backward` reads.
+
+    The cache is the (input, active mask) pair with `keep`, else None.
+    """
+    z = _affine(params, w, b, x)
+    return np.maximum(z, 0.0), ((x, z > 0) if keep else None)
+
+
+def _dense_backward(params, w, b, cache, d_out, grads):
+    """Store the gradients of params[w] and params[b] in `grads`; return the input gradient.
+
+    A cache whose mask is None is a layer without the relu (the head).
+    """
+    x, mask = cache
+    dz = d_out if mask is None else d_out * mask
+    grads[w] = x.reshape(-1, x.shape[2]).T @ dz.reshape(-1, dz.shape[2])
+    grads[b] = dz.sum(axis=(0, 1))
+    batch, rows, width = dz.shape
+    return (dz.reshape(batch * rows, width) @ params[w].T).reshape(batch, rows, -1)
+
+
+def _layer_forward_batch(params, i, h, e, topology, keep=False):
     """Message-passing layer i, its weights read from `params` by name."""
     p = f"layers.{i}."
     ef, et = topology.edge_from, topology.edge_to
     edge_stack = np.concatenate([h[:, ef, :], h[:, et, :], e], axis=2)
-    z_edge = _affine(edge_stack, params[p + "w_edge"], params[p + "b_edge"])
-    msg = np.maximum(z_edge, 0.0)
+    msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, keep)
     sum_out = _scatter_sum(msg, topology.incidence_from)
     sum_in = _scatter_sum(msg, topology.incidence_to)
     node_stack = np.concatenate([h, sum_out, sum_in], axis=2)
-    z_node = _affine(node_stack, params[p + "w_node"], params[p + "b_node"])
-    h_next = np.maximum(z_node, 0.0)
-    cache = (edge_stack, z_edge > 0, node_stack, z_node > 0) if want_cache else None
-    return h_next, msg, cache
+    h_next, node_cache = _dense(params, p + "w_node", p + "b_node", node_stack, keep)
+    return h_next, msg, (edge_cache, node_cache)
 
 
 def _check_widths(model, node_features, edge_features):
     bind = model.binding
-    if node_features.shape[-2:] != (bind.num_buses, bind.node_feature_width):
-        raise ValueError(
-            f"node features {node_features.shape[-2:]} do not match model binding "
-            f"({bind.num_buses}, {bind.node_feature_width})"
-        )
-    if edge_features.shape[-2:] != (bind.num_branches, bind.edge_feature_width):
-        raise ValueError(
-            f"edge features {edge_features.shape[-2:]} do not match model binding "
-            f"({bind.num_branches}, {bind.edge_feature_width})"
-        )
+    for part, x, rows, width in (("node", node_features, bind.num_buses, bind.node_feature_width),
+                                 ("edge", edge_features, bind.num_branches, bind.edge_feature_width)):
+        if x.shape[-2:] != (rows, width):
+            raise ValueError(f"{part} features {x.shape[-2:]} do not match model binding ({rows}, {width})")
 
 
-def _forward_batch(model, node_features, edge_features, topology, want_cache=False):
-    """Normalize, run all layers, softmax head.  Inputs (B, N, fn) / (B, K, fe)."""
+def _forward(model, node_features, edge_features, topology, keep_caches=False):
+    """Softmax rows (B, K, 2) for inputs (B, N, fn) / (B, K, fe), the layer caches by name prefix, and the top.
+
+    The kind's encoder gives a (B, R, width) top: the GNN's last edge
+    embeddings (R = K), or the MLP's node and edge stacks over flattened
+    features, side by side (R = 1).  The shared head maps it to the logits.
+    Only with `keep_caches` are the caches built; without, inference frees
+    each layer's stacks as the next one runs.
+    """
     _check_widths(model, node_features, edge_features)
     h = model.normalizer.apply_node(node_features)
     e = model.normalizer.apply_edge(edge_features)
-    caches = []
-    for i in range(model.config.num_layers):
-        h_next, msg, cache = _layer_forward_batch(model.params, i, h, e, topology, want_cache)
-        caches.append(cache)
-        h, e = h_next, msg
-    probs = _softmax(_affine(e, model.params["dense.w_out"], model.params["dense.b_out"]))
-    if want_cache:
-        return probs, (caches, e)
-    return probs
+    params, caches = model.params, {}
+    if model.kind == "gnn":
+        for i in range(model.config.num_layers):
+            h, e, caches[f"layers.{i}."] = _layer_forward_batch(params, i, h, e, topology, keep_caches)
+        top = e
+    else:
+        tops = []
+        for tag, x in (("node", h), ("edge", e)):
+            x = x.reshape(x.shape[0], 1, -1)
+            for i in range(model.config.num_layers):
+                p = f"{tag}_layers.{i}."
+                x, caches[p] = _dense(params, p + "W", p + "b", x, keep_caches)
+            tops.append(x)
+        top = np.concatenate(tops, axis=2)
+    logits = _affine(params, "dense.w_out", "dense.b_out", top)
+    probs = _softmax(logits.reshape(top.shape[0], model.binding.num_branches, model.config.output_classes))
+    return probs, caches, top
+
+
+def forward_any(model, node_features, edge_features, topology):
+    """Batched forward for either model kind; inputs (B, N, fn) / (B, K, fe)."""
+    return _forward(model, node_features, edge_features, topology)[0]
 
 
 def loss_mse(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
@@ -265,117 +281,45 @@ def loss_mse(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
     return float(np.mean((probs - labels_one_hot) ** 2))
 
 
-def _mse_head(probs, labels_one_hot):
-    """Batch-mean MSE loss of (B, K, 2) softmax rows and its gradient at the logits."""
+def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology):
+    """Exact gradients of the batch-mean MSE loss for every parameter, with the loss and probabilities.
+
+    Arrays are (B, N, fn), (B, K, fe) and (B, K, 2) one-hot labels.
+    """
+    if node_features.size == 0:
+        raise ValueError("empty batch")
+    probs, caches, top = _forward(model, node_features, edge_features, topology, keep_caches=True)
     batch = probs.shape[0]
     loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
     # d(mean MSE)/d(probs), then back through the per-row softmax
     dprobs = 2.0 * (probs - labels_one_hot) / (probs.shape[1] * probs.shape[2]) / batch
-    return loss, probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dz = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
 
+    params, cfg, grads = model.params, model.config, {}
+    d_top = _dense_backward(params, "dense.w_out", "dense.b_out", (top, None),
+                            dz.reshape(top.shape[0], top.shape[1], -1), grads)
+    if model.kind == "mlp":
+        c_n = cfg.node_channels
+        for tag, d_x in (("node", d_top[:, :, :c_n]), ("edge", d_top[:, :, c_n:])):
+            for i in range(cfg.num_layers - 1, -1, -1):
+                p = f"{tag}_layers.{i}."
+                d_x = _dense_backward(params, p + "W", p + "b", caches[p], d_x, grads)
+        return grads, loss, probs
 
-def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology):
-    """Exact gradients of the batch-mean MSE loss for every parameter, with the loss and probabilities."""
-    probs, (caches, e_last) = _forward_batch(model, node_features, edge_features, topology, want_cache=True)
-    loss, dz = _mse_head(probs, labels_one_hot)
-    params, nb = model.params, topology.degree.size
-
-    grads: dict[str, np.ndarray] = {}
-    grads["dense.w_out"] = _grad_weights(e_last, dz)
-    grads["dense.b_out"] = dz.sum(axis=(0, 1))
-    d_edge = _backprop(dz, params["dense.w_out"])
-    d_node = np.zeros((probs.shape[0], nb, model.config.node_channels))
-
-    ef, et = topology.edge_from, topology.edge_to
-    for i in range(model.config.num_layers - 1, -1, -1):
+    ef, et, c_e = topology.edge_from, topology.edge_to, cfg.edge_channels
+    d_edge, d_node = d_top, np.zeros((batch, topology.degree.size, cfg.node_channels))
+    for i in range(cfg.num_layers - 1, -1, -1):
         p = f"layers.{i}."
-        edge_stack, edge_mask, node_stack, node_mask = caches[i]
-        c_e = params[p + "w_edge"].shape[1]
-        in_n = node_stack.shape[2] - 2 * c_e
-
-        dz_node = d_node * node_mask
-        grads[p + "w_node"] = _grad_weights(node_stack, dz_node)
-        grads[p + "b_node"] = dz_node.sum(axis=(0, 1))
-        d_node_stack = _backprop(dz_node, params[p + "w_node"])
+        edge_cache, node_cache = caches[p]
+        d_node_stack = _dense_backward(params, p + "w_node", p + "b_node", node_cache, d_node, grads)
+        in_n = d_node_stack.shape[2] - 2 * c_e
+        d_msg = d_edge + d_node_stack[:, ef, in_n:in_n + c_e] + d_node_stack[:, et, in_n + c_e:]
+        d_edge_stack = _dense_backward(params, p + "w_edge", p + "b_edge", edge_cache, d_msg, grads)
         d_h = d_node_stack[:, :, :in_n]
-        d_sum_out = d_node_stack[:, :, in_n:in_n + c_e]
-        d_sum_in = d_node_stack[:, :, in_n + c_e:]
-
-        d_msg = d_edge + d_sum_out[:, ef, :] + d_sum_in[:, et, :]
-        dz_edge = d_msg * edge_mask
-        grads[p + "w_edge"] = _grad_weights(edge_stack, dz_edge)
-        grads[p + "b_edge"] = dz_edge.sum(axis=(0, 1))
-        d_edge_stack = _backprop(dz_edge, params[p + "w_edge"])
-
         d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], topology.incidence_from)
-        d_h = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to)
-        d_node = d_h
+        d_node = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to)
         d_edge = d_edge_stack[:, :, 2 * in_n:]
     return grads, loss, probs
-
-
-# --- MLP baseline ---------------------------------------------------------
-
-
-def _mlp_forward_batch(model: Model, node_features, edge_features, want_cache=False):
-    """Flattened node and edge features through separate dense relu stacks, then the head."""
-    _check_widths(model, node_features, edge_features)
-    batch = node_features.shape[0]
-    caches, tops = {}, []
-    for tag, x in (("node", model.normalizer.apply_node(node_features)),
-                   ("edge", model.normalizer.apply_edge(edge_features))):
-        x = x.reshape(batch, -1)
-        for i in range(model.config.num_layers):
-            p = f"{tag}_layers.{i}."
-            z = x @ model.params[p + "W"] + model.params[p + "b"]
-            caches[p] = (x, z > 0)
-            x = np.maximum(z, 0.0)
-        tops.append(x)
-    joint = np.concatenate(tops, axis=1)
-    logits = (joint @ model.params["dense.w_out"] + model.params["dense.b_out"]).reshape(
-        batch, model.binding.num_branches, model.config.output_classes
-    )
-    probs = _softmax(logits)
-    if want_cache:
-        return probs, (caches, joint)
-    return probs
-
-
-def _mlp_backward_batch(model: Model, node_features, edge_features, labels_one_hot):
-    probs, (caches, joint) = _mlp_forward_batch(model, node_features, edge_features, want_cache=True)
-    loss, dz = _mse_head(probs, labels_one_hot)
-    dflat = dz.reshape(probs.shape[0], -1)
-
-    grads: dict[str, np.ndarray] = {}
-    grads["dense.w_out"] = joint.T @ dflat
-    grads["dense.b_out"] = dflat.sum(axis=0)
-    d_joint = dflat @ model.params["dense.w_out"].T
-    nch = model.config.node_channels
-    for tag, d_x in (("node", d_joint[:, :nch]), ("edge", d_joint[:, nch:])):
-        for i in range(model.config.num_layers - 1, -1, -1):
-            p = f"{tag}_layers.{i}."
-            x_in, mask = caches[p]
-            dz_i = d_x * mask
-            grads[p + "W"] = x_in.T @ dz_i
-            grads[p + "b"] = dz_i.sum(axis=0)
-            d_x = dz_i @ model.params[p + "W"].T
-    return grads, loss, probs
-
-
-def forward_any(model, node_features, edge_features, topology):
-    """Batched forward for either model kind; inputs (B, N, fn) / (B, K, fe)."""
-    if model.kind == "gnn":
-        return _forward_batch(model, node_features, edge_features, topology)
-    return _mlp_forward_batch(model, node_features, edge_features)
-
-
-def _backward_any(model, node_features, edge_features, labels, topology):
-    """Gradients, loss and probabilities for a batch; arrays are (B, N, fn), (B, K, fe), (B, K, 2)."""
-    if node_features.size == 0:
-        raise ValueError("empty batch")
-    if model.kind == "gnn":
-        return _backward_batch(model, node_features, edge_features, labels, topology)
-    return _mlp_backward_batch(model, node_features, edge_features, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +424,7 @@ def train(
         loss_sum, correct = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            grads, loss, probs = _backward_any(model, xn_tr[idx], xe_tr[idx], y_tr[idx], topology)
+            grads, loss, probs = _backward_batch(model, xn_tr[idx], xe_tr[idx], y_tr[idx], topology)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"

@@ -20,7 +20,6 @@ from gridscreen import (
     check_limits,
     evaluate,
     fit_normalizer,
-    init_mlp,
     init_model,
     label_sample,
     run_ropf,
@@ -31,7 +30,7 @@ from gridscreen import (
 )
 from gridscreen.cli import main as cli_main
 from gridscreen.dcopf import full_monitored_set
-from gridscreen.gnn import _backward_any, forward_any
+from gridscreen.gnn import _backward_batch, forward_any
 from gridscreen.netcase import GraphTopology
 
 CASES = Path(__file__).resolve().parents[1] / "cases"
@@ -138,7 +137,7 @@ def test_criterion_5_gradient_check(tri3):
     xe = rng.normal(size=(6, 3, 2))
     lab = rng.integers(0, 2, (6, 3)).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
-    grads, _, _ = _backward_any(model, xn, xe, y, topo)
+    grads, _, _ = _backward_batch(model, xn, xe, y, topo)
 
     def loss_at():
         p = forward_any(model, xn, xe, topo)
@@ -178,7 +177,7 @@ def test_criterion_5_gradient_check(tri3):
 def test_criterion_6_permutation_equivariance(case14):
     topo = to_graph(case14)
     gnn = init_model(ModelConfig(seed=31), 7, 2, num_buses=14, num_branches=20)
-    mlp = init_mlp(ModelConfig(seed=31), 7, 2, num_buses=14, num_branches=20)
+    mlp = init_model(ModelConfig(seed=31), 7, 2, num_buses=14, num_branches=20, kind="mlp")
     rng = np.random.default_rng(123)
     xn = rng.normal(size=(14, 7))
     xe = rng.normal(size=(20, 2))

@@ -324,8 +324,11 @@ def test_solve_infeasible_is_not_an_error(tmp_path, capsys):
     (lambda doc: doc.update(format_version=1), "retrain it with train"),
     (lambda doc: doc["config"].update(num_layers=True), "num_layers"),
     (lambda doc: doc["config"].update(epochs=2.5), "epochs"),
+    (lambda doc: doc["binding"].update(num_buses=True), "num_buses"),
+    (lambda doc: doc["binding"].update(num_buses=3.0), "num_buses"),
+    (lambda doc: doc["binding"].update(num_branches=0), "num_branches"),
 ], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1", "config-bool",
-        "config-float"])
+        "config-float", "binding-bool", "binding-float", "binding-zero"])
 def test_eval_rejects_bad_model_values(workspace, tmp_path, capsys, edit, named):
     _, data, model = workspace
     doc = json.loads(model.read_text())
@@ -336,6 +339,23 @@ def test_eval_rejects_bad_model_values(workspace, tmp_path, capsys, edit, named)
                  "--out-dir", str(tmp_path / "e")]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and named in err
+    assert "Error" not in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_model_for_another_case_fails_first(workspace, tmp_path, capsys, monkeypatch):
+    # the workspace model was trained on tri3: 3 buses and 3 branches, not case14's 14 and 20
+    _, _, model = workspace
+    case14 = str(CASES / "case14.case")
+    data = tmp_path / "d14.jsonl"
+    assert main(["gen-data", "--case", case14, "--samples", "5", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("gridscreen.cli.evaluate", _no_work)
+    assert main(["eval", "--case", case14, "--data", str(data), "--model", str(model),
+                 "--out-dir", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and "num_buses 3 (the case has 14)" in err
+    assert "num_branches 3 (the case has 20)" in err
     assert "Error" not in err
     assert not (tmp_path / "e").exists()
 
@@ -419,6 +439,23 @@ def test_gen_data_missing_out_dir_fails_first(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert str(out.parent) in err
     assert "Error" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_dir_that_is_a_file_fails_first(workspace, tmp_path, capsys, monkeypatch, command, under):
+    _, data, model = workspace
+    for name in ("evaluate", "threshold_sweep", "load_model", "read_dataset"):
+        monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / "sub" if under else blocker
+    extra = (["--model", str(model)] if command == "eval" else ["--thresholds", "95"])
+    assert main([command, "--case", TRI3, "--data", str(data), *extra, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(blocker) in err and "not a directory" in err
+    assert "Error" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--history"])

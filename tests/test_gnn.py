@@ -9,7 +9,6 @@ from gridscreen import (
     ModelConfig,
     edge_accuracy,
     fit_normalizer,
-    init_mlp,
     init_model,
     label_sample,
     load_model,
@@ -21,7 +20,7 @@ from gridscreen import (
     train,
 )
 import gridscreen.gnn as gnn_module
-from gridscreen.gnn import _backward_any, _layer_forward_batch, forward_any
+from gridscreen.gnn import _backward_batch, _layer_forward_batch, forward_any
 from gridscreen.netcase import GraphTopology
 
 SMALL = dict(num_layers=2, node_channels=8, edge_channels=8)
@@ -103,6 +102,14 @@ def test_init_seed_changes_weights():
     assert not np.array_equal(a.params["layers.0.w_edge"], b.params["layers.0.w_edge"])
 
 
+def test_init_model_rejects_unknown_kind_and_bad_binding():
+    with pytest.raises(ValueError, match="kind"):
+        init_model(ModelConfig(**SMALL), 7, 2, num_buses=3, num_branches=3, kind="cnn")
+    for bad in (dict(num_buses=True), dict(num_buses=3.0), dict(num_branches=0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            init_model(ModelConfig(**SMALL), 7, 2, **{"num_buses": 3, "num_branches": 3, **bad})
+
+
 # --- layer and model forward ------------------------------------------------
 
 
@@ -176,13 +183,13 @@ def test_permutation_equivariance_exact(case14):
 
 
 def test_mlp_zero_model_outputs_half(tri3):
-    model = _zero(init_mlp(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3))
+    model = _zero(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3, kind="mlp"))
     probs = forward_any(model, np.ones((3, 7))[None], np.ones((3, 2))[None], None)[0]
     assert np.all(probs == 0.5)
 
 
 def test_mlp_not_equivariant(case14):
-    model = init_mlp(ModelConfig(seed=5), 7, 2, num_buses=14, num_branches=20)
+    model = init_model(ModelConfig(seed=5), 7, 2, num_buses=14, num_branches=20, kind="mlp")
     rng = np.random.default_rng(99)
     xn = rng.normal(size=(14, 7))
     xe = rng.normal(size=(20, 2))
@@ -244,7 +251,7 @@ def test_loss_examples():
 
 
 def _fd_worst(model, xn, xe, y, topo, n_draws, seed=17, h=1e-5):
-    grads, _, _ = _backward_any(model, xn, xe, y, topo)
+    grads, _, _ = _backward_batch(model, xn, xe, y, topo)
 
     def loss_at():
         probs = forward_any(model, xn, xe, topo)
@@ -274,24 +281,23 @@ def _fd_worst(model, xn, xe, y, topo, n_draws, seed=17, h=1e-5):
     return worst
 
 
-def test_gradients_match_finite_differences(tri3):
-    topo = to_graph(tri3)
-    model = init_model(ModelConfig(**SMALL, seed=12), 7, 2, num_buses=3, num_branches=3)
+@pytest.mark.parametrize("kind", ["gnn", "mlp"])
+@pytest.mark.parametrize("node_channels, edge_channels", [(8, 8), (5, 3)], ids=["8x8", "5x3"])
+@pytest.mark.parametrize("num_layers", [1, 3], ids=["1layer", "3layers"])
+def test_gradients_match_finite_differences(case14, kind, node_channels, edge_channels, num_layers):
+    # case14 has more branches than buses, and unequal widths exercise every slice of the backward pass
+    topo = to_graph(case14)
+    cfg = ModelConfig(num_layers=num_layers, node_channels=node_channels, edge_channels=edge_channels, seed=12)
+    model = init_model(cfg, 7, 2, num_buses=14, num_branches=20, kind=kind)
     rng = np.random.default_rng(3)
-    xn = rng.normal(size=(4, 3, 7))
-    xe = rng.normal(size=(4, 3, 2))
-    lab = rng.integers(0, 2, (4, 3)).astype(float)
-    y = np.stack([1 - lab, lab], axis=-1)
-    assert _fd_worst(model, xn, xe, y, topo, 400) <= 1e-4
-
-
-def test_mlp_gradients_match_finite_differences(tri3):
-    topo = to_graph(tri3)
-    model = init_mlp(ModelConfig(**SMALL, seed=12), 7, 2, num_buses=3, num_branches=3)
-    rng = np.random.default_rng(3)
-    xn = rng.normal(size=(4, 3, 7))
-    xe = rng.normal(size=(4, 3, 2))
-    lab = rng.integers(0, 2, (4, 3)).astype(float)
+    # with zero biases, a row whose layer input is all zero sits exactly on the relu kink,
+    # where the subgradient (0) and a central difference (half the slope) disagree
+    for _, p in model.parameters():
+        if p.ndim == 1:
+            p[...] = rng.uniform(-0.1, 0.1, p.shape)
+    xn = rng.normal(size=(4, 14, 7))
+    xe = rng.normal(size=(4, 20, 2))
+    lab = rng.integers(0, 2, (4, 20)).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
     assert _fd_worst(model, xn, xe, y, topo, 400) <= 1e-4
 
@@ -304,7 +310,7 @@ def test_gradient_zero_at_exact_fit(tri3):
     xn = rng.normal(size=(2, 3, 7))
     xe = rng.normal(size=(2, 3, 2))
     y = forward_any(model, xn, xe, topo)
-    grads, loss, _ = _backward_any(model, xn, xe, y, topo)
+    grads, loss, _ = _backward_batch(model, xn, xe, y, topo)
     assert loss == 0.0
     assert max(np.abs(g).max() for g in grads.values()) <= 1e-6
 
@@ -319,18 +325,19 @@ def test_gradient_paths_wiring(tri3):
     xe = rng.normal(size=(2, 3, 2))
     lab = rng.integers(0, 2, (2, 3)).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
-    grads, _, _ = _backward_any(model, xn, xe, y, topo)
+    grads, _, _ = _backward_batch(model, xn, xe, y, topo)
     assert np.abs(grads["dense.w_out"]).max() > 0
     for name, g in grads.items():
         if name.startswith("layers."):
             assert np.all(g == 0.0), name
 
 
-def test_backward_empty_batch_error(tri3):
+@pytest.mark.parametrize("kind", ["gnn", "mlp"])
+def test_backward_empty_batch_error(tri3, kind):
     topo = to_graph(tri3)
-    model = init_model(ModelConfig(**SMALL, seed=9), 7, 2, num_buses=3, num_branches=3)
-    with pytest.raises(ValueError):
-        _backward_any(model, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), topo)
+    model = init_model(ModelConfig(**SMALL, seed=9), 7, 2, num_buses=3, num_branches=3, kind=kind)
+    with pytest.raises(ValueError, match="empty batch"):
+        _backward_batch(model, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), topo)
 
 
 # --- training ----------------------------------------------------------------
@@ -400,12 +407,12 @@ def test_train_history_is_running_batch_mean(tri3, tri3_dataset, monkeypatch):
     batches = []
 
     def recording(model, xn, xe, labels, topology):
-        grads, loss, probs = _backward_any(model, xn, xe, labels, topology)
+        grads, loss, probs = _backward_batch(model, xn, xe, labels, topology)
         correct = int(((probs[..., 1] >= 0.5) == (labels[..., 1] >= 0.5)).sum())
         batches.append((xn.shape[0], loss, correct, labels[..., 1].size))
         return grads, loss, probs
 
-    monkeypatch.setattr(gnn_module, "_backward_any", recording)
+    monkeypatch.setattr(gnn_module, "_backward_batch", recording)
     epochs = 4
     result = train(model, tri3, train_split, val_split, threshold=0.95, epochs=epochs)
     n = len(train_split)
@@ -497,14 +504,14 @@ def test_save_load_round_trip(tmp_path, tri3, tri3_dataset):
     )
 
 
-@pytest.mark.parametrize("init, digest", [
-    (init_model, "d478708a4d833b839800a67b8499b322c4038bca204814c9ab837be316533d5b"),
-    (init_mlp, "9861ebeab888d4b195f5084d51069a1d6211cf50814b10ea891e3b4bdfa6f315"),
+@pytest.mark.parametrize("kind, digest", [
+    ("gnn", "d478708a4d833b839800a67b8499b322c4038bca204814c9ab837be316533d5b"),
+    ("mlp", "9861ebeab888d4b195f5084d51069a1d6211cf50814b10ea891e3b4bdfa6f315"),
 ], ids=["gnn", "mlp"])
-def test_save_model_bytes_pinned(tmp_path, init, digest):
+def test_save_model_bytes_pinned(tmp_path, kind, digest):
     # the model file format: the bytes of a fixed untrained tri3-sized model never change
     path = tmp_path / "model.json"
-    save_model(init(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
+    save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3, kind=kind), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -541,7 +548,7 @@ def test_save_model_rename_failure_keeps_old_file(tmp_path, monkeypatch):
 
 
 def test_save_load_mlp_round_trip(tmp_path, tri3):
-    model = init_mlp(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3)
+    model = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3, kind="mlp")
     path = tmp_path / "mlp.json"
     save_model(model, path)
     back = load_model(path)
@@ -551,7 +558,7 @@ def test_save_load_mlp_round_trip(tmp_path, tri3):
 
 
 def test_mlp_honours_num_layers(tmp_path):
-    model = init_mlp(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3)
+    model = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3, kind="mlp")
     stacks = ["node_layers.0.W", "node_layers.1.W", "edge_layers.0.W", "edge_layers.1.W"]
     assert [name for name in model.params if name.endswith(".W")] == stacks
     path = tmp_path / "mlp.json"
