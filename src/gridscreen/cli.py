@@ -61,7 +61,9 @@ def _load_dataset_for(network, path: str):
 
 
 def _check_out_dir(path: str) -> None:
-    """An output file's directory must exist before any work starts."""
+    """An output file's directory must exist, and the path must not be a directory, before any work starts."""
+    if Path(path).is_dir():
+        raise ConfigError(f"output path {path} is a directory")
     parent = Path(path).parent
     if not parent.is_dir():
         raise ConfigError(f"output directory {parent} does not exist (for {path})")
@@ -153,10 +155,8 @@ def _write_history_csv(history, path) -> None:
 
 def _config_from_flags(args) -> ModelConfig:
     try:
-        return ModelConfig(
-            num_layers=args.layers, node_channels=args.channels, edge_channels=args.channels,
-            seed=args.seed, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-        )
+        return ModelConfig(num_layers=args.layers, channels=args.channels, seed=args.seed,
+                           learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

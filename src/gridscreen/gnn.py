@@ -4,8 +4,10 @@ Each message-passing layer co-updates node and edge embeddings: every branch
 stacks its endpoint embeddings with its own and passes them through a dense
 relu transform; every bus then stacks its embedding with the sums of the
 transformed messages on its outgoing and incoming branches (kept separate,
-following branch orientation).  A final dense layer turns the last edge
-embeddings into two-class softmax rows per branch.
+following branch orientation).  The last layer updates only the edges: a
+final dense layer turns the last edge embeddings into two-class softmax rows
+per branch, and nothing reads a last node update.  Node and edge embeddings
+share one width, `ModelConfig.channels`.
 
 Training minimizes mean squared error between the softmax rows and one-hot
 congestion labels with Adam; gradients are exact reverse-mode derivatives of
@@ -14,10 +16,11 @@ features implements the same contract for baseline comparison.  Both kinds
 are one `Model` type whose `params` map each parameter name to its array, and
 `init_model(kind=...)` builds either.  They share one dense layer (`_dense`
 and `_dense_backward`), one forward (`_forward`: the kind's encoder, then the
-shared head) and one backward (`_backward_batch`).  A model file stores the
-`params` map as one flat object whose values are base64 strings of
-little-endian float64 bytes (format 3).  The shapes are not stored: the
-config and binding determine them.
+shared head) and one backward (`_backward_batch`).  A model file (format 4)
+stores the `params` map and the normalizer's four vectors as flat objects
+whose values are base64 strings of little-endian float64 bytes, the encoding
+datasets use.  The shapes are not stored: the config and binding determine
+them.
 
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
@@ -38,23 +41,21 @@ from .samplegen import (
     Normalizer, Sample, _decode_array, _encode_array, _write_atomic, derive_seed, label_sample,
 )
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+CLASSES = 2  # a branch is congested or not
 
 
 @dataclass
 class ModelConfig:
     num_layers: int = 4
-    node_channels: int = 64
-    edge_channels: int = 64
-    activation: str = "relu"
-    output_classes: int = 2
+    channels: int = 64
     seed: int = 0
     learning_rate: float = 1e-3
     epochs: int = 250
     batch_size: int = 32
 
     def __post_init__(self):
-        for name in ("num_layers", "node_channels", "edge_channels", "seed", "epochs", "batch_size"):
+        for name in ("num_layers", "channels", "seed", "epochs", "batch_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"config field {name} must be an integer, got {value!r}")
@@ -63,10 +64,6 @@ class ModelConfig:
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
             raise ValueError(f"learning_rate must be a positive finite number, got {lr!r}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
-        if self.output_classes != 2:
-            raise ValueError(f"output_classes must be 2, got {self.output_classes}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -122,27 +119,27 @@ def _xavier(gen: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def _parameter_shapes(kind: str, config: ModelConfig, binding: Binding) -> list[tuple[str, tuple]]:
-    """Name and shape of every parameter of a `kind` model, in parameters() order."""
-    c_n, c_e = config.node_channels, config.edge_channels
+    """Name and shape of every parameter of a `kind` model, in parameters() order.
+
+    The head reads only the GNN's last edge embeddings, so its last layer has no node update.
+    """
+    c = config.channels
     shapes = []
     if kind == "gnn":
         in_n, in_e = binding.node_feature_width, binding.edge_feature_width
         for i in range(config.num_layers):
-            shapes += [
-                (f"layers.{i}.w_edge", (2 * in_n + in_e, c_e)), (f"layers.{i}.b_edge", (c_e,)),
-                (f"layers.{i}.w_node", (in_n + 2 * c_e, c_n)), (f"layers.{i}.b_node", (c_n,)),
-            ]
-            in_n, in_e = c_n, c_e
-        out_in, out_size = c_e, config.output_classes
+            shapes += [(f"layers.{i}.w_edge", (2 * in_n + in_e, c)), (f"layers.{i}.b_edge", (c,))]
+            if i < config.num_layers - 1:
+                shapes += [(f"layers.{i}.w_node", (in_n + 2 * c, c)), (f"layers.{i}.b_node", (c,))]
+            in_n = in_e = c
+        out_in, out_size = c, CLASSES
     else:
-        for tag, width, channels in (
-            ("node", binding.num_buses * binding.node_feature_width, c_n),
-            ("edge", binding.num_branches * binding.edge_feature_width, c_e),
-        ):
+        for tag, width in (("node", binding.num_buses * binding.node_feature_width),
+                           ("edge", binding.num_branches * binding.edge_feature_width)):
             for i in range(config.num_layers):
-                shapes += [(f"{tag}_layers.{i}.W", (width, channels)), (f"{tag}_layers.{i}.b", (channels,))]
-                width = channels
-        out_in, out_size = c_n + c_e, binding.num_branches * config.output_classes
+                shapes += [(f"{tag}_layers.{i}.W", (width, c)), (f"{tag}_layers.{i}.b", (c,))]
+                width = c
+        out_in, out_size = 2 * c, binding.num_branches * CLASSES
     return shapes + [("dense.w_out", (out_in, out_size)), ("dense.b_out", (out_size,))]
 
 
@@ -216,11 +213,16 @@ def _dense_backward(params, w, b, cache, d_out, grads):
 
 
 def _layer_forward_batch(params, i, h, e, topology, keep=False):
-    """Message-passing layer i, its weights read from `params` by name."""
+    """Message-passing layer i, its weights read from `params` by name.
+
+    A layer without node weights (the last) returns None for the node embeddings and their cache.
+    """
     p = f"layers.{i}."
     ef, et = topology.edge_from, topology.edge_to
     edge_stack = np.concatenate([h[:, ef, :], h[:, et, :], e], axis=2)
     msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, keep)
+    if p + "w_node" not in params:
+        return None, msg, (edge_cache, None)
     sum_out = _scatter_sum(msg, topology.incidence_from)
     sum_in = _scatter_sum(msg, topology.incidence_to)
     node_stack = np.concatenate([h, sum_out, sum_in], axis=2)
@@ -263,7 +265,7 @@ def _forward(model, node_features, edge_features, topology, keep_caches=False):
             tops.append(x)
         top = np.concatenate(tops, axis=2)
     logits = _affine(params, "dense.w_out", "dense.b_out", top)
-    probs = _softmax(logits.reshape(top.shape[0], model.binding.num_branches, model.config.output_classes))
+    probs = _softmax(logits.reshape(top.shape[0], model.binding.num_branches, CLASSES))
     return probs, caches, top
 
 
@@ -298,24 +300,26 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
     params, cfg, grads = model.params, model.config, {}
     d_top = _dense_backward(params, "dense.w_out", "dense.b_out", (top, None),
                             dz.reshape(top.shape[0], top.shape[1], -1), grads)
+    c = cfg.channels
     if model.kind == "mlp":
-        c_n = cfg.node_channels
-        for tag, d_x in (("node", d_top[:, :, :c_n]), ("edge", d_top[:, :, c_n:])):
+        for tag, d_x in (("node", d_top[:, :, :c]), ("edge", d_top[:, :, c:])):
             for i in range(cfg.num_layers - 1, -1, -1):
                 p = f"{tag}_layers.{i}."
                 d_x = _dense_backward(params, p + "W", p + "b", caches[p], d_x, grads)
         return grads, loss, probs
 
-    ef, et, c_e = topology.edge_from, topology.edge_to, cfg.edge_channels
-    d_edge, d_node = d_top, np.zeros((batch, topology.degree.size, cfg.node_channels))
+    ef, et = topology.edge_from, topology.edge_to
+    d_edge = d_top
     for i in range(cfg.num_layers - 1, -1, -1):
         p = f"layers.{i}."
         edge_cache, node_cache = caches[p]
-        d_node_stack = _dense_backward(params, p + "w_node", p + "b_node", node_cache, d_node, grads)
-        in_n = d_node_stack.shape[2] - 2 * c_e
-        d_msg = d_edge + d_node_stack[:, ef, in_n:in_n + c_e] + d_node_stack[:, et, in_n + c_e:]
+        in_n = model.binding.node_feature_width if i == 0 else c
+        d_msg, d_h = d_edge, 0.0
+        if node_cache is not None:  # every layer but the last updates the nodes
+            d_node_stack = _dense_backward(params, p + "w_node", p + "b_node", node_cache, d_node, grads)
+            d_msg = d_msg + d_node_stack[:, ef, in_n:in_n + c] + d_node_stack[:, et, in_n + c:]
+            d_h = d_node_stack[:, :, :in_n]
         d_edge_stack = _dense_backward(params, p + "w_edge", p + "b_edge", edge_cache, d_msg, grads)
-        d_h = d_node_stack[:, :, :in_n]
         d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], topology.incidence_from)
         d_node = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to)
         d_edge = d_edge_stack[:, :, 2 * in_n:]
@@ -457,23 +461,18 @@ def predict_congested(model, sample: Sample, topology: GraphTopology) -> frozens
 
 
 def save_model(model, path) -> None:
-    """Write a format-3 model file: each parameter array as base64 of its little-endian float64 bytes."""
+    """Write a format-4 model file: each parameter and normalizer array as base64 of its little-endian float64 bytes."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "trained_threshold": model.trained_threshold,
         "config": model.config.to_dict(),
         "binding": dict(model.binding.__dict__),
-        "normalizer": model.normalizer.to_dict(),
+        "normalizer": {name: _encode_array(array) for name, array in vars(model.normalizer).items()},
         "params": {name: _encode_array(array) for name, array in model.params.items()},
     }
     # one dumps call: json.dump streams through the pure-Python encoder
     _write_atomic(path, [json.dumps(doc, sort_keys=True) + "\n"])
-
-
-def _mismatch(path, found: set, expected: set) -> ValueError:
-    return ValueError(f"{path}: arrays do not match the binding and config: "
-                      f"found {sorted(found - expected)}, expected {sorted(expected - found)}")
 
 
 def load_model(path):
@@ -487,40 +486,37 @@ def load_model(path):
         raise ValueError(f"{path}: corrupt model file: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        hint = "; retrain it with train" if version in (1, 2) else ""
+        hint = "; retrain it with train" if version in range(1, MODEL_FORMAT_VERSION) else ""
         raise ValueError(f"{path}: unsupported model format_version {version!r}{hint}")
-    kind = doc.get("kind", "gnn")
-    if kind not in ("gnn", "mlp"):
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
     threshold = doc.get("trained_threshold")
     if threshold is not None and (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
                                   or not 0 < threshold <= 1):
         raise ValueError(f"{path}: trained_threshold must be null or a number in (0, 1], got {threshold!r}")
     try:
+        kind = doc["kind"]
+        if kind not in ("gnn", "mlp"):
+            raise ValueError(f"unknown model kind {kind!r}")
         config = ModelConfig(**doc["config"])
         binding = Binding(**doc["binding"])
-        normalizer = Normalizer.from_dict(doc["normalizer"])
-        blobs = dict(doc["params"])
-        shapes = _parameter_shapes(kind, config, binding)
+        params, stats = dict(doc["params"]), dict(doc["normalizer"])
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model file: {exc}") from None
-    declared = {name for name, _ in shapes}
-    if set(blobs) != declared:
-        raise _mismatch(path, set(blobs), declared)
-    params = {name: _decode_array(blobs[name], shape, f"{path}: params {name}", "the config and binding")
-              for name, shape in shapes}
-    stats = {f"normalizer.{name}": getattr(normalizer, name)
-             for name in ("node_mean", "node_std", "edge_mean", "edge_std")}
-    found = {(name, a.shape) for name, a in stats.items()}
-    expected = {(f"normalizer.{stat}_{part}", (width,)) for stat, width in
-                (("node", binding.node_feature_width), ("edge", binding.edge_feature_width))
-                for part in ("mean", "std")}
-    if found != expected:
-        raise _mismatch(path, found, expected)
-    bad = [name for name, a in stats.items()
-           if not np.isfinite(a).all() or (name.endswith("_std") and not (a > 0).all())]
-    if bad:
-        raise ValueError(f"{path}: {bad[0]} has a non-finite value or a std that is not positive")
-    return Model(kind, config, binding, normalizer, params, threshold)
+    widths = {"node": binding.node_feature_width, "edge": binding.edge_feature_width}
+    stat_shapes = [(f"{part}_{stat}", (widths[part],)) for part in widths for stat in ("mean", "std")]
+    arrays = {}
+    for section, blobs, shapes, origin in (
+            ("params", params, _parameter_shapes(kind, config, binding), "the config and binding"),
+            ("normalizer", stats, stat_shapes, "the binding")):
+        found, declared = set(blobs), {name for name, _ in shapes}
+        if found != declared:
+            raise ValueError(f"{path}: {section} arrays do not match {origin}: "
+                             f"found {sorted(found - declared)}, expected {sorted(declared - found)}")
+        arrays[section] = {name: _decode_array(blobs[name], shape, f"{path}: {section} {name}", origin)
+                           for name, shape in shapes}
+    normalizer = Normalizer(**arrays["normalizer"])
+    for name in ("node_std", "edge_std"):
+        if not (getattr(normalizer, name) > 0).all():
+            raise ValueError(f"{path}: normalizer {name} has a std that is not positive")
+    return Model(kind, config, binding, normalizer, arrays["params"], threshold)

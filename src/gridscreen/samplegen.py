@@ -228,23 +228,6 @@ class Normalizer:
     def apply_edge(self, features: np.ndarray) -> np.ndarray:
         return (features - self.edge_mean) / self.edge_std
 
-    def to_dict(self) -> dict:
-        return {
-            "node_mean": self.node_mean.tolist(),
-            "node_std": self.node_std.tolist(),
-            "edge_mean": self.edge_mean.tolist(),
-            "edge_std": self.edge_std.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(
-            node_mean=np.asarray(d["node_mean"], dtype=float),
-            node_std=np.asarray(d["node_std"], dtype=float),
-            edge_mean=np.asarray(d["edge_mean"], dtype=float),
-            edge_std=np.asarray(d["edge_std"], dtype=float),
-        )
-
 
 def fit_normalizer(train: list[Sample]) -> Normalizer:
     if not train:

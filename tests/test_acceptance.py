@@ -130,7 +130,7 @@ def test_criterion_4_power_balance(relaxation_suite):
 def test_criterion_5_gradient_check(tri3):
     t0 = time.perf_counter()
     topo = to_graph(tri3)
-    model = init_model(ModelConfig(num_layers=2, node_channels=8, edge_channels=8, seed=21),
+    model = init_model(ModelConfig(num_layers=2, channels=8, seed=21),
                        7, 2, num_buses=3, num_branches=3)
     rng = np.random.default_rng(77)
     xn = rng.normal(size=(6, 3, 7))

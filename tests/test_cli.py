@@ -96,9 +96,12 @@ def test_gen_data_runtime_failure(tmp_path, tri3_text, capsys):
 def test_train_outputs(workspace):
     root, data, model = workspace
     doc = json.loads(model.read_text())
-    assert doc["format_version"] == 3
+    assert doc["format_version"] == 4
     assert doc["kind"] == "gnn"
     assert doc["trained_threshold"] == 0.95
+    assert set(doc["config"]) == {"num_layers", "channels", "seed", "learning_rate", "epochs", "batch_size"}
+    assert sorted(doc["normalizer"]) == ["edge_mean", "edge_std", "node_mean", "node_std"]
+    assert all(isinstance(value, str) for value in doc["normalizer"].values())
     history = root / "m_history.csv"
     lines = history.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,train_acc,val_acc"
@@ -320,15 +323,18 @@ def test_solve_infeasible_is_not_an_error(tmp_path, capsys):
     (lambda doc: doc.update(trained_threshold="abc"), "trained_threshold"),
     (lambda doc: doc.update(trained_threshold=True), "trained_threshold"),
     (lambda doc: doc["params"].update({"dense.w_out": _with_nan(doc["params"]["dense.w_out"])}), "dense.w_out"),
-    (lambda doc: doc["normalizer"]["node_std"].__setitem__(0, 0.0), "normalizer.node_std"),
+    (lambda doc: doc["normalizer"].update(node_std=_blob(np.r_[0.0, _unblob(doc["normalizer"]["node_std"])[1:]])),
+     "normalizer node_std"),
     (lambda doc: doc.update(format_version=1), "retrain it with train"),
+    (lambda doc: doc.update(format_version=3), "retrain it with train"),
+    (lambda doc: doc["config"].update(activation="relu"), "activation"),
     (lambda doc: doc["config"].update(num_layers=True), "num_layers"),
     (lambda doc: doc["config"].update(epochs=2.5), "epochs"),
     (lambda doc: doc["binding"].update(num_buses=True), "num_buses"),
     (lambda doc: doc["binding"].update(num_buses=3.0), "num_buses"),
     (lambda doc: doc["binding"].update(num_branches=0), "num_branches"),
-], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1", "config-bool",
-        "config-float", "binding-bool", "binding-float", "binding-zero"])
+], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1", "format-3",
+        "config-activation", "config-bool", "config-float", "binding-bool", "binding-float", "binding-zero"])
 def test_eval_rejects_bad_model_values(workspace, tmp_path, capsys, edit, named):
     _, data, model = workspace
     doc = json.loads(model.read_text())
@@ -434,11 +440,15 @@ def _no_work(*args, **kwargs):
 
 def test_gen_data_missing_out_dir_fails_first(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("gridscreen.cli.generate_dataset", _no_work)
-    out = tmp_path / "no_such_dir" / "x.jsonl"
-    assert main(["gen-data", "--case", TRI3, "--samples", "5", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert str(out.parent) in err
-    assert "Error" not in err
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    missing = tmp_path / "no_such_dir"
+    for out, named in ((missing / "x.jsonl", f"{missing} does not exist"), (taken, f"{taken} is a directory")):
+        assert main(["gen-data", "--case", TRI3, "--samples", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Error" not in err
+    assert list(taken.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
@@ -458,15 +468,20 @@ def test_out_dir_that_is_a_file_fails_first(workspace, tmp_path, capsys, monkeyp
     assert blocker.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("flag", ["--out", "--history"])
-def test_train_missing_out_dir_fails_first(workspace, tmp_path, capsys, monkeypatch, flag):
+@pytest.mark.parametrize("flag, is_dir", [("--out", False), ("--history", False), ("--out", True), ("--history", True)],
+                         ids=["--out", "--history", "--out-is-dir", "--history-is-dir"])
+def test_train_missing_out_dir_fails_first(workspace, tmp_path, capsys, monkeypatch, flag, is_dir):
+    # an output path must name a file in an existing directory
     _, data, _ = workspace
     monkeypatch.setattr("gridscreen.cli.train", _no_work)
     paths = {"--out": str(tmp_path / "m.json"), "--history": str(tmp_path / "h.csv")}
-    paths[flag] = str(tmp_path / "no_such_dir" / "x")
+    named = tmp_path / ("taken" if is_dir else "no_such_dir")
+    if is_dir:
+        named.mkdir()
+    paths[flag] = str(named if is_dir else named / "x")
     assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "0.95",
                  "--out", paths["--out"], "--history", paths["--history"]]) == 2
     err = capsys.readouterr().err
-    assert str(tmp_path / "no_such_dir") in err
+    assert str(named) in err
     assert "Error" not in err
     assert not (tmp_path / "m.json").exists()

@@ -23,7 +23,7 @@ import gridscreen.gnn as gnn_module
 from gridscreen.gnn import _backward_batch, _layer_forward_batch, forward_any
 from gridscreen.netcase import GraphTopology
 
-SMALL = dict(num_layers=2, node_channels=8, edge_channels=8)
+SMALL = dict(num_layers=2, channels=8)
 
 
 def _zero(model):
@@ -62,18 +62,31 @@ def _permuted(topology, perm):
 
 def test_config_defaults():
     cfg = ModelConfig()
-    assert (cfg.num_layers, cfg.node_channels, cfg.edge_channels) == (4, 64, 64)
+    assert (cfg.num_layers, cfg.channels) == (4, 64)
     assert (cfg.learning_rate, cfg.epochs, cfg.batch_size) == (1e-3, 250, 32)
 
 
 @pytest.mark.parametrize("bad", [
-    dict(num_layers=0), dict(learning_rate=0.0), dict(output_classes=3),
-    dict(activation="tanh"), dict(batch_size=-1),
+    dict(num_layers=0), dict(learning_rate=0.0), dict(channels=0),
+    dict(channels=2.5), dict(batch_size=-1),
     dict(num_layers=True), dict(epochs=2.5), dict(learning_rate=True),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         ModelConfig(**bad)
+
+
+def test_last_gnn_layer_is_edge_only():
+    # the head reads only the last edge embeddings, so the last layer has no node update
+    for num_layers in (1, 3):
+        names = init_model(ModelConfig(num_layers=num_layers, channels=8), 7, 2,
+                           num_buses=3, num_branches=3).params
+        last = f"layers.{num_layers - 1}."
+        assert last + "w_edge" in names and last + "b_edge" in names
+        assert last + "w_node" not in names and last + "b_node" not in names
+        assert all(f"layers.{i}.w_node" in names for i in range(num_layers - 1))
+    model = init_model(ModelConfig(), 7, 2, num_buses=14, num_branches=20)
+    assert sum(p.size for p in model.params.values()) == 71_682
 
 
 def test_init_deterministic():
@@ -204,8 +217,7 @@ def test_receptive_field_node_perturbation():
     """A node change cannot reach edges more than num_layers hops away."""
     n = 10
     topo = _path_topology(n)
-    model = init_model(ModelConfig(num_layers=2, node_channels=8, edge_channels=8, seed=4),
-                       3, 2, num_buses=n, num_branches=n - 1)
+    model = init_model(ModelConfig(num_layers=2, channels=8, seed=4), 3, 2, num_buses=n, num_branches=n - 1)
     rng = np.random.default_rng(5)
     xn = rng.normal(size=(n, 3))
     xe = rng.normal(size=(n - 1, 2))
@@ -223,8 +235,7 @@ def test_receptive_field_node_perturbation():
 def test_receptive_field_edge_rating_perturbation():
     n = 10
     topo = _path_topology(n)
-    model = init_model(ModelConfig(num_layers=2, node_channels=8, edge_channels=8, seed=4),
-                       3, 2, num_buses=n, num_branches=n - 1)
+    model = init_model(ModelConfig(num_layers=2, channels=8, seed=4), 3, 2, num_buses=n, num_branches=n - 1)
     rng = np.random.default_rng(6)
     xn = rng.normal(size=(n, 3))
     xe = rng.normal(size=(n - 1, 2))
@@ -282,12 +293,13 @@ def _fd_worst(model, xn, xe, y, topo, n_draws, seed=17, h=1e-5):
 
 
 @pytest.mark.parametrize("kind", ["gnn", "mlp"])
-@pytest.mark.parametrize("node_channels, edge_channels", [(8, 8), (5, 3)], ids=["8x8", "5x3"])
+@pytest.mark.parametrize("channels", [8, 5], ids=["8x8", "5x5"])
 @pytest.mark.parametrize("num_layers", [1, 3], ids=["1layer", "3layers"])
-def test_gradients_match_finite_differences(case14, kind, node_channels, edge_channels, num_layers):
-    # case14 has more branches than buses, and unequal widths exercise every slice of the backward pass
+def test_gradients_match_finite_differences(case14, kind, channels, num_layers):
+    # case14 has more branches than buses; a 1-layer GNN is edge-only, and 3 layers put two node
+    # updates behind it, whose stacks mix the 7-wide input, the channel width and the message sums
     topo = to_graph(case14)
-    cfg = ModelConfig(num_layers=num_layers, node_channels=node_channels, edge_channels=edge_channels, seed=12)
+    cfg = ModelConfig(num_layers=num_layers, channels=channels, seed=12)
     model = init_model(cfg, 7, 2, num_buses=14, num_branches=20, kind=kind)
     rng = np.random.default_rng(3)
     # with zero biases, a row whose layer input is all zero sits exactly on the relu kink,
@@ -505,8 +517,8 @@ def test_save_load_round_trip(tmp_path, tri3, tri3_dataset):
 
 
 @pytest.mark.parametrize("kind, digest", [
-    ("gnn", "d478708a4d833b839800a67b8499b322c4038bca204814c9ab837be316533d5b"),
-    ("mlp", "9861ebeab888d4b195f5084d51069a1d6211cf50814b10ea891e3b4bdfa6f315"),
+    ("gnn", "31b40080985b8dc5b2966981ff0ca0640fb120d96f206a440eb1cf72d763a37e"),
+    ("mlp", "d298cf70710ff75058dc0de20195ae7ae96cbc9f16bcec338aa0393aea6dd364"),
 ], ids=["gnn", "mlp"])
 def test_save_model_bytes_pinned(tmp_path, kind, digest):
     # the model file format: the bytes of a fixed untrained tri3-sized model never change
@@ -574,9 +586,9 @@ def test_load_model_shape_checked_against_binding(tmp_path):
     save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
     saved = path.read_text()
     doc = json.loads(saved)
-    doc["params"]["layers.1.w_node"] = _blob(_unblob(doc["params"]["layers.1.w_node"])[:-8])
+    doc["params"]["layers.0.w_node"] = _blob(_unblob(doc["params"]["layers.0.w_node"])[:-8])
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"layers\.1\.w_node holds 1472 bytes; its shape \(24, 8\)"):
+    with pytest.raises(ValueError, match=r"layers\.0\.w_node holds 1408 bytes; its shape \(23, 8\)"):
         load_model(path)
     doc = json.loads(saved)
     doc["params"]["layers.2.w_edge"] = doc["params"]["layers.1.w_edge"]
@@ -595,10 +607,15 @@ def test_load_model_shape_checked_against_binding(tmp_path):
                                          r"config and binding"):
         load_model(path)
     doc = json.loads(saved)
-    doc["normalizer"]["edge_std"] = [1.0]
+    doc["normalizer"]["edge_std"] = _blob([1.0])
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"found \[\('normalizer\.edge_std', \(1,\)\)\], "
-                                         r"expected \[\('normalizer\.edge_std', \(2,\)\)\]"):
+    with pytest.raises(ValueError, match=r"normalizer edge_std holds 8 bytes; its shape \(2,\) from the binding"):
+        load_model(path)
+    doc = json.loads(saved)
+    del doc["normalizer"]["edge_mean"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"normalizer arrays do not match the binding: "
+                                         r"found \[\], expected \['edge_mean'\]"):
         load_model(path)
 
 
@@ -611,11 +628,11 @@ def test_load_model_rejects_bad_blob(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
     doc = json.loads(path.read_text())
-    doc["params"]["layers.1.b_node"] = edit(doc["params"]["layers.1.b_node"])
+    doc["params"]["layers.0.b_node"] = edit(doc["params"]["layers.0.b_node"])
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as info:
         load_model(path)
-    assert f"{path}: params layers.1.b_node " in str(info.value) and message in str(info.value)
+    assert f"{path}: params layers.0.b_node " in str(info.value) and message in str(info.value)
 
 
 def test_load_version_mismatch(tmp_path, tri3):
@@ -623,37 +640,44 @@ def test_load_version_mismatch(tmp_path, tri3):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 4
+    doc["format_version"] = 5
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format_version 4$"):
+    with pytest.raises(ValueError, match="format_version 5$"):
         load_model(path)
 
 
-def test_model_v1_rejected(tmp_path):
-    # format 1 nested the arrays per layer; such a file is retrained, not converted
-    path = tmp_path / "model.json"
-    save_model(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3), path)
-    doc = json.loads(path.read_text())
+def _as_format_1(doc, model):
+    # arrays nested per layer
     params = doc.pop("params")
-    doc["format_version"] = 1
-    doc["layers"] = [{key: params[f"layers.{i}.{key.lower()}"] for key in ("W_edge", "b_edge", "W_node", "b_node")}
+    doc["layers"] = [{key: params.get(f"layers.{i}.{key.lower()}") for key in ("W_edge", "b_edge", "W_node", "b_node")}
                      for i in range(2)]
     doc["dense"] = {"W_out": params["dense.w_out"], "b_out": params["dense.b_out"]}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format_version 1; retrain it with train"):
-        load_model(path)
 
 
-def test_model_v2_rejected(tmp_path):
-    # format 2 stored each array as nested JSON lists; such a file is retrained, not converted
+def _as_format_2(doc, model):
+    # each array as nested JSON lists
+    doc["params"] = {name: array.tolist() for name, array in model.params.items()}
+
+
+def _as_format_3(doc, model):
+    # two channel widths, single-value config fields and the normalizer as JSON lists
+    channels = doc["config"].pop("channels")
+    doc["config"].update(node_channels=channels, edge_channels=channels, activation="relu", output_classes=2)
+    doc["normalizer"] = {name: array.tolist() for name, array in vars(model.normalizer).items()}
+
+
+@pytest.mark.parametrize("version, rewrite", [(1, _as_format_1), (2, _as_format_2), (3, _as_format_3)],
+                         ids=["1", "2", "3"])
+def test_model_old_format_rejected(tmp_path, version, rewrite):
+    # an older model file is retrained, not converted
     model = init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3)
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 2
-    doc["params"] = {name: array.tolist() for name, array in model.params.items()}
+    rewrite(doc, model)
+    doc["format_version"] = version
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format_version 2; retrain it with train"):
+    with pytest.raises(ValueError, match=f"format_version {version}; retrain it with train"):
         load_model(path)
 
 

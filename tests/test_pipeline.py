@@ -137,7 +137,7 @@ def test_evaluate_validation(tri3, tri3_dataset):
 
 def test_evaluate_trained_model_predictor(tri3, tri3_dataset):
     train_split, val_split, _ = split_dataset(tri3_dataset, (0.8, 0.1, 0.1), seed=1)
-    model = init_model(ModelConfig(num_layers=2, node_channels=8, edge_channels=8, seed=2),
+    model = init_model(ModelConfig(num_layers=2, channels=8, seed=2),
                        7, 2, num_buses=3, num_branches=3,
                        normalizer=fit_normalizer(train_split))
     result = train(model, tri3, train_split, val_split, threshold=0.95, epochs=30)
@@ -197,7 +197,7 @@ def test_sweep_trains_fresh_model_per_threshold(tri3, tri3_dataset):
 
     def factory(tau):
         return init_model(
-            ModelConfig(num_layers=2, node_channels=8, edge_channels=8, seed=2),
+            ModelConfig(num_layers=2, channels=8, seed=2),
             7, 2, num_buses=3, num_branches=3, normalizer=fit_normalizer(train_split),
         )
 
