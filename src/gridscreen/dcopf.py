@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcase import Network
-from .simplex import LinearProgram, solve_lp
+from .simplex import Basis, LinearProgram, solve_lp
 
 #: default tolerance (MW) for violation reporting, two orders above solver feasibility
 REPORT_TOL_MW = 1e-6
@@ -31,6 +31,7 @@ class DispatchSolution:
     flows: np.ndarray | None         # per-branch MW, all branches
     objective: float | None          # sum of cost * output
     solve_seconds: float             # wall time of solve_lp alone
+    basis: Basis | None = None       # the LP's optimal basis, to start a like solve from
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,30 @@ def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.nda
     p_g = np.asarray(p_g, dtype=float)
     if p_g.shape != (network.num_generators,):
         raise ValueError(f"p_g length {p_g.size} != number of generators {network.num_generators}")
-    return network.gen_ptdf @ p_g - network.ptdf @ _check_load(network, load_mw)
+    return _flows(network, p_g, _check_load(network, load_mw))
 
 
-def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolution:
+def _flows(network: Network, p_g: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """line_flows on a dispatch and a load already checked against the network."""
+    return network.gen_ptdf @ p_g - network.ptdf @ load
+
+
+def solve_opf(network: Network, load_mw: np.ndarray, monitored, start: Basis | None = None) -> DispatchSolution:
     """Build, solve and read back the (reduced) OPF; flows cover all branches.
 
-    Only solve_lp is timed.  Without generators the LP has no column, so it
-    is feasible only for zero net load that the monitored ratings admit.
+    Only solve_lp is timed; `start` is passed to it (an earlier solution's
+    basis).  Without generators the LP has no column, so it is feasible
+    only for zero net load that the monitored ratings admit.
     """
-    lp = build_opf(network, load_mw, monitored)
+    load = np.asarray(load_mw, dtype=float)
+    lp = build_opf(network, load, monitored)  # checks the load
     t0 = time.perf_counter()
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, start=start)
     seconds = time.perf_counter() - t0
     if sol.status != "optimal":
         return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None, solve_seconds=seconds)
-    return DispatchSolution(status=sol.status, p_g=sol.x, flows=line_flows(network, sol.x, load_mw),
-                            objective=sol.objective, solve_seconds=seconds)
+    return DispatchSolution(status=sol.status, p_g=sol.x, flows=_flows(network, sol.x, load),
+                            objective=sol.objective, solve_seconds=seconds, basis=sol.basis)
 
 
 def check_limits(network: Network, flows: np.ndarray, tolerance_mw: float = REPORT_TOL_MW) -> ViolationReport:

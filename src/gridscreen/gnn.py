@@ -199,15 +199,18 @@ def _dense(params, w, b, x, keep=False):
     return np.maximum(z, 0.0), ((x, z > 0) if keep else None)
 
 
-def _dense_backward(params, w, b, cache, d_out, grads):
+def _dense_backward(params, w, b, cache, d_out, grads, input_grad=True):
     """Store the gradients of params[w] and params[b] in `grads`; return the input gradient.
 
     A cache whose mask is None is a layer without the relu (the head).
+    With input_grad False the input gradient is not computed and None is returned.
     """
     x, mask = cache
     dz = d_out if mask is None else d_out * mask
     grads[w] = x.reshape(-1, x.shape[2]).T @ dz.reshape(-1, dz.shape[2])
     grads[b] = dz.sum(axis=(0, 1))
+    if not input_grad:
+        return None
     batch, rows, width = dz.shape
     return (dz.reshape(batch * rows, width) @ params[w].T).reshape(batch, rows, -1)
 
@@ -305,7 +308,7 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
         for tag, d_x in (("node", d_top[:, :, :c]), ("edge", d_top[:, :, c:])):
             for i in range(cfg.num_layers - 1, -1, -1):
                 p = f"{tag}_layers.{i}."
-                d_x = _dense_backward(params, p + "W", p + "b", caches[p], d_x, grads)
+                d_x = _dense_backward(params, p + "W", p + "b", caches[p], d_x, grads, input_grad=i > 0)
         return grads, loss, probs
 
     ef, et = topology.edge_from, topology.edge_to
@@ -319,7 +322,10 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
             d_node_stack = _dense_backward(params, p + "w_node", p + "b_node", node_cache, d_node, grads)
             d_msg = d_msg + d_node_stack[:, ef, in_n:in_n + c] + d_node_stack[:, et, in_n + c:]
             d_h = d_node_stack[:, :, :in_n]
-        d_edge_stack = _dense_backward(params, p + "w_edge", p + "b_edge", edge_cache, d_msg, grads)
+        d_edge_stack = _dense_backward(params, p + "w_edge", p + "b_edge", edge_cache, d_msg, grads,
+                                       input_grad=i > 0)
+        if i == 0:
+            break  # layer 0's input is the features, which take no gradient
         d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], topology.incidence_from)
         d_node = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to)
         d_edge = d_edge_stack[:, :, 2 * in_n:]

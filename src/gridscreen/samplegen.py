@@ -9,7 +9,11 @@ so one dataset serves every threshold without skew.
 
 Randomness is counter-based (Philox keyed by run seed and sample index), so
 sample i is reproducible in isolation and generation parallelizes without
-changing the result.
+changing the result.  Every sample starts from the base-case basis: each
+sample's simplex first tries the optimal basis of the base-case solve, and
+only a load for which that basis is not optimal is solved cold.  No sample
+starts from another sample's basis, so a sample still depends only on the
+case, the seed and its index, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, full_monitored_set, line_flows, solve_opf
+from .dcopf import REPORT_TOL_MW, _flows, full_monitored_set, solve_opf
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
 )
+from .simplex import Basis
 
 NODE_FEATURE_WIDTH = 7
 EDGE_FEATURE_WIDTH = 2
@@ -128,20 +133,23 @@ def _build_sample(network: Network, sample_id: int, load: np.ndarray, p_g: np.nd
     """
     node = template[0].copy()
     node[:, 0] = load
-    return Sample(sample_id, load, p_g, node, template[1], line_flows(network, p_g, load),
+    return Sample(sample_id, load, p_g, node, template[1], _flows(network, p_g, load),
                   float(network.gen_cost @ p_g))
 
 
 def _generate_one(network: Network, magnitude: float, seed: int, index: int,
-                  template: tuple[np.ndarray, np.ndarray]) -> tuple[Sample, int]:
-    """Draw loads for one sample, redrawing from the same stream until feasible."""
+                  template: tuple[np.ndarray, np.ndarray], start: Basis | None) -> tuple[Sample, int]:
+    """Draw loads for one sample, redrawing from the same stream until feasible.
+
+    Every solve starts from `start`, the base case's optimal basis.
+    """
     base = network.base_load()
     gen = _generator(derive_seed(seed, index))
     monitored = full_monitored_set(network)
     redraws = 0
     while True:
         load = base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
-        sol = solve_opf(network, load, monitored)
+        sol = solve_opf(network, load, monitored, start)
         if sol.status == "optimal":
             return _build_sample(network, index, load, sol.p_g, template), redraws
         redraws += 1
@@ -160,7 +168,8 @@ def generate_dataset(
 
     Infeasible draws are discarded and redrawn (the total is recorded in the
     dataset metadata).  Fails fast if the unperturbed base case is already
-    infeasible.  Samples are solved in min(threads, cpu count, count)
+    infeasible; otherwise every sample's solve starts from the base case's
+    optimal basis.  Samples are solved in min(threads, cpu count, count)
     worker processes; the result does not depend on that number.
     """
     if count < 1:
@@ -182,10 +191,11 @@ def generate_dataset(
             results = list(pool.map(
                 _generate_one,
                 [network] * count, [magnitude] * count, [seed] * count, range(count),
-                [template] * count, chunksize=max(1, count // (8 * workers)),
+                [template] * count, [base_sol.basis] * count, chunksize=max(1, count // (8 * workers)),
             ))
     else:
-        results = [_generate_one(network, magnitude, seed, i, template) for i in range(count)]
+        results = [_generate_one(network, magnitude, seed, i, template, base_sol.basis)
+                   for i in range(count)]
     for sample, redraws in results:
         dataset.samples.append(sample)
         dataset.redraws += redraws

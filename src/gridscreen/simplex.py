@@ -26,6 +26,20 @@ refactorization.  Each solution reports iteration, pivot, bound-flip and
 refactorization counts.  An LP without rows (bounds only) or without
 columns (constant rows) runs through the same two phases.
 
+Start basis: an optimal solution without a basic artificial carries its
+basis (the basic column of each row and the status of every column, slacks
+included), and solve_lp(..., start=basis) tries it on an LP of the same
+shape before any pivot.  Two checks decide, primal first so that a miss
+costs one solve: x_B from one solve with B must lie within its bounds to
+1e-9 (tighter than phase 1's 1e-7 per row), and one pricing pass (y from a
+solve with B', then d = c - yA) must find no improving column.  When both
+pass, the vertex is returned; x comes from the formula of the cold solve's
+final read, so it has the bits of a cold solve that ends on that basis.  A
+start of the wrong shape, a singular basis, an infeasible or a non-optimal
+start falls back to the cold two-phase solve, which then answers as if no
+start had been given.  The solution's diagnostics say which path answered
+(warm_start).
+
 A LinearProgram rejects NaN anywhere and infinities outside the bounds when
 it is built, so a bad input fails there rather than mid-solve.
 """
@@ -44,6 +58,7 @@ _FIXED = 4     # lb == ub, never eligible to enter
 
 _REFACTOR_EVERY = 100
 _DEGEN_STEP = 1e-9
+_START_PRIMAL_TOL = 1e-9
 
 
 class SimplexIterationLimit(RuntimeError):
@@ -100,6 +115,14 @@ class LinearProgram:
         return self.c.size
 
 
+@dataclass(frozen=True)
+class Basis:
+    """An optimal basis over the standard-form columns: the LP's columns, then one slack per inequality row."""
+
+    columns: np.ndarray              # the basic column of each row, in row order
+    status: np.ndarray               # per column: at lower, at upper, basic, free at 0 or fixed
+
+
 @dataclass
 class LpSolution:
     status: str                      # 'optimal' | 'infeasible' | 'unbounded'
@@ -107,14 +130,18 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0
     diagnostics: dict = field(default_factory=dict)
+    basis: Basis | None = None       # set when optimal with no artificial left basic
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, max_iterations: int | None = None,
+             start: Basis | None = None) -> LpSolution:
     """Solve an LP, reporting optimal/infeasible/unbounded faithfully.
 
     Raises SimplexIterationLimit when the pivot budget runs out (distinct
     from infeasibility) and SingularBasisError on an unrecoverable basis.
     max_iterations=None uses a budget that grows with the LP's size.
+    `start` is the basis of an earlier solution; it answers when it is
+    feasible and optimal here, else the LP is solved cold.
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1 or None, got {max_iterations}")
@@ -142,12 +169,15 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     ub = np.concatenate([lp.upper, np.full(mi, np.inf)])
     slack_cols = np.concatenate([np.full(me, -1), np.arange(n, n_total)])
 
-    core = _Core(a, b, lb, ub, slack_cols, max_iterations)
-    status = core.run_two_phase(np.concatenate([lp.c, np.zeros(mi)]))
-    if status != "optimal":
-        return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics())
-
-    x_full = core.solution()
+    core = _Core(a, b, lb, ub, max_iterations)
+    c = np.concatenate([lp.c, np.zeros(mi)])
+    x_full = None if start is None else core.start_from(start, c)
+    if x_full is None:
+        core.slack_start(slack_cols)
+        status = core.run_two_phase(c)
+        if status != "optimal":
+            return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics())
+        x_full = core.solution()
     x = x_full[:n]
     return LpSolution(
         status="optimal",
@@ -155,21 +185,23 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
         objective=float(lp.c @ x),
         iterations=core.iterations,
         diagnostics=core.diagnostics(),
+        basis=core.optimal_basis(),
     )
+
+
+def _dual_tol(c: np.ndarray) -> float:
+    return 1e-8 * max(1.0, float(np.abs(c).max(initial=0.0)))
 
 
 class _Core:
     """Simplex engine on the standard-form system a x (+ artificials) = b.
 
-    slack_cols[i] is the column of row i's slack (a unit column with bounds
-    [0, inf)), or -1 for an equality row.
+    The basis is set by start_from (a given basis) or slack_start (the
+    cold start).
     """
 
-    def __init__(self, a, b, lb, ub, slack_cols, max_iterations):
-        self.m, n_real = a.shape
-        self.n_real = n_real
-        rows = np.arange(self.m)
-        art = n_real + rows
+    def __init__(self, a, b, lb, ub, max_iterations):
+        self.m, self.n_real = a.shape
         # artificial columns appended after real+slack columns
         self.a = np.hstack([a, np.zeros((self.m, self.m))])
         self.b = b
@@ -186,18 +218,23 @@ class _Core:
         self.refactorizations = 0
         self.bland_engaged = False
         self.bland_threshold = 3 * (self.n + self.m)
+        self.warm_start = False
 
+    def slack_start(self, slack_cols):
+        """The cold start; slack_cols[i] is the column of row i's slack (bounds [0, inf)), or -1 for an equality row."""
         # every column starts nonbasic at a finite bound, lower first, or
         # free at 0; lb == ub makes it fixed
+        rows = np.arange(self.m)
+        art = self.n_real + rows
         lo_finite, hi_finite = np.isfinite(self.lb), np.isfinite(self.ub)
         self.status = np.where(lo_finite, _AT_LOWER, np.where(hi_finite, _AT_UPPER, _FREE))
         self.status[self.lb == self.ub] = _FIXED
-        x_nb = np.where(lo_finite, self.lb, np.where(hi_finite, self.ub, 0.0))[:n_real]
+        x_nb = np.where(lo_finite, self.lb, np.where(hi_finite, self.ub, 0.0))[:self.n_real]
 
         # slack start: an inequality row that the nonbasic start point
         # satisfies keeps its slack basic and its artificial stays fixed at
         # 0; every other row starts on an artificial oriented to be >= 0
-        resid = b - a @ x_nb
+        resid = self.b - self.a[:, :self.n_real] @ x_nb
         slack_start = (slack_cols >= 0) & (resid >= 0)
         signs = np.where(resid >= 0, 1.0, -1.0)
         self.a[rows, art] = signs
@@ -208,6 +245,53 @@ class _Core:
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
 
+    def start_from(self, start: Basis, c: np.ndarray) -> np.ndarray | None:
+        """The vertex of `start` if it is primal and dual feasible for cost c, else None.
+
+        The vertex is read as solution() reads it.  A miss counts nothing;
+        slack_start then resets the basis and status it leaves behind.
+        """
+        cols, status = np.asarray(start.columns), np.asarray(start.status)
+        if cols.shape != (self.m,) or status.shape != (self.n_real,):
+            return None
+        if not np.array_equal(np.sort(cols), np.flatnonzero(status == _BASIC)):
+            return None
+        # each status must suit this LP's bounds, as the cold start assigns them
+        lb, ub = self.lb[:self.n_real], self.ub[:self.n_real]
+        lo, hi = np.isfinite(lb), np.isfinite(ub)
+        allowed = np.where(lb == ub, status == _FIXED,
+                           (status == _BASIC) | ((status == _AT_LOWER) & lo)
+                           | ((status == _AT_UPPER) & hi) | ((status == _FREE) & ~lo & ~hi))
+        if not allowed.all():
+            return None
+        self.basis = cols.copy()
+        self.status = np.concatenate([status, np.full(self.m, _FIXED)])
+        try:
+            x = self._vertex()
+        except SingularBasisError:
+            return None
+        x_b = x[self.basis]
+        if not np.all((x_b >= self.lb[self.basis] - _START_PRIMAL_TOL)
+                      & (x_b <= self.ub[self.basis] + _START_PRIMAL_TOL)):
+            return None
+        try:
+            y = np.linalg.solve(self.a[:, self.basis].T, c[self.basis])
+        except np.linalg.LinAlgError:
+            return None
+        c_all = np.concatenate([c, np.zeros(self.m)])
+        if self._improving(c_all - y @ self.a, _dual_tol(c)).size:
+            return None
+        self.iterations = 1
+        self.refactorizations = 2  # the solves with B and with B'
+        self.warm_start = True
+        return x
+
+    def optimal_basis(self) -> Basis | None:
+        """The basis to start a like LP from; None while an artificial is basic."""
+        if (self.basis >= self.n_real).any():
+            return None
+        return Basis(self.basis.copy(), self.status[:self.n_real].copy())
+
     def diagnostics(self) -> dict:
         return {
             "phase1_iterations": self.phase1_iterations,
@@ -215,7 +299,14 @@ class _Core:
             "bound_flips": self.bound_flips,
             "refactorizations": self.refactorizations,
             "bland_engaged": self.bland_engaged,
+            "warm_start": self.warm_start,
         }
+
+    def _improving(self, d: np.ndarray, dual_tol: float) -> np.ndarray:
+        """Columns whose reduced cost d lets them enter and lower the objective."""
+        can_increase = (self.status == _AT_LOWER) | (self.status == _FREE)
+        can_decrease = (self.status == _AT_UPPER) | (self.status == _FREE)
+        return np.flatnonzero((can_increase & (d < -dual_tol)) | (can_decrease & (d > dual_tol)))
 
     def _nonbasic_values(self, cols) -> np.ndarray:
         s = self.status[cols]
@@ -292,7 +383,7 @@ class _Core:
             self._refactorize()
 
     def _iterate(self, c: np.ndarray, phase: int) -> str:
-        dual_tol = 1e-8 * max(1.0, float(np.abs(c).max(initial=0.0)))
+        dual_tol = _dual_tol(c)
         degen_run = 0
         bland = False
         while True:
@@ -310,10 +401,7 @@ class _Core:
                 if not np.all(np.isfinite(y)) or not np.all(np.isfinite(self.x_basic)):
                     raise SingularBasisError("non-finite iterate after refactorization retry")
             d = c - y @ self.a
-            can_increase = (self.status == _AT_LOWER) | (self.status == _FREE)
-            can_decrease = (self.status == _AT_UPPER) | (self.status == _FREE)
-            improving = (can_increase & (d < -dual_tol)) | (can_decrease & (d > dual_tol))
-            idx = np.flatnonzero(improving)
+            idx = self._improving(d, dual_tol)
             if idx.size == 0:
                 return "optimal"
             if bland:
@@ -385,6 +473,11 @@ class _Core:
         The solve is the solution's factorization of the basis and counts
         as a refactorization; no inverse is formed.
         """
+        x = self._vertex()
+        self.refactorizations += 1
+        return x
+
+    def _vertex(self) -> np.ndarray:
         x = np.empty(self.n)
         nonbasic = np.flatnonzero(self.status != _BASIC)
         x[nonbasic] = self._nonbasic_values(nonbasic)
@@ -395,6 +488,5 @@ class _Core:
             raise SingularBasisError("basis matrix singular at the final solve") from None
         if not np.all(np.isfinite(x_basic)):
             raise SingularBasisError("basic values non-finite at the final solve")
-        self.refactorizations += 1
         x[self.basis] = x_basic
         return x

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from gridscreen import netcase
+from gridscreen import dcopf, netcase
 from gridscreen import (
     build_opf,
     check_limits,
     full_monitored_set,
+    generate_dataset,
     line_flows,
     parse_case,
     run_ropf,
@@ -75,6 +76,32 @@ def test_tri3_overload_infeasible(tri3):
     sol = solve_opf(tri3, np.array([0.0, 0.0, 450.0]), full_monitored_set(tri3))
     assert sol.status == "infeasible"
     assert sol.p_g is None and sol.flows is None
+
+
+def test_solve_opf_checks_the_load_once(tri3, case14, monkeypatch):
+    """build_opf checks the load; the flows of the solution, and of samples, skip the check."""
+    calls = []
+    check = dcopf._check_load
+    monkeypatch.setattr(dcopf, "_check_load", lambda *a: calls.append(a) or check(*a))
+    load = case14.base_load() * 1.05
+    sol = solve_opf(case14, load, full_monitored_set(case14))
+    assert len(calls) == 1
+    assert sol.flows.tobytes() == line_flows(case14, sol.p_g, load).tobytes()
+    calls.clear()
+    generate_dataset(tri3, 4, 0.1, seed=1)
+    assert len(calls) == 5  # the base case and each sample's build, none for the flows
+
+
+def test_solve_opf_start_passes_through(case14):
+    everything = full_monitored_set(case14)
+    base = solve_opf(case14, case14.base_load(), everything)
+    load = case14.base_load() * 1.01
+    started = solve_opf(case14, load, everything, start=base.basis)
+    cold = solve_opf(case14, load, everything)
+    assert started.p_g.tobytes() == cold.p_g.tobytes()
+    assert np.array_equal(started.basis.columns, base.basis.columns)
+    infeasible = solve_opf(case14, case14.base_load() * 9, everything, start=base.basis)
+    assert (infeasible.status, infeasible.basis) == ("infeasible", None)
 
 
 def test_line_flows_zero_injection(tri3):

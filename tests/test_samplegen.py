@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridscreen import (
+    build_opf,
     check_limits,
     extract_features,
     fit_normalizer,
@@ -13,6 +14,8 @@ from gridscreen import (
     parse_case,
     read_dataset,
     serialize_case,
+    solve_lp,
+    solve_opf,
     split_dataset,
     write_dataset,
 )
@@ -152,12 +155,44 @@ def test_generate_prefix_stable(tri3):
         assert sa.objective == sb.objective
 
 
-def test_generate_parallel_matches_serial(tri3):
-    serial = generate_dataset(tri3, 12, 0.1, seed=3, threads=1)
-    parallel = generate_dataset(tri3, 12, 0.1, seed=3, threads=2)
-    for sa, sb in zip(serial.samples, parallel.samples):
-        assert sa.load_mw.tolist() == sb.load_mw.tolist()
-        assert sa.objective == sb.objective
+def test_generate_parallel_matches_serial(tri3, case14):
+    # on case14 the base-case basis answers some samples and not others
+    for net in (tri3, case14):
+        serial = generate_dataset(net, 12, 0.1, seed=3, threads=1)
+        parallel = generate_dataset(net, 12, 0.1, seed=3, threads=2)
+        for sa, sb in zip(serial.samples, parallel.samples):
+            assert sa.load_mw.tolist() == sb.load_mw.tolist()
+            assert sa.p_g.tobytes() == sb.p_g.tobytes()
+            assert sa.objective == sb.objective
+
+
+def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
+    starts = []
+    solve = samplegen.solve_opf
+    monkeypatch.setattr(samplegen, "solve_opf",
+                        lambda *a: starts.append(a[3] if len(a) > 3 else None) or solve(*a))
+    generate_dataset(case14, 6, 0.3, seed=2)
+    base = solve(case14, case14.base_load(), frozenset(range(case14.num_branches))).basis
+    assert starts[0] is None and len(starts) >= 7
+    for start in starts[1:]:
+        assert np.array_equal(start.columns, base.columns) and np.array_equal(start.status, base.status)
+
+
+@pytest.mark.parametrize("name", ["tri3", "case14"])
+@pytest.mark.parametrize("magnitude", [0.1, 0.3])
+def test_generated_dispatch_equals_cold_solve(name, magnitude, request):
+    """Every sample starts from the base-case basis and still has the bits of a cold solve."""
+    net = request.getfixturevalue(name)
+    everything = frozenset(range(net.num_branches))
+    start = solve_opf(net, net.base_load(), everything).basis
+    ds = generate_dataset(net, 150, magnitude, seed=5)
+    hits = 0
+    for s in ds.samples:
+        assert s.p_g.tobytes() == solve_opf(net, s.load_mw, everything).p_g.tobytes()
+        hits += solve_lp(build_opf(net, s.load_mw, everything), start=start).diagnostics["warm_start"]
+    assert hits > 0
+    if name == "case14":  # the base basis is not optimal for every case14 load
+        assert hits < len(ds.samples)
 
 
 def test_generate_worker_count_capped(tri3, monkeypatch):

@@ -208,6 +208,63 @@ def test_dimension_validation():
         lp([1.0], [0.0], [1.0], a_eq=[[1.0]], b_eq=[1.0, 2.0])
 
 
+def _box_lp(c, demand):
+    # min c'x over 0 <= x <= (2, 5) with x0 + x1 >= demand
+    return lp(c, [0.0, 0.0], [2.0, 5.0], a_ub=[[-1.0, -1.0]], b_ub=[-demand])
+
+
+def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14):
+    rng = np.random.default_rng(4)
+    base = case14.base_load()
+    start = solve_lp(build_opf(case14, base, full_monitored_set(case14))).basis
+    hits = 0
+    for _ in range(20):
+        problem = build_opf(case14, base * rng.uniform(0.9, 1.1, base.size), full_monitored_set(case14))
+        cold, warm = solve_lp(problem), solve_lp(problem, start=start)
+        assert cold.diagnostics["warm_start"] is False
+        if warm.diagnostics["warm_start"]:
+            hits += 1
+            assert warm.iterations == 1
+            assert warm.diagnostics["pivots"] == 0 and warm.diagnostics["phase1_iterations"] == 0
+            assert warm.diagnostics["refactorizations"] == 2
+            # a cold solve that ends on the start basis reads the same bits
+            assert np.array_equal(cold.basis.columns, start.columns)
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert np.array_equal(warm.basis.columns, cold.basis.columns)
+        assert np.array_equal(warm.basis.status, cold.basis.status)
+    assert 0 < hits < 20
+
+
+def test_start_basis_is_none_unless_optimal_without_artificials():
+    assert solve_lp(lp([0.0], [-np.inf], [np.inf], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])).basis is None
+    # a dependent equality row keeps its artificial basic at zero
+    dependent = solve_lp(lp([1.0], [0.0], [5.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 1.0]))
+    assert dependent.status == "optimal" and dependent.basis is None
+    sol = solve_lp(_box_lp([1.0, 2.0], 1.0))
+    assert sol.basis.columns.tolist() == [0] and sol.basis.status.tolist() == [2, 0, 0]
+
+
+@pytest.mark.parametrize("miss", ["infeasible", "other-costs", "wrong-shape", "other-bounds"])
+def test_start_basis_miss_gives_the_cold_answer(miss, tri3, case14):
+    start = solve_lp(_box_lp([1.0, 2.0], 1.0)).basis  # x0 basic, x1 and the slack at 0
+    problem = {
+        "infeasible": _box_lp([1.0, 2.0], 3.0),    # x0 = 3 is above its bound 2
+        "other-costs": _box_lp([2.0, 1.0], 1.0),   # x1 now prices in
+        "other-bounds": _box_lp([2.0, 1.0], 1.0),
+    }.get(miss)
+    if miss == "other-bounds":
+        # x1 was fixed at 0, so its status would keep it out of pricing
+        start = solve_lp(lp([2.0, 1.0], [0.0, 0.0], [2.0, 0.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])).basis
+    if miss == "wrong-shape":
+        start = solve_lp(build_opf(tri3, tri3.base_load(), full_monitored_set(tri3))).basis
+        problem = build_opf(case14, case14.base_load(), full_monitored_set(case14))
+    cold, warm = solve_lp(problem), solve_lp(problem, start=start)
+    assert warm.diagnostics["warm_start"] is False
+    assert warm.status == cold.status == "optimal"
+    assert warm.x.tobytes() == cold.x.tobytes()
+    assert (warm.iterations, warm.diagnostics) == (cold.iterations, cold.diagnostics)
+
+
 def _random_problem(rng):
     n = int(rng.integers(1, 10))
     me = int(rng.integers(0, min(n, 4) + 1))
@@ -267,13 +324,23 @@ def _random_free_column_problem(rng):
     (_random_free_column_problem, 250, 2),
 ])
 def test_random_cross_check_against_scipy(maker, trials, seed):
-    """Status and optimum agree with an independent solver; solutions are feasible."""
+    """Status and optimum agree with an independent solver; solutions are feasible.
+
+    Each LP is solved cold and again from the basis of the same LP with a
+    perturbed rhs; both answers must agree with the reference.
+    """
     rng = np.random.default_rng(seed)
+    perturb = np.random.default_rng(100 + seed)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    started = 0
     for _ in range(trials):
         c, lower, upper, a_eq, b_eq, a_ub, b_ub = maker(rng)
         problem = lp(c, lower, upper, a_eq, b_eq, a_ub, b_ub)
+        nearby = solve_lp(lp(c, lower, upper, a_eq, b_eq + perturb.normal(0, 0.1, b_eq.size).round(2),
+                             a_ub, b_ub + perturb.normal(0, 0.1, b_ub.size).round(2)))
         mine = solve_lp(problem)
+        from_nearby = solve_lp(problem, start=nearby.basis)
+        started += from_nearby.diagnostics["warm_start"]
         ref = linprog(
             c,
             A_ub=a_ub if a_ub.size else None, b_ub=b_ub if b_ub.size else None,
@@ -281,15 +348,17 @@ def test_random_cross_check_against_scipy(maker, trials, seed):
             bounds=list(zip(lower, upper)), method="highs",
         )
         expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
-        assert mine.status == expected
-        statuses[mine.status] += 1
-        if mine.status == "optimal":
-            assert mine.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-6)
-            if a_eq.size:
-                assert np.abs(a_eq @ mine.x - b_eq).max() < 1e-6
-            if a_ub.size:
-                assert (a_ub @ mine.x - b_ub).max() < 1e-6
-            assert (lower - mine.x).max() < 1e-9
-            assert (mine.x - upper).max() < 1e-9
-    # the generator must actually exercise all three outcomes
+        statuses[expected] += 1
+        for sol in (mine, from_nearby):
+            assert sol.status == expected
+            if sol.status == "optimal":
+                assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-6)
+                if a_eq.size:
+                    assert np.abs(a_eq @ sol.x - b_eq).max() < 1e-6
+                if a_ub.size:
+                    assert (a_ub @ sol.x - b_ub).max() < 1e-6
+                assert (lower - sol.x).max() < 1e-9
+                assert (sol.x - upper).max() < 1e-9
+    # the generator must actually exercise all three outcomes, and the start path
     assert min(statuses.values()) > 0
+    assert started >= trials // 10
