@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcase import Network
-from .simplex import Basis, LinearProgram, solve_lp
+from .simplex import Basis, LinearProgram, solve_lp, start_vertices
 
 #: default tolerance (MW) for violation reporting, two orders above solver feasibility
 REPORT_TOL_MW = 1e-6
@@ -31,7 +31,8 @@ class DispatchSolution:
     flows: np.ndarray | None         # per-branch MW, all branches
     objective: float | None          # sum of cost * output
     solve_seconds: float             # wall time of solve_lp alone
-    basis: Basis | None = None       # the LP's optimal basis, to start a like solve from
+    lp: LinearProgram | None = None  # the LP that was solved
+    basis: Basis | None = None       # the LP's optimal basis, to check other loads against
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,36 @@ def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram
     """
     load = _check_load(network, load_mw)
     mon = _check_monitored(network, monitored)
-    # all rows of f0, so each LP row matches line_flows to the bit
-    shift, base_flow, rating = network.gen_ptdf[mon], (network.ptdf @ load)[mon], network.rating[mon]
+    rhs = _rhs(network, load, mon)
+    shift = network.gen_ptdf[mon]
     return LinearProgram(
         c=network.gen_cost, lower=network.gen_p_min, upper=network.gen_p_max,
-        a_eq=np.ones((1, network.num_generators)), b_eq=[load.sum()],
-        a_ub=np.vstack([shift, -shift]),
-        b_ub=np.concatenate([rating + base_flow, rating - base_flow]),
+        a_eq=np.ones((1, network.num_generators)), b_eq=rhs[:1],
+        a_ub=np.vstack([shift, -shift]), b_ub=rhs[1:],
     )
+
+
+def _rhs(network: Network, load: np.ndarray, mon: list[int]) -> np.ndarray:
+    """The dispatch LP's [b_eq; b_ub] at a checked load: sum(load), then rating + f0 and rating - f0 over mon."""
+    # all rows of f0, so each LP row matches line_flows to the bit
+    base_flow, rating = (network.ptdf @ load)[mon], network.rating[mon]
+    return np.concatenate([[load.sum()], rating + base_flow, rating - base_flow])
+
+
+def start_dispatches(network: Network, start: DispatchSolution, loads, monitored) -> list[np.ndarray | None]:
+    """The dispatch of start's optimal basis at each of `loads`, or None where that basis is not optimal.
+
+    `start` is a solve_opf solution on this network and monitored set.  The
+    loads are checked against its basis as one batch
+    (simplex.start_vertices), so a dispatch has the bits of a cold solve
+    that ends on that basis.
+    """
+    mon = _check_monitored(network, monitored)
+    rhs = np.reshape([_rhs(network, _check_load(network, load), mon) for load in loads],
+                     (len(loads), 1 + 2 * len(mon)))
+    if start.basis is None:
+        return [None] * len(loads)
+    return start_vertices(start.lp, rhs, start.basis)
 
 
 def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.ndarray:
@@ -95,22 +118,21 @@ def _flows(network: Network, p_g: np.ndarray, load: np.ndarray) -> np.ndarray:
     return network.gen_ptdf @ p_g - network.ptdf @ load
 
 
-def solve_opf(network: Network, load_mw: np.ndarray, monitored, start: Basis | None = None) -> DispatchSolution:
+def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolution:
     """Build, solve and read back the (reduced) OPF; flows cover all branches.
 
-    Only solve_lp is timed; `start` is passed to it (an earlier solution's
-    basis).  Without generators the LP has no column, so it is feasible
-    only for zero net load that the monitored ratings admit.
+    Only solve_lp is timed.  Without generators the LP has no column, so it
+    is feasible only for zero net load that the monitored ratings admit.
     """
     load = np.asarray(load_mw, dtype=float)
     lp = build_opf(network, load, monitored)  # checks the load
     t0 = time.perf_counter()
-    sol = solve_lp(lp, start=start)
+    sol = solve_lp(lp)
     seconds = time.perf_counter() - t0
     if sol.status != "optimal":
-        return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None, solve_seconds=seconds)
+        return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None, solve_seconds=seconds, lp=lp)
     return DispatchSolution(status=sol.status, p_g=sol.x, flows=_flows(network, sol.x, load),
-                            objective=sol.objective, solve_seconds=seconds, basis=sol.basis)
+                            objective=sol.objective, solve_seconds=seconds, lp=lp, basis=sol.basis)
 
 
 def check_limits(network: Network, flows: np.ndarray, tolerance_mw: float = REPORT_TOL_MW) -> ViolationReport:

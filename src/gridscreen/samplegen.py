@@ -9,11 +9,14 @@ so one dataset serves every threshold without skew.
 
 Randomness is counter-based (Philox keyed by run seed and sample index), so
 sample i is reproducible in isolation and generation parallelizes without
-changing the result.  Every sample starts from the base-case basis: each
-sample's simplex first tries the optimal basis of the base-case solve, and
-only a load for which that basis is not optimal is solved cold.  No sample
-starts from another sample's basis, so a sample still depends only on the
-case, the seed and its index, whatever the worker count.
+changing the result.  Every sample's first draw is checked against the
+optimal basis of the base-case solve, in batches of a fixed number of
+samples that share one check of that basis (dcopf.start_dispatches); only a
+draw for which that basis is not optimal is solved cold, and each redraw
+after an infeasible draw is checked against the base basis before it is
+solved cold.  No sample starts from another sample's basis, so a sample
+still depends only on the case, the seed and its index, whatever the batch
+or worker count.
 """
 
 from __future__ import annotations
@@ -29,18 +32,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, _flows, full_monitored_set, solve_opf
+from .dcopf import REPORT_TOL_MW, DispatchSolution, _flows, full_monitored_set, solve_opf, start_dispatches
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
 )
-from .simplex import Basis
 
 NODE_FEATURE_WIDTH = 7
 EDGE_FEATURE_WIDTH = 2
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS_PER_SAMPLE = 1000
+# samples whose first draws share one check of the base-case basis; a
+# worker takes whole batches
+_START_BATCH = 16
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -137,24 +142,43 @@ def _build_sample(network: Network, sample_id: int, load: np.ndarray, p_g: np.nd
                   float(network.gen_cost @ p_g))
 
 
-def _generate_one(network: Network, magnitude: float, seed: int, index: int,
-                  template: tuple[np.ndarray, np.ndarray], start: Basis | None) -> tuple[Sample, int]:
-    """Draw loads for one sample, redrawing from the same stream until feasible.
+def _draw(gen: np.random.Generator, base: np.ndarray, magnitude: float) -> np.ndarray:
+    return base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
 
-    Every solve starts from `start`, the base case's optimal basis.
+
+def _generate_batch(network: Network, magnitude: float, seed: int, indices: range,
+                    template: tuple[np.ndarray, np.ndarray], start: DispatchSolution) -> list[tuple[Sample, int]]:
+    """Samples `indices`: their first draws are checked against `start`, the base-case solution, at once."""
+    base = network.base_load()
+    gens = [_generator(derive_seed(seed, i)) for i in indices]
+    loads = [_draw(gen, base, magnitude) for gen in gens]
+    dispatches = start_dispatches(network, start, loads, full_monitored_set(network))
+    return [(_build_sample(network, i, load, p_g, template), 0) if p_g is not None
+            else _generate_one(network, magnitude, i, template, start, gen, load)
+            for i, gen, load, p_g in zip(indices, gens, loads, dispatches)]
+
+
+def _generate_one(network: Network, magnitude: float, index: int, template: tuple[np.ndarray, np.ndarray],
+                  start: DispatchSolution, gen: np.random.Generator, load: np.ndarray) -> tuple[Sample, int]:
+    """Sample `index` from a first draw `load` that `start` did not answer, redrawing from `gen` until feasible.
+
+    `load` is solved cold; each redraw is first checked against `start`, the
+    base-case solution, as a batch of one.
     """
     base = network.base_load()
-    gen = _generator(derive_seed(seed, index))
     monitored = full_monitored_set(network)
     redraws = 0
+    p_g = None
     while True:
-        load = base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
-        sol = solve_opf(network, load, monitored, start)
-        if sol.status == "optimal":
-            return _build_sample(network, index, load, sol.p_g, template), redraws
+        if p_g is None:
+            p_g = solve_opf(network, load, monitored).p_g  # None unless optimal
+        if p_g is not None:
+            return _build_sample(network, index, load, p_g, template), redraws
         redraws += 1
         if redraws >= _MAX_REDRAWS_PER_SAMPLE:
             raise RuntimeError(f"sample {index}: no feasible load after {redraws} redraws")
+        load = _draw(gen, base, magnitude)
+        p_g = start_dispatches(network, start, [load], monitored)[0]
 
 
 def generate_dataset(
@@ -168,9 +192,10 @@ def generate_dataset(
 
     Infeasible draws are discarded and redrawn (the total is recorded in the
     dataset metadata).  Fails fast if the unperturbed base case is already
-    infeasible; otherwise every sample's solve starts from the base case's
-    optimal basis.  Samples are solved in min(threads, cpu count, count)
-    worker processes; the result does not depend on that number.
+    infeasible; otherwise every draw is first checked against the base
+    case's optimal basis.  Batches of samples are solved in
+    min(threads, cpu count, batches) worker processes; the result depends
+    on neither number.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -184,19 +209,17 @@ def generate_dataset(
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
     template = _feature_template(network)
-    # more workers than cores or samples would only add start-up cost
-    workers = min(threads, os.cpu_count() or 1, count)
+    batches = [range(lo, min(lo + _START_BATCH, count)) for lo in range(0, count, _START_BATCH)]
+    # more workers than cores or batches would only add start-up cost
+    workers = min(threads, os.cpu_count() or 1, len(batches))
     if workers > 1:
+        n = len(batches)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _generate_one,
-                [network] * count, [magnitude] * count, [seed] * count, range(count),
-                [template] * count, [base_sol.basis] * count, chunksize=max(1, count // (8 * workers)),
-            ))
+            results = list(pool.map(_generate_batch, [network] * n, [magnitude] * n, [seed] * n, batches,
+                                    [template] * n, [base_sol] * n))
     else:
-        results = [_generate_one(network, magnitude, seed, i, template, base_sol.basis)
-                   for i in range(count)]
-    for sample, redraws in results:
+        results = [_generate_batch(network, magnitude, seed, batch, template, base_sol) for batch in batches]
+    for sample, redraws in itertools.chain.from_iterable(results):
         dataset.samples.append(sample)
         dataset.redraws += redraws
     return dataset

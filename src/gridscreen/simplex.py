@@ -28,17 +28,17 @@ columns (constant rows) runs through the same two phases.
 
 Start basis: an optimal solution without a basic artificial carries its
 basis (the basic column of each row and the status of every column, slacks
-included), and solve_lp(..., start=basis) tries it on an LP of the same
-shape before any pivot.  Two checks decide, primal first so that a miss
-costs one solve: x_B from one solve with B must lie within its bounds to
-1e-9 (tighter than phase 1's 1e-7 per row), and one pricing pass (y from a
-solve with B', then d = c - yA) must find no improving column.  When both
-pass, the vertex is returned; x comes from the formula of the cold solve's
-final read, so it has the bits of a cold solve that ends on that basis.  A
-start of the wrong shape, a singular basis, an infeasible or a non-optimal
-start falls back to the cold two-phase solve, which then answers as if no
-start had been given.  The solution's diagnostics say which path answered
-(warm_start).
+included).  start_vertices(lp, rhs, basis) checks that basis against a
+batch of right-hand sides of one LP: a new rhs leaves A, c, the bounds and
+the row scaling alone, so everything but the primal check is done once per
+batch.  Once: the standard form, the shape and status-vs-bounds checks,
+the constant N x_N, and one pricing pass (y from a solve with B', then
+d = c - yA) that must find no improving column.  Then one stacked solve
+with B gives x_B for every rhs; each item is an nrhs=1 solve like the cold
+solve's final read, so a hit has the bits of a cold solve that ends on that
+basis.  A row is a hit when its x_B lies within its bounds to 1e-9
+(tighter than phase 1's 1e-7 per row).  A basis of the wrong shape, a
+singular or a non-optimal one answers no row.
 
 A LinearProgram rejects NaN anywhere and infinities outside the bounds when
 it is built, so a bad input fails there rather than mid-solve.
@@ -133,52 +133,21 @@ class LpSolution:
     basis: Basis | None = None       # set when optimal with no artificial left basic
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None,
-             start: Basis | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve an LP, reporting optimal/infeasible/unbounded faithfully.
 
     Raises SimplexIterationLimit when the pivot budget runs out (distinct
     from infeasibility) and SingularBasisError on an unrecoverable basis.
     max_iterations=None uses a budget that grows with the LP's size.
-    `start` is the basis of an earlier solution; it answers when it is
-    feasible and optimal here, else the LP is solved cold.
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1 or None, got {max_iterations}")
-    n = lp.num_variables
-    me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
-    m = me + mi
-
-    # standard form rows [A_eq; A_ub], one slack per inequality row,
-    # equilibrated so coefficient magnitudes are <= 1 per row, with a 1e-12
-    # floor; an all-zero row, as every row of a zero-column LP is, keeps
-    # scale 1 so its rhs is judged as given
-    a_rows = np.vstack([lp.a_eq, lp.a_ub])
-    b = np.concatenate([lp.b_eq, lp.b_ub])
-    row_max = np.abs(a_rows).max(axis=1, initial=0.0)
-    scale = np.where(row_max > 0.0, np.maximum(row_max, 1e-12), 1.0)
-    a_rows = a_rows / scale[:, None]
-    b = b / scale
-
-    n_slack = mi
-    n_total = n + n_slack
-    a = np.zeros((m, n_total))
-    a[:, :n] = a_rows
-    a[me:, n:] = np.eye(mi)
-    lb = np.concatenate([lp.lower, np.zeros(mi)])
-    ub = np.concatenate([lp.upper, np.full(mi, np.inf)])
-    slack_cols = np.concatenate([np.full(me, -1), np.arange(n, n_total)])
-
-    core = _Core(a, b, lb, ub, max_iterations)
-    c = np.concatenate([lp.c, np.zeros(mi)])
-    x_full = None if start is None else core.start_from(start, c)
-    if x_full is None:
-        core.slack_start(slack_cols)
-        status = core.run_two_phase(c)
-        if status != "optimal":
-            return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics())
-        x_full = core.solution()
-    x = x_full[:n]
+    core, c, scale = _standard_form(lp, max_iterations)
+    core.slack_start(np.concatenate([lp.b_eq, lp.b_ub]) / scale)
+    status = core.run_two_phase(c)
+    if status != "optimal":
+        return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics())
+    x = core.solution()[:lp.num_variables]
     return LpSolution(
         status="optimal",
         x=x,
@@ -189,6 +158,46 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None,
     )
 
 
+def start_vertices(lp: LinearProgram, rhs, start: Basis) -> list[np.ndarray | None]:
+    """The vertex of `start` on `lp` for each row of rhs where `start` is optimal, else None.
+
+    Each row of the (S, #rows) array rhs stands for [b_eq; b_ub]; lp's own
+    rhs is not read.  A vertex has the bits that solve_lp would return if
+    its cold solve ended on `start`.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    m = lp.a_eq.shape[0] + lp.a_ub.shape[0]
+    if rhs.ndim != 2 or rhs.shape[1] != m:
+        raise ValueError(f"rhs must be a batch of rows of length {m}, got shape {rhs.shape}")
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs has a non-finite entry")
+    core, c, scale = _standard_form(lp, None)
+    return [None if x is None else x[:lp.num_variables] for x in core.start_vertices(start, c, rhs / scale)]
+
+
+def _standard_form(lp: LinearProgram, max_iterations: int | None) -> tuple[_Core, np.ndarray, np.ndarray]:
+    """The _Core over lp's standard-form columns, their costs and the row scale that divides a rhs.
+
+    The rows are [A_eq; A_ub] with one slack per inequality row,
+    equilibrated so coefficient magnitudes are <= 1 per row, with a 1e-12
+    floor; an all-zero row, as every row of a zero-column LP is, keeps
+    scale 1 so its rhs is judged as given.
+    """
+    n = lp.num_variables
+    me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
+    a_rows = np.vstack([lp.a_eq, lp.a_ub])
+    row_max = np.abs(a_rows).max(axis=1, initial=0.0)
+    scale = np.where(row_max > 0.0, np.maximum(row_max, 1e-12), 1.0)
+    a = np.zeros((me + mi, n + mi))
+    a[:, :n] = a_rows / scale[:, None]
+    a[me:, n:] = np.eye(mi)
+    lb = np.concatenate([lp.lower, np.zeros(mi)])
+    ub = np.concatenate([lp.upper, np.full(mi, np.inf)])
+    slack_cols = np.concatenate([np.full(me, -1), np.arange(n, n + mi)])
+    c = np.concatenate([lp.c, np.zeros(mi)])
+    return _Core(a, lb, ub, slack_cols, max_iterations), c, scale
+
+
 def _dual_tol(c: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.abs(c).max(initial=0.0)))
 
@@ -196,17 +205,19 @@ def _dual_tol(c: np.ndarray) -> float:
 class _Core:
     """Simplex engine on the standard-form system a x (+ artificials) = b.
 
-    The basis is set by start_from (a given basis) or slack_start (the
-    cold start).
+    The system without its rhs is set once; slack_start gives it a rhs b
+    and the cold start's basis, start_vertices checks a given basis against
+    a batch of rhs.
     """
 
-    def __init__(self, a, b, lb, ub, max_iterations):
+    def __init__(self, a, lb, ub, slack_cols, max_iterations):
+        """slack_cols[i] is the column of row i's slack (bounds [0, inf)), or -1 for an equality row."""
         self.m, self.n_real = a.shape
         # artificial columns appended after real+slack columns
         self.a = np.hstack([a, np.zeros((self.m, self.m))])
-        self.b = b
         self.lb = np.concatenate([lb, np.zeros(self.m)])
         self.ub = np.concatenate([ub, np.full(self.m, np.inf)])
+        self.slack_cols = slack_cols
         self.n = self.a.shape[1]
         if max_iterations is None:
             max_iterations = max(2000, 50 * (self.n + self.m))
@@ -218,10 +229,10 @@ class _Core:
         self.refactorizations = 0
         self.bland_engaged = False
         self.bland_threshold = 3 * (self.n + self.m)
-        self.warm_start = False
 
-    def slack_start(self, slack_cols):
-        """The cold start; slack_cols[i] is the column of row i's slack (bounds [0, inf)), or -1 for an equality row."""
+    def slack_start(self, b):
+        """The cold start for rhs b."""
+        self.b = b
         # every column starts nonbasic at a finite bound, lower first, or
         # free at 0; lb == ub makes it fixed
         rows = np.arange(self.m)
@@ -235,27 +246,28 @@ class _Core:
         # satisfies keeps its slack basic and its artificial stays fixed at
         # 0; every other row starts on an artificial oriented to be >= 0
         resid = self.b - self.a[:, :self.n_real] @ x_nb
-        slack_start = (slack_cols >= 0) & (resid >= 0)
+        slack_start = (self.slack_cols >= 0) & (resid >= 0)
         signs = np.where(resid >= 0, 1.0, -1.0)
         self.a[rows, art] = signs
         self.status[art] = np.where(slack_start, _FIXED, _BASIC)
-        self.basis = np.where(slack_start, slack_cols, art)
+        self.basis = np.where(slack_start, self.slack_cols, art)
         self.status[self.basis] = _BASIC
         self.binv = np.diag(signs)  # inverse of the initial +/-1 diagonal basis
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
 
-    def start_from(self, start: Basis, c: np.ndarray) -> np.ndarray | None:
-        """The vertex of `start` if it is primal and dual feasible for cost c, else None.
+    def start_vertices(self, start: Basis, c: np.ndarray, b_rows: np.ndarray) -> list[np.ndarray | None]:
+        """The vertex of `start` for each rhs row of b_rows where it is primal and dual feasible for cost c, else None.
 
-        The vertex is read as solution() reads it.  A miss counts nothing;
-        slack_start then resets the basis and status it leaves behind.
+        Every check but the primal one is done once.  Vertices are read as
+        solution() reads them.  Nothing is counted.
         """
+        misses = [None] * len(b_rows)
         cols, status = np.asarray(start.columns), np.asarray(start.status)
         if cols.shape != (self.m,) or status.shape != (self.n_real,):
-            return None
+            return misses
         if not np.array_equal(np.sort(cols), np.flatnonzero(status == _BASIC)):
-            return None
+            return misses
         # each status must suit this LP's bounds, as the cold start assigns them
         lb, ub = self.lb[:self.n_real], self.ub[:self.n_real]
         lo, hi = np.isfinite(lb), np.isfinite(ub)
@@ -263,28 +275,24 @@ class _Core:
                            (status == _BASIC) | ((status == _AT_LOWER) & lo)
                            | ((status == _AT_UPPER) & hi) | ((status == _FREE) & ~lo & ~hi))
         if not allowed.all():
-            return None
+            return misses
         self.basis = cols.copy()
         self.status = np.concatenate([status, np.full(self.m, _FIXED)])
         try:
-            x = self._vertex()
-        except SingularBasisError:
-            return None
-        x_b = x[self.basis]
-        if not np.all((x_b >= self.lb[self.basis] - _START_PRIMAL_TOL)
-                      & (x_b <= self.ub[self.basis] + _START_PRIMAL_TOL)):
-            return None
-        try:
             y = np.linalg.solve(self.a[:, self.basis].T, c[self.basis])
         except np.linalg.LinAlgError:
-            return None
+            return misses
         c_all = np.concatenate([c, np.zeros(self.m)])
         if self._improving(c_all - y @ self.a, _dual_tol(c)).size:
-            return None
-        self.iterations = 1
-        self.refactorizations = 2  # the solves with B and with B'
-        self.warm_start = True
-        return x
+            return misses
+        try:
+            x = self._vertices(b_rows)
+        except SingularBasisError:
+            return misses
+        x_b = x[:, self.basis]
+        hit = np.isfinite(x_b).all(axis=1) & np.all(
+            (x_b >= self.lb[self.basis] - _START_PRIMAL_TOL) & (x_b <= self.ub[self.basis] + _START_PRIMAL_TOL), axis=1)
+        return [x[i] if hit[i] else None for i in range(len(b_rows))]
 
     def optimal_basis(self) -> Basis | None:
         """The basis to start a like LP from; None while an artificial is basic."""
@@ -299,7 +307,6 @@ class _Core:
             "bound_flips": self.bound_flips,
             "refactorizations": self.refactorizations,
             "bland_engaged": self.bland_engaged,
-            "warm_start": self.warm_start,
         }
 
     def _improving(self, d: np.ndarray, dual_tol: float) -> np.ndarray:
@@ -473,20 +480,21 @@ class _Core:
         The solve is the solution's factorization of the basis and counts
         as a refactorization; no inverse is formed.
         """
-        x = self._vertex()
+        x = self._vertices(self.b[None, :])[0]
+        if not np.all(np.isfinite(x[self.basis])):
+            raise SingularBasisError("basic values non-finite at the final solve")
         self.refactorizations += 1
         return x
 
-    def _vertex(self) -> np.ndarray:
-        x = np.empty(self.n)
+    def _vertices(self, b_rows: np.ndarray) -> np.ndarray:
+        """The vertex of the current basis for each rhs row: one stacked solve, an nrhs=1 solve with B per row."""
+        x = np.empty((len(b_rows), self.n))
         nonbasic = np.flatnonzero(self.status != _BASIC)
-        x[nonbasic] = self._nonbasic_values(nonbasic)
-        rhs = self.b - self.a[:, nonbasic] @ x[nonbasic]
+        x[:, nonbasic] = x_nb = self._nonbasic_values(nonbasic)
+        rhs = b_rows - self.a[:, nonbasic] @ x_nb
+        bmat = np.broadcast_to(self.a[:, self.basis], (len(b_rows), self.m, self.m))
         try:
-            x_basic = np.linalg.solve(self.a[:, self.basis], rhs)
+            x[:, self.basis] = np.linalg.solve(bmat, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix singular at the final solve") from None
-        if not np.all(np.isfinite(x_basic)):
-            raise SingularBasisError("basic values non-finite at the final solve")
-        x[self.basis] = x_basic
         return x

@@ -89,19 +89,27 @@ def test_solve_opf_checks_the_load_once(tri3, case14, monkeypatch):
     assert sol.flows.tobytes() == line_flows(case14, sol.p_g, load).tobytes()
     calls.clear()
     generate_dataset(tri3, 4, 0.1, seed=1)
-    assert len(calls) == 5  # the base case and each sample's build, none for the flows
+    assert len(calls) == 5  # the base case's build and each sample's check, none for the flows
 
 
-def test_solve_opf_start_passes_through(case14):
+def test_start_dispatches_have_the_cold_bits(case14):
     everything = full_monitored_set(case14)
     base = solve_opf(case14, case14.base_load(), everything)
-    load = case14.base_load() * 1.01
-    started = solve_opf(case14, load, everything, start=base.basis)
-    cold = solve_opf(case14, load, everything)
-    assert started.p_g.tobytes() == cold.p_g.tobytes()
-    assert np.array_equal(started.basis.columns, base.basis.columns)
-    infeasible = solve_opf(case14, case14.base_load() * 9, everything, start=base.basis)
-    assert (infeasible.status, infeasible.basis) == ("infeasible", None)
+    loads = [case14.base_load() * 1.01, case14.base_load() * 9, case14.base_load()]
+    near, infeasible, same = dcopf.start_dispatches(case14, base, loads, everything)
+    assert near.tobytes() == solve_opf(case14, loads[0], everything).p_g.tobytes()
+    assert infeasible is None
+    assert same.tobytes() == base.p_g.tobytes()
+    # a reduced solve's basis answers for its own monitored set
+    few = {0, 3, 7}
+    reduced = solve_opf(case14, case14.base_load(), few)
+    [near_reduced] = dcopf.start_dispatches(case14, reduced, loads[:1], few)
+    assert near_reduced.tobytes() == solve_opf(case14, loads[0], few).p_g.tobytes()
+    # an infeasible solution has no basis to answer with
+    none = solve_opf(case14, loads[1], everything)
+    assert dcopf.start_dispatches(case14, none, loads, everything) == [None] * 3
+    with pytest.raises(ValueError, match="load vector length"):
+        dcopf.start_dispatches(case14, base, [np.ones(3)], everything)
 
 
 def test_line_flows_zero_injection(tri3):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gridscreen import (
-    build_opf,
     check_limits,
     extract_features,
     fit_normalizer,
@@ -13,13 +12,14 @@ from gridscreen import (
     label_sample,
     parse_case,
     read_dataset,
+    full_monitored_set,
     serialize_case,
-    solve_lp,
     solve_opf,
     split_dataset,
     write_dataset,
 )
 from gridscreen import samplegen
+from gridscreen.dcopf import start_dispatches
 from gridscreen.samplegen import Dataset, Sample
 
 
@@ -155,44 +155,96 @@ def test_generate_prefix_stable(tri3):
         assert sa.objective == sb.objective
 
 
+def _reference_samples(net, count, magnitude, seed):
+    """Per sample, a cold solve of each draw until one is feasible: the loads, dispatches and redraw total."""
+    base, everything = net.base_load(), full_monitored_set(net)
+    loads, dispatches, redraws = [], [], 0
+    for i in range(count):
+        gen = samplegen._generator(samplegen.derive_seed(seed, i))
+        while True:
+            load = base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
+            sol = solve_opf(net, load, everything)
+            if sol.status == "optimal":
+                break
+            redraws += 1
+        loads.append(load)
+        dispatches.append(sol.p_g)
+    return loads, dispatches, redraws
+
+
 def test_generate_parallel_matches_serial(tri3, case14):
-    # on case14 the base-case basis answers some samples and not others
-    for net in (tri3, case14):
-        serial = generate_dataset(net, 12, 0.1, seed=3, threads=1)
-        parallel = generate_dataset(net, 12, 0.1, seed=3, threads=2)
+    # on case14 the base-case basis answers some samples and not others; on
+    # tri3 at +-60% about one draw in seven is infeasible and redrawn
+    for net, count, magnitude, seed in ((tri3, 12, 0.1, 3), (case14, 12, 0.1, 3), (tri3, 100, 0.6, 0)):
+        serial = generate_dataset(net, count, magnitude, seed=seed, threads=1)
+        parallel = generate_dataset(net, count, magnitude, seed=seed, threads=2)
+        assert serial.redraws == parallel.redraws == _reference_samples(net, count, magnitude, seed)[2]
         for sa, sb in zip(serial.samples, parallel.samples):
             assert sa.load_mw.tolist() == sb.load_mw.tolist()
             assert sa.p_g.tobytes() == sb.p_g.tobytes()
             assert sa.objective == sb.objective
+    assert serial.redraws > 0
 
 
 def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
-    starts = []
-    solve = samplegen.solve_opf
-    monkeypatch.setattr(samplegen, "solve_opf",
-                        lambda *a: starts.append(a[3] if len(a) > 3 else None) or solve(*a))
-    generate_dataset(case14, 6, 0.3, seed=2)
-    base = solve(case14, case14.base_load(), frozenset(range(case14.num_branches))).basis
-    assert starts[0] is None and len(starts) >= 7
-    for start in starts[1:]:
-        assert np.array_equal(start.columns, base.columns) and np.array_equal(start.status, base.status)
+    """Every first draw is checked against the base-case basis in one batch; only the misses are solved cold."""
+    checks, solved = [], []
+    check, solve = samplegen.start_dispatches, samplegen.solve_opf
+
+    def recording_check(network, start, loads, monitored):
+        answers = check(network, start, loads, monitored)
+        checks.append((start, answers))
+        return answers
+
+    monkeypatch.setattr(samplegen, "start_dispatches", recording_check)
+    monkeypatch.setattr(samplegen, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
+    ds = generate_dataset(case14, 6, 0.3, seed=2)
+    base = solve(case14, case14.base_load(), full_monitored_set(case14))
+    assert ds.redraws == 0 and len(checks) == 1
+    start, answers = checks[0]
+    assert np.array_equal(start.basis.columns, base.basis.columns)
+    assert np.array_equal(start.basis.status, base.basis.status)
+    misses = [s.load_mw for s, p_g in zip(ds.samples, answers) if p_g is None]
+    assert 0 < len(misses) < 6
+    # the base case, then each miss cold
+    assert [load.tobytes() for load in solved] == [case14.base_load().tobytes()] + [m.tobytes() for m in misses]
 
 
-@pytest.mark.parametrize("name", ["tri3", "case14"])
-@pytest.mark.parametrize("magnitude", [0.1, 0.3])
-def test_generated_dispatch_equals_cold_solve(name, magnitude, request):
-    """Every sample starts from the base-case basis and still has the bits of a cold solve."""
+@pytest.mark.parametrize("magnitude,name", [(0.1, "tri3"), (0.1, "case14"), (0.3, "tri3"), (0.3, "case14"),
+                                            (0.6, "tri3")])
+def test_generated_dispatch_equals_cold_solve(magnitude, name, request):
+    """Samples checked against the base-case basis still have the bits of a per-sample cold solve."""
     net = request.getfixturevalue(name)
-    everything = frozenset(range(net.num_branches))
-    start = solve_opf(net, net.base_load(), everything).basis
+    everything = full_monitored_set(net)
+    base = solve_opf(net, net.base_load(), everything)
     ds = generate_dataset(net, 150, magnitude, seed=5)
-    hits = 0
-    for s in ds.samples:
-        assert s.p_g.tobytes() == solve_opf(net, s.load_mw, everything).p_g.tobytes()
-        hits += solve_lp(build_opf(net, s.load_mw, everything), start=start).diagnostics["warm_start"]
+    loads, dispatches, redraws = _reference_samples(net, 150, magnitude, 5)
+    assert ds.redraws == redraws
+    for s, load, p_g in zip(ds.samples, loads, dispatches):
+        assert s.load_mw.tobytes() == load.tobytes()
+        assert s.p_g.tobytes() == p_g.tobytes()
+    hits = sum(p_g is not None for p_g in start_dispatches(net, base, loads, everything))
     assert hits > 0
-    if name == "case14":  # the base basis is not optimal for every case14 load
+    if name == "case14" or magnitude == 0.6:  # the base basis is not optimal for every load
         assert hits < len(ds.samples)
+    if magnitude == 0.6:
+        assert redraws > 0
+
+
+@pytest.mark.parametrize("name,magnitude", [("case14", 0.3), ("tri3", 0.6)])
+def test_dataset_bytes_do_not_depend_on_the_batch_size(name, magnitude, request, tmp_path, monkeypatch):
+    net = request.getfixturevalue(name)
+    count = 40
+    write_dataset(generate_dataset(net, count, magnitude, seed=1), tmp_path / "reference.jsonl")
+    reference = (tmp_path / "reference.jsonl").read_bytes()
+    for batch in (1, 3, count):
+        monkeypatch.setattr(samplegen, "_START_BATCH", batch)
+        for threads in (1, 2):
+            path = tmp_path / f"batch{batch}_threads{threads}.jsonl"
+            write_dataset(generate_dataset(net, count, magnitude, seed=1, threads=threads), path)
+            assert path.read_bytes() == reference, (batch, threads)
+    if name == "tri3":
+        assert read_dataset(tmp_path / "reference.jsonl").redraws > 0
 
 
 def test_generate_worker_count_capped(tri3, monkeypatch):
@@ -209,11 +261,12 @@ def test_generate_worker_count_capped(tri3, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
+        def map(self, fn, *iterables):
             return map(fn, *iterables)
 
     monkeypatch.setattr(samplegen, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(samplegen.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(samplegen, "_START_BATCH", 1)  # workers take whole batches: one per sample
     reference = generate_dataset(tri3, 6, 0.1, seed=3)
     capped = generate_dataset(tri3, 6, 0.1, seed=3, threads=10_000)
     generate_dataset(tri3, 3, 0.1, seed=3, threads=64)

@@ -9,6 +9,7 @@ from gridscreen import (
     full_monitored_set,
     solve_lp,
 )
+from gridscreen.simplex import Basis, start_vertices
 
 
 def lp(c, lower, upper, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
@@ -213,25 +214,28 @@ def _box_lp(c, demand):
     return lp(c, [0.0, 0.0], [2.0, 5.0], a_ub=[[-1.0, -1.0]], b_ub=[-demand])
 
 
+def _rhs(problem):
+    return np.concatenate([problem.b_eq, problem.b_ub])
+
+
 def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14):
     rng = np.random.default_rng(4)
     base = case14.base_load()
     start = solve_lp(build_opf(case14, base, full_monitored_set(case14))).basis
+    problems = [build_opf(case14, base * rng.uniform(0.9, 1.1, base.size), full_monitored_set(case14))
+                for _ in range(20)]
+    batch = start_vertices(problems[0], [_rhs(p) for p in problems], start)
     hits = 0
-    for _ in range(20):
-        problem = build_opf(case14, base * rng.uniform(0.9, 1.1, base.size), full_monitored_set(case14))
-        cold, warm = solve_lp(problem), solve_lp(problem, start=start)
-        assert cold.diagnostics["warm_start"] is False
-        if warm.diagnostics["warm_start"]:
+    for problem, warm in zip(problems, batch):
+        # one row alone gets the answer it gets in the batch
+        alone = start_vertices(problem, [_rhs(problem)], start)[0]
+        assert (warm is None) == (alone is None)
+        if warm is not None:
             hits += 1
-            assert warm.iterations == 1
-            assert warm.diagnostics["pivots"] == 0 and warm.diagnostics["phase1_iterations"] == 0
-            assert warm.diagnostics["refactorizations"] == 2
             # a cold solve that ends on the start basis reads the same bits
+            cold = solve_lp(problem)
             assert np.array_equal(cold.basis.columns, start.columns)
-        assert warm.x.tobytes() == cold.x.tobytes()
-        assert np.array_equal(warm.basis.columns, cold.basis.columns)
-        assert np.array_equal(warm.basis.status, cold.basis.status)
+            assert warm.tobytes() == alone.tobytes() == cold.x.tobytes()
     assert 0 < hits < 20
 
 
@@ -244,25 +248,39 @@ def test_start_basis_is_none_unless_optimal_without_artificials():
     assert sol.basis.columns.tolist() == [0] and sol.basis.status.tolist() == [2, 0, 0]
 
 
-@pytest.mark.parametrize("miss", ["infeasible", "other-costs", "wrong-shape", "other-bounds"])
+@pytest.mark.parametrize("miss", ["infeasible", "other-costs", "wrong-shape", "other-bounds", "singular"])
 def test_start_basis_miss_gives_the_cold_answer(miss, tri3, case14):
+    """A start that is not optimal answers None for every row, so the caller solves each cold."""
     start = solve_lp(_box_lp([1.0, 2.0], 1.0)).basis  # x0 basic, x1 and the slack at 0
-    problem = {
-        "infeasible": _box_lp([1.0, 2.0], 3.0),    # x0 = 3 is above its bound 2
-        "other-costs": _box_lp([2.0, 1.0], 1.0),   # x1 now prices in
-        "other-bounds": _box_lp([2.0, 1.0], 1.0),
-    }.get(miss)
+    # rows are b_ub = -demand; the box LP's demands 1 and 1.5 keep x0 within [0, 2]
+    problem, rows = {
+        "infeasible": (_box_lp([1.0, 2.0], 3.0), [[-3.0], [-2.5]]),     # x0 is above its bound 2
+        "other-costs": (_box_lp([2.0, 1.0], 1.0), [[-1.0], [-1.5]]),    # x1 now prices in
+        "other-bounds": (_box_lp([2.0, 1.0], 1.0), [[-1.0]]),
+        "wrong-shape": (build_opf(case14, case14.base_load(), full_monitored_set(case14)), None),
+        # two equal rows: the basis of x0 and x1 is singular, and each status suits the bounds
+        "singular": (lp([1.0, 1.0], [0.0, 0.0], [2.0, 2.0], a_ub=[[1.0, 1.0], [1.0, 1.0]], b_ub=[3.0, 3.0]),
+                     [[3.0, 3.0], [2.0, 2.0]]),
+    }[miss]
     if miss == "other-bounds":
         # x1 was fixed at 0, so its status would keep it out of pricing
         start = solve_lp(lp([2.0, 1.0], [0.0, 0.0], [2.0, 0.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])).basis
     if miss == "wrong-shape":
         start = solve_lp(build_opf(tri3, tri3.base_load(), full_monitored_set(tri3))).basis
-        problem = build_opf(case14, case14.base_load(), full_monitored_set(case14))
-    cold, warm = solve_lp(problem), solve_lp(problem, start=start)
-    assert warm.diagnostics["warm_start"] is False
-    assert warm.status == cold.status == "optimal"
-    assert warm.x.tobytes() == cold.x.tobytes()
-    assert (warm.iterations, warm.diagnostics) == (cold.iterations, cold.diagnostics)
+        rows = [_rhs(problem)]
+    if miss == "singular":
+        start = Basis(np.array([0, 1]), np.array([2, 2, 0, 0]))
+    assert solve_lp(problem).status == "optimal"
+    assert start_vertices(problem, rows, start) == [None] * len(rows)
+
+
+def test_start_vertices_checks_its_rhs():
+    problem = _box_lp([1.0, 2.0], 1.0)
+    start = solve_lp(problem).basis
+    assert start_vertices(problem, np.zeros((0, 1)), start) == []
+    for bad in ([-1.0], [[-1.0, 0.0]], [[np.inf]], [[np.nan]]):
+        with pytest.raises(ValueError):
+            start_vertices(problem, bad, start)
 
 
 def _random_problem(rng):
@@ -326,8 +344,9 @@ def _random_free_column_problem(rng):
 def test_random_cross_check_against_scipy(maker, trials, seed):
     """Status and optimum agree with an independent solver; solutions are feasible.
 
-    Each LP is solved cold and again from the basis of the same LP with a
-    perturbed rhs; both answers must agree with the reference.
+    Each LP is solved cold, and the basis of the same LP with a perturbed
+    rhs is checked against its rhs; a vertex that basis gives must agree
+    with the reference too.
     """
     rng = np.random.default_rng(seed)
     perturb = np.random.default_rng(100 + seed)
@@ -339,8 +358,10 @@ def test_random_cross_check_against_scipy(maker, trials, seed):
         nearby = solve_lp(lp(c, lower, upper, a_eq, b_eq + perturb.normal(0, 0.1, b_eq.size).round(2),
                              a_ub, b_ub + perturb.normal(0, 0.1, b_ub.size).round(2)))
         mine = solve_lp(problem)
-        from_nearby = solve_lp(problem, start=nearby.basis)
-        started += from_nearby.diagnostics["warm_start"]
+        from_nearby = None
+        if nearby.basis is not None:
+            from_nearby = start_vertices(problem, [np.concatenate([b_eq, b_ub])], nearby.basis)[0]
+            started += from_nearby is not None
         ref = linprog(
             c,
             A_ub=a_ub if a_ub.size else None, b_ub=b_ub if b_ub.size else None,
@@ -349,16 +370,18 @@ def test_random_cross_check_against_scipy(maker, trials, seed):
         )
         expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
         statuses[expected] += 1
-        for sol in (mine, from_nearby):
-            assert sol.status == expected
-            if sol.status == "optimal":
-                assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-6)
+        assert mine.status == expected
+        # a start answers only an LP with an optimum
+        assert from_nearby is None or expected == "optimal"
+        for x in (mine.x, from_nearby):
+            if x is not None:
+                assert float(c @ x) == pytest.approx(ref.fun, rel=1e-7, abs=1e-6)
                 if a_eq.size:
-                    assert np.abs(a_eq @ sol.x - b_eq).max() < 1e-6
+                    assert np.abs(a_eq @ x - b_eq).max() < 1e-6
                 if a_ub.size:
-                    assert (a_ub @ sol.x - b_ub).max() < 1e-6
-                assert (lower - sol.x).max() < 1e-9
-                assert (sol.x - upper).max() < 1e-9
+                    assert (a_ub @ x - b_ub).max() < 1e-6
+                assert (lower - x).max() < 1e-9
+                assert (x - upper).max() < 1e-9
     # the generator must actually exercise all three outcomes, and the start path
     assert min(statuses.values()) > 0
     assert started >= trials // 10
