@@ -480,21 +480,32 @@ class _Core:
         The solve is the solution's factorization of the basis and counts
         as a refactorization; no inverse is formed.
         """
-        x = self._vertices(self.b[None, :])[0]
-        if not np.all(np.isfinite(x[self.basis])):
-            raise SingularBasisError("basic values non-finite at the final solve")
+        x = self._vertex()
         self.refactorizations += 1
         return x
 
+    def _vertex(self) -> np.ndarray:
+        x = np.empty(self.n)
+        nonbasic = np.flatnonzero(self.status != _BASIC)
+        x[nonbasic] = self._nonbasic_values(nonbasic)
+        rhs = self.b - self.a[:, nonbasic] @ x[nonbasic]
+        try:
+            x_basic = np.linalg.solve(self.a[:, self.basis], rhs)
+        except np.linalg.LinAlgError:
+            raise SingularBasisError("basis matrix singular at the final solve") from None
+        if not np.all(np.isfinite(x_basic)):
+            raise SingularBasisError("basic values non-finite at the final solve")
+        x[self.basis] = x_basic
+        return x
+
     def _vertices(self, b_rows: np.ndarray) -> np.ndarray:
-        """The vertex of the current basis for each rhs row: one stacked solve, an nrhs=1 solve with B per row."""
+        """_vertex for each rhs row of b_rows: one stacked solve whose items are one-rhs solves with B, as in _vertex."""
         x = np.empty((len(b_rows), self.n))
         nonbasic = np.flatnonzero(self.status != _BASIC)
         x[:, nonbasic] = x_nb = self._nonbasic_values(nonbasic)
         rhs = b_rows - self.a[:, nonbasic] @ x_nb
-        bmat = np.broadcast_to(self.a[:, self.basis], (len(b_rows), self.m, self.m))
         try:
-            x[:, self.basis] = np.linalg.solve(bmat, rhs[:, :, None])[:, :, 0]
+            x[:, self.basis] = np.linalg.solve(self.a[:, self.basis], rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix singular at the final solve") from None
+            raise SingularBasisError("basis matrix singular at the start check") from None
         return x
