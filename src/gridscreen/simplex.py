@@ -292,7 +292,7 @@ class _Core:
         x_b = x[:, self.basis]
         hit = np.isfinite(x_b).all(axis=1) & np.all(
             (x_b >= self.lb[self.basis] - _START_PRIMAL_TOL) & (x_b <= self.ub[self.basis] + _START_PRIMAL_TOL), axis=1)
-        return [x[i] if hit[i] else None for i in range(len(b_rows))]
+        return [x_i if ok else None for x_i, ok in zip(x, hit)]
 
     def optimal_basis(self) -> Basis | None:
         """The basis to start a like LP from; None while an artificial is basic."""
