@@ -7,7 +7,8 @@ variant, which limits only a monitored subset, shrinks with that subset.
 The PTDF and the other constants of the LP are derived once per Network
 (see netcase.Network), so a build only slices the monitored rows and
 multiplies the PTDF by the load.  Flows are computed for every branch
-afterwards so violations can be audited.
+afterwards so violations can be audited.  full_dispatches owns the start
+policy of full-problem dispatches: try the base case's basis, else solve cold.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcase import Network
-from .simplex import Basis, LinearProgram, solve_lp, start_vertices
+from .simplex import LinearProgram, solve_lp, start_vertices
 
 #: default tolerance (MW) for violation reporting, two orders above solver feasibility
 REPORT_TOL_MW = 1e-6
@@ -31,8 +32,6 @@ class DispatchSolution:
     flows: np.ndarray | None         # per-branch MW, all branches
     objective: float | None          # sum of cost * output
     solve_seconds: float             # wall time of solve_lp alone
-    lp: LinearProgram | None = None  # the LP that was solved
-    basis: Basis | None = None       # the LP's optimal basis, to check other loads against
 
 
 @dataclass(frozen=True)
@@ -89,20 +88,22 @@ def _rhs(network: Network, load: np.ndarray, mon: list[int]) -> np.ndarray:
     return np.concatenate([[load.sum()], rating + base_flow, rating - base_flow])
 
 
-def start_dispatches(network: Network, start: DispatchSolution, loads, monitored) -> list[np.ndarray | None]:
-    """The dispatch of start's optimal basis at each of `loads`, or None where that basis is not optimal.
+def full_dispatches(network: Network, loads) -> list[np.ndarray | None]:
+    """The full-problem dispatch at each of `loads`, or None where a load is infeasible.
 
-    `start` is a solve_opf solution on this network and monitored set.  The
-    loads are checked against its basis as one batch
-    (simplex.start_vertices), so a dispatch has the bits of a cold solve
-    that ends on that basis.
+    Every load is first checked against the optimal basis of the base case
+    (network.base_opf) in one batch (simplex.start_vertices); only the loads
+    that basis does not answer are solved cold.  So each dispatch has the
+    bits of its own cold solve, whatever else is in the batch.
     """
-    mon = _check_monitored(network, monitored)
-    rhs = np.reshape([_rhs(network, _check_load(network, load), mon) for load in loads],
-                     (len(loads), 1 + 2 * len(mon)))
-    if start.basis is None:
-        return [None] * len(loads)
-    return start_vertices(start.lp, rhs, start.basis)
+    everything = list(range(network.num_branches))
+    checked = [_check_load(network, load) for load in loads]
+    lp, base = network.base_opf
+    starts = [None] * len(checked)
+    if base.basis is not None and checked:
+        starts = start_vertices(lp, [_rhs(network, load, everything) for load in checked], base.basis)
+    return [solve_opf(network, load, everything).p_g if p_g is None else p_g
+            for load, p_g in zip(checked, starts)]
 
 
 def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.ndarray:
@@ -130,9 +131,9 @@ def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolut
     sol = solve_lp(lp)
     seconds = time.perf_counter() - t0
     if sol.status != "optimal":
-        return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None, solve_seconds=seconds, lp=lp)
+        return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None, solve_seconds=seconds)
     return DispatchSolution(status=sol.status, p_g=sol.x, flows=_flows(network, sol.x, load),
-                            objective=sol.objective, solve_seconds=seconds, lp=lp, basis=sol.basis)
+                            objective=sol.objective, solve_seconds=seconds)
 
 
 def check_limits(network: Network, flows: np.ndarray, tolerance_mw: float = REPORT_TOL_MW) -> ViolationReport:

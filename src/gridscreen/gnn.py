@@ -350,7 +350,6 @@ class TrainHistory:
 
 @dataclass
 class TrainResult:
-    model: object            # parameters after the final epoch
     best_model: object       # snapshot with the lowest validation loss
     history: TrainHistory
 
@@ -395,11 +394,11 @@ def train(
 
     Batch order reshuffles deterministically per epoch from the config seed.
     Validation loss and accuracy are measured on the full validation split
-    after each epoch, and the best-validation-loss parameter snapshot is kept
-    alongside the final model.  Training loss and accuracy are running means
-    over the epoch's mini-batches, each batch measured by its own forward pass
-    before its Adam step.  Raises on a non-finite loss, naming the epoch and
-    batch.
+    after each epoch.  `model` is trained in place and ends at the final
+    epoch; the result holds the best-validation-loss snapshot.  Training
+    loss and accuracy are running means over the epoch's mini-batches, each
+    batch measured by its own forward pass before its Adam step.  Raises on
+    a non-finite loss, naming the epoch and batch.
     """
     if not train_split or not val_split:
         raise ValueError("train and validation splits must be non-empty")
@@ -452,7 +451,7 @@ def train(
             best_val = history.val_loss[-1]
             best_model = model.copy()
 
-    return TrainResult(model=model, best_model=best_model, history=history)
+    return TrainResult(best_model=best_model, history=history)
 
 
 def predict_congested(model, sample: Sample, topology: GraphTopology) -> frozenset[int]:

@@ -8,7 +8,8 @@ number reported.
 
 A Network also derives, once, the read-only arrays the dispatch LP reads on
 every sample: the shift factors (PTDF), their generator-bus columns, the
-branch ratings and the generator cost and bound vectors.
+branch ratings and the generator cost and bound vectors; and the base-load
+dispatch LP with its solution, whose basis dcopf.full_dispatches tries first.
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ class Network:
     ``buses``, ``branches`` and ``generators`` are ordered tuples; all
     derived index maps refer to positions in those tuples.
 
-    The cached properties below are derived on first use and then shared,
-    read-only.  cached_property stores them in the instance ``__dict__``, so
-    they stay out of ``__eq__``, ``serialize_case`` and ``fingerprint``, and
-    ``__getstate__`` leaves them out of a pickle (an unpickled array would
-    be writable again); ``dataclasses.replace`` gives a Network of its own.
+    The cached properties below are derived on first use and then shared;
+    the arrays are read-only.  cached_property stores them in the instance
+    ``__dict__``, so they stay out of ``__eq__``, ``serialize_case`` and
+    ``fingerprint``, and ``__getstate__`` leaves them out of a pickle (an
+    unpickled array would be writable again); ``dataclasses.replace`` gives
+    a Network of its own.
     """
 
     base_mva: float
@@ -141,6 +143,14 @@ class Network:
     def gen_p_max(self) -> np.ndarray:
         """(G,) generator upper limits in MW."""
         return _read_only(np.array([gen.p_max_mw for gen in self.generators], dtype=float))
+
+    @cached_property
+    def base_opf(self):
+        """(LinearProgram, LpSolution): the dispatch LP at the base load with every branch monitored, solved cold."""
+        from .dcopf import build_opf, full_monitored_set  # dcopf imports this module
+        from .simplex import solve_lp
+        lp = build_opf(self, self.base_load(), full_monitored_set(self))
+        return lp, solve_lp(lp)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

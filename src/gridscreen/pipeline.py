@@ -234,7 +234,6 @@ def threshold_sweep(
     thresholds: list[float],
     model_factory=None,
     use_oracle: bool = False,
-    epochs: int | None = None,
 ) -> list[tuple[EvalReport, object]]:
     """One (report, model) pair per threshold, ascending.
 
@@ -255,7 +254,7 @@ def threshold_sweep(
         if use_oracle:
             model, predictor = None, OraclePredictor(network, tau)
         else:
-            model = train(model_factory(tau), network, train_split, val_split, tau, epochs=epochs).best_model
+            model = train(model_factory(tau), network, train_split, val_split, tau).best_model
             predictor = ModelPredictor(model, topology)
         results.append((evaluate(network, predictor, test_split, tau), model))
     return results

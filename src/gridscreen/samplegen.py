@@ -9,14 +9,12 @@ so one dataset serves every threshold without skew.
 
 Randomness is counter-based (Philox keyed by run seed and sample index), so
 sample i is reproducible in isolation and generation parallelizes without
-changing the result.  Every sample's first draw is checked against the
-optimal basis of the base-case solve, in batches of a fixed number of
-samples that share one check of that basis (dcopf.start_dispatches); only a
-draw for which that basis is not optimal is solved cold, and each redraw
-after an infeasible draw is checked against the base basis before it is
-solved cold.  No sample starts from another sample's basis, so a sample
-still depends only on the case, the seed and its index, whatever the batch
-or worker count.
+changing the result.  A batch of samples is drawn, dispatched at once
+(dcopf.full_dispatches, which checks every load against the base case's
+optimal basis and solves only the misses cold), and only its infeasible
+draws are redrawn and dispatched again, until none is left.  No sample
+starts from another sample's basis, so a sample still depends only on the
+case, the seed and its index, whatever the batch or worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, DispatchSolution, _flows, full_monitored_set, solve_opf, start_dispatches
+from .dcopf import REPORT_TOL_MW, _flows, full_dispatches
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
@@ -43,7 +41,7 @@ EDGE_FEATURE_WIDTH = 2
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS_PER_SAMPLE = 1000
-# samples whose first draws share one check of the base-case basis; a
+# samples whose draws are dispatched together (dcopf.full_dispatches); a
 # worker takes whole batches
 _START_BATCH = 16
 
@@ -147,38 +145,25 @@ def _draw(gen: np.random.Generator, base: np.ndarray, magnitude: float) -> np.nd
 
 
 def _generate_batch(network: Network, magnitude: float, seed: int, indices: range,
-                    template: tuple[np.ndarray, np.ndarray], start: DispatchSolution) -> list[tuple[Sample, int]]:
-    """Samples `indices`: their first draws are checked against `start`, the base-case solution, at once."""
+                    template: tuple[np.ndarray, np.ndarray]) -> list[tuple[Sample, int]]:
+    """Samples `indices` and their redraw counts: draw all, dispatch all, redraw only the infeasible, repeat."""
     base = network.base_load()
     gens = [_generator(derive_seed(seed, i)) for i in indices]
     loads = [_draw(gen, base, magnitude) for gen in gens]
-    dispatches = start_dispatches(network, start, loads, full_monitored_set(network))
-    return [(_build_sample(network, i, load, p_g, template), 0) if p_g is not None
-            else _generate_one(network, magnitude, i, template, start, gen, load)
-            for i, gen, load, p_g in zip(indices, gens, loads, dispatches)]
-
-
-def _generate_one(network: Network, magnitude: float, index: int, template: tuple[np.ndarray, np.ndarray],
-                  start: DispatchSolution, gen: np.random.Generator, load: np.ndarray) -> tuple[Sample, int]:
-    """Sample `index` from a first draw `load` that `start` did not answer, redrawing from `gen` until feasible.
-
-    `load` is solved cold; each redraw is first checked against `start`, the
-    base-case solution, as a batch of one.
-    """
-    base = network.base_load()
-    monitored = full_monitored_set(network)
-    redraws = 0
-    p_g = None
-    while True:
-        if p_g is None:
-            p_g = solve_opf(network, load, monitored).p_g  # None unless optimal
-        if p_g is not None:
-            return _build_sample(network, index, load, p_g, template), redraws
-        redraws += 1
-        if redraws >= _MAX_REDRAWS_PER_SAMPLE:
-            raise RuntimeError(f"sample {index}: no feasible load after {redraws} redraws")
-        load = _draw(gen, base, magnitude)
-        p_g = start_dispatches(network, start, [load], monitored)[0]
+    dispatches = [None] * len(gens)
+    redraws = [0] * len(gens)
+    pending = list(range(len(gens)))
+    while pending:
+        for k, p_g in zip(pending, full_dispatches(network, [loads[k] for k in pending])):
+            dispatches[k] = p_g
+        pending = [k for k in pending if dispatches[k] is None]
+        for k in pending:
+            redraws[k] += 1
+            if redraws[k] >= _MAX_REDRAWS_PER_SAMPLE:
+                raise RuntimeError(f"sample {indices[k]}: no feasible load after {redraws[k]} redraws")
+            loads[k] = _draw(gens[k], base, magnitude)
+    return [(_build_sample(network, i, load, p_g, template), n)
+            for i, load, p_g, n in zip(indices, loads, dispatches, redraws)]
 
 
 def generate_dataset(
@@ -192,8 +177,7 @@ def generate_dataset(
 
     Infeasible draws are discarded and redrawn (the total is recorded in the
     dataset metadata).  Fails fast if the unperturbed base case is already
-    infeasible; otherwise every draw is first checked against the base
-    case's optimal basis.  Batches of samples are solved in
+    infeasible.  Batches of samples are solved in
     min(threads, cpu count, batches) worker processes; the result depends
     on neither number.
     """
@@ -203,9 +187,9 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    base_sol = solve_opf(network, network.base_load(), full_monitored_set(network))
-    if base_sol.status != "optimal":
-        raise RuntimeError(f"base-case OPF is {base_sol.status}; cannot generate samples")
+    base = network.base_opf[1]
+    if base.status != "optimal":
+        raise RuntimeError(f"base-case OPF is {base.status}; cannot generate samples")
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
     template = _feature_template(network)
@@ -214,11 +198,13 @@ def generate_dataset(
     workers = min(threads, os.cpu_count() or 1, len(batches))
     if workers > 1:
         n = len(batches)
+        # one chunk of batches per worker: a chunk pickles the network once,
+        # so each worker solves the base case once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_generate_batch, [network] * n, [magnitude] * n, [seed] * n, batches,
-                                    [template] * n, [base_sol] * n))
+                                    [template] * n, chunksize=-(-n // workers)))
     else:
-        results = [_generate_batch(network, magnitude, seed, batch, template, base_sol) for batch in batches]
+        results = [_generate_batch(network, magnitude, seed, batch, template) for batch in batches]
     for sample, redraws in itertools.chain.from_iterable(results):
         dataset.samples.append(sample)
         dataset.redraws += redraws

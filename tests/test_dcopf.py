@@ -78,8 +78,9 @@ def test_tri3_overload_infeasible(tri3):
     assert sol.p_g is None and sol.flows is None
 
 
-def test_solve_opf_checks_the_load_once(tri3, case14, monkeypatch):
+def test_solve_opf_checks_the_load_once(tri3_text, case14, monkeypatch):
     """build_opf checks the load; the flows of the solution, and of samples, skip the check."""
+    tri3 = parse_case(tri3_text)  # its own network: a shared one may have solved its base case already
     calls = []
     check = dcopf._check_load
     monkeypatch.setattr(dcopf, "_check_load", lambda *a: calls.append(a) or check(*a))
@@ -92,24 +93,29 @@ def test_solve_opf_checks_the_load_once(tri3, case14, monkeypatch):
     assert len(calls) == 5  # the base case's build and each sample's check, none for the flows
 
 
-def test_start_dispatches_have_the_cold_bits(case14):
+def test_full_dispatches_have_the_cold_bits(case14):
     everything = full_monitored_set(case14)
-    base = solve_opf(case14, case14.base_load(), everything)
-    loads = [case14.base_load() * 1.01, case14.base_load() * 9, case14.base_load()]
-    near, infeasible, same = dcopf.start_dispatches(case14, base, loads, everything)
+    # the base basis answers 1.01x and 1x the base load, not 1.3x, which is solved cold
+    loads = [case14.base_load() * 1.01, case14.base_load() * 9, case14.base_load(), case14.base_load() * 1.3]
+    near, infeasible, same, far = dcopf.full_dispatches(case14, loads)
     assert near.tobytes() == solve_opf(case14, loads[0], everything).p_g.tobytes()
     assert infeasible is None
-    assert same.tobytes() == base.p_g.tobytes()
-    # a reduced solve's basis answers for its own monitored set
-    few = {0, 3, 7}
-    reduced = solve_opf(case14, case14.base_load(), few)
-    [near_reduced] = dcopf.start_dispatches(case14, reduced, loads[:1], few)
-    assert near_reduced.tobytes() == solve_opf(case14, loads[0], few).p_g.tobytes()
-    # an infeasible solution has no basis to answer with
-    none = solve_opf(case14, loads[1], everything)
-    assert dcopf.start_dispatches(case14, none, loads, everything) == [None] * 3
+    assert same.tobytes() == case14.base_opf[1].x.tobytes()
+    assert far.tobytes() == solve_opf(case14, loads[3], everything).p_g.tobytes()
+    assert dcopf.full_dispatches(case14, []) == []
     with pytest.raises(ValueError, match="load vector length"):
-        dcopf.start_dispatches(case14, base, [np.ones(3)], everything)
+        dcopf.full_dispatches(case14, [np.ones(3)])
+
+
+def test_full_dispatches_without_a_base_basis_solve_cold(tri3_text):
+    """An infeasible base case has no basis to check against: every load is solved cold."""
+    net = parse_case(tri3_text.replace("3 1 150.0", "3 1 500.0"))
+    assert net.base_opf[1].status == "infeasible"
+    everything = full_monitored_set(net)
+    loads = [net.base_load() * 0.3, net.base_load()]
+    low, base = dcopf.full_dispatches(net, loads)
+    assert low.tobytes() == solve_opf(net, loads[0], everything).p_g.tobytes()
+    assert base is None
 
 
 def test_line_flows_zero_injection(tri3):

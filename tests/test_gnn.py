@@ -362,7 +362,7 @@ def test_train_zero_epochs_identity(tri3, tri3_dataset):
     before = [p.copy() for _, p in model.parameters()]
     result = train(model, tri3, train_split, val_split, threshold=0.95, epochs=0)
     assert len(result.history) == 0
-    for (_, p), b in zip(result.model.parameters(), before):
+    for (_, p), b in zip(model.parameters(), before):
         assert np.array_equal(p, b)
 
 
@@ -389,11 +389,11 @@ def test_train_deterministic(tri3, tri3_dataset):
     def run():
         model = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3,
                            normalizer=fit_normalizer(train_split))
-        return train(model, tri3, train_split, val_split, threshold=0.95, epochs=5)
+        return model, train(model, tri3, train_split, val_split, threshold=0.95, epochs=5)
 
-    a, b = run(), run()
+    (model_a, a), (model_b, b) = run(), run()
     assert a.history.train_loss == b.history.train_loss
-    for (_, pa), (_, pb) in zip(a.model.parameters(), b.model.parameters()):
+    for (_, pa), (_, pb) in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(pa, pb)
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridscreen import CaseError, parse_case, serialize_case, to_graph
+from gridscreen import CaseError, build_opf, full_monitored_set, parse_case, serialize_case, solve_opf, to_graph
 
 DERIVED = ("rating", "ptdf", "gen_ptdf", "gen_cost", "gen_p_min", "gen_p_max")
 
@@ -182,8 +182,30 @@ def test_derived_arrays_stay_out_of_identity(tri3_text):
     assert not back.ptdf.flags.writeable
 
 
+def test_base_case_derived_once_and_kept_out_of_identity(tri3_text):
+    net = parse_case(tri3_text)
+    fingerprint = net.fingerprint()
+    lp, base = net.base_opf
+    assert net.base_opf[1] is base                  # derived once
+    assert base.status == "optimal" and base.basis is not None
+    cold = solve_opf(net, net.base_load(), full_monitored_set(net))
+    assert base.x.tobytes() == cold.p_g.tobytes()
+    assert lp.b_ub.size == 2 * net.num_branches     # every branch monitored
+    assert net.fingerprint() == fingerprint
+    assert net == parse_case(tri3_text)             # equal to a network that has not solved it
+    back = pickle.loads(pickle.dumps(net))
+    assert back == net
+    assert "base_opf" not in vars(back)             # not pickled ...
+    assert back.base_opf[1] is not base             # ... but derived again
+    assert back.base_opf[1].x.tobytes() == base.x.tobytes()
+
+
 def test_replace_derives_afresh(tri3):
-    tri3.rating
+    tri3.rating, tri3.base_opf
     doubled = tuple(replace(br, rate_a_mw=2 * br.rate_a_mw) for br in tri3.branches)
-    assert replace(tri3, branches=doubled).rating.tolist() == [400.0, 160.0, 400.0]
+    wider = replace(tri3, branches=doubled)
+    assert wider.rating.tolist() == [400.0, 160.0, 400.0]
     assert tri3.rating.tolist() == [200.0, 80.0, 200.0]
+    assert wider.base_opf[0].b_ub.tolist() != tri3.base_opf[0].b_ub.tolist()
+    rebuilt = build_opf(wider, wider.base_load(), full_monitored_set(wider))
+    assert wider.base_opf[0].b_ub.tolist() == rebuilt.b_ub.tolist()

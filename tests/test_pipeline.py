@@ -197,12 +197,12 @@ def test_sweep_trains_fresh_model_per_threshold(tri3, tri3_dataset):
 
     def factory(tau):
         return init_model(
-            ModelConfig(num_layers=2, channels=8, seed=2),
+            ModelConfig(num_layers=2, channels=8, seed=2, epochs=25),
             7, 2, num_buses=3, num_branches=3, normalizer=fit_normalizer(train_split),
         )
 
     results = threshold_sweep(tri3, train_split, val_split, test_split[:10],
-                              [0.95, 0.7], model_factory=factory, epochs=25)
+                              [0.95, 0.7], model_factory=factory)
     assert [r.threshold for r, _ in results] == [0.7, 0.95]
     for r, model in results:
         assert r.edge_prediction_error_pct <= 40.0  # learnable at both thresholds

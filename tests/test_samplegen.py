@@ -18,8 +18,8 @@ from gridscreen import (
     split_dataset,
     write_dataset,
 )
-from gridscreen import samplegen
-from gridscreen.dcopf import start_dispatches
+from gridscreen import dcopf, samplegen, simplex
+from gridscreen.simplex import start_vertices
 from gridscreen.samplegen import Dataset, Sample
 
 
@@ -188,26 +188,43 @@ def test_generate_parallel_matches_serial(tri3, case14):
 
 def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
     """Every first draw is checked against the base-case basis in one batch; only the misses are solved cold."""
+    net = parse_case(serialize_case(case14))  # its own network, whose base case is not solved yet
     checks, solved = [], []
-    check, solve = samplegen.start_dispatches, samplegen.solve_opf
+    check, solve = dcopf.start_vertices, dcopf.solve_opf
 
-    def recording_check(network, start, loads, monitored):
-        answers = check(network, start, loads, monitored)
-        checks.append((start, answers))
+    def recording_check(lp, rhs, basis):
+        answers = check(lp, rhs, basis)
+        checks.append((basis, answers))
         return answers
 
-    monkeypatch.setattr(samplegen, "start_dispatches", recording_check)
-    monkeypatch.setattr(samplegen, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
-    ds = generate_dataset(case14, 6, 0.3, seed=2)
-    base = solve(case14, case14.base_load(), full_monitored_set(case14))
+    monkeypatch.setattr(dcopf, "start_vertices", recording_check)
+    monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
+    ds = generate_dataset(net, 6, 0.3, seed=2)
     assert ds.redraws == 0 and len(checks) == 1
-    start, answers = checks[0]
-    assert np.array_equal(start.basis.columns, base.basis.columns)
-    assert np.array_equal(start.basis.status, base.basis.status)
+    basis, answers = checks[0]
+    assert basis is net.base_opf[1].basis and len(answers) == 6
     misses = [s.load_mw for s, p_g in zip(ds.samples, answers) if p_g is None]
     assert 0 < len(misses) < 6
-    # the base case, then each miss cold
-    assert [load.tobytes() for load in solved] == [case14.base_load().tobytes()] + [m.tobytes() for m in misses]
+    # only the misses are solved cold; the base case was solved by its Network
+    assert [load.tobytes() for load in solved] == [m.tobytes() for m in misses]
+
+
+def test_the_base_case_is_solved_once_per_network(case14, monkeypatch):
+    net = parse_case(serialize_case(case14))
+    rhs = []
+    solve = simplex.solve_lp
+
+    def recording_solve(lp, *args):
+        rhs.append(np.concatenate([lp.b_eq, lp.b_ub]).tobytes())
+        return solve(lp, *args)
+
+    monkeypatch.setattr(simplex, "solve_lp", recording_solve)  # the base case's solve
+    monkeypatch.setattr(dcopf, "solve_lp", recording_solve)    # every cold solve of a draw
+    generate_dataset(net, 8, 0.3, seed=1)
+    generate_dataset(net, 8, 0.3, seed=2)
+    lp, _ = net.base_opf
+    assert rhs.count(np.concatenate([lp.b_eq, lp.b_ub]).tobytes()) == 1
+    assert 1 < len(rhs) < 1 + 16  # the base case, then the draws its basis missed
 
 
 @pytest.mark.parametrize("magnitude,name", [(0.1, "tri3"), (0.1, "case14"), (0.3, "tri3"), (0.3, "case14"),
@@ -215,15 +232,15 @@ def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
 def test_generated_dispatch_equals_cold_solve(magnitude, name, request):
     """Samples checked against the base-case basis still have the bits of a per-sample cold solve."""
     net = request.getfixturevalue(name)
-    everything = full_monitored_set(net)
-    base = solve_opf(net, net.base_load(), everything)
     ds = generate_dataset(net, 150, magnitude, seed=5)
     loads, dispatches, redraws = _reference_samples(net, 150, magnitude, 5)
     assert ds.redraws == redraws
     for s, load, p_g in zip(ds.samples, loads, dispatches):
         assert s.load_mw.tobytes() == load.tobytes()
         assert s.p_g.tobytes() == p_g.tobytes()
-    hits = sum(p_g is not None for p_g in start_dispatches(net, base, loads, everything))
+    lp, base = net.base_opf
+    rhs = [dcopf._rhs(net, load, list(range(net.num_branches))) for load in loads]
+    hits = sum(p_g is not None for p_g in start_vertices(lp, rhs, base.basis))
     assert hits > 0
     if name == "case14" or magnitude == 0.6:  # the base basis is not optimal for every load
         assert hits < len(ds.samples)
@@ -261,7 +278,7 @@ def test_generate_worker_count_capped(tri3, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(samplegen, "ProcessPoolExecutor", SerialPool)
