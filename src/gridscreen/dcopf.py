@@ -8,7 +8,8 @@ The PTDF and the other constants of the LP are derived once per Network
 (see netcase.Network), so a build only slices the monitored rows and
 multiplies the PTDF by the load.  Flows are computed for every branch
 afterwards so violations can be audited.  full_dispatches owns the start
-policy of full-problem dispatches: try the base case's basis, else solve cold.
+policy of full-problem dispatches: dual pivots from the base case's basis,
+else solve cold.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcase import Network
-from .simplex import LinearProgram, solve_lp, start_vertices
+from .simplex import LinearProgram, solve_lp
 
 #: default tolerance (MW) for violation reporting, two orders above solver feasibility
 REPORT_TOL_MW = 1e-6
@@ -91,19 +92,21 @@ def _rhs(network: Network, load: np.ndarray, mon: list[int]) -> np.ndarray:
 def full_dispatches(network: Network, loads) -> list[np.ndarray | None]:
     """The full-problem dispatch at each of `loads`, or None where a load is infeasible.
 
-    Every load is first checked against the optimal basis of the base case
-    (network.base_opf) in one batch (simplex.start_vertices); only the loads
-    that basis does not answer are solved cold.  So each dispatch has the
-    bits of its own cold solve, whatever else is in the batch.
+    Every load is answered in one batch from the base case's optimal basis,
+    prepared once per Network (network.base_start): a load that basis
+    covers needs no pivot, any other takes a few dual simplex pivots.  Only
+    the loads the warm start leaves unanswered, which include every
+    infeasible one, are solved cold.  So each dispatch has the bits of its
+    own cold solve, whatever else is in the batch.
     """
     everything = list(range(network.num_branches))
     checked = [_check_load(network, load) for load in loads]
-    lp, base = network.base_opf
-    starts = [None] * len(checked)
-    if base.basis is not None and checked:
-        starts = start_vertices(lp, [_rhs(network, load, everything) for load in checked], base.basis)
+    start = network.base_start
+    answers = [None] * len(checked)
+    if start is not None and checked:
+        answers = start.vertices([_rhs(network, load, everything) for load in checked])
     return [solve_opf(network, load, everything).p_g if p_g is None else p_g
-            for load, p_g in zip(checked, starts)]
+            for load, p_g in zip(checked, answers)]
 
 
 def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.ndarray:

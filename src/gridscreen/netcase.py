@@ -8,8 +8,9 @@ number reported.
 
 A Network also derives, once, the read-only arrays the dispatch LP reads on
 every sample: the shift factors (PTDF), their generator-bus columns, the
-branch ratings and the generator cost and bound vectors; and the base-load
-dispatch LP with its solution, whose basis dcopf.full_dispatches tries first.
+branch ratings and the generator cost and bound vectors; the base-load
+dispatch LP with its solution; and that solution's basis prepared as a
+warm start, from which dcopf.full_dispatches answers every load.
 """
 
 from __future__ import annotations
@@ -151,6 +152,13 @@ class Network:
         from .simplex import solve_lp
         lp = build_opf(self, self.base_load(), full_monitored_set(self))
         return lp, solve_lp(lp)
+
+    @cached_property
+    def base_start(self):
+        """simplex.WarmStart of the base case's optimal basis; None when the base case has no basis."""
+        from .simplex import WarmStart
+        lp, solution = self.base_opf
+        return None if solution.basis is None else WarmStart(lp, solution.basis)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ so one dataset serves every threshold without skew.
 Randomness is counter-based (Philox keyed by run seed and sample index), so
 sample i is reproducible in isolation and generation parallelizes without
 changing the result.  A batch of samples is drawn, dispatched at once
-(dcopf.full_dispatches, which checks every load against the base case's
-optimal basis and solves only the misses cold), and only its infeasible
-draws are redrawn and dispatched again, until none is left.  No sample
+(dcopf.full_dispatches, which answers every load from the base case's
+optimal basis, with dual pivots where that basis misses, and solves cold
+only what it leaves unanswered), and only its infeasible draws are redrawn
+and dispatched again, until none is left.  No sample
 starts from another sample's basis, so a sample still depends only on the
 case, the seed and its index, whatever the batch or worker count.
 """

@@ -26,19 +26,31 @@ refactorization.  Each solution reports iteration, pivot, bound-flip and
 refactorization counts.  An LP without rows (bounds only) or without
 columns (constant rows) runs through the same two phases.
 
-Start basis: an optimal solution without a basic artificial carries its
+Warm start (Koberstein, The dual simplex method, 2005; Maros 2003, the
+dual chapters): an optimal solution without a basic artificial carries its
 basis (the basic column of each row and the status of every column, slacks
-included).  start_vertices(lp, rhs, basis) checks that basis against a
-batch of right-hand sides of one LP: a new rhs leaves A, c, the bounds and
-the row scaling alone, so everything but the primal check is done once per
-batch.  Once: the standard form, the shape and status-vs-bounds checks,
-the constant N x_N, and one pricing pass (y from a solve with B', then
-d = c - yA) that must find no improving column.  Then one stacked solve
-with B gives x_B for every rhs; each item is an nrhs=1 solve like the cold
-solve's final read, so a hit has the bits of a cold solve that ends on that
-basis.  A row is a hit when its x_B lies within its bounds to 1e-9
-(tighter than phase 1's 1e-7 per row).  A basis of the wrong shape, a
-singular or a non-optimal one answers no row.
+included).  WarmStart(lp, basis) prepares that basis once to answer lp
+under other right-hand sides: a new rhs leaves A, c, the bounds and the
+row scaling alone, so the standard form, the shape and status checks, B^-1
+and one pricing pass (no column may improve) are done once.  The basis
+then stays dual feasible for every rhs.  WarmStart.vertices(rhs) reads
+x_B for a batch of right-hand sides with one stacked solve; a row whose
+x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
+is answered with no pivot.  Every other row runs bounded dual simplex
+pivots on a copy of the prepared state: the most infeasible basic variable
+leaves at the bound it violates, the column with the smallest |d/alpha|
+among those that move it toward that bound enters (ties to the largest
+|alpha|), so every reduced cost keeps its sign.  A row where no column can
+enter, or where _DUAL_PIVOT_CAP pivots do not reach a primal feasible
+basis, answers None; so does every row of a basis of the wrong shape, a
+singular or a non-optimal one, and the caller solves it cold, so only the
+two-phase primal judges infeasibility.
+
+Every vertex, cold or warm, is read with B's columns in ascending index
+order, so its bits depend on the basic set and the nonbasic statuses, not
+on the path that reached them; each item of the stacked read is the same
+one-rhs solve.  So a warm vertex has the bits of a cold solve that ends on
+the same basis.
 
 A LinearProgram rejects NaN anywhere and infinities outside the bounds when
 it is built, so a bad input fails there rather than mid-solve.
@@ -46,6 +58,7 @@ it is built, so a bad input fails there rather than mid-solve.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +72,7 @@ _FIXED = 4     # lb == ub, never eligible to enter
 _REFACTOR_EVERY = 100
 _DEGEN_STEP = 1e-9
 _START_PRIMAL_TOL = 1e-9
+_DUAL_PIVOT_CAP = 50
 
 
 class SimplexIterationLimit(RuntimeError):
@@ -158,21 +172,53 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     )
 
 
-def start_vertices(lp: LinearProgram, rhs, start: Basis) -> list[np.ndarray | None]:
-    """The vertex of `start` on `lp` for each row of rhs where `start` is optimal, else None.
+class WarmStart:
+    """An optimal basis of one LP, prepared once to answer that LP under other right-hand sides.
 
-    Each row of the (S, #rows) array rhs stands for [b_eq; b_ub]; lp's own
-    rhs is not read.  A vertex has the bits that solve_lp would return if
-    its cold solve ended on `start`.
+    A start that does not suit the LP (wrong shape, statuses that do not
+    suit its bounds, a singular basis, or a column that prices in) answers
+    None for every row.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    m = lp.a_eq.shape[0] + lp.a_ub.shape[0]
-    if rhs.ndim != 2 or rhs.shape[1] != m:
-        raise ValueError(f"rhs must be a batch of rows of length {m}, got shape {rhs.shape}")
-    if not np.isfinite(rhs).all():
-        raise ValueError("rhs has a non-finite entry")
-    core, c, scale = _standard_form(lp, None)
-    return [None if x is None else x[:lp.num_variables] for x in core.start_vertices(start, c, rhs / scale)]
+
+    def __init__(self, lp: LinearProgram, start: Basis):
+        self._rows = lp.a_eq.shape[0] + lp.a_ub.shape[0]
+        self._variables = lp.num_variables
+        core, c, self._scale = _standard_form(lp, None)
+        self._c = np.concatenate([c, np.zeros(core.m)])
+        self._core = core if core.take_start(start, self._c) else None
+
+    def vertices(self, rhs) -> list[np.ndarray | None]:
+        """Per row of the (S, #rows) array rhs, which stands for [b_eq; b_ub]: the optimal vertex, or None.
+
+        lp's own rhs is not read.  A vertex has the bits that solve_lp
+        would return if its cold solve ended on the same basis.  None means
+        that the caller must solve that row cold: its LP may be infeasible.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim != 2 or rhs.shape[1] != self._rows:
+            raise ValueError(f"rhs must be a batch of rows of length {self._rows}, got shape {rhs.shape}")
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs has a non-finite entry")
+        if self._core is None:
+            return [None] * len(rhs)
+        b_rows = rhs / self._scale
+        core = self._core
+        try:
+            x_rows = core._vertex(b_rows)
+        except SingularBasisError:
+            return [None] * len(rhs)
+        hit = core._infeasibility(x_rows).max(axis=1, initial=-np.inf) <= _START_PRIMAL_TOL
+        return [x[:self._variables] if ok else self._pivoted(b, x) for b, x, ok in zip(b_rows, x_rows, hit)]
+
+    def _pivoted(self, b: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+        """The optimal vertex for rhs b by dual pivots from the prepared basis, whose vertex for b is x; or None."""
+        core = copy.copy(self._core)
+        core.b, core.basis, core.status, core.binv = b, core.basis.copy(), core.status.copy(), core.binv.copy()
+        try:
+            x = core.dual_simplex(self._c, x)
+        except SingularBasisError:
+            return None
+        return None if x is None else x[:self._variables]
 
 
 def _standard_form(lp: LinearProgram, max_iterations: int | None) -> tuple[_Core, np.ndarray, np.ndarray]:
@@ -206,8 +252,8 @@ class _Core:
     """Simplex engine on the standard-form system a x (+ artificials) = b.
 
     The system without its rhs is set once; slack_start gives it a rhs b
-    and the cold start's basis, start_vertices checks a given basis against
-    a batch of rhs.
+    and the cold start's basis, take_start takes a given optimal basis for
+    WarmStart, whose copies run dual_simplex for their own rhs.
     """
 
     def __init__(self, a, lb, ub, slack_cols, max_iterations):
@@ -256,18 +302,17 @@ class _Core:
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
 
-    def start_vertices(self, start: Basis, c: np.ndarray, b_rows: np.ndarray) -> list[np.ndarray | None]:
-        """The vertex of `start` for each rhs row of b_rows where it is primal and dual feasible for cost c, else None.
+    def take_start(self, start: Basis, c: np.ndarray) -> bool:
+        """Take `start` as this core's basis, with B^-1, if it suits this LP and no column prices in under cost c.
 
-        Every check but the primal one is done once.  Vertices are read as
-        solution() reads them.  Nothing is counted.
+        c covers every column, artificials included.  The artificials stay
+        fixed at 0, so a warm start never lets one enter.
         """
-        misses = [None] * len(b_rows)
         cols, status = np.asarray(start.columns), np.asarray(start.status)
         if cols.shape != (self.m,) or status.shape != (self.n_real,):
-            return misses
+            return False
         if not np.array_equal(np.sort(cols), np.flatnonzero(status == _BASIC)):
-            return misses
+            return False
         # each status must suit this LP's bounds, as the cold start assigns them
         lb, ub = self.lb[:self.n_real], self.ub[:self.n_real]
         lo, hi = np.isfinite(lb), np.isfinite(ub)
@@ -275,24 +320,55 @@ class _Core:
                            (status == _BASIC) | ((status == _AT_LOWER) & lo)
                            | ((status == _AT_UPPER) & hi) | ((status == _FREE) & ~lo & ~hi))
         if not allowed.all():
-            return misses
+            return False
         self.basis = cols.copy()
         self.status = np.concatenate([status, np.full(self.m, _FIXED)])
         try:
-            y = np.linalg.solve(self.a[:, self.basis].T, c[self.basis])
+            self.binv = np.linalg.solve(self.a[:, self.basis], np.eye(self.m))
         except np.linalg.LinAlgError:
-            return misses
-        c_all = np.concatenate([c, np.zeros(self.m)])
-        if self._improving(c_all - y @ self.a, _dual_tol(c)).size:
-            return misses
-        try:
-            x = self._vertices(b_rows)
-        except SingularBasisError:
-            return misses
-        x_b = x[:, self.basis]
-        hit = np.isfinite(x_b).all(axis=1) & np.all(
-            (x_b >= self.lb[self.basis] - _START_PRIMAL_TOL) & (x_b <= self.ub[self.basis] + _START_PRIMAL_TOL), axis=1)
-        return [x_i if ok else None for x_i, ok in zip(x, hit)]
+            return False
+        self.pivots_since_refactor = 0
+        return self._improving(self._reduced_costs(c), _dual_tol(c)).size == 0
+
+    def dual_simplex(self, c: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+        """Bounded dual simplex pivots from a dual-feasible basis whose vertex for self.b is x.
+
+        Returns the optimal vertex, read by _vertex, or None where no
+        column can enter (the LP may be infeasible), where _DUAL_PIVOT_CAP
+        pivots do not reach a primal feasible basis, or where a column
+        prices in at the end.
+        """
+        dual_tol = _dual_tol(c)
+        while True:
+            d = self._reduced_costs(c)
+            infeasibility = self._infeasibility(x)
+            r = int(np.argmax(infeasibility))
+            if infeasibility[r] <= _START_PRIMAL_TOL:
+                return None if self._improving(d, dual_tol).size else x
+            if self.pivots >= _DUAL_PIVOT_CAP:
+                return None
+            # the leaving variable returns to the bound it violates; a unit
+            # step of nonbasic column j moves it by -alpha_j
+            rise = 1.0 if x[self.basis[r]] < self.lb[self.basis[r]] else -1.0
+            alpha = self.binv[r] @ self.a
+            toward = -rise * alpha
+            piv_tol = 1e-9 * max(1.0, float(np.abs(alpha).max()))
+            can_increase = (self.status == _AT_LOWER) | (self.status == _FREE)
+            can_decrease = (self.status == _AT_UPPER) | (self.status == _FREE)
+            entering = np.flatnonzero((can_increase & (toward > piv_tol)) | (can_decrease & (toward < -piv_tol)))
+            if entering.size == 0:
+                return None
+            # the smallest |d/alpha| keeps every reduced cost's sign; near
+            # ties go to the largest |alpha|
+            ratios = np.abs(d[entering] / alpha[entering])
+            tied = entering[ratios <= ratios.min() + 1e-12]
+            q = int(tied[np.argmax(np.abs(alpha[tied]))])
+            leaving = self.basis[r]
+            self.status[leaving] = (_FIXED if self.lb[leaving] == self.ub[leaving]
+                                    else _AT_LOWER if rise > 0 else _AT_UPPER)
+            self.status[q] = _BASIC
+            self._pivot(r, q, self.binv @ self.a[:, q])
+            x = self._vertex(self.b)
 
     def optimal_basis(self) -> Basis | None:
         """The basis to start a like LP from; None while an artificial is basic."""
@@ -308,6 +384,14 @@ class _Core:
             "refactorizations": self.refactorizations,
             "bland_engaged": self.bland_engaged,
         }
+
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        return c - (c[self.basis] @ self.binv) @ self.a
+
+    def _infeasibility(self, x: np.ndarray) -> np.ndarray:
+        """Per row of the basis (last axis), how far its basic value in x lies outside its bounds."""
+        x_b = x[..., self.basis]
+        return np.maximum(self.lb[self.basis] - x_b, x_b - self.ub[self.basis])
 
     def _improving(self, d: np.ndarray, dual_tol: float) -> np.ndarray:
         """Columns whose reduced cost d lets them enter and lower the objective."""
@@ -480,32 +564,27 @@ class _Core:
         The solve is the solution's factorization of the basis and counts
         as a refactorization; no inverse is formed.
         """
-        x = self._vertex()
+        x = self._vertex(self.b)
         self.refactorizations += 1
         return x
 
-    def _vertex(self) -> np.ndarray:
-        x = np.empty(self.n)
-        nonbasic = np.flatnonzero(self.status != _BASIC)
-        x[nonbasic] = self._nonbasic_values(nonbasic)
-        rhs = self.b - self.a[:, nonbasic] @ x[nonbasic]
-        try:
-            x_basic = np.linalg.solve(self.a[:, self.basis], rhs)
-        except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix singular at the final solve") from None
-        if not np.all(np.isfinite(x_basic)):
-            raise SingularBasisError("basic values non-finite at the final solve")
-        x[self.basis] = x_basic
-        return x
+    def _vertex(self, b: np.ndarray) -> np.ndarray:
+        """The current basis's vertex for rhs b, or for each row of a stacked b.
 
-    def _vertices(self, b_rows: np.ndarray) -> np.ndarray:
-        """_vertex for each rhs row of b_rows: one stacked solve whose items are one-rhs solves with B, as in _vertex."""
-        x = np.empty((len(b_rows), self.n))
+        B's columns are taken in ascending index order, so the bits depend
+        on the basic set and not on the row each column was pivoted into;
+        each item of a stacked read is the one-rhs solve of a single read.
+        """
+        cols = np.sort(self.basis)
+        x = np.empty(b.shape[:-1] + (self.n,))
         nonbasic = np.flatnonzero(self.status != _BASIC)
-        x[:, nonbasic] = x_nb = self._nonbasic_values(nonbasic)
-        rhs = b_rows - self.a[:, nonbasic] @ x_nb
+        x[..., nonbasic] = x_nb = self._nonbasic_values(nonbasic)
+        rhs = b - self.a[:, nonbasic] @ x_nb
         try:
-            x[:, self.basis] = np.linalg.solve(self.a[:, self.basis], rhs[:, :, None])[:, :, 0]
+            x_basic = np.linalg.solve(self.a[:, cols], rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix singular at the start check") from None
+            raise SingularBasisError("basis matrix singular at the vertex read") from None
+        if not np.all(np.isfinite(x_basic)):
+            raise SingularBasisError("basic values non-finite at the vertex read")
+        x[..., cols] = x_basic
         return x

@@ -93,11 +93,15 @@ def test_solve_opf_checks_the_load_once(tri3_text, case14, monkeypatch):
     assert len(calls) == 5  # the base case's build and each sample's check, none for the flows
 
 
-def test_full_dispatches_have_the_cold_bits(case14):
+def test_full_dispatches_have_the_cold_bits(case14, monkeypatch):
     everything = full_monitored_set(case14)
-    # the base basis answers 1.01x and 1x the base load, not 1.3x, which is solved cold
+    solved, solve = [], dcopf.solve_opf
+    monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
+    # the base basis covers 1.01x and 1x the base load; 1.3x takes dual pivots
+    # from it; 9x is infeasible, so the warm start leaves it to a cold solve
     loads = [case14.base_load() * 1.01, case14.base_load() * 9, case14.base_load(), case14.base_load() * 1.3]
     near, infeasible, same, far = dcopf.full_dispatches(case14, loads)
+    assert [load.tobytes() for load in solved] == [loads[1].tobytes()]
     assert near.tobytes() == solve_opf(case14, loads[0], everything).p_g.tobytes()
     assert infeasible is None
     assert same.tobytes() == case14.base_opf[1].x.tobytes()

@@ -187,6 +187,8 @@ def test_base_case_derived_once_and_kept_out_of_identity(tri3_text):
     fingerprint = net.fingerprint()
     lp, base = net.base_opf
     assert net.base_opf[1] is base                  # derived once
+    start = net.base_start
+    assert net.base_start is start                  # prepared once
     assert base.status == "optimal" and base.basis is not None
     cold = solve_opf(net, net.base_load(), full_monitored_set(net))
     assert base.x.tobytes() == cold.p_g.tobytes()
@@ -195,7 +197,8 @@ def test_base_case_derived_once_and_kept_out_of_identity(tri3_text):
     assert net == parse_case(tri3_text)             # equal to a network that has not solved it
     back = pickle.loads(pickle.dumps(net))
     assert back == net
-    assert "base_opf" not in vars(back)             # not pickled ...
+    assert not {"base_opf", "base_start"} & set(vars(back))  # not pickled ...
+    assert back.base_start is not start
     assert back.base_opf[1] is not base             # ... but derived again
     assert back.base_opf[1].x.tobytes() == base.x.tobytes()
 

@@ -19,7 +19,6 @@ from gridscreen import (
     write_dataset,
 )
 from gridscreen import dcopf, samplegen, simplex
-from gridscreen.simplex import start_vertices
 from gridscreen.samplegen import Dataset, Sample
 
 
@@ -187,26 +186,27 @@ def test_generate_parallel_matches_serial(tri3, case14):
 
 
 def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
-    """Every first draw is checked against the base-case basis in one batch; only the misses are solved cold."""
+    """Every first draw is answered from the base-case basis in one batch, with dual pivots where that basis misses."""
     net = parse_case(serialize_case(case14))  # its own network, whose base case is not solved yet
-    checks, solved = [], []
-    check, solve = dcopf.start_vertices, dcopf.solve_opf
+    batches, pivoted, solved = [], [], []
+    vertices, pivot, solve = simplex.WarmStart.vertices, simplex.WarmStart._pivoted, dcopf.solve_opf
 
-    def recording_check(lp, rhs, basis):
-        answers = check(lp, rhs, basis)
-        checks.append((basis, answers))
+    def recording_vertices(start, rhs):
+        answers = vertices(start, rhs)
+        batches.append((start, answers))
         return answers
 
-    monkeypatch.setattr(dcopf, "start_vertices", recording_check)
+    monkeypatch.setattr(simplex.WarmStart, "vertices", recording_vertices)
+    monkeypatch.setattr(simplex.WarmStart, "_pivoted", lambda start, b, x: pivoted.append(b) or pivot(start, b, x))
     monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
     ds = generate_dataset(net, 6, 0.3, seed=2)
-    assert ds.redraws == 0 and len(checks) == 1
-    basis, answers = checks[0]
-    assert basis is net.base_opf[1].basis and len(answers) == 6
-    misses = [s.load_mw for s, p_g in zip(ds.samples, answers) if p_g is None]
-    assert 0 < len(misses) < 6
-    # only the misses are solved cold; the base case was solved by its Network
-    assert [load.tobytes() for load in solved] == [m.tobytes() for m in misses]
+    assert ds.redraws == 0 and len(batches) == 1
+    start, answers = batches[0]
+    assert start is net.base_start and len(answers) == 6
+    assert [p_g.tobytes() for p_g in answers] == [s.p_g.tobytes() for s in ds.samples]
+    assert 0 < len(pivoted) < 6  # the base basis covers some draws and not others
+    # the base case was solved by its Network, and the misses were pivoted, not solved cold
+    assert solved == []
 
 
 def test_the_base_case_is_solved_once_per_network(case14, monkeypatch):
@@ -223,27 +223,27 @@ def test_the_base_case_is_solved_once_per_network(case14, monkeypatch):
     generate_dataset(net, 8, 0.3, seed=1)
     generate_dataset(net, 8, 0.3, seed=2)
     lp, _ = net.base_opf
-    assert rhs.count(np.concatenate([lp.b_eq, lp.b_ub]).tobytes()) == 1
-    assert 1 < len(rhs) < 1 + 16  # the base case, then the draws its basis missed
+    # the base case alone: every draw is answered from its basis, without a cold solve
+    assert rhs == [np.concatenate([lp.b_eq, lp.b_ub]).tobytes()]
 
 
 @pytest.mark.parametrize("magnitude,name", [(0.1, "tri3"), (0.1, "case14"), (0.3, "tri3"), (0.3, "case14"),
                                             (0.6, "tri3")])
-def test_generated_dispatch_equals_cold_solve(magnitude, name, request):
-    """Samples checked against the base-case basis still have the bits of a per-sample cold solve."""
+def test_generated_dispatch_equals_cold_solve(magnitude, name, request, monkeypatch):
+    """Samples answered from the base-case basis still have the bits of a per-sample cold solve."""
     net = request.getfixturevalue(name)
+    pivoted, pivot = [], simplex.WarmStart._pivoted
+    monkeypatch.setattr(simplex.WarmStart, "_pivoted", lambda start, b, x: pivoted.append(b) or pivot(start, b, x))
     ds = generate_dataset(net, 150, magnitude, seed=5)
     loads, dispatches, redraws = _reference_samples(net, 150, magnitude, 5)
     assert ds.redraws == redraws
     for s, load, p_g in zip(ds.samples, loads, dispatches):
         assert s.load_mw.tobytes() == load.tobytes()
         assert s.p_g.tobytes() == p_g.tobytes()
-    lp, base = net.base_opf
-    rhs = [dcopf._rhs(net, load, list(range(net.num_branches))) for load in loads]
-    hits = sum(p_g is not None for p_g in start_vertices(lp, rhs, base.basis))
-    assert hits > 0
+    # every draw was dispatched from the base basis; the misses took dual pivots
+    assert len(pivoted) < len(ds.samples) + redraws
     if name == "case14" or magnitude == 0.6:  # the base basis is not optimal for every load
-        assert hits < len(ds.samples)
+        assert len(pivoted) > 0
     if magnitude == 0.6:
         assert redraws > 0
 

@@ -9,7 +9,8 @@ from gridscreen import (
     full_monitored_set,
     solve_lp,
 )
-from gridscreen.simplex import Basis, start_vertices
+from gridscreen import simplex
+from gridscreen.simplex import Basis, WarmStart
 
 
 def lp(c, lower, upper, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
@@ -218,25 +219,53 @@ def _rhs(problem):
     return np.concatenate([problem.b_eq, problem.b_ub])
 
 
-def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14):
+def _count_pivots(monkeypatch) -> list:
+    """Record every simplex pivot from here on."""
+    pivots, pivot = [], simplex._Core._pivot
+    monkeypatch.setattr(simplex._Core, "_pivot", lambda core, *a: pivots.append(a) or pivot(core, *a))
+    return pivots
+
+
+def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
     rng = np.random.default_rng(4)
     base = case14.base_load()
     start = solve_lp(build_opf(case14, base, full_monitored_set(case14))).basis
     problems = [build_opf(case14, base * rng.uniform(0.9, 1.1, base.size), full_monitored_set(case14))
                 for _ in range(20)]
-    batch = start_vertices(problems[0], [_rhs(p) for p in problems], start)
+    warm_start = WarmStart(problems[0], start)
+    batch = warm_start.vertices([_rhs(p) for p in problems])
+    pivots = _count_pivots(monkeypatch)
     hits = 0
     for problem, warm in zip(problems, batch):
         # one row alone gets the answer it gets in the batch
-        alone = start_vertices(problem, [_rhs(problem)], start)[0]
-        assert (warm is None) == (alone is None)
-        if warm is not None:
+        del pivots[:]
+        alone = warm_start.vertices([_rhs(problem)])[0]
+        started_pivots = len(pivots)
+        # a cold solve that ends on the same basis reads the same bits
+        cold = solve_lp(problem)
+        assert warm.tobytes() == alone.tobytes() == cold.x.tobytes()
+        if np.array_equal(np.sort(cold.basis.columns), np.sort(start.columns)):
             hits += 1
-            # a cold solve that ends on the start basis reads the same bits
-            cold = solve_lp(problem)
-            assert np.array_equal(cold.basis.columns, start.columns)
-            assert warm.tobytes() == alone.tobytes() == cold.x.tobytes()
+            assert started_pivots == 0
+        else:
+            assert started_pivots > 0  # a miss takes dual pivots
     assert 0 < hits < 20
+
+
+def test_start_basis_columns_in_any_order_read_the_same_bits(case14):
+    """A vertex's bits depend on the basic set, not on the row each basic column sits in."""
+    rng = np.random.default_rng(7)
+    base = case14.base_load()
+    problem = build_opf(case14, base, full_monitored_set(case14))
+    start = solve_lp(problem).basis
+    shuffled = Basis(rng.permutation(start.columns), start.status)
+    assert not np.array_equal(shuffled.columns, start.columns)
+    rows = [_rhs(build_opf(case14, base * rng.uniform(0.7, 1.3, base.size), full_monitored_set(case14)))
+            for _ in range(30)]
+    vertices = WarmStart(problem, start).vertices(rows)
+    again = WarmStart(problem, shuffled).vertices(rows)
+    assert all(x is not None for x in vertices)
+    assert [x.tobytes() for x in vertices] == [x.tobytes() for x in again]
 
 
 def test_start_basis_is_none_unless_optimal_without_artificials():
@@ -250,11 +279,13 @@ def test_start_basis_is_none_unless_optimal_without_artificials():
 
 @pytest.mark.parametrize("miss", ["infeasible", "other-costs", "wrong-shape", "other-bounds", "singular"])
 def test_start_basis_miss_gives_the_cold_answer(miss, tri3, case14):
-    """A start that is not optimal answers None for every row, so the caller solves each cold."""
+    """A basis that is primal infeasible for a row is pivoted to the cold answer; one that is not optimal, or
+    does not suit the LP, answers None for every row, so the caller solves each cold."""
     start = solve_lp(_box_lp([1.0, 2.0], 1.0)).basis  # x0 basic, x1 and the slack at 0
     # rows are b_ub = -demand; the box LP's demands 1 and 1.5 keep x0 within [0, 2]
     problem, rows = {
-        "infeasible": (_box_lp([1.0, 2.0], 3.0), [[-3.0], [-2.5]]),     # x0 is above its bound 2
+        # x0 is above its bound 2, so it leaves there and x1 enters: one dual pivot
+        "infeasible": (_box_lp([1.0, 2.0], 3.0), [[-3.0], [-2.5]]),
         "other-costs": (_box_lp([2.0, 1.0], 1.0), [[-1.0], [-1.5]]),    # x1 now prices in
         "other-bounds": (_box_lp([2.0, 1.0], 1.0), [[-1.0]]),
         "wrong-shape": (build_opf(case14, case14.base_load(), full_monitored_set(case14)), None),
@@ -271,16 +302,21 @@ def test_start_basis_miss_gives_the_cold_answer(miss, tri3, case14):
     if miss == "singular":
         start = Basis(np.array([0, 1]), np.array([2, 2, 0, 0]))
     assert solve_lp(problem).status == "optimal"
-    assert start_vertices(problem, rows, start) == [None] * len(rows)
+    vertices = WarmStart(problem, start).vertices(rows)
+    if miss == "infeasible":
+        for (b_ub,), x in zip(rows, vertices):
+            assert x.tobytes() == solve_lp(_box_lp([1.0, 2.0], -b_ub)).x.tobytes()
+    else:
+        assert vertices == [None] * len(rows)
 
 
 def test_start_vertices_checks_its_rhs():
     problem = _box_lp([1.0, 2.0], 1.0)
-    start = solve_lp(problem).basis
-    assert start_vertices(problem, np.zeros((0, 1)), start) == []
+    warm_start = WarmStart(problem, solve_lp(problem).basis)
+    assert warm_start.vertices(np.zeros((0, 1))) == []
     for bad in ([-1.0], [[-1.0, 0.0]], [[np.inf]], [[np.nan]]):
         with pytest.raises(ValueError):
-            start_vertices(problem, bad, start)
+            warm_start.vertices(bad)
 
 
 def _random_problem(rng):
@@ -341,27 +377,34 @@ def _random_free_column_problem(rng):
     (_random_degenerate_problem, 80, 1),
     (_random_free_column_problem, 250, 2),
 ])
-def test_random_cross_check_against_scipy(maker, trials, seed):
+def test_random_cross_check_against_scipy(maker, trials, seed, monkeypatch):
     """Status and optimum agree with an independent solver; solutions are feasible.
 
-    Each LP is solved cold, and the basis of the same LP with a perturbed
-    rhs is checked against its rhs; a vertex that basis gives must agree
-    with the reference too.
+    Each LP is solved cold, and it is also answered from the basis of the
+    same LP with a nearby rhs and with a farther one, with or without dual
+    pivots; a vertex that warm start gives must agree with the reference too.
     """
     rng = np.random.default_rng(seed)
     perturb = np.random.default_rng(100 + seed)
+    farther = np.random.default_rng(200 + seed)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    started = 0
+    started = pivoted = 0
     for _ in range(trials):
         c, lower, upper, a_eq, b_eq, a_ub, b_ub = maker(rng)
         problem = lp(c, lower, upper, a_eq, b_eq, a_ub, b_ub)
-        nearby = solve_lp(lp(c, lower, upper, a_eq, b_eq + perturb.normal(0, 0.1, b_eq.size).round(2),
-                             a_ub, b_ub + perturb.normal(0, 0.1, b_ub.size).round(2)))
+        warm = []
+        for shift, spread in ((perturb, 0.1), (farther, 1.0)):
+            other = solve_lp(lp(c, lower, upper, a_eq, b_eq + shift.normal(0, spread, b_eq.size).round(2),
+                                a_ub, b_ub + shift.normal(0, spread, b_ub.size).round(2)))
+            if other.basis is None:
+                continue
+            pivots = _count_pivots(monkeypatch)
+            x = WarmStart(problem, other.basis).vertices([np.concatenate([b_eq, b_ub])])[0]
+            monkeypatch.undo()
+            started += x is not None and shift is perturb
+            pivoted += x is not None and len(pivots) > 0
+            warm.append(x)
         mine = solve_lp(problem)
-        from_nearby = None
-        if nearby.basis is not None:
-            from_nearby = start_vertices(problem, [np.concatenate([b_eq, b_ub])], nearby.basis)[0]
-            started += from_nearby is not None
         ref = linprog(
             c,
             A_ub=a_ub if a_ub.size else None, b_ub=b_ub if b_ub.size else None,
@@ -372,8 +415,8 @@ def test_random_cross_check_against_scipy(maker, trials, seed):
         statuses[expected] += 1
         assert mine.status == expected
         # a start answers only an LP with an optimum
-        assert from_nearby is None or expected == "optimal"
-        for x in (mine.x, from_nearby):
+        assert all(x is None for x in warm) or expected == "optimal"
+        for x in (mine.x, *warm):
             if x is not None:
                 assert float(c @ x) == pytest.approx(ref.fun, rel=1e-7, abs=1e-6)
                 if a_eq.size:
@@ -382,6 +425,8 @@ def test_random_cross_check_against_scipy(maker, trials, seed):
                     assert (a_ub @ x - b_ub).max() < 1e-6
                 assert (lower - x).max() < 1e-9
                 assert (x - upper).max() < 1e-9
-    # the generator must actually exercise all three outcomes, and the start path
+    # the generator must actually exercise all three outcomes, the start
+    # path, and dual pivots on it
     assert min(statuses.values()) > 0
     assert started >= trials // 10
+    assert pivoted > 0
