@@ -173,10 +173,13 @@ def init_model(
 def _scatter_sum(values: np.ndarray, incidence: np.ndarray) -> np.ndarray:
     """(B, K, C) edge values -> (B, N, C) node sums, given a (K, N) 0/1 incidence matrix.
 
-    The contraction runs over the branch axis in a fixed order, so relabeling
-    buses permutes output rows without changing a single bit of any sum.
+    One matmul of the transposed incidence with each batch item.  Every
+    product is exact (a 0/1 factor) and each bus's sum runs over the branch
+    axis in the fixed branch order, from +0.0, so it equals a plain sum in
+    branch order bit for bit, and relabeling buses permutes output rows
+    without changing a single bit of any sum.
     """
-    return np.tensordot(values, incidence, axes=([1], [0])).transpose(0, 2, 1)
+    return incidence.T @ values
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

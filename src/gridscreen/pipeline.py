@@ -12,6 +12,7 @@ Every solve goes through dcopf.solve_opf, which times solve_lp alone.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from .dcopf import REPORT_TOL_MW, ViolationReport, check_limits, full_monitored_set, solve_opf
 from .gnn import predict_congested, train
 from .netcase import Network, to_graph
-from .samplegen import Sample, label_sample
+from .samplegen import Sample, _write_atomic, label_sample
 
 #: solves per side and sample in evaluate; the fastest of them is the time
 _TIMING_REPEATS = 3
@@ -270,22 +271,30 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
+def _csv_text(header, rows) -> str:
+    """A header row and data rows as CSV text, with the csv module's CRLF line ends."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
 def write_sweep_csv(reports: list[EvalReport], path) -> None:
-    """One SWEEP_CSV_COLUMNS row per report."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        writer.writerows([r.threshold, r.time_pct, r.pct_samples_with_violation, r.pct_lines_monitored,
-                          r.edge_prediction_error_pct] for r in reports)
+    """One SWEEP_CSV_COLUMNS row per report, written atomically (samplegen._write_atomic)."""
+    _write_atomic(path, [_csv_text(SWEEP_CSV_COLUMNS, (
+        [r.threshold, r.time_pct, r.pct_samples_with_violation, r.pct_lines_monitored, r.edge_prediction_error_pct]
+        for r in reports))])
 
 
 def write_report(report: EvalReport, out_dir, tag: str) -> None:
-    """Write report_<tag>.json and the summary, branches, wrong_histogram and costs CSVs to `out_dir`."""
+    """Write report_<tag>.json and the summary, branches, wrong_histogram and costs CSVs to `out_dir`.
+
+    Each file is written atomically, so an interrupted run leaves no file half written.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"report_{tag}.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_atomic(out_dir / f"report_{tag}.json", [json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"])
     write_sweep_csv([report], out_dir / f"summary_{tag}.csv")
     tables = {
         "branches": (
@@ -302,7 +311,4 @@ def write_report(report: EvalReport, out_dir, tag: str) -> None:
         ),
     }
     for name, (header, rows) in tables.items():
-        with open(out_dir / f"{name}_{tag}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_atomic(out_dir / f"{name}_{tag}.csv", [_csv_text(header, rows)])

@@ -56,6 +56,15 @@ def _generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(bits: np.random.Philox, key: int) -> None:
+    """Set `bits` to the state of a new Philox(key=key): the key's two words, low first, and a fresh counter."""
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key & _MASK64, key >> 64], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
 def extract_features(network: Network, load_mw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-bus and per-branch feature matrices.
 
@@ -147,13 +156,23 @@ def _draw(gen: np.random.Generator, base: np.ndarray, magnitude: float) -> np.nd
 
 def _generate_batch(network: Network, magnitude: float, seed: int, indices: range,
                     template: tuple[np.ndarray, np.ndarray]) -> list[tuple[Sample, int]]:
-    """Samples `indices` and their redraw counts: draw all, dispatch all, redraw only the infeasible, repeat."""
+    """Samples `indices` and their redraw counts: draw all, dispatch all, redraw only the infeasible, repeat.
+
+    The first draws share one Philox, re-keyed for each sample; a sample
+    that needs a redraw gets a generator of its own, past its first draw,
+    so every draw continues the sample's own stream.
+    """
     base = network.base_load()
-    gens = [_generator(derive_seed(seed, i)) for i in indices]
-    loads = [_draw(gen, base, magnitude) for gen in gens]
-    dispatches = [None] * len(gens)
-    redraws = [0] * len(gens)
-    pending = list(range(len(gens)))
+    bits = np.random.Philox(key=0)
+    shared = np.random.Generator(bits)
+    loads = []
+    for i in indices:
+        _rekey(bits, derive_seed(seed, i))
+        loads.append(_draw(shared, base, magnitude))
+    gens = {}
+    dispatches = [None] * len(loads)
+    redraws = [0] * len(loads)
+    pending = list(range(len(loads)))
     while pending:
         for k, p_g in zip(pending, full_dispatches(network, [loads[k] for k in pending])):
             dispatches[k] = p_g
@@ -162,6 +181,9 @@ def _generate_batch(network: Network, magnitude: float, seed: int, indices: rang
             redraws[k] += 1
             if redraws[k] >= _MAX_REDRAWS_PER_SAMPLE:
                 raise RuntimeError(f"sample {indices[k]}: no feasible load after {redraws[k]} redraws")
+            if k not in gens:
+                gens[k] = _generator(derive_seed(seed, indices[k]))
+                _draw(gens[k], base, magnitude)  # the first draw, already dispatched
             loads[k] = _draw(gens[k], base, magnitude)
     return [(_build_sample(network, i, load, p_g, template), n)
             for i, load, p_g, n in zip(indices, loads, dispatches, redraws)]

@@ -14,6 +14,8 @@ feasible.  Artificials that start nonbasic are fixed at zero and never enter.
 
 Two phases: the basic artificials are driven to zero under a
 sum-of-infeasibilities objective, then the true objective is optimized.
+Phase 1 stops as soon as no artificial is basic: its duals are then 0 and
+no column prices in, so a pricing pass could only confirm optimality.
 The LP is infeasible when an artificial ends phase 1 above 1e-7 times
 max(1, |b|) of its own row, so the verdict does not depend on other rows.
 Pricing is Dantzig (most negative reduced cost); the ratio test takes the
@@ -23,8 +25,13 @@ basis inverse is maintained by pivot updates and refactorized periodically.
 The optimal vertex is read with one final solve of B x_B = b - N x_N on the
 optimal basis, with no inverse formed; that solve counts as a
 refactorization.  Each solution reports iteration, pivot, bound-flip and
-refactorization counts.  An LP without rows (bounds only) or without
-columns (constant rows) runs through the same two phases.
+refactorization counts.  An iteration is a pivot, a bound flip or a
+pricing pass that finds no improving column, so a phase 1 that ends with
+no artificial basic counts just its pivots and flips (phase1_iterations
+is 0 when the slack start has no artificial); phase 2, and a phase 1
+that leaves an artificial basic, end on one pass that only prices.  An
+LP without rows (bounds only) or without columns (constant rows) runs
+through the same two phases.
 
 Warm start (Koberstein, The dual simplex method, 2005; Maros 2003, the
 dual chapters): an optimal solution without a basic artificial carries its
@@ -53,12 +60,15 @@ one-rhs solve.  So a warm vertex has the bits of a cold solve that ends on
 the same basis.
 
 A LinearProgram rejects NaN anywhere and infinities outside the bounds when
-it is built, so a bad input fails there rather than mid-solve.
+it is built, so a bad input fails there rather than mid-solve.  The check
+is one scan per rule, cheap beside a solve, so an LP that dcopf.build_opf
+assembles from a checked network and load takes the same constructor.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +78,10 @@ _AT_UPPER = 1
 _BASIC = 2
 _FREE = 3      # nonbasic free variable, held at value 0
 _FIXED = 4     # lb == ub, never eligible to enter
+
+# per status: may a nonbasic column at that status rise, or fall
+_CAN_INCREASE = np.array([True, False, False, True, False])
+_CAN_DECREASE = np.array([False, True, False, True, False])
 
 _REFACTOR_EVERY = 100
 _DEGEN_STEP = 1e-9
@@ -109,6 +123,15 @@ class LinearProgram:
             raise ValueError("bounds length must match objective length")
         if self.b_eq.size != self.a_eq.shape[0] or self.b_ub.size != self.a_ub.shape[0]:
             raise ValueError("constraint matrix/rhs dimensions inconsistent")
+        # one scan for each rule: a sum is finite only if every entry is, and
+        # lower - upper <= 0 holds only for ordered bounds that are neither
+        # NaN nor both +inf or both -inf; where a scan fails (or the sum
+        # overflows), the checks below name the entry at fault
+        if not (math.isfinite(np.concatenate([self.c, self.a_eq, self.b_eq, self.a_ub, self.b_ub], axis=None).sum())
+                and (self.lower - self.upper).max(initial=-np.inf) <= 0.0):
+            self._reject_bad_entries()
+
+    def _reject_bad_entries(self):
         if not np.isfinite(self.c).all():
             raise ValueError("objective coefficients must be finite")
         # an infinite b_ub would make a basic slack infinite; drop the row instead
@@ -227,21 +250,30 @@ def _standard_form(lp: LinearProgram, max_iterations: int | None) -> tuple[_Core
     The rows are [A_eq; A_ub] with one slack per inequality row,
     equilibrated so coefficient magnitudes are <= 1 per row, with a 1e-12
     floor; an all-zero row, as every row of a zero-column LP is, keeps
-    scale 1 so its rhs is judged as given.
+    scale 1 so its rhs is judged as given.  The core's matrix also holds
+    one artificial column per row, after the slacks, filled in by the start.
     """
     n = lp.num_variables
     me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
-    a_rows = np.vstack([lp.a_eq, lp.a_ub])
-    row_max = np.abs(a_rows).max(axis=1, initial=0.0)
+    m = me + mi
+    a = np.zeros((m, n + mi + m))
+    a_real = a[:, :n]
+    a_real[:me], a_real[me:] = lp.a_eq, lp.a_ub
+    row_max = np.abs(a_real).max(axis=1, initial=0.0)
     scale = np.where(row_max > 0.0, np.maximum(row_max, 1e-12), 1.0)
-    a = np.zeros((me + mi, n + mi))
-    a[:, :n] = a_rows / scale[:, None]
-    a[me:, n:] = np.eye(mi)
-    lb = np.concatenate([lp.lower, np.zeros(mi)])
-    ub = np.concatenate([lp.upper, np.full(mi, np.inf)])
+    a_real /= scale[:, None]
+    _diagonal(a, me, n, mi)[:] = 1.0
+    lb = np.zeros(n + mi + m)
+    ub = np.full(n + mi + m, np.inf)
+    lb[:n], ub[:n] = lp.lower, lp.upper
     slack_cols = np.concatenate([np.full(me, -1), np.arange(n, n + mi)])
     c = np.concatenate([lp.c, np.zeros(mi)])
     return _Core(a, lb, ub, slack_cols, max_iterations), c, scale
+
+
+def _diagonal(a: np.ndarray, row: int, col: int, length: int) -> np.ndarray:
+    """A writable view of the `length` entries a[row + i, col + i] of the C-contiguous matrix a."""
+    return a.reshape(-1)[row * a.shape[1] + col::a.shape[1] + 1][:length]
 
 
 def _dual_tol(c: np.ndarray) -> float:
@@ -257,14 +289,14 @@ class _Core:
     """
 
     def __init__(self, a, lb, ub, slack_cols, max_iterations):
-        """slack_cols[i] is the column of row i's slack (bounds [0, inf)), or -1 for an equality row."""
-        self.m, self.n_real = a.shape
-        # artificial columns appended after real+slack columns
-        self.a = np.hstack([a, np.zeros((self.m, self.m))])
-        self.lb = np.concatenate([lb, np.zeros(self.m)])
-        self.ub = np.concatenate([ub, np.full(self.m, np.inf)])
+        """a, lb and ub cover the real and slack columns, then one artificial column per row.
+
+        slack_cols[i] is the column of row i's slack (bounds [0, inf)), or -1 for an equality row.
+        """
+        self.m, self.n = a.shape
+        self.n_real = self.n - self.m
+        self.a, self.lb, self.ub = a, lb, ub
         self.slack_cols = slack_cols
-        self.n = self.a.shape[1]
         if max_iterations is None:
             max_iterations = max(2000, 50 * (self.n + self.m))
         self.max_iterations = max_iterations
@@ -281,21 +313,23 @@ class _Core:
         self.b = b
         # every column starts nonbasic at a finite bound, lower first, or
         # free at 0; lb == ub makes it fixed
-        rows = np.arange(self.m)
-        art = self.n_real + rows
-        lo_finite, hi_finite = np.isfinite(self.lb), np.isfinite(self.ub)
-        self.status = np.where(lo_finite, _AT_LOWER, np.where(hi_finite, _AT_UPPER, _FREE))
-        self.status[self.lb == self.ub] = _FIXED
-        x_nb = np.where(lo_finite, self.lb, np.where(hi_finite, self.ub, 0.0))[:self.n_real]
+        n_real = self.n_real
+        lb, ub = self.lb[:n_real], self.ub[:n_real]
+        lo_finite, hi_finite = np.isfinite(lb), np.isfinite(ub)
+        status = np.where(lo_finite, _AT_LOWER, np.where(hi_finite, _AT_UPPER, _FREE))
+        status[lb == ub] = _FIXED
+        x_nb = np.where(lo_finite, lb, np.where(hi_finite, ub, 0.0))
 
         # slack start: an inequality row that the nonbasic start point
         # satisfies keeps its slack basic and its artificial stays fixed at
         # 0; every other row starts on an artificial oriented to be >= 0
-        resid = self.b - self.a[:, :self.n_real] @ x_nb
-        slack_start = (self.slack_cols >= 0) & (resid >= 0)
-        signs = np.where(resid >= 0, 1.0, -1.0)
-        self.a[rows, art] = signs
-        self.status[art] = np.where(slack_start, _FIXED, _BASIC)
+        resid = self.b - self.a[:, :n_real] @ x_nb
+        satisfied = resid >= 0
+        slack_start = (self.slack_cols >= 0) & satisfied
+        signs = np.where(satisfied, 1.0, -1.0)
+        art = np.arange(n_real, self.n)
+        _diagonal(self.a, 0, n_real, self.m)[:] = signs
+        self.status = np.concatenate([status, np.where(slack_start, _FIXED, _BASIC)])
         self.basis = np.where(slack_start, self.slack_cols, art)
         self.status[self.basis] = _BASIC
         self.binv = np.diag(signs)  # inverse of the initial +/-1 diagonal basis
@@ -311,7 +345,7 @@ class _Core:
         cols, status = np.asarray(start.columns), np.asarray(start.status)
         if cols.shape != (self.m,) or status.shape != (self.n_real,):
             return False
-        if not np.array_equal(np.sort(cols), np.flatnonzero(status == _BASIC)):
+        if not np.array_equal(np.sort(cols), (status == _BASIC).nonzero()[0]):
             return False
         # each status must suit this LP's bounds, as the cold start assigns them
         lb, ub = self.lb[:self.n_real], self.ub[:self.n_real]
@@ -353,9 +387,8 @@ class _Core:
             alpha = self.binv[r] @ self.a
             toward = -rise * alpha
             piv_tol = 1e-9 * max(1.0, float(np.abs(alpha).max()))
-            can_increase = (self.status == _AT_LOWER) | (self.status == _FREE)
-            can_decrease = (self.status == _AT_UPPER) | (self.status == _FREE)
-            entering = np.flatnonzero((can_increase & (toward > piv_tol)) | (can_decrease & (toward < -piv_tol)))
+            entering = ((_CAN_INCREASE[self.status] & (toward > piv_tol))
+                        | (_CAN_DECREASE[self.status] & (toward < -piv_tol))).nonzero()[0]
             if entering.size == 0:
                 return None
             # the smallest |d/alpha| keeps every reduced cost's sign; near
@@ -395,17 +428,21 @@ class _Core:
 
     def _improving(self, d: np.ndarray, dual_tol: float) -> np.ndarray:
         """Columns whose reduced cost d lets them enter and lower the objective."""
-        can_increase = (self.status == _AT_LOWER) | (self.status == _FREE)
-        can_decrease = (self.status == _AT_UPPER) | (self.status == _FREE)
-        return np.flatnonzero((can_increase & (d < -dual_tol)) | (can_decrease & (d > dual_tol)))
+        status = self.status
+        return ((_CAN_INCREASE[status] & (d < -dual_tol)) | (_CAN_DECREASE[status] & (d > dual_tol))).nonzero()[0]
 
     def _nonbasic_values(self, cols) -> np.ndarray:
+        """The values of the nonbasic columns cols: at lower or fixed, lb; at upper, ub; free, 0."""
         s = self.status[cols]
-        at_lb = (s == _AT_LOWER) | (s == _FIXED)
-        return np.where(at_lb, self.lb[cols], np.where(s == _AT_UPPER, self.ub[cols], 0.0))
+        return np.where(s == _AT_UPPER, self.ub[cols], np.where(s == _FREE, 0.0, self.lb[cols]))
+
+    def _nonbasic_value(self, j: int) -> float:
+        """_nonbasic_values for the one column j."""
+        s = self.status[j]
+        return self.ub[j] if s == _AT_UPPER else 0.0 if s == _FREE else self.lb[j]
 
     def _recompute_basics(self):
-        nonbasic = np.flatnonzero(self.status != _BASIC)
+        nonbasic = (self.status != _BASIC).nonzero()[0]
         x_nb = self._nonbasic_values(nonbasic)
         rhs = self.b - self.a[:, nonbasic] @ x_nb
         self.x_basic = self.binv @ rhs
@@ -416,7 +453,7 @@ class _Core:
             self.binv = np.linalg.solve(bmat, np.eye(self.m))
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix singular at refactorization") from None
-        if not np.all(np.isfinite(self.binv)):
+        if not np.isfinite(self.binv).all():
             raise SingularBasisError("basis inverse non-finite after refactorization")
         self.refactorizations += 1
         self.pivots_since_refactor = 0
@@ -430,27 +467,29 @@ class _Core:
         if status != "optimal":
             # a bounded-below phase-1 objective cannot be unbounded
             raise SingularBasisError("phase-1 terminated abnormally: " + status)
-        # each basic artificial is judged against the rhs of its own row
-        art_rows = np.flatnonzero(self.basis >= self.n_real)
-        own_b = self.b[self.basis[art_rows] - self.n_real]
-        if np.any(np.abs(self.x_basic[art_rows]) > 1e-7 * np.maximum(1.0, np.abs(own_b))):
-            return "infeasible"
-        self._drive_out_artificials()
+        art_rows = (self.basis >= self.n_real).nonzero()[0]
+        if art_rows.size:
+            # each basic artificial is judged against the rhs of its own row
+            own_b = self.b[self.basis[art_rows] - self.n_real]
+            if np.any(np.abs(self.x_basic[art_rows]) > 1e-7 * np.maximum(1.0, np.abs(own_b))):
+                return "infeasible"
+            self._drive_out_artificials(art_rows)
+        self._recompute_basics()
         # artificials are pinned at zero for phase 2
         self.lb[self.n_real:] = 0.0
         self.ub[self.n_real:] = 0.0
-        nonbasic_art = (self.status != _BASIC) & (np.arange(self.n) >= self.n_real)
-        self.status[nonbasic_art] = _FIXED
-        c2 = np.concatenate([c_real, np.zeros(self.m)])
+        art_status = self.status[self.n_real:]
+        art_status[art_status != _BASIC] = _FIXED
+        c2 = np.zeros(self.n)
+        c2[:self.n_real] = c_real
         return self._iterate(c2, phase=2)
 
-    def _drive_out_artificials(self):
-        for r in np.flatnonzero(self.basis >= self.n_real):
+    def _drive_out_artificials(self, art_rows: np.ndarray):
+        """Pivot a real column into each of art_rows, whose basic artificial is at zero, where one can enter."""
+        for r in art_rows:
             j = self.basis[r]
             row = self.binv[r, :] @ self.a[:, : self.n_real]
-            candidates = np.flatnonzero(
-                (np.abs(row) > 1e-7) & (self.status[: self.n_real] != _BASIC)
-            )
+            candidates = ((np.abs(row) > 1e-7) & (self.status[: self.n_real] != _BASIC)).nonzero()[0]
             if candidates.size == 0:
                 continue  # dependent row; artificial stays basic at zero
             q = candidates[np.argmax(np.abs(row[candidates]))]
@@ -458,7 +497,6 @@ class _Core:
             self.status[q] = _BASIC
             self.status[j] = _FIXED
             self._pivot(r, q, w)
-        self._recompute_basics()
 
     def _pivot(self, r: int, q: int, w: np.ndarray):
         piv = w[r]
@@ -478,6 +516,10 @@ class _Core:
         degen_run = 0
         bland = False
         while True:
+            if phase == 1 and (self.basis < self.n_real).all():
+                # no basic artificial: y = 0 and no column prices in, so
+                # a pricing pass could only confirm optimality
+                return "optimal"
             if self.iterations >= self.max_iterations:
                 raise SimplexIterationLimit(
                     f"simplex exceeded {self.max_iterations} iterations (phase {phase})"
@@ -485,11 +527,11 @@ class _Core:
             self.iterations += 1
 
             y = c[self.basis] @ self.binv
-            if not np.all(np.isfinite(y)) or not np.all(np.isfinite(self.x_basic)):
+            if not (np.isfinite(y).all() and np.isfinite(self.x_basic).all()):
                 # updated inverse drifted; rebuild once from scratch before giving up
                 self._refactorize()
                 y = c[self.basis] @ self.binv
-                if not np.all(np.isfinite(y)) or not np.all(np.isfinite(self.x_basic)):
+                if not (np.isfinite(y).all() and np.isfinite(self.x_basic).all()):
                     raise SingularBasisError("non-finite iterate after refactorization retry")
             d = c - y @ self.a
             idx = self._improving(d, dual_tol)
@@ -511,7 +553,7 @@ class _Core:
             lo = self.lb[self.basis]
             hi = self.ub[self.basis]
             falling = (delta < -piv_tol) & np.isfinite(lo)
-            blocking = np.flatnonzero(falling | ((delta > piv_tol) & np.isfinite(hi)))
+            blocking = (falling | ((delta > piv_tol) & np.isfinite(hi))).nonzero()[0]
             t_limit = np.inf
             leave_row = -1
             if blocking.size:
@@ -537,7 +579,7 @@ class _Core:
                 return "unbounded"
             else:
                 t = t_limit
-                entering_value = self._nonbasic_values([q])[0] + direction * t
+                entering_value = self._nonbasic_value(q) + direction * t
                 leaving = self.basis[leave_row]
                 di = delta[leave_row]
                 new_status = _AT_LOWER if di < 0 else _AT_UPPER
@@ -577,14 +619,17 @@ class _Core:
         """
         cols = np.sort(self.basis)
         x = np.empty(b.shape[:-1] + (self.n,))
-        nonbasic = np.flatnonzero(self.status != _BASIC)
+        nonbasic = (self.status != _BASIC).nonzero()[0]
         x[..., nonbasic] = x_nb = self._nonbasic_values(nonbasic)
         rhs = b - self.a[:, nonbasic] @ x_nb
+        bmat = self.a[:, cols]
         try:
-            x_basic = np.linalg.solve(self.a[:, cols], rhs[..., None])[..., 0]
+            # one rhs is solved as a vector, a stack as one column each: the
+            # same LAPACK solve with a single rhs column either way
+            x_basic = np.linalg.solve(bmat, rhs) if rhs.ndim == 1 else np.linalg.solve(bmat, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix singular at the vertex read") from None
-        if not np.all(np.isfinite(x_basic)):
+        if not np.isfinite(x_basic).all():
             raise SingularBasisError("basic values non-finite at the vertex read")
         x[..., cols] = x_basic
         return x

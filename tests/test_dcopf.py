@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -16,6 +17,7 @@ from gridscreen import (
     solve_opf,
 )
 from gridscreen.samplegen import Sample
+from gridscreen.simplex import LinearProgram
 
 
 def test_build_counts_full(tri3):
@@ -34,6 +36,23 @@ def test_build_balance_row(tri3):
     problem = build_opf(tri3, tri3.base_load(), frozenset())
     assert problem.a_eq.tolist() == [[1.0, 1.0]]     # sum of P_g ...
     assert problem.b_eq.tolist() == [150.0]          # ... = sum of load
+
+
+@pytest.mark.parametrize("name", ["tri3", "case14"])
+def test_assembled_lp_is_what_the_checked_constructor_makes(name, request):
+    """build_opf's LP has the fields, shapes, dtypes and bits of LinearProgram built from plain lists of them."""
+    network = request.getfixturevalue(name)
+    load = network.base_load() * 1.05
+    for monitored in (full_monitored_set(network), {0}, frozenset()):
+        built = build_opf(network, load, monitored)
+        fields = [f.name for f in dataclasses.fields(LinearProgram)]
+        checked = LinearProgram(**{k: getattr(built, k).tolist() for k in fields})
+        for k in fields:
+            got, want = getattr(built, k), getattr(checked, k)
+            assert got.dtype == want.dtype == np.float64, k
+            assert got.shape == want.shape, k
+            assert got.tobytes() == want.tobytes(), k
+        assert built.a_ub.shape == (2 * len(monitored), network.num_generators)
 
 
 def test_build_load_length_error(tri3):

@@ -195,6 +195,34 @@ def test_permutation_equivariance_exact(case14):
         assert np.array_equal(out, base)
 
 
+def _branch_order_sum(values, incidence):
+    """Each bus's sum of its branches' values as plain float additions in branch order, from +0.0."""
+    out = np.zeros((values.shape[0], incidence.shape[1], values.shape[2]))
+    for b in range(values.shape[0]):
+        for n in range(incidence.shape[1]):
+            total = np.zeros(values.shape[2])
+            for k in np.flatnonzero(incidence[:, n]):
+                total = total + values[b, k]
+            out[b, n] = total
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, 32], ids=["inference", "training"])
+def test_scatter_sum_is_branch_order_sum(case14, batch):
+    topo = to_graph(case14)
+    rng = np.random.default_rng(batch)
+    # a strided slice, as the backward pass scatters part of the edge-stack gradient
+    wide = rng.normal(size=(batch, case14.num_branches, 3 * 64))
+    signed_zeros = np.where(rng.random(wide.shape) < 0.3, -0.0, wide)
+    all_negative_zero = np.full((batch, case14.num_branches, 64), -0.0)
+    for values in (wide[:, :, :64], wide[:, :, 64:128], signed_zeros[:, :, 5:69], all_negative_zero):
+        for incidence in (topo.incidence_from, topo.incidence_to):
+            got = gnn_module._scatter_sum(values, incidence)
+            want = _branch_order_sum(values, incidence)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_mlp_zero_model_outputs_half(tri3):
     model = _zero(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3, kind="mlp"))
     probs = forward_any(model, np.ones((3, 7))[None], np.ones((3, 2))[None], None)[0]

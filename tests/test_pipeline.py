@@ -244,6 +244,24 @@ def test_csv_writers_recompute_from_json(tmp_path, tri3, tri3_dataset):
     assert header == "threshold,time_pct,pct_samples_over_limit,pct_lines_monitored,prediction_error_pct"
 
 
+def test_interrupted_report_writes_keep_the_old_files(tmp_path, tri3, tri3_dataset):
+    """Each report file is replaced whole or not at all, and no temporary file is left behind."""
+    report = _eval_tri3(tri3, tri3_dataset, OraclePredictor(tri3, 0.95), n=10)
+    write_report(report, tmp_path, "095")
+    write_sweep_csv([report], tmp_path / "sweep.csv")
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the last per-sample row has no costs, so writing the costs table raises part way
+    broken = EvalReport(**{**report.to_dict(), "per_sample": report.per_sample[:5] + [{"sample_id": 99}]})
+    with pytest.raises(KeyError):
+        write_report(broken, tmp_path, "095")
+    with pytest.raises(AttributeError):
+        write_sweep_csv([report, None], tmp_path / "sweep.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
+    for name in ("costs_095.csv", "sweep.csv"):
+        assert (tmp_path / name).read_bytes() == old[name], name
+    json.loads((tmp_path / "report_095.json").read_text(encoding="utf-8"))
+
+
 def test_report_json_round_trip_fields(tmp_path, tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, OraclePredictor(tri3, 0.95), n=10)
     write_report(report, tmp_path, "095")

@@ -171,6 +171,19 @@ def _reference_samples(net, count, magnitude, seed):
     return loads, dispatches, redraws
 
 
+def test_rekeyed_philox_gives_each_key_its_own_stream():
+    """One re-keyed bit generator draws what a new Philox with that key draws, whatever it drew before."""
+    bits = np.random.Philox(key=0)
+    shared = np.random.Generator(bits)
+    for seed in (0, 1, 2**40 + 3, 2**64 - 1):
+        for index in (0, 1, 17, 2**63 + 5):
+            key = samplegen.derive_seed(seed, index)
+            samplegen._rekey(bits, key)
+            own = samplegen._generator(key)
+            for size in (14, 3):  # a second draw continues mid-buffer
+                assert shared.uniform(0.9, 1.1, size).tobytes() == own.uniform(0.9, 1.1, size).tobytes()
+
+
 def test_generate_parallel_matches_serial(tri3, case14):
     # on case14 the base-case basis answers some samples and not others; on
     # tri3 at +-60% about one draw in seven is infeasible and redrawn

@@ -7,6 +7,7 @@ from gridscreen import (
     SimplexIterationLimit,
     build_opf,
     full_monitored_set,
+    line_flows,
     solve_lp,
 )
 from gridscreen import simplex
@@ -67,11 +68,12 @@ def test_free_variable_equality():
 
 def test_free_column_enters_by_pricing():
     # the start point x0 = 0 satisfies the row, so phase 1 has no artificial
-    # and the free column enters in phase 2 because its cost prices it in
+    # and no pass, and the free column enters in phase 2 because its cost
+    # prices it in
     sol = solve_lp(lp([1.0], [-np.inf], [np.inf], a_ub=[[-1.0]], b_ub=[2.0]))
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(-2.0, abs=1e-9)
-    assert sol.diagnostics["phase1_iterations"] == 1 and sol.diagnostics["pivots"] == 1
+    assert sol.diagnostics["phase1_iterations"] == 0 and sol.diagnostics["pivots"] == 1
 
 
 def test_slack_start_keeps_satisfied_rows():
@@ -430,3 +432,56 @@ def test_random_cross_check_against_scipy(maker, trials, seed, monkeypatch):
     assert min(statuses.values()) > 0
     assert started >= trials // 10
     assert pivoted > 0
+
+
+def _phase1_record(monkeypatch) -> list:
+    """Per solve from here on: phase 1's iterations, its pivots plus bound flips, and whether an artificial ends it basic."""
+    records, iterate = [], simplex._Core._iterate
+
+    def recording(core, c, phase):
+        moves = core.pivots + core.bound_flips
+        status = iterate(core, c, phase)
+        if phase == 1:
+            records.append((core.iterations, core.pivots + core.bound_flips - moves,
+                            bool((core.basis >= core.n_real).any())))
+        return status
+
+    monkeypatch.setattr(simplex._Core, "_iterate", recording)
+    return records
+
+
+def test_phase1_stops_when_no_artificial_is_basic(case14, monkeypatch):
+    """Phase 1 ends as soon as no artificial is basic: each of its iterations then pivots or flips a bound.
+
+    Only a phase 1 that ends with an artificial basic (infeasible, or one
+    left at zero) spends a pass on pricing alone.
+    """
+    records = _phase1_record(monkeypatch)
+    problems = []
+    rng = np.random.default_rng(8)
+    base = case14.base_load()
+    for _ in range(20):
+        load = base * rng.uniform(0.9, 1.1, base.size)
+        full = build_opf(case14, load, full_monitored_set(case14))
+        flows = line_flows(case14, solve_lp(full).x, load)
+        problems.append(full)
+        for tau in (0.5, 0.9, 0.99):
+            problems.append(build_opf(case14, load, np.flatnonzero(np.abs(flows) >= tau * case14.rating)))
+    case14_problems = len(problems)
+    for maker, seed in ((_random_problem, 0), (_random_degenerate_problem, 1), (_random_free_column_problem, 2)):
+        rng = np.random.default_rng(seed)
+        problems += [lp(*maker(rng)) for _ in range(80)]
+    del records[:]
+    solutions = [solve_lp(problem) for problem in problems]
+    assert len(records) == len(solutions)
+    stopped = 0
+    for k, ((iterations, moves, artificial_basic), sol) in enumerate(zip(records, solutions)):
+        assert sol.diagnostics["phase1_iterations"] == iterations
+        if artificial_basic:
+            assert iterations == moves + 1
+        else:
+            assert iterations == moves
+            stopped += 1
+        if k < case14_problems:
+            assert sol.status == "optimal" and not artificial_basic
+    assert case14_problems < stopped < len(solutions)
