@@ -7,8 +7,8 @@ also be supplied through a JSON file via --config; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -18,10 +18,11 @@ import numpy as np
 from .dcopf import check_limits, full_monitored_set, solve_opf
 from .gnn import Binding, ModelConfig, init_model, load_model, save_model, train
 from .netcase import CaseError, parse_case, to_graph
-from .pipeline import ModelPredictor, evaluate, threshold_sweep, write_report, write_sweep_csv
+from .pipeline import ModelPredictor, _csv_text, evaluate, threshold_sweep, write_report, write_sweep_csv
 from .samplegen import (
     EDGE_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
+    _write_atomic,
     fit_normalizer,
     generate_dataset,
     read_dataset,
@@ -145,12 +146,10 @@ def _build_model(kind: str, config: ModelConfig, network, train_split):
 
 
 def _write_history_csv(history, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "train_acc", "val_acc"])
-        for i in range(len(history)):
-            writer.writerow([i + 1, history.train_loss[i], history.val_loss[i],
-                             history.train_acc[i], history.val_acc[i]])
+    """One row per epoch, written atomically (samplegen._write_atomic)."""
+    _write_atomic(path, [_csv_text(["epoch", "train_loss", "val_loss", "train_acc", "val_acc"], (
+        [i + 1, history.train_loss[i], history.val_loss[i], history.train_acc[i], history.val_acc[i]]
+        for i in range(len(history))))])
 
 
 def _config_from_flags(args) -> ModelConfig:
@@ -166,6 +165,8 @@ def cmd_train(args) -> int:
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
     _check_out_dir(args.out)
     _check_out_dir(history_path)
+    if os.path.realpath(history_path) == os.path.realpath(args.out):
+        raise ConfigError(f"--history {history_path} names the same file as --out {args.out}")
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)

@@ -101,10 +101,9 @@ def full_dispatches(network: Network, loads) -> list[np.ndarray | None]:
     """
     everything = list(range(network.num_branches))
     checked = [_check_load(network, load) for load in loads]
-    start = network.base_start
-    answers = [None] * len(checked)
-    if start is not None and checked:
-        answers = start.vertices([_rhs(network, load, everything) for load in checked])
+    if not checked:
+        return []
+    answers = network.base_start.vertices([_rhs(network, load, everything) for load in checked])
     return [solve_opf(network, load, everything).p_g if p_g is None else p_g
             for load, p_g in zip(checked, answers)]
 

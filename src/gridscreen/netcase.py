@@ -146,19 +146,15 @@ class Network:
         return _read_only(np.array([gen.p_max_mw for gen in self.generators], dtype=float))
 
     @cached_property
-    def base_opf(self):
-        """(LinearProgram, LpSolution): the dispatch LP at the base load with every branch monitored, solved cold."""
-        from .dcopf import build_opf, full_monitored_set  # dcopf imports this module
-        from .simplex import solve_lp
-        lp = build_opf(self, self.base_load(), full_monitored_set(self))
-        return lp, solve_lp(lp)
-
-    @cached_property
     def base_start(self):
-        """simplex.WarmStart of the base case's optimal basis; None when the base case has no basis."""
+        """simplex.WarmStart of the dispatch LP at the base load with every branch monitored.
+
+        Its .solution is that LP's cold solve; where the base case has no
+        optimal basis, it answers None for every load.
+        """
+        from .dcopf import build_opf, full_monitored_set  # dcopf imports this module
         from .simplex import WarmStart
-        lp, solution = self.base_opf
-        return None if solution.basis is None else WarmStart(lp, solution.basis)
+        return WarmStart(build_opf(self, self.base_load(), full_monitored_set(self)))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, _flows, full_dispatches
+from .dcopf import REPORT_TOL_MW, _check_load, _flows, full_dispatches
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
@@ -72,9 +72,7 @@ def extract_features(network: Network, load_mw: np.ndarray) -> tuple[np.ndarray,
     incident-branch count, and a one-hot bus type (load, generator, slack).
     Edge columns: reactance pu, rating MW.  Rows follow internal order.
     """
-    load = np.asarray(load_mw, dtype=float)
-    if load.shape != (network.num_buses,):
-        raise ValueError(f"load length {load.size} != number of buses {network.num_buses}")
+    load = _check_load(network, load_mw)
     topo = to_graph(network)
     node = np.zeros((network.num_buses, NODE_FEATURE_WIDTH))
     node[:, 0] = load
@@ -210,7 +208,7 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    base = network.base_opf[1]
+    base = network.base_start.solution
     if base.status != "optimal":
         raise RuntimeError(f"base-case OPF is {base.status}; cannot generate samples")
 

@@ -34,13 +34,13 @@ LP without rows (bounds only) or without columns (constant rows) runs
 through the same two phases.
 
 Warm start (Koberstein, The dual simplex method, 2005; Maros 2003, the
-dual chapters): an optimal solution without a basic artificial carries its
-basis (the basic column of each row and the status of every column, slacks
-included).  WarmStart(lp, basis) prepares that basis once to answer lp
-under other right-hand sides: a new rhs leaves A, c, the bounds and the
-row scaling alone, so the standard form, the shape and status checks, B^-1
-and one pricing pass (no column may improve) are done once.  The basis
-then stays dual feasible for every rhs.  WarmStart.vertices(rhs) reads
+dual chapters): WarmStart(lp) solves lp cold, through the same two phases
+as solve_lp, and keeps the core that solve ends on to answer lp under
+other right-hand sides, so the optimal basis never leaves this module.  A
+new rhs leaves A, c, the bounds and the row scaling alone, so B^-1 of the
+optimal basis (formed afresh, not the product-form inverse the solve
+updated) and one pricing pass (no column may improve) are done once.  The
+basis then stays dual feasible for every rhs.  WarmStart.vertices(rhs) reads
 x_B for a batch of right-hand sides with one stacked solve; a row whose
 x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
 is answered with no pivot.  Every other row runs bounded dual simplex
@@ -49,8 +49,9 @@ leaves at the bound it violates, the column with the smallest |d/alpha|
 among those that move it toward that bound enters (ties to the largest
 |alpha|), so every reduced cost keeps its sign.  A row where no column can
 enter, or where _DUAL_PIVOT_CAP pivots do not reach a primal feasible
-basis, answers None; so does every row of a basis of the wrong shape, a
-singular or a non-optimal one, and the caller solves it cold, so only the
+basis, answers None; so does every row when the cold solve is not optimal,
+leaves an artificial basic, or ends on a basis that the fresh B^-1 finds
+singular or not optimal.  The caller solves such a row cold, so only the
 two-phase primal judges infeasibility.
 
 Every vertex, cold or warm, is read with B's columns in ascending index
@@ -152,14 +153,6 @@ class LinearProgram:
         return self.c.size
 
 
-@dataclass(frozen=True)
-class Basis:
-    """An optimal basis over the standard-form columns: the LP's columns, then one slack per inequality row."""
-
-    columns: np.ndarray              # the basic column of each row, in row order
-    status: np.ndarray               # per column: at lower, at upper, basic, free at 0 or fixed
-
-
 @dataclass
 class LpSolution:
     status: str                      # 'optimal' | 'infeasible' | 'unbounded'
@@ -167,7 +160,6 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0
     diagnostics: dict = field(default_factory=dict)
-    basis: Basis | None = None       # set when optimal with no artificial left basic
 
 
 def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
@@ -179,11 +171,16 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1 or None, got {max_iterations}")
-    core, c, scale = _standard_form(lp, max_iterations)
+    return _solve(lp, max_iterations)[0]
+
+
+def _solve(lp: LinearProgram, max_iterations: int | None) -> tuple[LpSolution, _Core, np.ndarray]:
+    """The two-phase cold solve of lp: its solution, the core it ends on and the row scale."""
+    core, scale = _standard_form(lp, max_iterations)
     core.slack_start(np.concatenate([lp.b_eq, lp.b_ub]) / scale)
-    status = core.run_two_phase(c)
+    status = core.run_two_phase()
     if status != "optimal":
-        return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics())
+        return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics()), core, scale
     x = core.solution()[:lp.num_variables]
     return LpSolution(
         status="optimal",
@@ -191,24 +188,23 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
         objective=float(lp.c @ x),
         iterations=core.iterations,
         diagnostics=core.diagnostics(),
-        basis=core.optimal_basis(),
-    )
+    ), core, scale
 
 
 class WarmStart:
-    """An optimal basis of one LP, prepared once to answer that LP under other right-hand sides.
+    """One LP solved cold, its optimal basis prepared to answer that LP under other right-hand sides.
 
-    A start that does not suit the LP (wrong shape, statuses that do not
-    suit its bounds, a singular basis, or a column that prices in) answers
-    None for every row.
+    .solution is the cold solve's LpSolution, as solve_lp returns it.
+    When that solve is not optimal, leaves an artificial basic, or ends on
+    a basis whose fresh B^-1 is singular or lets a column price in, every
+    row answers None.
     """
 
-    def __init__(self, lp: LinearProgram, start: Basis):
+    def __init__(self, lp: LinearProgram):
         self._rows = lp.a_eq.shape[0] + lp.a_ub.shape[0]
         self._variables = lp.num_variables
-        core, c, self._scale = _standard_form(lp, None)
-        self._c = np.concatenate([c, np.zeros(core.m)])
-        self._core = core if core.take_start(start, self._c) else None
+        self.solution, core, self._scale = _solve(lp, None)
+        self._core = core if self.solution.status == "optimal" and core.prepare_dual() else None
 
     def vertices(self, rhs) -> list[np.ndarray | None]:
         """Per row of the (S, #rows) array rhs, which stands for [b_eq; b_ub]: the optimal vertex, or None.
@@ -238,20 +234,21 @@ class WarmStart:
         core = copy.copy(self._core)
         core.b, core.basis, core.status, core.binv = b, core.basis.copy(), core.status.copy(), core.binv.copy()
         try:
-            x = core.dual_simplex(self._c, x)
+            x = core.dual_simplex(x)
         except SingularBasisError:
             return None
         return None if x is None else x[:self._variables]
 
 
-def _standard_form(lp: LinearProgram, max_iterations: int | None) -> tuple[_Core, np.ndarray, np.ndarray]:
-    """The _Core over lp's standard-form columns, their costs and the row scale that divides a rhs.
+def _standard_form(lp: LinearProgram, max_iterations: int | None) -> tuple[_Core, np.ndarray]:
+    """The _Core over lp's standard-form columns and the row scale that divides a rhs.
 
     The rows are [A_eq; A_ub] with one slack per inequality row,
     equilibrated so coefficient magnitudes are <= 1 per row, with a 1e-12
     floor; an all-zero row, as every row of a zero-column LP is, keeps
     scale 1 so its rhs is judged as given.  The core's matrix also holds
-    one artificial column per row, after the slacks, filled in by the start.
+    one artificial column per row, after the slacks, filled in by the start;
+    its costs are lp.c on the real columns and 0 on every other column.
     """
     n = lp.num_variables
     me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
@@ -267,8 +264,9 @@ def _standard_form(lp: LinearProgram, max_iterations: int | None) -> tuple[_Core
     ub = np.full(n + mi + m, np.inf)
     lb[:n], ub[:n] = lp.lower, lp.upper
     slack_cols = np.concatenate([np.full(me, -1), np.arange(n, n + mi)])
-    c = np.concatenate([lp.c, np.zeros(mi)])
-    return _Core(a, lb, ub, slack_cols, max_iterations), c, scale
+    c = np.zeros(n + mi + m)
+    c[:n] = lp.c
+    return _Core(a, lb, ub, c, slack_cols, max_iterations), scale
 
 
 def _diagonal(a: np.ndarray, row: int, col: int, length: int) -> np.ndarray:
@@ -284,18 +282,19 @@ class _Core:
     """Simplex engine on the standard-form system a x (+ artificials) = b.
 
     The system without its rhs is set once; slack_start gives it a rhs b
-    and the cold start's basis, take_start takes a given optimal basis for
-    WarmStart, whose copies run dual_simplex for their own rhs.
+    and the cold start's basis.  Once the two phases end optimal,
+    prepare_dual readies the core for WarmStart, whose copies run
+    dual_simplex for their own rhs.
     """
 
-    def __init__(self, a, lb, ub, slack_cols, max_iterations):
-        """a, lb and ub cover the real and slack columns, then one artificial column per row.
+    def __init__(self, a, lb, ub, c, slack_cols, max_iterations):
+        """a, lb, ub and the costs c cover the real and slack columns, then one artificial column per row.
 
         slack_cols[i] is the column of row i's slack (bounds [0, inf)), or -1 for an equality row.
         """
         self.m, self.n = a.shape
         self.n_real = self.n - self.m
-        self.a, self.lb, self.ub = a, lb, ub
+        self.a, self.lb, self.ub, self.c = a, lb, ub, c
         self.slack_cols = slack_cols
         if max_iterations is None:
             max_iterations = max(2000, 50 * (self.n + self.m))
@@ -336,35 +335,23 @@ class _Core:
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
 
-    def take_start(self, start: Basis, c: np.ndarray) -> bool:
-        """Take `start` as this core's basis, with B^-1, if it suits this LP and no column prices in under cost c.
+    def prepare_dual(self) -> bool:
+        """Ready this core, optimal after run_two_phase, for dual_simplex: False where it cannot start one.
 
-        c covers every column, artificials included.  The artificials stay
-        fixed at 0, so a warm start never lets one enter.
+        It cannot while an artificial is basic, when B is singular, or when
+        a column prices in under B^-1 formed afresh.  The artificials stay
+        fixed at 0, so dual pivots never let one enter.
         """
-        cols, status = np.asarray(start.columns), np.asarray(start.status)
-        if cols.shape != (self.m,) or status.shape != (self.n_real,):
+        if (self.basis >= self.n_real).any():
             return False
-        if not np.array_equal(np.sort(cols), (status == _BASIC).nonzero()[0]):
-            return False
-        # each status must suit this LP's bounds, as the cold start assigns them
-        lb, ub = self.lb[:self.n_real], self.ub[:self.n_real]
-        lo, hi = np.isfinite(lb), np.isfinite(ub)
-        allowed = np.where(lb == ub, status == _FIXED,
-                           (status == _BASIC) | ((status == _AT_LOWER) & lo)
-                           | ((status == _AT_UPPER) & hi) | ((status == _FREE) & ~lo & ~hi))
-        if not allowed.all():
-            return False
-        self.basis = cols.copy()
-        self.status = np.concatenate([status, np.full(self.m, _FIXED)])
         try:
             self.binv = np.linalg.solve(self.a[:, self.basis], np.eye(self.m))
         except np.linalg.LinAlgError:
             return False
-        self.pivots_since_refactor = 0
-        return self._improving(self._reduced_costs(c), _dual_tol(c)).size == 0
+        self.pivots = self.pivots_since_refactor = 0
+        return self._improving(self._reduced_costs(), _dual_tol(self.c)).size == 0
 
-    def dual_simplex(self, c: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    def dual_simplex(self, x: np.ndarray) -> np.ndarray | None:
         """Bounded dual simplex pivots from a dual-feasible basis whose vertex for self.b is x.
 
         Returns the optimal vertex, read by _vertex, or None where no
@@ -372,9 +359,9 @@ class _Core:
         pivots do not reach a primal feasible basis, or where a column
         prices in at the end.
         """
-        dual_tol = _dual_tol(c)
+        dual_tol = _dual_tol(self.c)
         while True:
-            d = self._reduced_costs(c)
+            d = self._reduced_costs()
             infeasibility = self._infeasibility(x)
             r = int(np.argmax(infeasibility))
             if infeasibility[r] <= _START_PRIMAL_TOL:
@@ -403,12 +390,6 @@ class _Core:
             self._pivot(r, q, self.binv @ self.a[:, q])
             x = self._vertex(self.b)
 
-    def optimal_basis(self) -> Basis | None:
-        """The basis to start a like LP from; None while an artificial is basic."""
-        if (self.basis >= self.n_real).any():
-            return None
-        return Basis(self.basis.copy(), self.status[:self.n_real].copy())
-
     def diagnostics(self) -> dict:
         return {
             "phase1_iterations": self.phase1_iterations,
@@ -418,8 +399,8 @@ class _Core:
             "bland_engaged": self.bland_engaged,
         }
 
-    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        return c - (c[self.basis] @ self.binv) @ self.a
+    def _reduced_costs(self) -> np.ndarray:
+        return self.c - (self.c[self.basis] @ self.binv) @ self.a
 
     def _infeasibility(self, x: np.ndarray) -> np.ndarray:
         """Per row of the basis (last axis), how far its basic value in x lies outside its bounds."""
@@ -459,7 +440,7 @@ class _Core:
         self.pivots_since_refactor = 0
         self._recompute_basics()
 
-    def run_two_phase(self, c_real: np.ndarray) -> str:
+    def run_two_phase(self) -> str:
         c1 = np.zeros(self.n)
         c1[self.n_real:] = 1.0
         status = self._iterate(c1, phase=1)
@@ -480,9 +461,7 @@ class _Core:
         self.ub[self.n_real:] = 0.0
         art_status = self.status[self.n_real:]
         art_status[art_status != _BASIC] = _FIXED
-        c2 = np.zeros(self.n)
-        c2[:self.n_real] = c_real
-        return self._iterate(c2, phase=2)
+        return self._iterate(self.c, phase=2)
 
     def _drive_out_artificials(self, art_rows: np.ndarray):
         """Pivot a real column into each of art_rows, whose basic artificial is at zero, where one can enter."""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gridscreen import load_model
-from gridscreen.cli import main
+from gridscreen.cli import _write_history_csv, main
+from gridscreen.gnn import TrainHistory
 
 CASES = Path(__file__).resolve().parents[1] / "cases"
 TRI3 = str(CASES / "tri3.case")
@@ -485,3 +486,37 @@ def test_train_missing_out_dir_fails_first(workspace, tmp_path, capsys, monkeypa
     assert str(named) in err
     assert "Error" not in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_train_history_naming_the_model_file_fails_first(workspace, tmp_path, capsys, monkeypatch):
+    """A --history path that resolves to the --out file exits 2 before any work and writes no file."""
+    _, data, _ = workspace
+    monkeypatch.setattr("gridscreen.cli.train", _no_work)
+    out = tmp_path / "m.json"
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(out)
+    for history in (out, tmp_path / "sub" / ".." / "m.json", tmp_path / "link.csv"):
+        assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "0.95",
+                     "--out", str(out), "--history", str(history)]) == 2
+        err = capsys.readouterr().err
+        assert "same file as --out" in err and str(history) in err
+        assert "Error" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "sub"]
+    assert not any((tmp_path / "sub").iterdir())
+
+
+def test_history_csv_is_written_atomically(tmp_path, monkeypatch):
+    """The history CSV keeps its bytes (CRLF row ends); a write that fails at the rename keeps the old file."""
+    path = tmp_path / "h.csv"
+    _write_history_csv(TrainHistory([1.0], [2.0], [0.5], [0.25]), path)
+    old = path.read_bytes()
+    assert old == b"epoch,train_loss,val_loss,train_acc,val_acc\r\n1,1.0,2.0,0.5,0.25\r\n"
+
+    def failing_replace(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr("gridscreen.samplegen.os.replace", failing_replace)
+    with pytest.raises(OSError, match="no space left"):
+        _write_history_csv(TrainHistory([3.0, 4.0], [5.0, 6.0], [0.0, 1.0], [1.0, 0.0]), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]

@@ -123,7 +123,7 @@ def test_full_dispatches_have_the_cold_bits(case14, monkeypatch):
     assert [load.tobytes() for load in solved] == [loads[1].tobytes()]
     assert near.tobytes() == solve_opf(case14, loads[0], everything).p_g.tobytes()
     assert infeasible is None
-    assert same.tobytes() == case14.base_opf[1].x.tobytes()
+    assert same.tobytes() == case14.base_start.solution.x.tobytes()
     assert far.tobytes() == solve_opf(case14, loads[3], everything).p_g.tobytes()
     assert dcopf.full_dispatches(case14, []) == []
     with pytest.raises(ValueError, match="load vector length"):
@@ -133,7 +133,7 @@ def test_full_dispatches_have_the_cold_bits(case14, monkeypatch):
 def test_full_dispatches_without_a_base_basis_solve_cold(tri3_text):
     """An infeasible base case has no basis to check against: every load is solved cold."""
     net = parse_case(tri3_text.replace("3 1 150.0", "3 1 500.0"))
-    assert net.base_opf[1].status == "infeasible"
+    assert net.base_start.solution.status == "infeasible"
     everything = full_monitored_set(net)
     loads = [net.base_load() * 0.3, net.base_load()]
     low, base = dcopf.full_dispatches(net, loads)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridscreen import CaseError, build_opf, full_monitored_set, parse_case, serialize_case, solve_opf, to_graph
+from gridscreen import CaseError, full_monitored_set, parse_case, serialize_case, solve_opf, to_graph
 
 DERIVED = ("rating", "ptdf", "gen_ptdf", "gen_cost", "gen_p_min", "gen_p_max")
 
@@ -185,30 +185,28 @@ def test_derived_arrays_stay_out_of_identity(tri3_text):
 def test_base_case_derived_once_and_kept_out_of_identity(tri3_text):
     net = parse_case(tri3_text)
     fingerprint = net.fingerprint()
-    lp, base = net.base_opf
-    assert net.base_opf[1] is base                  # derived once
     start = net.base_start
-    assert net.base_start is start                  # prepared once
-    assert base.status == "optimal" and base.basis is not None
-    cold = solve_opf(net, net.base_load(), full_monitored_set(net))
+    assert net.base_start is start                  # solved and prepared once
+    base = start.solution
+    assert base.status == "optimal"
+    cold = solve_opf(net, net.base_load(), full_monitored_set(net))  # every branch monitored
     assert base.x.tobytes() == cold.p_g.tobytes()
-    assert lp.b_ub.size == 2 * net.num_branches     # every branch monitored
     assert net.fingerprint() == fingerprint
     assert net == parse_case(tri3_text)             # equal to a network that has not solved it
     back = pickle.loads(pickle.dumps(net))
     assert back == net
-    assert not {"base_opf", "base_start"} & set(vars(back))  # not pickled ...
-    assert back.base_start is not start
-    assert back.base_opf[1] is not base             # ... but derived again
-    assert back.base_opf[1].x.tobytes() == base.x.tobytes()
+    assert "base_start" not in vars(back)           # not pickled ...
+    assert back.base_start is not start             # ... but derived again
+    assert back.base_start.solution.x.tobytes() == base.x.tobytes()
 
 
 def test_replace_derives_afresh(tri3):
-    tri3.rating, tri3.base_opf
+    tri3.rating, tri3.base_start
     doubled = tuple(replace(br, rate_a_mw=2 * br.rate_a_mw) for br in tri3.branches)
     wider = replace(tri3, branches=doubled)
     assert wider.rating.tolist() == [400.0, 160.0, 400.0]
     assert tri3.rating.tolist() == [200.0, 80.0, 200.0]
-    assert wider.base_opf[0].b_ub.tolist() != tri3.base_opf[0].b_ub.tolist()
-    rebuilt = build_opf(wider, wider.base_load(), full_monitored_set(wider))
-    assert wider.base_opf[0].b_ub.tolist() == rebuilt.b_ub.tolist()
+    # the 80 MW line binds at the base load, the 160 MW one does not
+    assert wider.base_start.solution.x.tolist() != tri3.base_start.solution.x.tolist()
+    rebuilt = solve_opf(wider, wider.base_load(), full_monitored_set(wider))
+    assert wider.base_start.solution.x.tobytes() == rebuilt.p_g.tobytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridscreen import (
+    build_opf,
     check_limits,
     extract_features,
     fit_normalizer,
@@ -225,17 +226,17 @@ def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
 def test_the_base_case_is_solved_once_per_network(case14, monkeypatch):
     net = parse_case(serialize_case(case14))
     rhs = []
-    solve = simplex.solve_lp
+    solve = simplex._solve
 
     def recording_solve(lp, *args):
         rhs.append(np.concatenate([lp.b_eq, lp.b_ub]).tobytes())
         return solve(lp, *args)
 
-    monkeypatch.setattr(simplex, "solve_lp", recording_solve)  # the base case's solve
-    monkeypatch.setattr(dcopf, "solve_lp", recording_solve)    # every cold solve of a draw
+    # the one cold solve path: the base case's warm start and solve_lp both run it
+    monkeypatch.setattr(simplex, "_solve", recording_solve)
     generate_dataset(net, 8, 0.3, seed=1)
     generate_dataset(net, 8, 0.3, seed=2)
-    lp, _ = net.base_opf
+    lp = build_opf(net, net.base_load(), full_monitored_set(net))
     # the base case alone: every draw is answered from its basis, without a cold solve
     assert rhs == [np.concatenate([lp.b_eq, lp.b_ub]).tobytes()]
 
@@ -328,6 +329,13 @@ def test_features_finite(tri3_dataset):
     for s in tri3_dataset.samples[:100]:
         assert np.isfinite(s.node_features).all()
         assert np.isfinite(s.edge_features).all()
+
+
+@pytest.mark.parametrize("load,match", [([0.0, 150.0], "length"), ([np.nan, np.inf, 1.0], "non-finite"),
+                                        ([0.0, 0.0, np.inf], "non-finite"), ([0.0, -np.inf, 0.0], "non-finite")])
+def test_features_reject_a_bad_load(tri3, load, match):
+    with pytest.raises(ValueError, match=match):
+        extract_features(tri3, np.array(load))
 
 
 def _dummy_dataset(n):

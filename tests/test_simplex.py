@@ -11,7 +11,7 @@ from gridscreen import (
     solve_lp,
 )
 from gridscreen import simplex
-from gridscreen.simplex import Basis, WarmStart
+from gridscreen.simplex import WarmStart
 
 
 def lp(c, lower, upper, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
@@ -231,10 +231,10 @@ def _count_pivots(monkeypatch) -> list:
 def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
     rng = np.random.default_rng(4)
     base = case14.base_load()
-    start = solve_lp(build_opf(case14, base, full_monitored_set(case14))).basis
+    warm_start = WarmStart(build_opf(case14, base, full_monitored_set(case14)))
+    start = np.sort(warm_start._core.basis)
     problems = [build_opf(case14, base * rng.uniform(0.9, 1.1, base.size), full_monitored_set(case14))
                 for _ in range(20)]
-    warm_start = WarmStart(problems[0], start)
     batch = warm_start.vertices([_rhs(p) for p in problems])
     pivots = _count_pivots(monkeypatch)
     hits = 0
@@ -244,9 +244,9 @@ def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
         alone = warm_start.vertices([_rhs(problem)])[0]
         started_pivots = len(pivots)
         # a cold solve that ends on the same basis reads the same bits
-        cold = solve_lp(problem)
+        cold, core, _ = simplex._solve(problem, None)
         assert warm.tobytes() == alone.tobytes() == cold.x.tobytes()
-        if np.array_equal(np.sort(cold.basis.columns), np.sort(start.columns)):
+        if np.array_equal(np.sort(core.basis), start):
             hits += 1
             assert started_pivots == 0
         else:
@@ -254,67 +254,38 @@ def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
     assert 0 < hits < 20
 
 
-def test_start_basis_columns_in_any_order_read_the_same_bits(case14):
-    """A vertex's bits depend on the basic set, not on the row each basic column sits in."""
-    rng = np.random.default_rng(7)
-    base = case14.base_load()
-    problem = build_opf(case14, base, full_monitored_set(case14))
-    start = solve_lp(problem).basis
-    shuffled = Basis(rng.permutation(start.columns), start.status)
-    assert not np.array_equal(shuffled.columns, start.columns)
-    rows = [_rhs(build_opf(case14, base * rng.uniform(0.7, 1.3, base.size), full_monitored_set(case14)))
-            for _ in range(30)]
-    vertices = WarmStart(problem, start).vertices(rows)
-    again = WarmStart(problem, shuffled).vertices(rows)
-    assert all(x is not None for x in vertices)
-    assert [x.tobytes() for x in vertices] == [x.tobytes() for x in again]
-
-
 def test_start_basis_is_none_unless_optimal_without_artificials():
-    assert solve_lp(lp([0.0], [-np.inf], [np.inf], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])).basis is None
-    # a dependent equality row keeps its artificial basic at zero
-    dependent = solve_lp(lp([1.0], [0.0], [5.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 1.0]))
-    assert dependent.status == "optimal" and dependent.basis is None
-    sol = solve_lp(_box_lp([1.0, 2.0], 1.0))
-    assert sol.basis.columns.tolist() == [0] and sol.basis.status.tolist() == [2, 0, 0]
+    """A cold solve that is not optimal, or that leaves an artificial basic, answers None for every row."""
+    for problem, status in (
+        (lp([0.0], [-np.inf], [np.inf], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]), "infeasible"),
+        (lp([-1.0], [0.0], [np.inf], a_ub=[[-1.0]], b_ub=[-1.0]), "unbounded"),
+        # a dependent equality row keeps its artificial basic at zero
+        (lp([1.0], [0.0], [5.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 1.0]), "optimal"),
+    ):
+        warm_start = WarmStart(problem)
+        assert warm_start.solution.status == solve_lp(problem).status == status
+        assert warm_start.vertices([_rhs(problem), _rhs(problem)]) == [None, None]
+    box = _box_lp([1.0, 2.0], 1.0)
+    warm_start = WarmStart(box)
+    assert warm_start._core.basis.tolist() == [0] and warm_start._core.status[:3].tolist() == [2, 0, 0]
+    assert warm_start.vertices([_rhs(box)])[0].tobytes() == warm_start.solution.x.tobytes()
 
 
-@pytest.mark.parametrize("miss", ["infeasible", "other-costs", "wrong-shape", "other-bounds", "singular"])
-def test_start_basis_miss_gives_the_cold_answer(miss, tri3, case14):
-    """A basis that is primal infeasible for a row is pivoted to the cold answer; one that is not optimal, or
-    does not suit the LP, answers None for every row, so the caller solves each cold."""
-    start = solve_lp(_box_lp([1.0, 2.0], 1.0)).basis  # x0 basic, x1 and the slack at 0
-    # rows are b_ub = -demand; the box LP's demands 1 and 1.5 keep x0 within [0, 2]
-    problem, rows = {
-        # x0 is above its bound 2, so it leaves there and x1 enters: one dual pivot
-        "infeasible": (_box_lp([1.0, 2.0], 3.0), [[-3.0], [-2.5]]),
-        "other-costs": (_box_lp([2.0, 1.0], 1.0), [[-1.0], [-1.5]]),    # x1 now prices in
-        "other-bounds": (_box_lp([2.0, 1.0], 1.0), [[-1.0]]),
-        "wrong-shape": (build_opf(case14, case14.base_load(), full_monitored_set(case14)), None),
-        # two equal rows: the basis of x0 and x1 is singular, and each status suits the bounds
-        "singular": (lp([1.0, 1.0], [0.0, 0.0], [2.0, 2.0], a_ub=[[1.0, 1.0], [1.0, 1.0]], b_ub=[3.0, 3.0]),
-                     [[3.0, 3.0], [2.0, 2.0]]),
-    }[miss]
-    if miss == "other-bounds":
-        # x1 was fixed at 0, so its status would keep it out of pricing
-        start = solve_lp(lp([2.0, 1.0], [0.0, 0.0], [2.0, 0.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])).basis
-    if miss == "wrong-shape":
-        start = solve_lp(build_opf(tri3, tri3.base_load(), full_monitored_set(tri3))).basis
-        rows = [_rhs(problem)]
-    if miss == "singular":
-        start = Basis(np.array([0, 1]), np.array([2, 2, 0, 0]))
-    assert solve_lp(problem).status == "optimal"
-    vertices = WarmStart(problem, start).vertices(rows)
-    if miss == "infeasible":
-        for (b_ub,), x in zip(rows, vertices):
-            assert x.tobytes() == solve_lp(_box_lp([1.0, 2.0], -b_ub)).x.tobytes()
-    else:
-        assert vertices == [None] * len(rows)
+@pytest.mark.parametrize("miss", ["infeasible"])
+def test_start_basis_miss_gives_the_cold_answer(miss):
+    """A basis that is primal infeasible for a row is pivoted to the cold answer."""
+    warm_start = WarmStart(_box_lp([1.0, 2.0], 1.0))  # x0 basic, x1 and the slack at 0
+    # rows are b_ub = -demand; x0 is above its bound 2, so it leaves there
+    # and x1 enters: one dual pivot
+    rows = [[-3.0], [-2.5]]
+    vertices = warm_start.vertices(rows)
+    for (b_ub,), x in zip(rows, vertices):
+        assert x.tobytes() == solve_lp(_box_lp([1.0, 2.0], -b_ub)).x.tobytes()
 
 
 def test_start_vertices_checks_its_rhs():
     problem = _box_lp([1.0, 2.0], 1.0)
-    warm_start = WarmStart(problem, solve_lp(problem).basis)
+    warm_start = WarmStart(problem)
     assert warm_start.vertices(np.zeros((0, 1))) == []
     for bad in ([-1.0], [[-1.0, 0.0]], [[np.inf]], [[np.nan]]):
         with pytest.raises(ValueError):
@@ -396,12 +367,10 @@ def test_random_cross_check_against_scipy(maker, trials, seed, monkeypatch):
         problem = lp(c, lower, upper, a_eq, b_eq, a_ub, b_ub)
         warm = []
         for shift, spread in ((perturb, 0.1), (farther, 1.0)):
-            other = solve_lp(lp(c, lower, upper, a_eq, b_eq + shift.normal(0, spread, b_eq.size).round(2),
-                                a_ub, b_ub + shift.normal(0, spread, b_ub.size).round(2)))
-            if other.basis is None:
-                continue
+            other = WarmStart(lp(c, lower, upper, a_eq, b_eq + shift.normal(0, spread, b_eq.size).round(2),
+                                 a_ub, b_ub + shift.normal(0, spread, b_ub.size).round(2)))
             pivots = _count_pivots(monkeypatch)
-            x = WarmStart(problem, other.basis).vertices([np.concatenate([b_eq, b_ub])])[0]
+            x = other.vertices([np.concatenate([b_eq, b_ub])])[0]
             monkeypatch.undo()
             started += x is not None and shift is perturb
             pivoted += x is not None and len(pivots) > 0
