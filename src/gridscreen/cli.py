@@ -70,6 +70,21 @@ def _check_out_dir(path: str) -> None:
         raise ConfigError(f"output directory {parent} does not exist (for {path})")
 
 
+def _check_outputs_apart(outputs: list[tuple[str, str]], inputs: list[tuple[str, str]]) -> None:
+    """No output file may name an input file or another output, before any work starts.
+
+    outputs and inputs are (flag, path) pairs.  Paths are compared by
+    realpath, so a symlink or a '..' detour to the same file is caught.
+    """
+    seen = [(flag, path, os.path.realpath(path)) for flag, path in inputs]
+    for flag, path in outputs:
+        real = os.path.realpath(path)
+        for other_flag, other_path, other_real in seen:
+            if real == other_real:
+                raise ConfigError(f"{flag} {path} names the same file as {other_flag} {other_path}")
+        seen.append((flag, path, real))
+
+
 def _check_out_dir_target(path: str) -> None:
     """An --out-dir must be a directory, or creatable as one, before any work starts."""
     p = Path(path)
@@ -121,6 +136,7 @@ def cmd_gen_data(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     _check_out_dir(args.out)
+    _check_outputs_apart([("--out", args.out)], [("--case", args.case)])
     network = _load_case(args.case)
     t0 = time.perf_counter()
     dataset = generate_dataset(network, args.samples, args.magnitude, args.seed, threads=args.threads)
@@ -165,8 +181,8 @@ def cmd_train(args) -> int:
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
     _check_out_dir(args.out)
     _check_out_dir(history_path)
-    if os.path.realpath(history_path) == os.path.realpath(args.out):
-        raise ConfigError(f"--history {history_path} names the same file as --out {args.out}")
+    _check_outputs_apart([("--out", args.out), ("--history", history_path)],
+                         [("--case", args.case), ("--data", args.data)])
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)

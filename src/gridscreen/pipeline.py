@@ -137,32 +137,19 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
     nk = network.num_branches
-    tp = np.zeros(nk, dtype=int)
-    tn = np.zeros(nk, dtype=int)
-    fp = np.zeros(nk, dtype=int)
-    fn = np.zeros(nk, dtype=int)
-    viol = np.zeros(nk, dtype=int)
-    overlap = np.zeros(nk, dtype=int)
-    wrong_hist = np.zeros(nk + 1, dtype=int)
+    n = len(samples)
+    # per sample and branch: oracle label, prediction, reduced-solve violation
+    oracle = np.zeros((n, nk), dtype=bool)
+    pred = np.zeros((n, nk), dtype=bool)
+    violated = np.zeros((n, nk), dtype=bool)
+    full_seconds = []
     per_sample = []
-    total_ropf = 0.0
-    total_full = 0.0
-    n_viol_samples = 0
-    monitored_frac = 0.0
     all_k = full_monitored_set(network)
 
-    for sample in samples:
-        oracle = label_sample(sample.flows_mw, network, threshold).astype(bool)
+    for i, sample in enumerate(samples):
+        oracle[i] = label_sample(sample.flows_mw, network, threshold)
         pred_set = predictor.predict(sample)
-        pred = np.zeros(nk, dtype=bool)
-        pred[list(pred_set)] = True
-
-        tp += oracle & pred
-        tn += ~oracle & ~pred
-        fp += ~oracle & pred
-        fn += oracle & ~pred
-        wrong_hist[int((oracle != pred).sum())] += 1
-        monitored_frac += len(pred_set) / nk
+        pred[i, list(pred_set)] = True
 
         reduced, full = [], []
         for rep in range(_TIMING_REPEATS):
@@ -172,14 +159,8 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
             if not rep % 2:
                 full.append(solve_opf(network, sample.load_mw, all_k))
         result, sol_full = reduced[0], full[0]
-        ropf_seconds = min(r.ropf_solve_seconds for r in reduced)
-        total_ropf += ropf_seconds
-        total_full += min(s.solve_seconds for s in full)
-        flags = result.violations.flags
-        viol += flags
-        overlap += flags & (oracle & ~pred)
-        if result.violations.any_violation:
-            n_viol_samples += 1
+        full_seconds.append(min(s.solve_seconds for s in full))
+        violated[i] = result.violations.flags
 
         if sol_full.status != "optimal":
             raise RuntimeError(f"sample {sample.sample_id}: stored full problem no longer solves")
@@ -192,15 +173,21 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
         per_sample.append({
             "sample_id": sample.sample_id,
             "n_monitored": len(pred_set),
-            "n_wrong": int((oracle != pred).sum()),
+            "n_wrong": int((oracle[i] != pred[i]).sum()),
             "any_violation": bool(result.violations.any_violation),
             "ropf_objective": result.ropf_objective,
             "full_objective": result.full_objective,
             "cost_delta": result.ropf_objective - result.full_objective,
-            "ropf_solve_seconds": ropf_seconds,
+            "ropf_solve_seconds": min(r.ropf_solve_seconds for r in reduced),
         })
 
-    n = len(samples)
+    tp = (oracle & pred).sum(axis=0)
+    tn = (~oracle & ~pred).sum(axis=0)
+    fp = (~oracle & pred).sum(axis=0)
+    fn = (oracle & ~pred).sum(axis=0)
+    # summed in sample order, as the rows list them
+    total_ropf = sum(row["ropf_solve_seconds"] for row in per_sample)
+    total_full = sum(full_seconds)
     return EvalReport(
         threshold=threshold,
         num_samples=n,
@@ -211,8 +198,8 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
         true_neg=int(tn.sum()),
         false_pos=int(fp.sum()),
         false_neg=int(fn.sum()),
-        pct_samples_with_violation=100.0 * n_viol_samples / n,
-        pct_lines_monitored=100.0 * monitored_frac / n,
+        pct_samples_with_violation=100.0 * int(violated.any(axis=1).sum()) / n,
+        pct_lines_monitored=100.0 * sum(row["n_monitored"] / nk for row in per_sample) / n,
         total_ropf_seconds=total_ropf,
         total_full_opf_seconds=total_full,
         time_pct=100.0 * total_ropf / total_full,
@@ -220,9 +207,9 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
         branch_true_neg=tn.tolist(),
         branch_false_pos=fp.tolist(),
         branch_false_neg=fn.tolist(),
-        branch_violations=viol.tolist(),
-        branch_type2_violation_overlap=overlap.tolist(),
-        wrong_prediction_histogram=wrong_hist.tolist(),
+        branch_violations=violated.sum(axis=0).tolist(),
+        branch_type2_violation_overlap=(violated & oracle & ~pred).sum(axis=0).tolist(),
+        wrong_prediction_histogram=np.bincount((oracle != pred).sum(axis=1), minlength=nk + 1).tolist(),
         per_sample=per_sample,
     )
 

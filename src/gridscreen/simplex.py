@@ -37,9 +37,10 @@ Warm start (Koberstein, The dual simplex method, 2005; Maros 2003, the
 dual chapters): WarmStart(lp) solves lp cold, through the same two phases
 as solve_lp, and keeps the core that solve ends on to answer lp under
 other right-hand sides, so the optimal basis never leaves this module.  A
-new rhs leaves A, c, the bounds and the row scaling alone, so B^-1 of the
-optimal basis (formed afresh, not the product-form inverse the solve
-updated) and one pricing pass (no column may improve) are done once.  The
+new rhs leaves A, c, the bounds and the row scaling alone (the core keeps
+its row scale, which divides each new rhs), so B^-1 of the optimal basis
+(formed afresh by a refactorization, not the product-form inverse the
+solve updated) and one pricing pass (no column may improve) are done once.  The
 basis then stays dual feasible for every rhs.  WarmStart.vertices(rhs) reads
 x_B for a batch of right-hand sides with one stacked solve; a row whose
 x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
@@ -174,21 +175,23 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     return _solve(lp, max_iterations)[0]
 
 
-def _solve(lp: LinearProgram, max_iterations: int | None) -> tuple[LpSolution, _Core, np.ndarray]:
-    """The two-phase cold solve of lp: its solution, the core it ends on and the row scale."""
-    core, scale = _standard_form(lp, max_iterations)
-    core.slack_start(np.concatenate([lp.b_eq, lp.b_ub]) / scale)
+def _solve(lp: LinearProgram, max_iterations: int | None) -> tuple[LpSolution, _Core]:
+    """The two-phase cold solve of lp: its solution and the core it ends on."""
+    core = _Core(lp, max_iterations)
     status = core.run_two_phase()
-    if status != "optimal":
-        return LpSolution(status=status, iterations=core.iterations, diagnostics=core.diagnostics()), core, scale
-    x = core.solution()[:lp.num_variables]
+    x = None
+    if status == "optimal":
+        # the vertex read is the solution's factorization of the basis, so
+        # it counts as a refactorization; no inverse is formed
+        x = core._vertex(core.b)[:lp.num_variables]
+        core.refactorizations += 1
     return LpSolution(
-        status="optimal",
+        status=status,
         x=x,
-        objective=float(lp.c @ x),
+        objective=None if x is None else float(lp.c @ x),
         iterations=core.iterations,
         diagnostics=core.diagnostics(),
-    ), core, scale
+    ), core
 
 
 class WarmStart:
@@ -203,7 +206,7 @@ class WarmStart:
     def __init__(self, lp: LinearProgram):
         self._rows = lp.a_eq.shape[0] + lp.a_ub.shape[0]
         self._variables = lp.num_variables
-        self.solution, core, self._scale = _solve(lp, None)
+        self.solution, core = _solve(lp, None)
         self._core = core if self.solution.status == "optimal" and core.prepare_dual() else None
 
     def vertices(self, rhs) -> list[np.ndarray | None]:
@@ -220,8 +223,8 @@ class WarmStart:
             raise ValueError("rhs has a non-finite entry")
         if self._core is None:
             return [None] * len(rhs)
-        b_rows = rhs / self._scale
         core = self._core
+        b_rows = rhs / core.scale
         try:
             x_rows = core._vertex(b_rows)
         except SingularBasisError:
@@ -240,35 +243,6 @@ class WarmStart:
         return None if x is None else x[:self._variables]
 
 
-def _standard_form(lp: LinearProgram, max_iterations: int | None) -> tuple[_Core, np.ndarray]:
-    """The _Core over lp's standard-form columns and the row scale that divides a rhs.
-
-    The rows are [A_eq; A_ub] with one slack per inequality row,
-    equilibrated so coefficient magnitudes are <= 1 per row, with a 1e-12
-    floor; an all-zero row, as every row of a zero-column LP is, keeps
-    scale 1 so its rhs is judged as given.  The core's matrix also holds
-    one artificial column per row, after the slacks, filled in by the start;
-    its costs are lp.c on the real columns and 0 on every other column.
-    """
-    n = lp.num_variables
-    me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
-    m = me + mi
-    a = np.zeros((m, n + mi + m))
-    a_real = a[:, :n]
-    a_real[:me], a_real[me:] = lp.a_eq, lp.a_ub
-    row_max = np.abs(a_real).max(axis=1, initial=0.0)
-    scale = np.where(row_max > 0.0, np.maximum(row_max, 1e-12), 1.0)
-    a_real /= scale[:, None]
-    _diagonal(a, me, n, mi)[:] = 1.0
-    lb = np.zeros(n + mi + m)
-    ub = np.full(n + mi + m, np.inf)
-    lb[:n], ub[:n] = lp.lower, lp.upper
-    slack_cols = np.concatenate([np.full(me, -1), np.arange(n, n + mi)])
-    c = np.zeros(n + mi + m)
-    c[:n] = lp.c
-    return _Core(a, lb, ub, c, slack_cols, max_iterations), scale
-
-
 def _diagonal(a: np.ndarray, row: int, col: int, length: int) -> np.ndarray:
     """A writable view of the `length` entries a[row + i, col + i] of the C-contiguous matrix a."""
     return a.reshape(-1)[row * a.shape[1] + col::a.shape[1] + 1][:length]
@@ -279,23 +253,42 @@ def _dual_tol(c: np.ndarray) -> float:
 
 
 class _Core:
-    """Simplex engine on the standard-form system a x (+ artificials) = b.
+    """Simplex engine on lp's standard-form system a x (+ artificials) = b.
 
-    The system without its rhs is set once; slack_start gives it a rhs b
-    and the cold start's basis.  Once the two phases end optimal,
-    prepare_dual readies the core for WarmStart, whose copies run
-    dual_simplex for their own rhs.
+    A core is built from its LP, rhs and slack start included.  Once the
+    two phases end optimal, prepare_dual readies the core for WarmStart,
+    whose copies run dual_simplex for their own rhs.
     """
 
-    def __init__(self, a, lb, ub, c, slack_cols, max_iterations):
-        """a, lb, ub and the costs c cover the real and slack columns, then one artificial column per row.
+    def __init__(self, lp: LinearProgram, max_iterations: int | None):
+        """The standard form of lp and its slack start.
 
-        slack_cols[i] is the column of row i's slack (bounds [0, inf)), or -1 for an equality row.
+        The rows are [A_eq; A_ub] with one slack (bounds [0, inf)) per
+        inequality row, equilibrated so coefficient magnitudes are <= 1 per
+        row, with a 1e-12 floor; an all-zero row, as every row of a
+        zero-column LP is, keeps scale 1 so its rhs is judged as given.
+        self.scale is that row scale, which divides a rhs into self.b.  The
+        matrix also holds one artificial column per row, after the slacks;
+        the costs are lp.c on the real columns and 0 on every other column.
         """
+        n = lp.num_variables
+        me, mi = lp.a_eq.shape[0], lp.a_ub.shape[0]
+        m = me + mi
+        a = np.zeros((m, n + mi + m))
+        a_real = a[:, :n]
+        a_real[:me], a_real[me:] = lp.a_eq, lp.a_ub
+        row_max = np.abs(a_real).max(axis=1, initial=0.0)
+        self.scale = np.where(row_max > 0.0, np.maximum(row_max, 1e-12), 1.0)
+        a_real /= self.scale[:, None]
+        _diagonal(a, me, n, mi)[:] = 1.0
+        self.lb = np.zeros(n + mi + m)
+        self.ub = np.full(n + mi + m, np.inf)
+        self.lb[:n], self.ub[:n] = lp.lower, lp.upper
+        self.c = np.zeros(n + mi + m)
+        self.c[:n] = lp.c
+        self.a, self.b = a, np.concatenate([lp.b_eq, lp.b_ub]) / self.scale
         self.m, self.n = a.shape
-        self.n_real = self.n - self.m
-        self.a, self.lb, self.ub, self.c = a, lb, ub, c
-        self.slack_cols = slack_cols
+        self.n_real = n_real = n + mi
         if max_iterations is None:
             max_iterations = max(2000, 50 * (self.n + self.m))
         self.max_iterations = max_iterations
@@ -307,12 +300,8 @@ class _Core:
         self.bland_engaged = False
         self.bland_threshold = 3 * (self.n + self.m)
 
-    def slack_start(self, b):
-        """The cold start for rhs b."""
-        self.b = b
         # every column starts nonbasic at a finite bound, lower first, or
         # free at 0; lb == ub makes it fixed
-        n_real = self.n_real
         lb, ub = self.lb[:n_real], self.ub[:n_real]
         lo_finite, hi_finite = np.isfinite(lb), np.isfinite(ub)
         status = np.where(lo_finite, _AT_LOWER, np.where(hi_finite, _AT_UPPER, _FREE))
@@ -322,14 +311,15 @@ class _Core:
         # slack start: an inequality row that the nonbasic start point
         # satisfies keeps its slack basic and its artificial stays fixed at
         # 0; every other row starts on an artificial oriented to be >= 0
-        resid = self.b - self.a[:, :n_real] @ x_nb
+        resid = self.b - a[:, :n_real] @ x_nb
         satisfied = resid >= 0
-        slack_start = (self.slack_cols >= 0) & satisfied
+        rows = np.arange(m)
+        slack_start = (rows >= me) & satisfied
         signs = np.where(satisfied, 1.0, -1.0)
-        art = np.arange(n_real, self.n)
-        _diagonal(self.a, 0, n_real, self.m)[:] = signs
+        _diagonal(a, 0, n_real, m)[:] = signs
         self.status = np.concatenate([status, np.where(slack_start, _FIXED, _BASIC)])
-        self.basis = np.where(slack_start, self.slack_cols, art)
+        # row me + i's slack is column n + i; row i's artificial is n_real + i
+        self.basis = np.where(slack_start, n - me + rows, n_real + rows)
         self.status[self.basis] = _BASIC
         self.binv = np.diag(signs)  # inverse of the initial +/-1 diagonal basis
         self.x_basic = np.abs(resid)
@@ -338,17 +328,18 @@ class _Core:
     def prepare_dual(self) -> bool:
         """Ready this core, optimal after run_two_phase, for dual_simplex: False where it cannot start one.
 
-        It cannot while an artificial is basic, when B is singular, or when
-        a column prices in under B^-1 formed afresh.  The artificials stay
-        fixed at 0, so dual pivots never let one enter.
+        It cannot while an artificial is basic, when B is singular or its
+        B^-1, formed afresh by _refactorize, is non-finite, or when a column
+        prices in under that B^-1.  The artificials stay fixed at 0, so
+        dual pivots never let one enter.
         """
         if (self.basis >= self.n_real).any():
             return False
         try:
-            self.binv = np.linalg.solve(self.a[:, self.basis], np.eye(self.m))
-        except np.linalg.LinAlgError:
+            self._refactorize()
+        except SingularBasisError:
             return False
-        self.pivots = self.pivots_since_refactor = 0
+        self.pivots = 0
         return self._improving(self._reduced_costs(), _dual_tol(self.c)).size == 0
 
     def dual_simplex(self, x: np.ndarray) -> np.ndarray | None:
@@ -578,16 +569,6 @@ class _Core:
             else:
                 degen_run = 0
                 bland = False
-
-    def solution(self) -> np.ndarray:
-        """The optimal vertex: nonbasic values at their bounds, x_B from one solve with B.
-
-        The solve is the solution's factorization of the basis and counts
-        as a refactorization; no inverse is formed.
-        """
-        x = self._vertex(self.b)
-        self.refactorizations += 1
-        return x
 
     def _vertex(self, b: np.ndarray) -> np.ndarray:
         """The current basis's vertex for rhs b, or for each row of a stacked b.

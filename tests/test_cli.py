@@ -505,6 +505,35 @@ def test_train_history_naming_the_model_file_fails_first(workspace, tmp_path, ca
     assert not any((tmp_path / "sub").iterdir())
 
 
+@pytest.mark.parametrize("command, output, input_flag", [
+    ("gen-data", "--out", "--case"),
+    ("train", "--out", "--case"),
+    ("train", "--out", "--data"),
+    ("train", "--history", "--case"),
+    ("train", "--history", "--data"),
+])
+def test_output_naming_an_input_fails_first(workspace, tmp_path, capsys, command, output, input_flag):
+    """An output path that resolves to an input file exits 2, naming both flags, and leaves the input as it was."""
+    _, data, _ = workspace
+    inputs = {"--case": tmp_path / "t.case", "--data": tmp_path / "d.jsonl"}
+    inputs["--case"].write_bytes(Path(TRI3).read_bytes())
+    inputs["--data"].write_bytes(data.read_bytes())
+    before = {flag: path.read_bytes() for flag, path in inputs.items()}
+    if command == "gen-data":
+        argv = ["gen-data", "--case", str(inputs["--case"]), "--samples", "5", "--out", str(inputs["--case"])]
+    else:
+        paths = {"--out": str(tmp_path / "m.json"), "--history": str(tmp_path / "h.csv")}
+        paths[output] = str(inputs[input_flag])
+        argv = ["train", "--case", str(inputs["--case"]), "--data", str(inputs["--data"]), "--threshold", "0.95",
+                "--epochs", "1", "--out", paths["--out"], "--history", paths["--history"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{output} {inputs[input_flag]} names the same file as {input_flag}" in err
+    assert "Error" not in err
+    assert {flag: path.read_bytes() for flag, path in inputs.items()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "t.case"]
+
+
 def test_history_csv_is_written_atomically(tmp_path, monkeypatch):
     """The history CSV keeps its bytes (CRLF row ends); a write that fails at the rename keeps the old file."""
     path = tmp_path / "h.csv"

@@ -108,6 +108,19 @@ def test_evaluate_violations_only_unmonitored(tri3, tri3_dataset):
     assert report.pct_samples_with_violation > 0
 
 
+def test_evaluate_aggregates_match_per_sample_rows(tri3, tri3_dataset):
+    """The report's counts and shares are the ones its per-sample rows give."""
+    report = _eval_tri3(tri3, tri3_dataset, FixedPredictor(frozenset({0})))
+    rows, nk = report.per_sample, tri3.num_branches
+    assert report.false_pos > 0 and report.false_neg > 0
+    assert any(row["any_violation"] for row in rows)
+    n_wrong = [row["n_wrong"] for row in rows]
+    assert report.wrong_prediction_histogram == np.bincount(n_wrong, minlength=nk + 1).tolist()
+    assert report.false_pos + report.false_neg == sum(n_wrong)
+    assert report.pct_samples_with_violation == 100.0 * sum(row["any_violation"] for row in rows) / len(rows)
+    assert report.pct_lines_monitored == 100.0 * sum(row["n_monitored"] / nk for row in rows) / len(rows)
+
+
 def test_evaluate_relaxation_and_equality_invariants(tri3, tri3_dataset):
     report = _eval_tri3(tri3, tri3_dataset, FixedPredictor(frozenset({0, 2})))
     for row in report.per_sample:

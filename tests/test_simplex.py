@@ -244,7 +244,7 @@ def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
         alone = warm_start.vertices([_rhs(problem)])[0]
         started_pivots = len(pivots)
         # a cold solve that ends on the same basis reads the same bits
-        cold, core, _ = simplex._solve(problem, None)
+        cold, core = simplex._solve(problem, None)
         assert warm.tobytes() == alone.tobytes() == cold.x.tobytes()
         if np.array_equal(np.sort(core.basis), start):
             hits += 1
@@ -271,8 +271,7 @@ def test_start_basis_is_none_unless_optimal_without_artificials():
     assert warm_start.vertices([_rhs(box)])[0].tobytes() == warm_start.solution.x.tobytes()
 
 
-@pytest.mark.parametrize("miss", ["infeasible"])
-def test_start_basis_miss_gives_the_cold_answer(miss):
+def test_start_basis_miss_gives_the_cold_answer():
     """A basis that is primal infeasible for a row is pivoted to the cold answer."""
     warm_start = WarmStart(_box_lp([1.0, 2.0], 1.0))  # x0 basic, x1 and the slack at 0
     # rows are b_ub = -demand; x0 is above its bound 2, so it leaves there
