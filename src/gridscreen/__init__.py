@@ -2,7 +2,7 @@
 
 from .netcase import Branch, Bus, CaseError, Generator, GraphTopology, Network, parse_case, serialize_case, to_graph
 from .simplex import LinearProgram, LpSolution, SimplexIterationLimit, SingularBasisError, solve_lp
-from .dcopf import DispatchSolution, ViolationReport, build_opf, check_limits, full_monitored_set, line_flows, solve_opf
+from .dcopf import DispatchSolution, ViolationReport, build_opf, check_limits, full_monitored_set, solve_opf
 from .samplegen import (
     Dataset, Normalizer, Sample,
     derive_seed, extract_features, fit_normalizer, generate_dataset,
@@ -10,8 +10,7 @@ from .samplegen import (
 )
 from .gnn import (
     Model, ModelConfig, TrainHistory, TrainResult,
-    edge_accuracy, init_model, load_model, loss_mse,
-    predict_congested, save_model, train,
+    init_model, load_model, predict_congested, save_model, train,
 )
 from .pipeline import (
     EvalReport, ModelPredictor, OraclePredictor, RopfResult,
@@ -23,13 +22,12 @@ __all__ = [
     "parse_case", "serialize_case", "to_graph",
     "LinearProgram", "LpSolution", "SimplexIterationLimit", "SingularBasisError", "solve_lp",
     "DispatchSolution", "ViolationReport", "build_opf", "check_limits",
-    "full_monitored_set", "line_flows", "solve_opf",
+    "full_monitored_set", "solve_opf",
     "Dataset", "Normalizer", "Sample", "derive_seed",
     "extract_features", "fit_normalizer", "generate_dataset", "label_sample",
     "read_dataset", "split_dataset", "write_dataset",
     "Model", "ModelConfig", "TrainHistory", "TrainResult",
-    "edge_accuracy", "init_model", "load_model", "loss_mse",
-    "predict_congested", "save_model", "train",
+    "init_model", "load_model", "predict_congested", "save_model", "train",
     "EvalReport", "ModelPredictor", "OraclePredictor", "RopfResult",
     "evaluate", "run_ropf", "threshold_sweep", "write_report", "write_sweep_csv",
 ]

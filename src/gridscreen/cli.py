@@ -18,11 +18,12 @@ import numpy as np
 from .dcopf import check_limits, full_monitored_set, solve_opf
 from .gnn import Binding, ModelConfig, init_model, load_model, save_model, train
 from .netcase import CaseError, parse_case, to_graph
-from .pipeline import ModelPredictor, _csv_text, evaluate, threshold_sweep, write_report, write_sweep_csv
+from .pipeline import (
+    ModelPredictor, _report_files, _write_csv, evaluate, threshold_sweep, write_report, write_sweep_csv,
+)
 from .samplegen import (
     EDGE_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
-    _write_atomic,
     fit_normalizer,
     generate_dataset,
     read_dataset,
@@ -70,13 +71,16 @@ def _check_out_dir(path: str) -> None:
         raise ConfigError(f"output directory {parent} does not exist (for {path})")
 
 
-def _check_outputs_apart(outputs: list[tuple[str, str]], inputs: list[tuple[str, str]]) -> None:
+def _check_outputs_apart(args, outputs: list[tuple[str, str]], inputs: tuple[str, ...]) -> None:
     """No output file may name an input file or another output, before any work starts.
 
-    outputs and inputs are (flag, path) pairs.  Paths are compared by
-    realpath, so a symlink or a '..' detour to the same file is caught.
+    outputs are (flag, path) pairs; inputs name the flags of the command's
+    input files, and a --config file is an input of every command.  Paths
+    are compared by realpath, so a symlink or a '..' detour to the same
+    file is caught.
     """
-    seen = [(flag, path, os.path.realpath(path)) for flag, path in inputs]
+    seen = [(f"--{name}", path, os.path.realpath(path))
+            for name in (*inputs, "config") if (path := getattr(args, name))]
     for flag, path in outputs:
         real = os.path.realpath(path)
         for other_flag, other_path, other_real in seen:
@@ -136,7 +140,7 @@ def cmd_gen_data(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     _check_out_dir(args.out)
-    _check_outputs_apart([("--out", args.out)], [("--case", args.case)])
+    _check_outputs_apart(args, [("--out", args.out)], ("case",))
     network = _load_case(args.case)
     t0 = time.perf_counter()
     dataset = generate_dataset(network, args.samples, args.magnitude, args.seed, threads=args.threads)
@@ -162,10 +166,10 @@ def _build_model(kind: str, config: ModelConfig, network, train_split):
 
 
 def _write_history_csv(history, path) -> None:
-    """One row per epoch, written atomically (samplegen._write_atomic)."""
-    _write_atomic(path, [_csv_text(["epoch", "train_loss", "val_loss", "train_acc", "val_acc"], (
+    """One row per epoch, written atomically."""
+    _write_csv(path, ["epoch", "train_loss", "val_loss", "train_acc", "val_acc"], (
         [i + 1, history.train_loss[i], history.val_loss[i], history.train_acc[i], history.val_acc[i]]
-        for i in range(len(history))))])
+        for i in range(len(history))))
 
 
 def _config_from_flags(args) -> ModelConfig:
@@ -181,8 +185,7 @@ def cmd_train(args) -> int:
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
     _check_out_dir(args.out)
     _check_out_dir(history_path)
-    _check_outputs_apart([("--out", args.out), ("--history", history_path)],
-                         [("--case", args.case), ("--data", args.data)])
+    _check_outputs_apart(args, [("--out", args.out), ("--history", history_path)], ("case", "data"))
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
@@ -205,10 +208,7 @@ def _tau_tag(threshold: float) -> str:
 
 def cmd_eval(args) -> int:
     _check_out_dir_target(args.out_dir)
-    network = _load_case(args.case)
-    dataset = _load_dataset_for(network, args.data)
     model = _read_input("model", args.model, load_model)
-    _check_binding(model, network, args.model)
     threshold = args.threshold if args.threshold is not None else model.trained_threshold
     if threshold is None:
         raise ConfigError("--threshold required: model file records no training threshold")
@@ -216,10 +216,21 @@ def cmd_eval(args) -> int:
     if model.trained_threshold is not None and abs(model.trained_threshold - threshold) > 1e-12:
         print(f"warning: model was trained at threshold {model.trained_threshold}, "
               f"evaluating at {threshold}", file=sys.stderr)
-    _, _, test_split = split_dataset(dataset, SPLIT_RATIOS, args.seed)
+    # train and sweep split with the seed they store in the model config
+    seed = model.config.seed if args.seed is None else args.seed
+    if seed != model.config.seed:
+        print(f"warning: model was trained on the split of seed {model.config.seed}, "
+              f"evaluating on the split of seed {seed}", file=sys.stderr)
+    tag = _tau_tag(threshold)
+    _check_outputs_apart(args, [("--out-dir", str(path)) for path in _report_files(args.out_dir, tag).values()],
+                         ("case", "data", "model"))
+    network = _load_case(args.case)
+    dataset = _load_dataset_for(network, args.data)
+    _check_binding(model, network, args.model)
+    _, _, test_split = split_dataset(dataset, SPLIT_RATIOS, seed)
     predictor = ModelPredictor(model, to_graph(network))
     report = evaluate(network, predictor, test_split, threshold)
-    write_report(report, args.out_dir, _tau_tag(threshold))
+    write_report(report, args.out_dir, tag)
     print(f"threshold {threshold}: prediction error {report.edge_prediction_error_pct:.4f}%, "
           f"samples over limit {report.pct_samples_with_violation:.2f}%, "
           f"lines monitored {report.pct_lines_monitored:.2f}%, "
@@ -229,7 +240,18 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     taus = _parse_threshold_list(args.thresholds)
+    tags = [_tau_tag(tau) for tau in taus]
+    for i in range(1, len(taus)):  # sorted, so thresholds that share a tag are neighbours
+        if tags[i] == tags[i - 1]:
+            raise ConfigError(f"thresholds {taus[i - 1]} and {taus[i]} share the file tag {tags[i]}, "
+                              f"so the files of one would replace the other's")
     _check_out_dir_target(args.out_dir)
+    out_dir = Path(args.out_dir)
+    outputs = [("--out-dir", str(out_dir / "sweep.csv"))]
+    for tag in tags:
+        outputs += [("--out-dir", str(path))
+                    for path in (out_dir / f"model_{tag}.json", *_report_files(out_dir, tag).values())]
+    _check_outputs_apart(args, outputs, ("case", "data"))
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
@@ -238,7 +260,6 @@ def cmd_sweep(args) -> int:
         network, train_split, val_split, test_split, taus,
         model_factory=lambda tau: _build_model(args.baseline, config, network, train_split),
     )
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for report, model in results:
         tag = _tau_tag(report.threshold)
@@ -370,7 +391,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model", required=True)
     p.add_argument("--threshold", type=float, default=None,
                    help="defaults to the model's training threshold")
-    p.add_argument("--seed", type=int, default=0, help="split seed used at training time")
+    p.add_argument("--seed", type=int, default=None,
+                   help="split seed; defaults to the seed the model was trained with")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
     subs["eval"] = p

@@ -84,7 +84,7 @@ def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram
 
 def _rhs(network: Network, load: np.ndarray, mon: list[int]) -> np.ndarray:
     """The dispatch LP's [b_eq; b_ub] at a checked load: sum(load), then rating + f0 and rating - f0 over mon."""
-    # all rows of f0, so each LP row matches line_flows to the bit
+    # all rows of f0, so each LP row matches _flows to the bit
     base_flow, rating = (network.ptdf @ load)[mon], network.rating[mon]
     return np.concatenate([[load.sum()], rating + base_flow, rating - base_flow])
 
@@ -108,16 +108,8 @@ def full_dispatches(network: Network, loads) -> list[np.ndarray | None]:
             for load, p_g in zip(checked, answers)]
 
 
-def line_flows(network: Network, p_g: np.ndarray, load_mw: np.ndarray) -> np.ndarray:
-    """Branch flows in MW: PTDF @ (generation - load) per bus, the slack taking any imbalance."""
-    p_g = np.asarray(p_g, dtype=float)
-    if p_g.shape != (network.num_generators,):
-        raise ValueError(f"p_g length {p_g.size} != number of generators {network.num_generators}")
-    return _flows(network, p_g, _check_load(network, load_mw))
-
-
 def _flows(network: Network, p_g: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """line_flows on a dispatch and a load already checked against the network."""
+    """Branch flows in MW: PTDF @ (generation - load) per bus at a checked load, the slack taking any imbalance."""
     return network.gen_ptdf @ p_g - network.ptdf @ load
 
 
@@ -138,15 +130,13 @@ def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolut
                             objective=sol.objective, solve_seconds=seconds)
 
 
-def check_limits(network: Network, flows: np.ndarray, tolerance_mw: float = REPORT_TOL_MW) -> ViolationReport:
-    """Flag branches whose |flow| exceeds the rating by more than tolerance_mw."""
+def check_limits(network: Network, flows: np.ndarray) -> ViolationReport:
+    """Flag branches whose |flow| exceeds the rating by more than REPORT_TOL_MW."""
     flows = np.asarray(flows, dtype=float)
     if flows.shape != (network.num_branches,):
         raise ValueError(f"flows length {flows.size} != number of branches {network.num_branches}")
-    if tolerance_mw < 0:
-        raise ValueError("tolerance must be >= 0")
     over = np.abs(flows) - network.rating
-    flags = over > tolerance_mw
+    flags = over > REPORT_TOL_MW
     return ViolationReport(
         flags=flags,
         overload_mw=np.where(flags, over, 0.0),

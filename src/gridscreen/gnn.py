@@ -65,9 +65,6 @@ class ModelConfig:
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
             raise ValueError(f"learning_rate must be a positive finite number, got {lr!r}")
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class Binding:
@@ -280,15 +277,6 @@ def forward_any(model, node_features, edge_features, topology):
     return _forward(model, node_features, edge_features, topology)[0]
 
 
-def loss_mse(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
-    """Mean over every (branch, class) entry of the squared probability error."""
-    probs = np.asarray(probs, dtype=float)
-    labels_one_hot = np.asarray(labels_one_hot, dtype=float)
-    if probs.shape != labels_one_hot.shape:
-        raise ValueError(f"shape mismatch {probs.shape} vs {labels_one_hot.shape}")
-    return float(np.mean((probs - labels_one_hot) ** 2))
-
-
 def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology):
     """Exact gradients of the batch-mean MSE loss for every parameter, with the loss and probabilities.
 
@@ -380,11 +368,6 @@ def _count_correct(probs: np.ndarray, labels_one_hot: np.ndarray) -> int:
     return int(np.count_nonzero((probs[..., 1] >= 0.5) == (labels_one_hot[..., 1] >= 0.5)))
 
 
-def edge_accuracy(probs: np.ndarray, labels_one_hot: np.ndarray) -> float:
-    """Fraction of branches classified correctly; a 0.5 tie counts as congested."""
-    return _count_correct(probs, labels_one_hot) / labels_one_hot[..., 1].size
-
-
 def train(
     model,
     network: Network,
@@ -447,9 +430,9 @@ def train(
 
         probs_va = forward_any(model, xn_va, xe_va, topology)
         history.train_loss.append(loss_sum / n)
-        history.val_loss.append(loss_mse(probs_va, y_va))
+        history.val_loss.append(float(np.mean((probs_va - y_va) ** 2)))
         history.train_acc.append(correct / y_tr[..., 1].size)
-        history.val_acc.append(edge_accuracy(probs_va, y_va))
+        history.val_acc.append(_count_correct(probs_va, y_va) / y_va[..., 1].size)
         if history.val_loss[-1] < best_val:
             best_val = history.val_loss[-1]
             best_model = model.copy()
@@ -474,8 +457,8 @@ def save_model(model, path) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "trained_threshold": model.trained_threshold,
-        "config": model.config.to_dict(),
-        "binding": dict(model.binding.__dict__),
+        "config": vars(model.config),
+        "binding": vars(model.binding),
         "normalizer": {name: _encode_array(array) for name, array in vars(model.normalizer).items()},
         "params": {name: _encode_array(array) for name, array in model.params.items()},
     }

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, ViolationReport, check_limits, full_monitored_set, solve_opf
+from .dcopf import ViolationReport, check_limits, full_monitored_set, solve_opf
 from .gnn import predict_congested, train
 from .netcase import Network, to_graph
 from .samplegen import Sample, _write_atomic, label_sample
@@ -80,7 +80,7 @@ def run_ropf(network: Network, sample: Sample, monitored) -> RopfResult:
         monitored=monitored,
         p_g=sol.p_g,
         flows=sol.flows,
-        violations=check_limits(network, sol.flows, REPORT_TOL_MW),
+        violations=check_limits(network, sol.flows),
         ropf_objective=sol.objective,
         full_objective=sample.objective,
         ropf_solve_seconds=sol.solve_seconds,
@@ -116,9 +116,6 @@ class EvalReport:
     # distribution detail
     wrong_prediction_histogram: list[int]     # index = wrong branches in a sample
     per_sample: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
 
 
 def evaluate(network: Network, predictor, samples: list[Sample], threshold: float) -> EvalReport:
@@ -258,20 +255,26 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
-def _csv_text(header, rows) -> str:
-    """A header row and data rows as CSV text, with the csv module's CRLF line ends."""
+def _write_csv(path, header, rows) -> None:
+    """Write a header row and data rows to `path` atomically, with the csv module's CRLF line ends."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(header)
     writer.writerows(rows)
-    return text.getvalue()
+    _write_atomic(path, [text.getvalue()])
 
 
 def write_sweep_csv(reports: list[EvalReport], path) -> None:
-    """One SWEEP_CSV_COLUMNS row per report, written atomically (samplegen._write_atomic)."""
-    _write_atomic(path, [_csv_text(SWEEP_CSV_COLUMNS, (
+    """One SWEEP_CSV_COLUMNS row per report, written atomically."""
+    _write_csv(path, SWEEP_CSV_COLUMNS, (
         [r.threshold, r.time_pct, r.pct_samples_with_violation, r.pct_lines_monitored, r.edge_prediction_error_pct]
-        for r in reports))])
+        for r in reports))
+
+
+def _report_files(out_dir, tag: str) -> dict[str, Path]:
+    """The path of each file write_report writes, by part: report_<tag>.json, then <part>_<tag>.csv."""
+    return {part: Path(out_dir) / f"{part}_{tag}.{'json' if part == 'report' else 'csv'}"
+            for part in ("report", "summary", "branches", "wrong_histogram", "costs")}
 
 
 def write_report(report: EvalReport, out_dir, tag: str) -> None:
@@ -279,10 +282,10 @@ def write_report(report: EvalReport, out_dir, tag: str) -> None:
 
     Each file is written atomically, so an interrupted run leaves no file half written.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / f"report_{tag}.json", [json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"])
-    write_sweep_csv([report], out_dir / f"summary_{tag}.csv")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    files = _report_files(out_dir, tag)
+    _write_atomic(files["report"], [json.dumps(vars(report), sort_keys=True, indent=1) + "\n"])
+    write_sweep_csv([report], files["summary"])
     tables = {
         "branches": (
             ["branch", "true_pos", "true_neg", "type1", "type2", "violations", "type2_violation_overlap"],
@@ -298,4 +301,4 @@ def write_report(report: EvalReport, out_dir, tag: str) -> None:
         ),
     }
     for name, (header, rows) in tables.items():
-        _write_atomic(out_dir / f"{name}_{tag}.csv", [_csv_text(header, rows)])
+        _write_csv(files[name], header, rows)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridscreen import load_model
+from gridscreen import load_model, read_dataset, split_dataset
 from gridscreen.cli import _write_history_csv, main
 from gridscreen.gnn import TrainHistory
 
@@ -511,27 +511,79 @@ def test_train_history_naming_the_model_file_fails_first(workspace, tmp_path, ca
     ("train", "--out", "--data"),
     ("train", "--history", "--case"),
     ("train", "--history", "--data"),
+    ("gen-data", "--out", "--config"),
+    ("train", "--out", "--config"),
+    # eval and sweep write tagged files into --out-dir; the input takes one's name
+    ("eval", "report_095.json", "--model"),
+    ("eval", "costs_095.csv", "--data"),
+    ("eval", "summary_095.csv", "--config"),
+    ("sweep", "model_095.json", "--data"),
+    ("sweep", "sweep.csv", "--case"),
+    ("sweep", "branches_095.csv", "--config"),
 ])
-def test_output_naming_an_input_fails_first(workspace, tmp_path, capsys, command, output, input_flag):
+def test_output_naming_an_input_fails_first(workspace, tmp_path, capsys, monkeypatch, command, output, input_flag):
     """An output path that resolves to an input file exits 2, naming both flags, and leaves the input as it was."""
-    _, data, _ = workspace
-    inputs = {"--case": tmp_path / "t.case", "--data": tmp_path / "d.jsonl"}
-    inputs["--case"].write_bytes(Path(TRI3).read_bytes())
-    inputs["--data"].write_bytes(data.read_bytes())
-    before = {flag: path.read_bytes() for flag, path in inputs.items()}
-    if command == "gen-data":
-        argv = ["gen-data", "--case", str(inputs["--case"]), "--samples", "5", "--out", str(inputs["--case"])]
+    _, data, model = workspace
+    for name in ("generate_dataset", "train", "evaluate", "threshold_sweep"):
+        monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
+    inputs = {"--case": tmp_path / "t.case", "--data": tmp_path / "d.jsonl",
+              "--model": tmp_path / "m.json", "--config": tmp_path / "c.json"}
+    if not output.startswith("--"):
+        inputs[input_flag] = tmp_path / output
+    for flag, content in (("--case", Path(TRI3).read_bytes()), ("--data", data.read_bytes()),
+                          ("--model", model.read_bytes()), ("--config", b"{}\n")):
+        inputs[flag].write_bytes(content)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = {"gen-data": ["--samples", "5"],
+            "train": ["--data", str(inputs["--data"]), "--threshold", "0.95", "--epochs", "1"],
+            "eval": ["--data", str(inputs["--data"]), "--model", str(inputs["--model"])],
+            "sweep": ["--data", str(inputs["--data"]), "--thresholds", "95"]}[command]
+    if output.startswith("--"):
+        outputs = {"--out": str(tmp_path / "m_out.json"), "--history": str(tmp_path / "h.csv")}
+        outputs[output] = str(inputs[input_flag])
+        argv += ["--out", outputs["--out"]] + (["--history", outputs["--history"]] if command == "train" else [])
+        named = f"{output} {inputs[input_flag]}"
     else:
-        paths = {"--out": str(tmp_path / "m.json"), "--history": str(tmp_path / "h.csv")}
-        paths[output] = str(inputs[input_flag])
-        argv = ["train", "--case", str(inputs["--case"]), "--data", str(inputs["--data"]), "--threshold", "0.95",
-                "--epochs", "1", "--out", paths["--out"], "--history", paths["--history"]]
-    assert main(argv) == 2
+        argv += ["--out-dir", str(tmp_path)]
+        named = f"--out-dir {inputs[input_flag]}"
+    assert main(["--config", str(inputs["--config"]), command, "--case", str(inputs["--case"]), *argv]) == 2
     err = capsys.readouterr().err
-    assert f"{output} {inputs[input_flag]} names the same file as {input_flag}" in err
+    assert f"{named} names the same file as {input_flag} {inputs[input_flag]}" in err
     assert "Error" not in err
-    assert {flag: path.read_bytes() for flag, path in inputs.items()} == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "t.case"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_eval_splits_with_the_seed_the_model_was_trained_with(workspace, tmp_path, capsys):
+    """Without --seed, eval tests on the split that train held out; an explicit --seed that differs warns."""
+    _, data, _ = workspace
+    model = tmp_path / "m3.json"
+    assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "0.95", "--epochs", "1",
+                 "--layers", "1", "--channels", "4", "--seed", "3", "--out", str(model)]) == 0
+    evaluate = ["eval", "--case", TRI3, "--data", str(data), "--model", str(model)]
+    assert main([*evaluate, "--out-dir", str(tmp_path / "default")]) == 0
+    assert main([*evaluate, "--seed", "3", "--out-dir", str(tmp_path / "same")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    costs = (tmp_path / "default" / "costs_095.csv").read_bytes()
+    assert costs == (tmp_path / "same" / "costs_095.csv").read_bytes()
+    _, _, test_split = split_dataset(read_dataset(data), (0.8, 0.1, 0.1), 3)
+    assert [int(row.split(",")[0]) for row in costs.decode().splitlines()[1:]] == [s.sample_id for s in test_split]
+    assert main([*evaluate, "--seed", "5", "--out-dir", str(tmp_path / "other")]) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "seed 3" in err and "seed 5" in err
+
+
+def test_sweep_thresholds_sharing_a_file_tag_fail_first(workspace, tmp_path, capsys, monkeypatch):
+    """Two thresholds that round to one file tag exit 2, naming both and the tag, before any work."""
+    _, data, _ = workspace
+    for name in ("threshold_sweep", "read_dataset"):
+        monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", "90,90.4",
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "thresholds 0.9 and 0.904 share the file tag 090" in err
+    assert "Error" not in err
+    assert not out_dir.exists()
 
 
 def test_history_csv_is_written_atomically(tmp_path, monkeypatch):

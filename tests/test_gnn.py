@@ -7,12 +7,10 @@ import pytest
 
 from gridscreen import (
     ModelConfig,
-    edge_accuracy,
     fit_normalizer,
     init_model,
     label_sample,
     load_model,
-    loss_mse,
     predict_congested,
     save_model,
     split_dataset,
@@ -280,15 +278,6 @@ def test_receptive_field_edge_rating_perturbation():
 # --- loss and gradients ------------------------------------------------------
 
 
-def test_loss_examples():
-    labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert loss_mse(labels, labels) == 0.0
-    assert loss_mse(np.full((2, 2), 0.5), labels) == pytest.approx(0.25)
-    assert loss_mse(np.array([[0.9, 0.1]]), np.array([[1.0, 0.0]])) == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        loss_mse(np.zeros((2, 2)), np.zeros((3, 2)))
-
-
 def _fd_worst(model, xn, xe, y, topo, n_draws, seed=17, h=1e-5):
     grads, _, _ = _backward_batch(model, xn, xe, y, topo)
 
@@ -435,7 +424,7 @@ def test_train_best_snapshot_tracks_val(tri3, tri3_dataset):
     lab = np.stack([label_sample(s.flows_mw, tri3, 0.95) for s in val_split]).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
     topo = to_graph(tri3)
-    best_loss = loss_mse(forward_any(result.best_model, xn, xe, topo), y)
+    best_loss = float(np.mean((forward_any(result.best_model, xn, xe, topo) - y) ** 2))
     assert best_loss == pytest.approx(min(result.history.val_loss), abs=1e-12)
 
 
@@ -516,8 +505,8 @@ def test_edge_accuracy_tie_counts_congested():
     probs = np.array([[[0.5, 0.5]]])
     congested = np.array([[[0.0, 1.0]]])
     clear = np.array([[[1.0, 0.0]]])
-    assert edge_accuracy(probs, congested) == 1.0
-    assert edge_accuracy(probs, clear) == 0.0
+    assert gnn_module._count_correct(probs, congested) == 1
+    assert gnn_module._count_correct(probs, clear) == 0
 
 
 # --- persistence --------------------------------------------------------------

@@ -1,5 +1,7 @@
+import importlib.util
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,18 @@ PATH_CASE = """
 1 2 0.1 50.0
 2 3 0.1 50.0
 """
+
+
+def test_ring_case_is_the_output_of_its_script():
+    """cases/ring14x8.case is what cases/make_ring.py writes from case14.case; it is parsed, never solved here."""
+    cases = Path(__file__).resolve().parents[1] / "cases"
+    spec = importlib.util.spec_from_file_location("make_ring", cases / "make_ring.py")
+    make_ring = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_ring)
+    text = (cases / "ring14x8.case").read_text(encoding="utf-8")
+    assert text == make_ring.ring_case((cases / "case14.case").read_text(encoding="utf-8"))
+    ring = parse_case(text)
+    assert (ring.num_buses, ring.num_branches, ring.num_generators) == (112, 176, 40)
 
 
 def test_parse_tri3_counts(tri3):

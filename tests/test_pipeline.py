@@ -264,7 +264,7 @@ def test_interrupted_report_writes_keep_the_old_files(tmp_path, tri3, tri3_datas
     write_sweep_csv([report], tmp_path / "sweep.csv")
     old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     # the last per-sample row has no costs, so writing the costs table raises part way
-    broken = EvalReport(**{**report.to_dict(), "per_sample": report.per_sample[:5] + [{"sample_id": 99}]})
+    broken = EvalReport(**{**vars(report), "per_sample": report.per_sample[:5] + [{"sample_id": 99}]})
     with pytest.raises(KeyError):
         write_report(broken, tmp_path, "095")
     with pytest.raises(AttributeError):

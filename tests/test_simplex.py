@@ -7,10 +7,9 @@ from gridscreen import (
     SimplexIterationLimit,
     build_opf,
     full_monitored_set,
-    line_flows,
     solve_lp,
 )
-from gridscreen import simplex
+from gridscreen import dcopf, simplex
 from gridscreen.simplex import WarmStart
 
 
@@ -431,7 +430,7 @@ def test_phase1_stops_when_no_artificial_is_basic(case14, monkeypatch):
     for _ in range(20):
         load = base * rng.uniform(0.9, 1.1, base.size)
         full = build_opf(case14, load, full_monitored_set(case14))
-        flows = line_flows(case14, solve_lp(full).x, load)
+        flows = dcopf._flows(case14, solve_lp(full).x, load)
         problems.append(full)
         for tau in (0.5, 0.9, 0.99):
             problems.append(build_opf(case14, load, np.flatnonzero(np.abs(flows) >= tau * case14.rating)))
