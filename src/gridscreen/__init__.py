@@ -14,7 +14,7 @@ from .gnn import (
 )
 from .pipeline import (
     EvalReport, ModelPredictor, OraclePredictor, RopfResult,
-    evaluate, run_ropf, threshold_sweep, write_report, write_sweep_csv,
+    evaluate, run_ropf, write_report, write_sweep_csv,
 )
 
 __all__ = [
@@ -29,5 +29,5 @@ __all__ = [
     "Model", "ModelConfig", "TrainHistory", "TrainResult",
     "init_model", "load_model", "predict_congested", "save_model", "train",
     "EvalReport", "ModelPredictor", "OraclePredictor", "RopfResult",
-    "evaluate", "run_ropf", "threshold_sweep", "write_report", "write_sweep_csv",
+    "evaluate", "run_ropf", "write_report", "write_sweep_csv",
 ]

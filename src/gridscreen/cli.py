@@ -19,11 +19,12 @@ from .dcopf import check_limits, full_monitored_set, solve_opf
 from .gnn import Binding, ModelConfig, init_model, load_model, save_model, train
 from .netcase import CaseError, parse_case, to_graph
 from .pipeline import (
-    ModelPredictor, _report_files, _write_csv, evaluate, threshold_sweep, write_report, write_sweep_csv,
+    ModelPredictor, _report_files, _write_csv, evaluate, write_report, write_sweep_csv,
 )
 from .samplegen import (
     EDGE_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
+    _is_seed,
     fit_normalizer,
     generate_dataset,
     read_dataset,
@@ -62,26 +63,24 @@ def _load_dataset_for(network, path: str):
     return dataset
 
 
-def _check_out_dir(path: str) -> None:
-    """An output file's directory must exist, and the path must not be a directory, before any work starts."""
-    if Path(path).is_dir():
-        raise ConfigError(f"output path {path} is a directory")
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise ConfigError(f"output directory {parent} does not exist (for {path})")
-
-
 def _check_outputs_apart(args, outputs: list[tuple[str, str]], inputs: tuple[str, ...]) -> None:
-    """No output file may name an input file or another output, before any work starts.
+    """Check every output file before any work starts.
 
     outputs are (flag, path) pairs; inputs name the flags of the command's
-    input files, and a --config file is an input of every command.  Paths
-    are compared by realpath, so a symlink or a '..' detour to the same
-    file is caught.
+    input files, and a --config file is an input of every command.  No
+    output may be an existing directory, or name an input file or another
+    output; paths are compared by realpath, so a symlink or a '..' detour
+    to the same file is caught.  An --out-dir file's directory may be made
+    later, but any other output's directory must exist.
     """
     seen = [(f"--{name}", path, os.path.realpath(path))
             for name in (*inputs, "config") if (path := getattr(args, name))]
     for flag, path in outputs:
+        if Path(path).is_dir():
+            raise ConfigError(f"{flag} {path} is a directory")
+        parent = Path(path).parent
+        if flag != "--out-dir" and not parent.is_dir():
+            raise ConfigError(f"{flag} {path}: output directory {parent} does not exist")
         real = os.path.realpath(path)
         for other_flag, other_path, other_real in seen:
             if real == other_real:
@@ -132,6 +131,17 @@ def _parse_threshold_list(text: str) -> list[float]:
     return sorted(set(taus))
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every --seed, so a flag and a --config value get the one check."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if not _is_seed(value):
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def cmd_gen_data(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
@@ -139,7 +149,6 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"--magnitude must be in [0, 1), got {args.magnitude}")
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    _check_out_dir(args.out)
     _check_outputs_apart(args, [("--out", args.out)], ("case",))
     network = _load_case(args.case)
     t0 = time.perf_counter()
@@ -151,18 +160,26 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _build_model(kind: str, config: ModelConfig, network, train_split):
-    normalizer = fit_normalizer(train_split)
+def _train_step(kind: str, config: ModelConfig, network, train_split, val_split, threshold: float):
+    """The train step of train and sweep: a fresh model on the training split's normalizer, trained at `threshold`."""
     sample = train_split[0]
-    return init_model(
+    model = init_model(
         config,
         sample.node_features.shape[1],
         sample.edge_features.shape[1],
         num_buses=network.num_buses,
         num_branches=network.num_branches,
-        normalizer=normalizer,
+        normalizer=fit_normalizer(train_split),
         kind=kind,
     )
+    return train(model, network, train_split, val_split, threshold)
+
+
+def _eval_step(model, network, test_split, threshold: float, out_dir, tag: str):
+    """The eval step of eval and sweep: screen the test split with the model and write the report files."""
+    report = evaluate(network, ModelPredictor(model, to_graph(network)), test_split, threshold)
+    write_report(report, out_dir, tag)
+    return report
 
 
 def _write_history_csv(history, path) -> None:
@@ -183,15 +200,12 @@ def _config_from_flags(args) -> ModelConfig:
 def cmd_train(args) -> int:
     threshold = _check_threshold(args.threshold)
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
-    _check_out_dir(args.out)
-    _check_out_dir(history_path)
     _check_outputs_apart(args, [("--out", args.out), ("--history", history_path)], ("case", "data"))
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, _ = split_dataset(dataset, SPLIT_RATIOS, args.seed)
-    model = _build_model(args.baseline, config, network, train_split)
-    result = train(model, network, train_split, val_split, threshold)
+    result = _train_step(args.baseline, config, network, train_split, val_split, threshold)
     save_model(result.best_model, args.out)
     _write_history_csv(result.history, history_path)
     last = len(result.history) - 1
@@ -228,9 +242,7 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset_for(network, args.data)
     _check_binding(model, network, args.model)
     _, _, test_split = split_dataset(dataset, SPLIT_RATIOS, seed)
-    predictor = ModelPredictor(model, to_graph(network))
-    report = evaluate(network, predictor, test_split, threshold)
-    write_report(report, args.out_dir, tag)
+    report = _eval_step(model, network, test_split, threshold, args.out_dir, tag)
     print(f"threshold {threshold}: prediction error {report.edge_prediction_error_pct:.4f}%, "
           f"samples over limit {report.pct_samples_with_violation:.2f}%, "
           f"lines monitored {report.pct_lines_monitored:.2f}%, "
@@ -256,18 +268,16 @@ def cmd_sweep(args) -> int:
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, test_split = split_dataset(dataset, SPLIT_RATIOS, args.seed)
-    results = threshold_sweep(
-        network, train_split, val_split, test_split, taus,
-        model_factory=lambda tau: _build_model(args.baseline, config, network, train_split),
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for report, model in results:
-        tag = _tau_tag(report.threshold)
+    reports = []
+    for tau, tag in zip(taus, tags):
+        model = _train_step(args.baseline, config, network, train_split, val_split, tau).best_model
+        out_dir.mkdir(parents=True, exist_ok=True)  # once a model is trained, so an early failure leaves no directory
         save_model(model, out_dir / f"model_{tag}.json")
-        write_report(report, out_dir, tag)
-        print(f"threshold {report.threshold}: error {report.edge_prediction_error_pct:.4f}%, "
+        report = _eval_step(model, network, test_split, tau, out_dir, tag)
+        reports.append(report)
+        print(f"threshold {tau}: error {report.edge_prediction_error_pct:.4f}%, "
               f"monitored {report.pct_lines_monitored:.2f}%, time {report.time_pct:.2f}%")
-    write_sweep_csv([report for report, _ in results], out_dir / "sweep.csv")
+    write_sweep_csv(reports, out_dir / "sweep.csv")
     print(f"sweep table -> {out_dir / 'sweep.csv'}")
     return 0
 
@@ -352,7 +362,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--layers", type=int, default=4)
     p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -368,7 +378,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--case", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--magnitude", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_gen_data)
@@ -391,7 +401,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model", required=True)
     p.add_argument("--threshold", type=float, default=None,
                    help="defaults to the model's training threshold")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="split seed; defaults to the seed the model was trained with")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
@@ -441,7 +451,7 @@ def _config_tokens(path: Path, parser: argparse.ArgumentParser) -> list[str]:
             converted = (action.type or str)(str(value))
             if action.choices is not None and converted not in action.choices:
                 raise ValueError
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(f"{path}: config key {key!r}: {json.dumps(value)} is not a valid "
                               f"{action.option_strings[0]} value") from None
         tokens.append(f"{action.option_strings[0]}={value}")

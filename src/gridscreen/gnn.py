@@ -38,7 +38,7 @@ import numpy as np
 
 from .netcase import GraphTopology, Network, to_graph
 from .samplegen import (
-    Normalizer, Sample, _decode_array, _encode_array, _write_atomic, derive_seed, label_sample,
+    Normalizer, Sample, _decode_array, _encode_array, _is_seed, _write_atomic, derive_seed, label_sample,
 )
 
 MODEL_FORMAT_VERSION = 4
@@ -55,12 +55,14 @@ class ModelConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        for name in ("num_layers", "channels", "seed", "epochs", "batch_size"):
+        for name in ("num_layers", "channels", "epochs", "batch_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"config field {name} must be an integer, got {value!r}")
-            if value < 0 or (name != "seed" and value == 0):
+            if value <= 0:
                 raise ValueError(f"config field {name} must be positive, got {value}")
+        if not _is_seed(self.seed):
+            raise ValueError(f"config field seed must be an integer in [0, 2**64), got {self.seed!r}")
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
             raise ValueError(f"learning_rate must be a positive finite number, got {lr!r}")

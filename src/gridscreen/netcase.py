@@ -2,9 +2,10 @@
 
 The accepted format is a restricted table format, not MATLAB source.  Sections
 are introduced by the header lines ``#BASE``, ``#BUS``, ``#GEN`` and
-``#BRANCH``; rows are whitespace-separated numeric columns; ``%`` starts a
-comment line.  Anything outside this subset is a parse error with the line
-number reported.
+``#BRANCH``; rows are whitespace-separated numeric columns, every value
+finite and every id and bus type a whole number; ``%`` starts a comment
+line.  Anything outside this subset is a parse error with the line number
+reported.
 
 A Network also derives, once, the read-only arrays the dispatch LP reads on
 every sample: the shift factors (PTDF), their generator-bus columns, the
@@ -16,6 +17,7 @@ warm start, from which dcopf.full_dispatches answers every load.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -25,7 +27,8 @@ BUS_TYPE_LOAD = "load"
 BUS_TYPE_GENERATOR = "generator"
 BUS_TYPE_SLACK = "slack"
 
-_SECTION_COLUMNS = {"#BASE": 1, "#BUS": 3, "#GEN": 4, "#BRANCH": 4}
+# per section: its column count, and how many leading columns are ids or types
+_SECTION_COLUMNS = {"#BASE": (1, 0), "#BUS": (3, 2), "#GEN": (4, 1), "#BRANCH": (4, 2)}
 
 
 class CaseError(ValueError):
@@ -200,15 +203,23 @@ class GraphTopology:
         return _read_only(np.eye(self.degree.size)[self.edge_to])
 
 
-def _parse_row(parts: list[str], expected: int, line_no: int) -> list[float]:
+def _parse_row(parts: list[str], expected: int, integers: int, line_no: int) -> list:
+    """A row's values, each finite; its first `integers` columns (ids and types) must be whole and come back as int."""
     if len(parts) != expected:
         raise CaseError(f"expected {expected} columns, got {len(parts)}", line_no)
     values = []
     for col, tok in enumerate(parts, start=1):
         try:
-            values.append(float(tok))
+            value = float(tok)
         except ValueError:
             raise CaseError(f"column {col}: not a number: {tok!r}", line_no) from None
+        if not math.isfinite(value):
+            raise CaseError(f"column {col}: not a finite number: {tok!r}", line_no)
+        if col <= integers:
+            if not value.is_integer():
+                raise CaseError(f"column {col}: not an integer: {tok!r}", line_no)
+            value = int(value)
+        values.append(value)
     return values
 
 
@@ -219,7 +230,7 @@ def parse_case(text: str) -> Network:
     bus ids, unknown endpoints, missing/multiple slack, self loops,
     non-positive reactance or rating, disconnected graph).
     """
-    sections: dict[str, list[tuple[int, list[float]]]] = {k: [] for k in _SECTION_COLUMNS}
+    sections: dict[str, list[tuple[int, list]]] = {k: [] for k in _SECTION_COLUMNS}
     current: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -232,14 +243,14 @@ def parse_case(text: str) -> Network:
             continue
         if current is None:
             raise CaseError("data before any section header", line_no)
-        sections[current].append((line_no, _parse_row(line.split(), _SECTION_COLUMNS[current], line_no)))
+        sections[current].append((line_no, _parse_row(line.split(), *_SECTION_COLUMNS[current], line_no)))
 
     if not sections["#BASE"]:
         raise CaseError("missing #BASE section")
     if len(sections["#BASE"]) > 1:
         raise CaseError("multiple #BASE rows", sections["#BASE"][1][0])
     base_line, (base_mva,) = sections["#BASE"][0]
-    if not np.isfinite(base_mva) or base_mva <= 0:
+    if base_mva <= 0:
         raise CaseError(f"base MVA must be positive, got {base_mva}", base_line)
 
     if not sections["#BUS"]:
@@ -251,16 +262,15 @@ def parse_case(text: str) -> Network:
     raw_buses: list[tuple[int, int, float]] = []
     seen_ids: set[int] = set()
     slack_ids: list[int] = []
-    for line_no, (bid_f, btype_f, load) in sections["#BUS"]:
-        bid, btype = int(bid_f), int(btype_f)
-        if bid != bid_f or bid <= 0:
-            raise CaseError(f"bus id must be a positive integer, got {bid_f}", line_no)
+    for line_no, (bid, btype, load) in sections["#BUS"]:
+        if bid <= 0:
+            raise CaseError(f"bus id must be positive, got {bid}", line_no)
         if btype not in (1, 2, 3):
-            raise CaseError(f"bus type must be 1, 2 or 3, got {btype_f}", line_no)
+            raise CaseError(f"bus type must be 1, 2 or 3, got {btype}", line_no)
         if bid in seen_ids:
             raise CaseError(f"duplicate bus id {bid}", line_no)
-        if not np.isfinite(load) or load < 0:
-            raise CaseError(f"bus {bid}: load must be finite and >= 0, got {load}", line_no)
+        if load < 0:
+            raise CaseError(f"bus {bid}: load must be >= 0, got {load}", line_no)
         seen_ids.add(bid)
         if btype == 3:
             slack_ids.append(bid)
@@ -274,29 +284,27 @@ def parse_case(text: str) -> Network:
 
     generators: list[Generator] = []
     gen_buses: set[int] = set()
-    for line_no, (gbus_f, cost, pmin, pmax) in sections["#GEN"]:
-        gbus = int(gbus_f)
+    for line_no, (gbus, cost, pmin, pmax) in sections["#GEN"]:
         if gbus not in bus_index:
             raise CaseError(f"generator references unknown bus {gbus}", line_no)
-        if not np.isfinite(cost) or cost < 0:
-            raise CaseError(f"generator cost must be finite and >= 0, got {cost}", line_no)
-        if pmin < 0 or pmax < pmin or not np.isfinite(pmax):
+        if cost < 0:
+            raise CaseError(f"generator cost must be >= 0, got {cost}", line_no)
+        if pmin < 0 or pmax < pmin:
             raise CaseError(f"generator limits must satisfy 0 <= pmin <= pmax, got [{pmin}, {pmax}]", line_no)
         generators.append(Generator(bus=gbus, cost_per_mwh=cost, p_min_mw=pmin, p_max_mw=pmax))
         gen_buses.add(gbus)
 
     branches: list[Branch] = []
-    for line_no, (fb_f, tb_f, x, rate) in sections["#BRANCH"]:
-        fb, tb = int(fb_f), int(tb_f)
+    for line_no, (fb, tb, x, rate) in sections["#BRANCH"]:
         if fb not in bus_index:
             raise CaseError(f"branch references unknown bus {fb}", line_no)
         if tb not in bus_index:
             raise CaseError(f"branch references unknown bus {tb}", line_no)
         if fb == tb:
             raise CaseError(f"self-loop branch {fb}->{tb}", line_no)
-        if not np.isfinite(x) or x <= 0:
+        if x <= 0:
             raise CaseError(f"branch {fb}-{tb}: reactance must be positive, got {x}", line_no)
-        if not np.isfinite(rate) or rate <= 0:
+        if rate <= 0:
             raise CaseError(f"branch {fb}-{tb}: rating must be positive, got {rate}", line_no)
         branches.append(Branch(from_bus=fb, to_bus=tb, reactance_pu=x, rate_a_mw=rate))
 

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .dcopf import ViolationReport, check_limits, full_monitored_set, solve_opf
-from .gnn import predict_congested, train
-from .netcase import Network, to_graph
+from .gnn import predict_congested
+from .netcase import Network
 from .samplegen import Sample, _write_atomic, label_sample
 
 #: solves per side and sample in evaluate; the fastest of them is the time
@@ -209,40 +209,6 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
         wrong_prediction_histogram=np.bincount((oracle != pred).sum(axis=1), minlength=nk + 1).tolist(),
         per_sample=per_sample,
     )
-
-
-def threshold_sweep(
-    network: Network,
-    train_split: list[Sample],
-    val_split: list[Sample],
-    test_split: list[Sample],
-    thresholds: list[float],
-    model_factory=None,
-    use_oracle: bool = False,
-) -> list[tuple[EvalReport, object]]:
-    """One (report, model) pair per threshold, ascending.
-
-    With `use_oracle`, predictions are the derived labels themselves (no
-    training) and the model is None.  Otherwise `model_factory(threshold)`
-    must produce a fresh untrained model, which is trained on labels at that
-    threshold (same config and seed each time); its best-validation snapshot
-    is evaluated and returned.
-    """
-    if not thresholds:
-        raise ValueError("threshold list must be non-empty")
-    if not use_oracle and model_factory is None:
-        raise ValueError("model_factory required unless use_oracle is set")
-    taus = sorted(set(float(t) for t in thresholds))
-    topology = to_graph(network)
-    results = []
-    for tau in taus:
-        if use_oracle:
-            model, predictor = None, OraclePredictor(network, tau)
-        else:
-            model = train(model_factory(tau), network, train_split, val_split, tau).best_model
-            predictor = ModelPredictor(model, topology)
-        results.append((evaluate(network, predictor, test_split, tau), model))
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,15 @@ _START_BATCH = 16
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """128-bit Philox key: run seed in the high word, sample index in the low."""
-    return ((seed & _MASK64) << 64) | (index & _MASK64)
+    """128-bit Philox key: run seed in the high word, sample index in the low; each must pass _is_seed."""
+    if not (_is_seed(seed) and _is_seed(index)):
+        raise ValueError(f"seed {seed!r} and index {index!r} must each be an integer in [0, 2**64)")
+    return seed << 64 | index
+
+
+def _is_seed(value) -> bool:
+    """Whether `value` is a seed: an integer in [0, 2**64), the high word of derive_seed's key."""
+    return _is_int(value) and 0 <= value <= _MASK64
 
 
 def _generator(key: int) -> np.random.Generator:
@@ -376,7 +383,7 @@ def _check_header(path, header: dict) -> None:
     """Reject a header value of the wrong type or range, naming its key."""
     rules = {
         "case": ("a string", lambda v: isinstance(v, str)),
-        "seed": ("an integer", _is_int),
+        "seed": ("an integer in [0, 2**64)", _is_seed),
         "magnitude": ("a number in [0, 1)", lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v < 1),
         "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
         "redraws": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),

@@ -24,7 +24,6 @@ from gridscreen import (
     label_sample,
     run_ropf,
     solve_opf,
-    threshold_sweep,
     to_graph,
     train,
 )
@@ -234,7 +233,7 @@ def test_criterion_7_learning_sanity(trained14, case14_splits):
 def test_criterion_8_threshold_sweep_trends(case14, case14_splits):
     _, _, test_split = case14_splits
     subset = test_split[:150]
-    reports = [report for report, _ in threshold_sweep(case14, [], [], subset, TAUS, use_oracle=True)]
+    reports = [evaluate(case14, OraclePredictor(case14, tau), subset, tau) for tau in TAUS]
     fractions = [r.pct_lines_monitored for r in reports]
     for lo, hi in zip(fractions[1:], fractions[:-1]):
         assert lo <= hi + 1e-12  # weakly decreasing in tau (oracle-label nesting)

@@ -171,10 +171,10 @@ def test_train_malformed_dataset_names_file_and_line(workspace, tmp_path, capsys
 
 
 @pytest.mark.parametrize("key, value", [
-    ("count", "5"), ("count", -1), ("count", True), ("seed", [1]), ("seed", 1.0),
+    ("count", "5"), ("count", -1), ("count", True), ("seed", [1]), ("seed", 1.0), ("seed", -1), ("seed", 2**64),
     ("redraws", "x"), ("redraws", -1), ("magnitude", "big"), ("magnitude", 1.0), ("magnitude", False),
-], ids=["count-string", "count-negative", "count-bool", "seed-list", "seed-float", "redraws-string",
-        "redraws-negative", "magnitude-string", "magnitude-one", "magnitude-bool"])
+], ids=["count-string", "count-negative", "count-bool", "seed-list", "seed-float", "seed-negative", "seed-2**64",
+        "redraws-string", "redraws-negative", "magnitude-string", "magnitude-one", "magnitude-bool"])
 def test_train_bad_dataset_header_names_key(workspace, tmp_path, capsys, key, value):
     _, data, _ = workspace
     lines = data.read_text().splitlines()
@@ -254,7 +254,7 @@ def test_eval_threshold_mismatch_warns_but_runs(workspace, tmp_path, capsys):
 def test_sweep_csv_sorted(workspace, tmp_path):
     _, data, _ = workspace
     out_dir = tmp_path / "sweep"
-    code = main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", "95,70",
+    code = main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", "95,70,0.95",
                  "--epochs", "5", "--layers", "2", "--channels", "8",
                  "--out-dir", str(out_dir)])
     assert code == 0
@@ -277,9 +277,10 @@ def test_sweep_single_threshold(workspace, tmp_path):
 
 def test_sweep_bad_threshold(workspace, capsys):
     _, data, _ = workspace
-    assert main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", "150",
-                 "--out-dir", "x"]) == 2
-    assert "out of range" in capsys.readouterr().err
+    for thresholds, named in (("150", "out of range"), (" , ", "no thresholds given")):
+        assert main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", thresholds,
+                     "--out-dir", "x"]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_sweep_non_numeric_threshold(workspace, capsys):
@@ -331,11 +332,13 @@ def test_solve_infeasible_is_not_an_error(tmp_path, capsys):
     (lambda doc: doc["config"].update(activation="relu"), "activation"),
     (lambda doc: doc["config"].update(num_layers=True), "num_layers"),
     (lambda doc: doc["config"].update(epochs=2.5), "epochs"),
+    (lambda doc: doc["config"].update(seed=2**64), "config field seed must be an integer in [0, 2**64)"),
     (lambda doc: doc["binding"].update(num_buses=True), "num_buses"),
     (lambda doc: doc["binding"].update(num_buses=3.0), "num_buses"),
     (lambda doc: doc["binding"].update(num_branches=0), "num_branches"),
 ], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1", "format-3",
-        "config-activation", "config-bool", "config-float", "binding-bool", "binding-float", "binding-zero"])
+        "config-activation", "config-bool", "config-float", "config-seed-2**64",
+        "binding-bool", "binding-float", "binding-zero"])
 def test_eval_rejects_bad_model_values(workspace, tmp_path, capsys, edit, named):
     _, data, model = workspace
     doc = json.loads(model.read_text())
@@ -423,7 +426,10 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ('{"samples": 2.5}', "'samples'"),
     ('{"samples": null}', "'samples'"),
     ('{"samples": true}', "'samples'"),
-], ids=["top-level-list", "list-value", "object-value", "float-for-int", "null-value", "bool-value"])
+    ('{"seed": -1}', "config key 'seed': -1 is not a valid --seed value"),
+    ('{"seed": 18446744073709551616}', "config key 'seed': 18446744073709551616 is not a valid --seed value"),
+], ids=["top-level-list", "list-value", "object-value", "float-for-int", "null-value", "bool-value",
+        "seed-negative", "seed-2**64"])
 def test_config_file_wrong_shape(tmp_path, capsys, text, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -456,7 +462,7 @@ def test_gen_data_missing_out_dir_fails_first(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_out_dir_that_is_a_file_fails_first(workspace, tmp_path, capsys, monkeypatch, command, under):
     _, data, model = workspace
-    for name in ("evaluate", "threshold_sweep", "load_model", "read_dataset"):
+    for name in ("train", "evaluate", "load_model", "read_dataset"):
         monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
@@ -524,7 +530,7 @@ def test_train_history_naming_the_model_file_fails_first(workspace, tmp_path, ca
 def test_output_naming_an_input_fails_first(workspace, tmp_path, capsys, monkeypatch, command, output, input_flag):
     """An output path that resolves to an input file exits 2, naming both flags, and leaves the input as it was."""
     _, data, model = workspace
-    for name in ("generate_dataset", "train", "evaluate", "threshold_sweep"):
+    for name in ("generate_dataset", "train", "evaluate"):
         monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
     inputs = {"--case": tmp_path / "t.case", "--data": tmp_path / "d.jsonl",
               "--model": tmp_path / "m.json", "--config": tmp_path / "c.json"}
@@ -575,7 +581,7 @@ def test_eval_splits_with_the_seed_the_model_was_trained_with(workspace, tmp_pat
 def test_sweep_thresholds_sharing_a_file_tag_fail_first(workspace, tmp_path, capsys, monkeypatch):
     """Two thresholds that round to one file tag exit 2, naming both and the tag, before any work."""
     _, data, _ = workspace
-    for name in ("threshold_sweep", "read_dataset"):
+    for name in ("train", "evaluate", "read_dataset"):
         monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--case", TRI3, "--data", str(data), "--thresholds", "90,90.4",
@@ -584,6 +590,66 @@ def test_sweep_thresholds_sharing_a_file_tag_fail_first(workspace, tmp_path, cap
     assert "thresholds 0.9 and 0.904 share the file tag 090" in err
     assert "Error" not in err
     assert not out_dir.exists()
+
+
+def test_sweep_matches_train_then_eval(workspace, tmp_path):
+    """Each threshold of a sweep writes the model train writes and the tables eval writes on that model."""
+    _, data, _ = workspace
+    flags = ["--case", TRI3, "--data", str(data), "--epochs", "2", "--layers", "1", "--channels", "4"]
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", *flags, "--thresholds", "95,90", "--out-dir", str(sweep)]) == 0
+    for tau, tag in (("0.90", "090"), ("0.95", "095")):
+        model = tmp_path / f"train_{tag}.json"
+        assert main(["train", *flags, "--threshold", tau, "--out", str(model)]) == 0
+        assert (sweep / f"model_{tag}.json").read_bytes() == model.read_bytes()
+        assert main(["eval", "--case", TRI3, "--data", str(data), "--model", str(model),
+                     "--out-dir", str(tmp_path / "eval")]) == 0
+        for table in ("costs", "branches", "wrong_histogram"):
+            name = f"{table}_{tag}.csv"
+            assert (sweep / name).read_bytes() == (tmp_path / "eval" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "sweep"])
+def test_seed_out_of_range_fails_first(workspace, tmp_path, capsys, monkeypatch, command, seed):
+    """Every command's --seed must be in [0, 2**64): one that is not exits 2, naming the flag, before any work."""
+    _, data, model = workspace
+    for name in ("generate_dataset", "read_dataset", "load_model"):
+        monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
+    argv = {"gen-data": ["--samples", "5", "--out", str(tmp_path / "d.jsonl")],
+            "train": ["--data", str(data), "--threshold", "0.95", "--out", str(tmp_path / "m.json")],
+            "eval": ["--data", str(data), "--model", str(model), "--out-dir", str(tmp_path / "e")],
+            "sweep": ["--data", str(data), "--thresholds", "95", "--out-dir", str(tmp_path / "s")]}[command]
+    assert main([command, "--case", TRI3, *argv, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an integer in [0, 2**64), got '{seed}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, output", [("eval", "report_095.json"), ("sweep", "model_090.json")])
+def test_out_dir_file_that_is_a_directory_fails_first(workspace, tmp_path, capsys, monkeypatch, command, output):
+    """A file eval or sweep would write into --out-dir that is an existing directory exits 2 before any work."""
+    _, data, model = workspace
+    for name in ("train", "evaluate", "read_dataset"):
+        monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
+    taken = tmp_path / "out" / output
+    taken.mkdir(parents=True)
+    extra = (["--model", str(model)] if command == "eval" else ["--thresholds", "90,95"])
+    assert main([command, "--case", TRI3, "--data", str(data), *extra, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"--out-dir {taken} is a directory" in err
+    assert "Error" not in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [output]
+
+
+def test_case_with_a_nan_value_fails_first(tmp_path, tri3_text, capsys):
+    """A non-finite case value exits 2, naming the file, line and column, before anything is solved."""
+    bad = tmp_path / "nan.case"
+    bad.write_text(tri3_text.replace("1 10.0 0.0 200.0", "1 10.0 nan 200.0"))
+    assert main(["solve", "--case", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 10: column 3: not a finite number: 'nan'" in err
+    assert "Error" not in err
 
 
 def test_history_csv_is_written_atomically(tmp_path, monkeypatch):

@@ -92,11 +92,20 @@ def test_comments_and_crlf(tri3_text, tri3):
     (lambda t: t.replace("3 1 150.0", "3 1 -5.0"), "load"),
     (lambda t: t.replace("#BRANCH", "#LINES"), "unknown section"),
     (lambda t: "5 5 5\n" + t, "before any section"),
+    # every value is finite, and every id and bus type is a whole number
+    (lambda t: t.replace("1 10.0 0.0 200.0", "1 10.0 nan 200.0"), "line 10: column 3: not a finite number"),
+    (lambda t: t.replace("3 1 150.0", "inf 1 150.0"), "line 8: column 1: not a finite number"),
+    (lambda t: t.replace("2 20.0 0.0 200.0", "inf 20.0 0.0 200.0"), "line 11: column 1: not a finite number"),
+    (lambda t: t.replace("2 2 0.0", "nan 2 0.0"), "line 7: column 1: not a finite number"),
+    (lambda t: t.replace("1 3 0.1 80.0", "1 3 0.1 -inf"), "line 14: column 4: not a finite number"),
+    (lambda t: t.replace("2 20.0 0.0 200.0", "1.5 20.0 0.0 200.0"), "line 11: column 1: not an integer"),
+    (lambda t: t.replace("2 3 0.1 200.0", "2 1.9 0.1 200.0"), "line 15: column 2: not an integer"),
+    (lambda t: t.replace("2 2 0.0", "2 2.5 0.0"), "line 7: column 2: not an integer"),
 ])
 def test_parse_errors(tri3_text, mangle, what):
     with pytest.raises(CaseError) as err:
         parse_case(mangle(tri3_text))
-    assert what.split()[0] in str(err.value)
+    assert what in str(err.value)
 
 
 def test_syntax_error_reports_line(tri3_text):

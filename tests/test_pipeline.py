@@ -15,7 +15,6 @@ from gridscreen import (
     label_sample,
     run_ropf,
     split_dataset,
-    threshold_sweep,
     to_graph,
     train,
     write_report,
@@ -176,10 +175,7 @@ def test_correlate_zero_violations(tri3, tri3_dataset):
 def test_sweep_oracle_monitored_nesting(case14, case14_splits):
     _, _, test_split = case14_splits
     taus = [0.70, 0.75, 0.80, 0.85, 0.90, 0.95]
-    results = threshold_sweep(case14, [], [], test_split[:40], taus, use_oracle=True)
-    assert all(model is None for _, model in results)
-    reports = [report for report, _ in results]
-    assert len(reports) == 6
+    reports = [evaluate(case14, OraclePredictor(case14, tau), test_split[:40], tau) for tau in taus]
     assert [r.threshold for r in reports] == taus
     fractions = [r.pct_lines_monitored for r in reports]
     assert all(a >= b - 1e-12 for a, b in zip(fractions, fractions[1:]))
@@ -190,36 +186,6 @@ def test_sweep_oracle_monitored_nesting(case14, case14_splits):
         ]
         for bigger, smaller in zip(sets, sets[1:]):
             assert smaller <= bigger
-
-
-def test_sweep_unsorted_input_sorted_output(tri3, tri3_dataset):
-    results = threshold_sweep(tri3, [], [], tri3_dataset.samples[:10],
-                              [0.95, 0.7, 0.8], use_oracle=True)
-    assert [r.threshold for r, _ in results] == [0.7, 0.8, 0.95]
-
-
-def test_sweep_requires_factory_or_oracle(tri3, tri3_dataset):
-    with pytest.raises(ValueError, match="model_factory"):
-        threshold_sweep(tri3, [], [], tri3_dataset.samples[:5], [0.9])
-    with pytest.raises(ValueError, match="non-empty"):
-        threshold_sweep(tri3, [], [], tri3_dataset.samples[:5], [], use_oracle=True)
-
-
-def test_sweep_trains_fresh_model_per_threshold(tri3, tri3_dataset):
-    train_split, val_split, test_split = split_dataset(tri3_dataset, (0.8, 0.1, 0.1), seed=1)
-
-    def factory(tau):
-        return init_model(
-            ModelConfig(num_layers=2, channels=8, seed=2, epochs=25),
-            7, 2, num_buses=3, num_branches=3, normalizer=fit_normalizer(train_split),
-        )
-
-    results = threshold_sweep(tri3, train_split, val_split, test_split[:10],
-                              [0.95, 0.7], model_factory=factory)
-    assert [r.threshold for r, _ in results] == [0.7, 0.95]
-    for r, model in results:
-        assert r.edge_prediction_error_pct <= 40.0  # learnable at both thresholds
-        assert model.trained_threshold == r.threshold
 
 
 def test_summary_row_table_columns(tmp_path, tri3, tri3_dataset):

@@ -185,6 +185,16 @@ def test_rekeyed_philox_gives_each_key_its_own_stream():
                 assert shared.uniform(0.9, 1.1, size).tobytes() == own.uniform(0.9, 1.1, size).tobytes()
 
 
+def test_derive_seed_rejects_words_outside_64_bits():
+    """A seed or index outside [0, 2**64) is an error, not masked into another run's key."""
+    assert samplegen.derive_seed(2**64 - 1, 2**64 - 1) == 2**128 - 1
+    assert samplegen.derive_seed(3, 5) == 3 << 64 | 5
+    # a numpy integer would wrap in the shift, so it is refused like any non-int
+    for seed, index in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64), (np.int64(3), 0), (3.0, 0)):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            samplegen.derive_seed(seed, index)
+
+
 def test_generate_parallel_matches_serial(tri3, case14):
     # on case14 the base-case basis answers some samples and not others; on
     # tri3 at +-60% about one draw in seven is infeasible and redrawn
