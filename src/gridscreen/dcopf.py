@@ -7,9 +7,10 @@ variant, which limits only a monitored subset, shrinks with that subset.
 The PTDF and the other constants of the LP are derived once per Network
 (see netcase.Network), so a build only slices the monitored rows and
 multiplies the PTDF by the load.  Flows are computed for every branch
-afterwards so violations can be audited.  full_dispatches owns the start
-policy of full-problem dispatches: dual pivots from the base case's basis,
-else solve cold.
+afterwards so violations can be audited.  dispatches owns the start policy
+of every dispatch, for any monitored set: dual pivots from the basis of
+that set's LP at the base load (network.warm_start), else solve cold.
+solve_opf is the cold path.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class DispatchSolution:
     p_g: np.ndarray | None           # per-generator MW
     flows: np.ndarray | None         # per-branch MW, all branches
     objective: float | None          # sum of cost * output
-    solve_seconds: float             # wall time of solve_lp alone
+    solve_seconds: float             # wall time of solve_opf's solve_lp alone (the cold path)
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,23 @@ def _rhs(network: Network, load: np.ndarray, mon: list[int]) -> np.ndarray:
     return np.concatenate([[load.sum()], rating + base_flow, rating - base_flow])
 
 
-def full_dispatches(network: Network, loads) -> list[np.ndarray | None]:
-    """The full-problem dispatch at each of `loads`, or None where a load is infeasible.
+def dispatches(network: Network, loads, monitored) -> list[np.ndarray | None]:
+    """The dispatch at each of `loads` with limits on the `monitored` branches only, or None where a load is infeasible.
 
-    Every load is answered in one batch from the base case's optimal basis,
-    prepared once per Network (network.base_start): a load that basis
-    covers needs no pivot, any other takes a few dual simplex pivots.  Only
-    the loads the warm start leaves unanswered, which include every
-    infeasible one, are solved cold.  So each dispatch has the bits of its
-    own cold solve, whatever else is in the batch.
+    Every load is answered in one batch from the monitored set's warm
+    start (network.warm_start), prepared from the set's LP at the base load
+    on the set's first sight: a load that basis covers needs no pivot, any
+    other takes a few dual simplex pivots.  Only the loads the warm start
+    leaves unanswered, which include every infeasible one, are solved cold
+    by solve_opf.  So each dispatch has the bits of its own cold solve,
+    whatever else is in the batch and whatever sets came before.
     """
-    everything = list(range(network.num_branches))
+    mon = _check_monitored(network, monitored)
     checked = [_check_load(network, load) for load in loads]
     if not checked:
         return []
-    answers = network.base_start.vertices([_rhs(network, load, everything) for load in checked])
-    return [solve_opf(network, load, everything).p_g if p_g is None else p_g
+    answers = network.warm_start(mon).vertices([_rhs(network, load, mon) for load in checked])
+    return [solve_opf(network, load, mon).p_g if p_g is None else p_g
             for load, p_g in zip(checked, answers)]
 
 
@@ -116,8 +118,10 @@ def _flows(network: Network, p_g: np.ndarray, load: np.ndarray) -> np.ndarray:
 def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolution:
     """Build, solve and read back the (reduced) OPF; flows cover all branches.
 
-    Only solve_lp is timed.  Without generators the LP has no column, so it
-    is feasible only for zero net load that the monitored ratings admit.
+    This is the cold path, behind dispatches' fallback and the solve
+    command; only solve_lp is timed.  Without generators the LP has no
+    column, so it is feasible only for zero net load that the monitored
+    ratings admit.
     """
     load = np.asarray(load_mw, dtype=float)
     lp = build_opf(network, load, monitored)  # checks the load

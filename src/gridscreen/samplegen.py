@@ -10,12 +10,12 @@ so one dataset serves every threshold without skew.
 Randomness is counter-based (Philox keyed by run seed and sample index), so
 sample i is reproducible in isolation and generation parallelizes without
 changing the result.  A batch of samples is drawn, dispatched at once
-(dcopf.full_dispatches, which answers every load from the base case's
-optimal basis, with dual pivots where that basis misses, and solves cold
-only what it leaves unanswered), and only its infeasible draws are redrawn
-and dispatched again, until none is left.  No sample
-starts from another sample's basis, so a sample still depends only on the
-case, the seed and its index, whatever the batch or worker count.
+with every branch monitored (dcopf.dispatches, which answers every load
+from the base case's optimal basis, with dual pivots where that basis
+misses, and solves cold only what it leaves unanswered), and only its
+infeasible draws are redrawn and dispatched again, until none is left.  No
+sample starts from another sample's basis, so a sample still depends only
+on the case, the seed and its index, whatever the batch or worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, _check_load, _flows, full_dispatches
+from .dcopf import REPORT_TOL_MW, _check_load, _flows, dispatches
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
@@ -42,7 +42,7 @@ EDGE_FEATURE_WIDTH = 2
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS_PER_SAMPLE = 1000
-# samples whose draws are dispatched together (dcopf.full_dispatches); a
+# samples whose draws are dispatched together (dcopf.dispatches); a
 # worker takes whole batches
 _START_BATCH = 16
 
@@ -175,13 +175,14 @@ def _generate_batch(network: Network, magnitude: float, seed: int, indices: rang
         _rekey(bits, derive_seed(seed, i))
         loads.append(_draw(shared, base, magnitude))
     gens = {}
-    dispatches = [None] * len(loads)
+    dispatched = [None] * len(loads)
     redraws = [0] * len(loads)
     pending = list(range(len(loads)))
+    everything = range(network.num_branches)
     while pending:
-        for k, p_g in zip(pending, full_dispatches(network, [loads[k] for k in pending])):
-            dispatches[k] = p_g
-        pending = [k for k in pending if dispatches[k] is None]
+        for k, p_g in zip(pending, dispatches(network, [loads[k] for k in pending], everything)):
+            dispatched[k] = p_g
+        pending = [k for k in pending if dispatched[k] is None]
         for k in pending:
             redraws[k] += 1
             if redraws[k] >= _MAX_REDRAWS_PER_SAMPLE:
@@ -191,7 +192,7 @@ def _generate_batch(network: Network, magnitude: float, seed: int, indices: rang
                 _draw(gens[k], base, magnitude)  # the first draw, already dispatched
             loads[k] = _draw(gens[k], base, magnitude)
     return [(_build_sample(network, i, load, p_g, template), n)
-            for i, load, p_g, n in zip(indices, loads, dispatches, redraws)]
+            for i, load, p_g, n in zip(indices, loads, dispatched, redraws)]
 
 
 def generate_dataset(
@@ -215,7 +216,7 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    base = network.base_start.solution
+    base = network.warm_start(range(network.num_branches)).solution
     if base.status != "optimal":
         raise RuntimeError(f"base-case OPF is {base.status}; cannot generate samples")
 

@@ -11,8 +11,10 @@ from gridscreen import (
     check_limits,
     full_monitored_set,
     generate_dataset,
+    label_sample,
     parse_case,
     run_ropf,
+    serialize_case,
     solve_opf,
 )
 from gridscreen.samplegen import Sample
@@ -109,33 +111,72 @@ def test_solve_opf_checks_the_load_once(tri3_text, case14, monkeypatch):
     assert len(calls) == 5  # the base case's build and each sample's check, none for the flows
 
 
-def test_full_dispatches_have_the_cold_bits(case14, monkeypatch):
-    everything = full_monitored_set(case14)
+def test_dispatches_have_the_cold_bits(case14, monkeypatch):
     solved, solve = [], dcopf.solve_opf
     monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
     # the base basis covers 1.01x and 1x the base load; 1.3x takes dual pivots
     # from it; 9x is infeasible, so the warm start leaves it to a cold solve
     loads = [case14.base_load() * 1.01, case14.base_load() * 9, case14.base_load(), case14.base_load() * 1.3]
-    near, infeasible, same, far = dcopf.full_dispatches(case14, loads)
-    assert [load.tobytes() for load in solved] == [loads[1].tobytes()]
-    assert near.tobytes() == solve_opf(case14, loads[0], everything).p_g.tobytes()
-    assert infeasible is None
-    assert same.tobytes() == case14.base_start.solution.x.tobytes()
-    assert far.tobytes() == solve_opf(case14, loads[3], everything).p_g.tobytes()
-    assert dcopf.full_dispatches(case14, []) == []
+    for monitored in (full_monitored_set(case14), {0, 9}, frozenset()):
+        solved.clear()
+        near, infeasible, same, far = dcopf.dispatches(case14, loads, monitored)
+        assert [load.tobytes() for load in solved] == [loads[1].tobytes()]
+        assert near.tobytes() == solve_opf(case14, loads[0], monitored).p_g.tobytes()
+        assert infeasible is None
+        assert same.tobytes() == case14.warm_start(sorted(monitored)).solution.x.tobytes()
+        assert far.tobytes() == solve_opf(case14, loads[3], monitored).p_g.tobytes()
+    assert dcopf.dispatches(case14, [], {0}) == []
     with pytest.raises(ValueError, match="load vector length"):
-        dcopf.full_dispatches(case14, [np.ones(3)])
+        dcopf.dispatches(case14, [np.ones(3)], {0})
+    with pytest.raises(ValueError, match="out of range"):
+        dcopf.dispatches(case14, [], {case14.num_branches})
 
 
-def test_full_dispatches_without_a_base_basis_solve_cold(tri3_text):
-    """An infeasible base case has no basis to check against: every load is solved cold."""
+def test_dispatches_without_a_base_basis_solve_cold(tri3_text):
+    """A set whose base-load LP has no optimal basis has no basis to check against: every load is solved cold."""
     net = parse_case(tri3_text.replace("3 1 150.0", "3 1 500.0"))
-    assert net.base_start.solution.status == "infeasible"
-    everything = full_monitored_set(net)
+    assert net.warm_start((0, 1, 2)).solution.status == "infeasible"
     loads = [net.base_load() * 0.3, net.base_load()]
-    low, base = dcopf.full_dispatches(net, loads)
-    assert low.tobytes() == solve_opf(net, loads[0], everything).p_g.tobytes()
+    low, base = dcopf.dispatches(net, loads, full_monitored_set(net))
+    assert low.tobytes() == solve_opf(net, loads[0], full_monitored_set(net)).p_g.tobytes()
     assert base is None
+    # at 40 MW, line 1-3 cannot carry the third of the base load that it
+    # must, so only its own set is infeasible at the base load
+    net = parse_case(tri3_text.replace("1 3 0.1 80.0", "1 3 0.1 40.0"))
+    assert net.warm_start((1,)).solution.status == "infeasible"
+    assert net.warm_start(()).solution.status == "optimal"
+    loads = [net.base_load() * 0.5, net.base_load()]
+    for monitored in ({1}, {0, 1, 2}):
+        low, base = dcopf.dispatches(net, loads, monitored)
+        assert low.tobytes() == solve_opf(net, loads[0], monitored).p_g.tobytes()
+        assert base is None
+
+
+def _set_kinds(network, sample, rng) -> list:
+    """The monitored sets a screen gives: none, every branch, fixed ones, a random fifth and the oracle's."""
+    nk = network.num_branches
+    return [frozenset(), full_monitored_set(network), {0, nk - 1}, {0, 1, 2},
+            set(np.flatnonzero(rng.random(nk) < 0.2).tolist()),
+            *(set(np.flatnonzero(label_sample(sample.flows_mw, network, tau)).tolist()) for tau in (0.7, 0.9))]
+
+
+@pytest.mark.parametrize("name,magnitude", [("case14", 0.1), ("case14", 0.6), ("tri3", 0.6)])
+def test_warm_dispatches_do_not_depend_on_the_sets_before(name, magnitude, request, monkeypatch):
+    """Each set's dispatch has the bits of its cold solve, in either order over more sets than a Network keeps."""
+    net = parse_case(serialize_case(request.getfixturevalue(name)))  # a Network with no start prepared
+    samples = generate_dataset(net, 30, magnitude, seed=3).samples
+    rng = np.random.default_rng(3)
+    jobs = [(s.load_mw, mon) for s in samples for mon in _set_kinds(net, s, rng)]
+    if name == "tri3":  # 3 branches give only 8 sets, so keep fewer
+        monkeypatch.setattr(netcase, "MAX_WARM_STARTS", 3)
+    assert len({frozenset(mon) for _, mon in jobs}) > netcase.MAX_WARM_STARTS
+    solved, solve = [], dcopf.solve_opf
+    monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
+    forward = [dcopf.dispatches(net, [load], mon)[0] for load, mon in jobs]
+    backward = [dcopf.dispatches(net, [load], mon)[0] for load, mon in reversed(jobs)][::-1]
+    assert solved == []  # every answer came from a warm start
+    for (load, mon), first, second in zip(jobs, forward, backward):
+        assert first.tobytes() == second.tobytes() == solve(net, load, mon).p_g.tobytes()
 
 
 def test_line_flows_zero_injection(tri3):

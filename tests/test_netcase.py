@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridscreen import netcase
 from gridscreen import CaseError, full_monitored_set, parse_case, serialize_case, solve_opf, to_graph
 
 DERIVED = ("rating", "ptdf", "gen_ptdf", "gen_cost", "gen_p_min", "gen_p_max")
@@ -208,28 +209,49 @@ def test_derived_arrays_stay_out_of_identity(tri3_text):
 def test_base_case_derived_once_and_kept_out_of_identity(tri3_text):
     net = parse_case(tri3_text)
     fingerprint = net.fingerprint()
-    start = net.base_start
-    assert net.base_start is start                  # solved and prepared once
+    everything = (0, 1, 2)
+    start = net.warm_start(everything)
+    assert net.warm_start(everything) is start     # solved and prepared once
     base = start.solution
     assert base.status == "optimal"
     cold = solve_opf(net, net.base_load(), full_monitored_set(net))  # every branch monitored
     assert base.x.tobytes() == cold.p_g.tobytes()
+    reduced = net.warm_start((1,))                  # each monitored set has a start of its own
+    assert reduced is not start and reduced.solution.x.tobytes() == solve_opf(net, net.base_load(), {1}).p_g.tobytes()
     assert net.fingerprint() == fingerprint
     assert net == parse_case(tri3_text)             # equal to a network that has not solved it
     back = pickle.loads(pickle.dumps(net))
     assert back == net
-    assert "base_start" not in vars(back)           # not pickled ...
-    assert back.base_start is not start             # ... but derived again
-    assert back.base_start.solution.x.tobytes() == base.x.tobytes()
+    assert "_warm_starts" not in vars(back)         # not pickled ...
+    assert back.warm_start(everything) is not start  # ... but derived again
+    assert back.warm_start(everything).solution.x.tobytes() == base.x.tobytes()
+
+
+def test_warm_starts_are_bounded_least_recently_used_first(case14):
+    net = parse_case(serialize_case(case14))        # a Network with no start prepared
+    everything = tuple(range(net.num_branches))
+    full = net.warm_start(everything)
+    sets = [(k,) for k in range(netcase.MAX_WARM_STARTS)]
+    starts = [net.warm_start(mon) for mon in sets]  # one set more than the bound in all
+    assert list(vars(net)["_warm_starts"]) == sets  # the least recently used, every branch, went first
+    assert net.warm_start(sets[0]) is starts[0]     # kept, and now the most recently used
+    again = net.warm_start(everything)
+    assert again is not full and again.solution.x.tobytes() == full.solution.x.tobytes()
+    assert list(vars(net)["_warm_starts"]) == sets[2:] + [sets[0], everything]
+    with pytest.raises(ValueError, match="out of range"):
+        net.warm_start((net.num_branches,))
+    assert len(vars(net)["_warm_starts"]) == netcase.MAX_WARM_STARTS
 
 
 def test_replace_derives_afresh(tri3):
-    tri3.rating, tri3.base_start
+    tri3.rating, tri3.warm_start((0, 1, 2)), tri3.warm_start((1,))
     doubled = tuple(replace(br, rate_a_mw=2 * br.rate_a_mw) for br in tri3.branches)
     wider = replace(tri3, branches=doubled)
     assert wider.rating.tolist() == [400.0, 160.0, 400.0]
     assert tri3.rating.tolist() == [200.0, 80.0, 200.0]
+    assert "_warm_starts" not in vars(wider)        # a start table of its own, empty
     # the 80 MW line binds at the base load, the 160 MW one does not
-    assert wider.base_start.solution.x.tolist() != tri3.base_start.solution.x.tolist()
-    rebuilt = solve_opf(wider, wider.base_load(), full_monitored_set(wider))
-    assert wider.base_start.solution.x.tobytes() == rebuilt.p_g.tobytes()
+    for mon in ((0, 1, 2), (1,)):
+        assert wider.warm_start(mon).solution.x.tolist() != tri3.warm_start(mon).solution.x.tolist()
+        rebuilt = solve_opf(wider, wider.base_load(), mon)
+        assert wider.warm_start(mon).solution.x.tobytes() == rebuilt.p_g.tobytes()
