@@ -462,15 +462,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand onward, past --config's value
     known, _ = pre.parse_known_args(argv)
     parser, subs = build_parser()
 
-    command = next((a for a in argv if a in subs), None)
-    if known.config and command is not None:
+    if known.config and known.rest and known.rest[0] in subs:
         # right after the subcommand, so the explicit flags that follow win
-        at = argv.index(command) + 1
+        at = len(argv) - len(known.rest) + 1
         try:
-            argv[at:at] = _config_tokens(Path(known.config), subs[command])
+            argv[at:at] = _config_tokens(Path(known.config), subs[known.rest[0]])
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

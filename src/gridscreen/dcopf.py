@@ -7,24 +7,30 @@ variant, which limits only a monitored subset, shrinks with that subset.
 The PTDF and the other constants of the LP are derived once per Network
 (see netcase.Network), so a build only slices the monitored rows and
 multiplies the PTDF by the load.  Flows are computed for every branch
-afterwards so violations can be audited.  dispatches owns the start policy
-of every dispatch, for any monitored set: dual pivots from the basis of
-that set's LP at the base load (network.warm_start), else solve cold.
-solve_opf is the cold path.
+afterwards so violations can be audited.
+
+This module owns the start policy of every dispatch, for any monitored
+set.  On a set's first sight _warm_start builds the set's LP at the base
+load and prepares its solved basis (simplex.WarmStart); dispatches answers
+each load by dual pivots from it, else solves cold.  A Network keeps the
+starts of at most MAX_WARM_STARTS sets and drops the least recently used
+first.  solve_opf is the cold path.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netcase import Network
-from .simplex import LinearProgram, solve_lp
+from .simplex import LinearProgram, WarmStart, solve_lp
 
 #: default tolerance (MW) for violation reporting, two orders above solver feasibility
 REPORT_TOL_MW = 1e-6
+
+#: monitored sets whose warm start a Network keeps; the least recently used goes first
+MAX_WARM_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,6 @@ class DispatchSolution:
     p_g: np.ndarray | None           # per-generator MW
     flows: np.ndarray | None         # per-branch MW, all branches
     objective: float | None          # sum of cost * output
-    solve_seconds: float             # wall time of solve_opf's solve_lp alone (the cold path)
 
 
 @dataclass(frozen=True)
@@ -90,22 +95,43 @@ def _rhs(network: Network, load: np.ndarray, mon: list[int]) -> np.ndarray:
     return np.concatenate([[load.sum()], rating + base_flow, rating - base_flow])
 
 
+def _warm_start(network: Network, mon) -> WarmStart:
+    """The WarmStart of the dispatch LP at the base load with limits on `mon` only.
+
+    `mon` holds distinct branch indices in ascending order, as
+    _check_monitored returns them.  A set's first sight builds and solves
+    its LP and prepares the basis; later calls return the same start until
+    MAX_WARM_STARTS other sets have been used since.  Its .solution is that
+    LP's cold solve; where the LP has no optimal basis, the start answers
+    None for every load.
+    """
+    key = tuple(mon)
+    starts = network._warm_starts
+    start = starts.pop(key, None)
+    if start is None:
+        start = WarmStart(build_opf(network, network.base_load(), key))
+        if len(starts) >= MAX_WARM_STARTS:
+            del starts[next(iter(starts))]
+    starts[key] = start  # reinserted, so the dict runs from least to most recently used
+    return start
+
+
 def dispatches(network: Network, loads, monitored) -> list[np.ndarray | None]:
     """The dispatch at each of `loads` with limits on the `monitored` branches only, or None where a load is infeasible.
 
     Every load is answered in one batch from the monitored set's warm
-    start (network.warm_start), prepared from the set's LP at the base load
-    on the set's first sight: a load that basis covers needs no pivot, any
-    other takes a few dual simplex pivots.  Only the loads the warm start
-    leaves unanswered, which include every infeasible one, are solved cold
-    by solve_opf.  So each dispatch has the bits of its own cold solve,
-    whatever else is in the batch and whatever sets came before.
+    start (_warm_start): a load that its base-load basis covers needs no
+    pivot, any other takes a few dual simplex pivots.  Only the loads the
+    warm start leaves unanswered, which include every infeasible one, are
+    solved cold by solve_opf.  So each dispatch has the bits of its own
+    cold solve, whatever else is in the batch and whatever sets came
+    before.
     """
     mon = _check_monitored(network, monitored)
     checked = [_check_load(network, load) for load in loads]
     if not checked:
         return []
-    answers = network.warm_start(mon).vertices([_rhs(network, load, mon) for load in checked])
+    answers = _warm_start(network, mon).vertices([_rhs(network, load, mon) for load in checked])
     return [solve_opf(network, load, mon).p_g if p_g is None else p_g
             for load, p_g in zip(checked, answers)]
 
@@ -119,19 +145,14 @@ def solve_opf(network: Network, load_mw: np.ndarray, monitored) -> DispatchSolut
     """Build, solve and read back the (reduced) OPF; flows cover all branches.
 
     This is the cold path, behind dispatches' fallback and the solve
-    command; only solve_lp is timed.  Without generators the LP has no
-    column, so it is feasible only for zero net load that the monitored
-    ratings admit.
+    command.  Without generators the LP has no column, so it is feasible
+    only for zero net load that the monitored ratings admit.
     """
     load = np.asarray(load_mw, dtype=float)
-    lp = build_opf(network, load, monitored)  # checks the load
-    t0 = time.perf_counter()
-    sol = solve_lp(lp)
-    seconds = time.perf_counter() - t0
+    sol = solve_lp(build_opf(network, load, monitored))  # the build checks the load
     if sol.status != "optimal":
-        return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None, solve_seconds=seconds)
-    return DispatchSolution(status=sol.status, p_g=sol.x, flows=_flows(network, sol.x, load),
-                            objective=sol.objective, solve_seconds=seconds)
+        return DispatchSolution(status=sol.status, p_g=None, flows=None, objective=None)
+    return DispatchSolution(status=sol.status, p_g=sol.x, flows=_flows(network, sol.x, load), objective=sol.objective)
 
 
 def check_limits(network: Network, flows: np.ndarray) -> ViolationReport:

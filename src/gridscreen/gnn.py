@@ -390,8 +390,6 @@ def train(
     """
     if not train_split or not val_split:
         raise ValueError("train and validation splits must be non-empty")
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
     topology = to_graph(network)

@@ -9,17 +9,13 @@ reported.
 
 A Network also derives, once, the read-only arrays the dispatch LP reads on
 every sample: the shift factors (PTDF), their generator-bus columns, the
-branch ratings and the generator cost and bound vectors.  It also keeps,
-per monitored set, the base-load dispatch LP solved and its basis prepared
-as a warm start (at most MAX_WARM_STARTS sets), from which
-dcopf.dispatches answers every load for that set.
+branch ratings and the generator cost and bound vectors.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -31,9 +27,6 @@ BUS_TYPE_SLACK = "slack"
 
 # per section: its column count, and how many leading columns are ids or types
 _SECTION_COLUMNS = {"#BASE": (1, 0), "#BUS": (3, 2), "#GEN": (4, 1), "#BRANCH": (4, 2)}
-
-#: monitored sets whose warm start a Network keeps; the least recently used goes first
-MAX_WARM_STARTS = 8
 
 
 class CaseError(ValueError):
@@ -76,9 +69,8 @@ class Network:
     ``buses``, ``branches`` and ``generators`` are ordered tuples; all
     derived index maps refer to positions in those tuples.
 
-    The cached properties below, the table of warm starts among them, are
-    derived on first use and then shared; the arrays are read-only.
-    cached_property stores them in the instance
+    The cached properties below are derived on first use and then shared;
+    the arrays are read-only.  cached_property stores them in the instance
     ``__dict__``, so they stay out of ``__eq__``, ``serialize_case`` and
     ``fingerprint``, and ``__getstate__`` leaves them out of a pickle (an
     unpickled array would be writable again); ``dataclasses.replace`` gives
@@ -155,32 +147,9 @@ class Network:
         return _read_only(np.array([gen.p_max_mw for gen in self.generators], dtype=float))
 
     @cached_property
-    def _warm_starts(self) -> OrderedDict:
-        """Per monitored set (a tuple of branch indices), its warm start, least recently used first."""
-        return OrderedDict()
-
-    def warm_start(self, monitored):
-        """simplex.WarmStart of the dispatch LP at the base load with limits on `monitored` only.
-
-        `monitored` holds distinct branch indices in ascending order, as
-        dcopf checks them.  A set's first sight builds and solves its LP
-        and prepares the basis; later calls return the same start until
-        MAX_WARM_STARTS other sets have been used since.  Its .solution is
-        that LP's cold solve; where the LP has no optimal basis, the start
-        answers None for every load.
-        """
-        key = tuple(monitored)
-        starts = self._warm_starts
-        start = starts.get(key)
-        if start is not None:
-            starts.move_to_end(key)
-            return start
-        from .dcopf import build_opf  # dcopf imports this module
-        from .simplex import WarmStart
-        start = starts[key] = WarmStart(build_opf(self, self.base_load(), key))
-        if len(starts) > MAX_WARM_STARTS:
-            starts.popitem(last=False)
-        return start
+    def _warm_starts(self) -> dict:
+        """dcopf's table of warm starts for this Network, kept per instance and empty until dcopf fills it."""
+        return {}
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

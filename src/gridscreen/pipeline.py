@@ -148,8 +148,6 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
     """
     if not samples:
         raise ValueError("evaluation requires a non-empty sample list")
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
     nk = network.num_branches
     n = len(samples)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, _check_load, _flows, dispatches
+from .dcopf import REPORT_TOL_MW, _check_load, _flows, _warm_start, dispatches
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
@@ -216,7 +216,7 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    base = network.warm_start(range(network.num_branches)).solution
+    base = _warm_start(network, range(network.num_branches)).solution
     if base.status != "optimal":
         raise RuntimeError(f"base-case OPF is {base.status}; cannot generate samples")
 

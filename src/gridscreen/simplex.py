@@ -408,11 +408,6 @@ class _Core:
         s = self.status[cols]
         return np.where(s == _AT_UPPER, self.ub[cols], np.where(s == _FREE, 0.0, self.lb[cols]))
 
-    def _nonbasic_value(self, j: int) -> float:
-        """_nonbasic_values for the one column j."""
-        s = self.status[j]
-        return self.ub[j] if s == _AT_UPPER else 0.0 if s == _FREE else self.lb[j]
-
     def _recompute_basics(self):
         nonbasic = (self.status != _BASIC).nonzero()[0]
         x_nb = self._nonbasic_values(nonbasic)
@@ -549,7 +544,7 @@ class _Core:
                 return "unbounded"
             else:
                 t = t_limit
-                entering_value = self._nonbasic_value(q) + direction * t
+                entering_value = self._nonbasic_values(q) + direction * t
                 leaving = self.basis[leave_row]
                 di = delta[leave_row]
                 new_status = _AT_LOWER if di < 0 else _AT_UPPER

@@ -411,6 +411,18 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert "wrote 7 samples" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["train", "eval"])
+def test_config_path_named_like_a_subcommand(workspace, tmp_path, monkeypatch, name):
+    """The subcommand is found after --config's value, even where that value names a subcommand."""
+    _, data, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(json.dumps({"epochs": 1}))
+    flags = ["--case", TRI3, "--data", str(data), "--threshold", "0.95", "--layers", "1", "--channels", "4"]
+    assert main(["--config", name, "train", *flags, "--out", "config.json"]) == 0
+    assert main(["train", *flags, "--epochs", "1", "--out", "flags.json"]) == 0
+    assert Path("config.json").read_bytes() == Path("flags.json").read_bytes()
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sample": 5}))

@@ -123,7 +123,7 @@ def test_dispatches_have_the_cold_bits(case14, monkeypatch):
         assert [load.tobytes() for load in solved] == [loads[1].tobytes()]
         assert near.tobytes() == solve_opf(case14, loads[0], monitored).p_g.tobytes()
         assert infeasible is None
-        assert same.tobytes() == case14.warm_start(sorted(monitored)).solution.x.tobytes()
+        assert same.tobytes() == dcopf._warm_start(case14, sorted(monitored)).solution.x.tobytes()
         assert far.tobytes() == solve_opf(case14, loads[3], monitored).p_g.tobytes()
     assert dcopf.dispatches(case14, [], {0}) == []
     with pytest.raises(ValueError, match="load vector length"):
@@ -135,7 +135,7 @@ def test_dispatches_have_the_cold_bits(case14, monkeypatch):
 def test_dispatches_without_a_base_basis_solve_cold(tri3_text):
     """A set whose base-load LP has no optimal basis has no basis to check against: every load is solved cold."""
     net = parse_case(tri3_text.replace("3 1 150.0", "3 1 500.0"))
-    assert net.warm_start((0, 1, 2)).solution.status == "infeasible"
+    assert dcopf._warm_start(net, (0, 1, 2)).solution.status == "infeasible"
     loads = [net.base_load() * 0.3, net.base_load()]
     low, base = dcopf.dispatches(net, loads, full_monitored_set(net))
     assert low.tobytes() == solve_opf(net, loads[0], full_monitored_set(net)).p_g.tobytes()
@@ -143,8 +143,8 @@ def test_dispatches_without_a_base_basis_solve_cold(tri3_text):
     # at 40 MW, line 1-3 cannot carry the third of the base load that it
     # must, so only its own set is infeasible at the base load
     net = parse_case(tri3_text.replace("1 3 0.1 80.0", "1 3 0.1 40.0"))
-    assert net.warm_start((1,)).solution.status == "infeasible"
-    assert net.warm_start(()).solution.status == "optimal"
+    assert dcopf._warm_start(net, (1,)).solution.status == "infeasible"
+    assert dcopf._warm_start(net, ()).solution.status == "optimal"
     loads = [net.base_load() * 0.5, net.base_load()]
     for monitored in ({1}, {0, 1, 2}):
         low, base = dcopf.dispatches(net, loads, monitored)
@@ -168,8 +168,8 @@ def test_warm_dispatches_do_not_depend_on_the_sets_before(name, magnitude, reque
     rng = np.random.default_rng(3)
     jobs = [(s.load_mw, mon) for s in samples for mon in _set_kinds(net, s, rng)]
     if name == "tri3":  # 3 branches give only 8 sets, so keep fewer
-        monkeypatch.setattr(netcase, "MAX_WARM_STARTS", 3)
-    assert len({frozenset(mon) for _, mon in jobs}) > netcase.MAX_WARM_STARTS
+        monkeypatch.setattr(dcopf, "MAX_WARM_STARTS", 3)
+    assert len({frozenset(mon) for _, mon in jobs}) > dcopf.MAX_WARM_STARTS
     solved, solve = [], dcopf.solve_opf
     monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
     forward = [dcopf.dispatches(net, [load], mon)[0] for load, mon in jobs]

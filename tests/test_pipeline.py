@@ -145,6 +145,8 @@ def test_evaluate_validation(tri3, tri3_dataset):
         evaluate(tri3, OraclePredictor(tri3, 0.95), [], 0.95)
     with pytest.raises(ValueError):
         evaluate(tri3, OraclePredictor(tri3, 0.95), tri3_dataset.samples[:2], 1.5)
+    with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\], got 0.0"):
+        evaluate(tri3, OraclePredictor(tri3, 0.95), tri3_dataset.samples[:2], 0.0)
 
 
 def test_evaluate_trained_model_predictor(tri3, tri3_dataset):

@@ -226,7 +226,7 @@ def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
     ds = generate_dataset(net, 6, 0.3, seed=2)
     assert ds.redraws == 0 and len(batches) == 1
     start, answers = batches[0]
-    assert start is net.warm_start(range(net.num_branches)) and len(answers) == 6
+    assert start is dcopf._warm_start(net, range(net.num_branches)) and len(answers) == 6
     assert [p_g.tobytes() for p_g in answers] == [s.p_g.tobytes() for s in ds.samples]
     assert 0 < len(pivoted) < 6  # the base basis covers some draws and not others
     # the base case was solved by its Network, and the misses were pivoted, not solved cold
