@@ -205,11 +205,13 @@ def cmd_train(args) -> int:
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, _ = split_dataset(dataset, SPLIT_RATIOS, args.seed)
+    t0 = time.perf_counter()
     result = _train_step(args.baseline, config, network, train_split, val_split, threshold)
+    elapsed = time.perf_counter() - t0
     save_model(result.best_model, args.out)
     _write_history_csv(result.history, history_path)
     last = len(result.history) - 1
-    print(f"trained {args.baseline} for {len(result.history)} epochs at threshold {threshold}: "
+    print(f"trained {args.baseline} for {len(result.history)} epochs in {elapsed:.2f} s at threshold {threshold}: "
           f"val_loss {result.history.val_loss[last]:.6f}, "
           f"val_acc {result.history.val_acc[last]:.4f}; "
           f"model -> {args.out}, history -> {history_path}")

@@ -24,6 +24,17 @@ them.
 
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
+
+Training gives each epoch one workspace: a dict of arrays keyed by role and
+shape, which every batch's forward caches, backward arrays and weight
+gradients are written into (`out=`), so a batch reuses the arrays of the one
+before instead of allocating its own.  Forward arrays are keyed per layer,
+since the backward pass reads them; backward arrays are shared by the layers
+of one role ("edge", "node", "head" or an MLP tower), never by shape alone.
+The workspace is emptied before each epoch's validation pass, and the
+best-validation snapshot is copied into arrays made before the first epoch.
+Inference passes no workspace and allocates as it goes.  The bits are the
+same either way.
 """
 
 from __future__ import annotations
@@ -169,7 +180,21 @@ def init_model(
 # ---------------------------------------------------------------------------
 
 
-def _scatter_sum(values: np.ndarray, incidence: np.ndarray) -> np.ndarray:
+def _buffer(workspace, key, shape, dtype=float):
+    """The workspace's array for `key` and `shape`, made on first use; None (numpy allocates) without one.
+
+    The forward pass tests for a workspace before it calls this: single-sample
+    inference would pay for the calls and their shape tuples.
+    """
+    if workspace is None:
+        return None
+    array = workspace.get((key, shape))
+    if array is None:
+        array = workspace[key, shape] = np.empty(shape, dtype)
+    return array
+
+
+def _scatter_sum(values: np.ndarray, incidence: np.ndarray, out=None) -> np.ndarray:
     """(B, K, C) edge values -> (B, N, C) node sums, given a (K, N) 0/1 incidence matrix.
 
     One matmul of the transposed incidence with each batch item.  Every
@@ -178,7 +203,7 @@ def _scatter_sum(values: np.ndarray, incidence: np.ndarray) -> np.ndarray:
     branch order bit for bit, and relabeling buses permutes output rows
     without changing a single bit of any sum.
     """
-    return incidence.T @ values
+    return np.matmul(incidence.T, values, out=out)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -186,52 +211,80 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _affine(params, w, b, x: np.ndarray) -> np.ndarray:
-    """x (B, R, S) @ params[w] (S, C) + params[b] as one 2-D GEMM; row content fixes row bits."""
+def _affine(params, w, b, x: np.ndarray, workspace=None) -> np.ndarray:
+    """x (B, R, S) @ params[w] (S, C) + params[b] as one 2-D GEMM, into the workspace's array for w when given.
+
+    A row's bits depend on the GEMM's shape as well as the row's content:
+    BLAS kernels block and order their sums by shape, so the same sample can
+    get other last bits in a batch of another size.  Training therefore keeps
+    the batch sizes fixed by the config, and validation runs as one batch.
+    """
     batch, rows, width = x.shape
-    return (x.reshape(batch * rows, width) @ params[w]).reshape(batch, rows, -1) + params[b]
+    out = None if workspace is None else _buffer(workspace, w, (batch * rows, params[w].shape[1]))
+    z = np.matmul(x.reshape(batch * rows, width), params[w], out=out)
+    z += params[b]
+    return z.reshape(batch, rows, -1)
 
 
-def _dense(params, w, b, x, keep=False):
+def _dense(params, w, b, x, keep=False, workspace=None):
     """relu(x @ params[w] + params[b]) for a (B, R, S) input, and the cache `_dense_backward` reads.
 
-    The cache is the (input, active mask) pair with `keep`, else None.
+    The cache is the (input, active mask) pair with `keep`, else None.  With
+    a workspace, the output and the mask are its arrays under w's name.
     """
-    z = _affine(params, w, b, x)
-    return np.maximum(z, 0.0), ((x, z > 0) if keep else None)
+    z = _affine(params, w, b, x, workspace)
+    mask = np.greater(z, 0.0, out=_buffer(workspace, w + " mask", z.shape, bool)) if keep else None
+    return np.maximum(z, 0.0, out=z), ((x, mask) if keep else None)
 
 
-def _dense_backward(params, w, b, cache, d_out, grads, input_grad=True):
+def _dense_backward(params, w, b, cache, d_out, grads, role, workspace=None, input_grad=True):
     """Store the gradients of params[w] and params[b] in `grads`; return the input gradient.
 
     A cache whose mask is None is a layer without the relu (the head).
     With input_grad False the input gradient is not computed and None is returned.
+    With a workspace, the gradient of w and the backward arrays are its
+    arrays: the pre-activation and input gradients under `role`, which layers
+    of one role share, so each is overwritten by the next layer of its role.
     """
     x, mask = cache
-    dz = d_out if mask is None else d_out * mask
-    grads[w] = x.reshape(-1, x.shape[2]).T @ dz.reshape(-1, dz.shape[2])
+    dz = d_out if mask is None else np.multiply(d_out, mask, out=_buffer(workspace, role + " dz", d_out.shape))
+    batch, rows, width = dz.shape
+    dz_rows = dz.reshape(batch * rows, width)
+    grads[w] = np.matmul(x.reshape(-1, x.shape[2]).T, dz_rows,
+                         out=_buffer(workspace, w + " grad", params[w].shape))
     grads[b] = dz.sum(axis=(0, 1))
     if not input_grad:
         return None
-    batch, rows, width = dz.shape
-    return (dz.reshape(batch * rows, width) @ params[w].T).reshape(batch, rows, -1)
+    dx = np.matmul(dz_rows, params[w].T, out=_buffer(workspace, role + " dx", (batch * rows, x.shape[2])))
+    return dx.reshape(batch, rows, -1)
 
 
-def _layer_forward_batch(params, i, h, e, topology, keep=False):
+def _layer_forward_batch(params, i, h, e, topology, keep=False, workspace=None):
     """Message-passing layer i, its weights read from `params` by name.
 
     A layer without node weights (the last) returns None for the node embeddings and their cache.
+    With a workspace, the stacks and outputs are its arrays under the layer's
+    names, since the backward pass reads them; the two aggregation sums, which
+    it does not read, are shared by all layers.
     """
     p = f"layers.{i}."
     ef, et = topology.edge_from, topology.edge_to
-    edge_stack = np.concatenate([h[:, ef, :], h[:, et, :], e], axis=2)
-    msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, keep)
+    batch, buses, width = h.shape
+    out = None if workspace is None else _buffer(
+        workspace, p + "edge_stack", (batch, ef.size, 2 * width + e.shape[2]))
+    edge_stack = np.concatenate([h[:, ef, :], h[:, et, :], e], axis=2, out=out)
+    msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, keep, workspace)
     if p + "w_node" not in params:
         return None, msg, (edge_cache, None)
-    sum_out = _scatter_sum(msg, topology.incidence_from)
-    sum_in = _scatter_sum(msg, topology.incidence_to)
-    node_stack = np.concatenate([h, sum_out, sum_in], axis=2)
-    h_next, node_cache = _dense(params, p + "w_node", p + "b_node", node_stack, keep)
+    sum_out = sum_in = out = None
+    if workspace is not None:
+        sums = (batch, buses, msg.shape[2])
+        sum_out, sum_in = _buffer(workspace, "sum_out", sums), _buffer(workspace, "sum_in", sums)
+        out = _buffer(workspace, p + "node_stack", (batch, buses, width + 2 * sums[2]))
+    sum_out = _scatter_sum(msg, topology.incidence_from, sum_out)
+    sum_in = _scatter_sum(msg, topology.incidence_to, sum_in)
+    node_stack = np.concatenate([h, sum_out, sum_in], axis=2, out=out)
+    h_next, node_cache = _dense(params, p + "w_node", p + "b_node", node_stack, keep, workspace)
     return h_next, msg, (edge_cache, node_cache)
 
 
@@ -243,14 +296,15 @@ def _check_widths(model, node_features, edge_features):
             raise ValueError(f"{part} features {x.shape[-2:]} do not match model binding ({rows}, {width})")
 
 
-def _forward(model, node_features, edge_features, topology, keep_caches=False):
+def _forward(model, node_features, edge_features, topology, keep_caches=False, workspace=None):
     """Softmax rows (B, K, 2) for inputs (B, N, fn) / (B, K, fe), the layer caches by name prefix, and the top.
 
     The kind's encoder gives a (B, R, width) top: the GNN's last edge
     embeddings (R = K), or the MLP's node and edge stacks over flattened
     features, side by side (R = 1).  The shared head maps it to the logits.
     Only with `keep_caches` are the caches built; without, inference frees
-    each layer's stacks as the next one runs.
+    each layer's stacks as the next one runs.  With a workspace, the layers
+    write into its arrays.
     """
     _check_widths(model, node_features, edge_features)
     h = model.normalizer.apply_node(node_features)
@@ -258,7 +312,8 @@ def _forward(model, node_features, edge_features, topology, keep_caches=False):
     params, caches = model.params, {}
     if model.kind == "gnn":
         for i in range(model.config.num_layers):
-            h, e, caches[f"layers.{i}."] = _layer_forward_batch(params, i, h, e, topology, keep_caches)
+            h, e, caches[f"layers.{i}."] = _layer_forward_batch(params, i, h, e, topology, keep_caches,
+                                                                workspace)
         top = e
     else:
         tops = []
@@ -266,7 +321,7 @@ def _forward(model, node_features, edge_features, topology, keep_caches=False):
             x = x.reshape(x.shape[0], 1, -1)
             for i in range(model.config.num_layers):
                 p = f"{tag}_layers.{i}."
-                x, caches[p] = _dense(params, p + "W", p + "b", x, keep_caches)
+                x, caches[p] = _dense(params, p + "W", p + "b", x, keep_caches, workspace)
             tops.append(x)
         top = np.concatenate(tops, axis=2)
     logits = _affine(params, "dense.w_out", "dense.b_out", top)
@@ -279,14 +334,18 @@ def forward_any(model, node_features, edge_features, topology):
     return _forward(model, node_features, edge_features, topology)[0]
 
 
-def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology):
+def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology, workspace=None):
     """Exact gradients of the batch-mean MSE loss for every parameter, with the loss and probabilities.
 
-    Arrays are (B, N, fn), (B, K, fe) and (B, K, 2) one-hot labels.
+    Arrays are (B, N, fn), (B, K, fe) and (B, K, 2) one-hot labels.  The
+    forward caches, backward arrays and weight gradients are written into
+    `workspace`, a dict of arrays keyed by (role, shape), when one is given.
+    Calls that pass one dict reuse its arrays, so each call's gradients are
+    overwritten by the next call's.
     """
     if node_features.size == 0:
         raise ValueError("empty batch")
-    probs, caches, top = _forward(model, node_features, edge_features, topology, keep_caches=True)
+    probs, caches, top = _forward(model, node_features, edge_features, topology, True, workspace)
     batch = probs.shape[0]
     loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
     # d(mean MSE)/d(probs), then back through the per-row softmax
@@ -295,32 +354,39 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
 
     params, cfg, grads = model.params, model.config, {}
     d_top = _dense_backward(params, "dense.w_out", "dense.b_out", (top, None),
-                            dz.reshape(top.shape[0], top.shape[1], -1), grads)
+                            dz.reshape(top.shape[0], top.shape[1], -1), grads, "head", workspace)
     c = cfg.channels
     if model.kind == "mlp":
         for tag, d_x in (("node", d_top[:, :, :c]), ("edge", d_top[:, :, c:])):
             for i in range(cfg.num_layers - 1, -1, -1):
                 p = f"{tag}_layers.{i}."
-                d_x = _dense_backward(params, p + "W", p + "b", caches[p], d_x, grads, input_grad=i > 0)
+                d_x = _dense_backward(params, p + "W", p + "b", caches[p], d_x, grads, tag, workspace,
+                                      input_grad=i > 0)
         return grads, loss, probs
 
     ef, et = topology.edge_from, topology.edge_to
     d_edge = d_top
+    sums = (batch, model.binding.num_buses, c)
     for i in range(cfg.num_layers - 1, -1, -1):
         p = f"layers.{i}."
         edge_cache, node_cache = caches[p]
         in_n = model.binding.node_feature_width if i == 0 else c
         d_msg, d_h = d_edge, 0.0
         if node_cache is not None:  # every layer but the last updates the nodes
-            d_node_stack = _dense_backward(params, p + "w_node", p + "b_node", node_cache, d_node, grads)
-            d_msg = d_msg + d_node_stack[:, ef, in_n:in_n + c] + d_node_stack[:, et, in_n + c:]
+            d_node_stack = _dense_backward(params, p + "w_node", p + "b_node", node_cache, d_node, grads,
+                                           "node", workspace)
+            d_msg = np.add(d_msg, d_node_stack[:, ef, in_n:in_n + c],
+                           out=_buffer(workspace, "d_msg", d_edge.shape))
+            d_msg += d_node_stack[:, et, in_n + c:]
             d_h = d_node_stack[:, :, :in_n]
         d_edge_stack = _dense_backward(params, p + "w_edge", p + "b_edge", edge_cache, d_msg, grads,
-                                       input_grad=i > 0)
+                                       "edge", workspace, input_grad=i > 0)
         if i == 0:
             break  # layer 0's input is the features, which take no gradient
-        d_h = d_h + _scatter_sum(d_edge_stack[:, :, :in_n], topology.incidence_from)
-        d_node = d_h + _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to)
+        d_sum = _scatter_sum(d_edge_stack[:, :, :in_n], topology.incidence_from,
+                             _buffer(workspace, "d_sum", sums))
+        d_node = np.add(d_h, d_sum, out=_buffer(workspace, "d_node", sums))
+        d_node += _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to, d_sum)
         d_edge = d_edge_stack[:, :, 2 * in_n:]
     return grads, loss, probs
 
@@ -360,9 +426,19 @@ class _Adam:
         correct2 = 1.0 - self.beta2 ** self.t
         for name, p in params:
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            p -= self.lr * (self.m[name] / correct1) / (np.sqrt(self.v[name] / correct2) + self.eps)
+            m, v = self.m[name], self.v[name]
+            # in place, in the textbook expression's order of operations
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            step = m / correct1
+            step *= self.lr
+            denom = v / correct2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step
 
 
 def _count_correct(probs: np.ndarray, labels_one_hot: np.ndarray) -> int:
@@ -412,6 +488,7 @@ def train(
     best_val = np.inf
 
     n = len(train_split)
+    workspace = {}  # the arrays each batch of an epoch writes into, reused by the next batch
     for epoch in range(epochs):
         order = np.random.Generator(
             np.random.Philox(key=derive_seed(cfg.seed, epoch + 1))
@@ -419,7 +496,7 @@ def train(
         loss_sum, correct = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            grads, loss, probs = _backward_batch(model, xn_tr[idx], xe_tr[idx], y_tr[idx], topology)
+            grads, loss, probs = _backward_batch(model, xn_tr[idx], xe_tr[idx], y_tr[idx], topology, workspace)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
@@ -428,6 +505,7 @@ def train(
             loss_sum += loss * idx.size
             correct += _count_correct(probs, y_tr[idx])
 
+        workspace.clear()  # validation's arrays take the space of the batches'
         probs_va = forward_any(model, xn_va, xe_va, topology)
         history.train_loss.append(loss_sum / n)
         history.val_loss.append(float(np.mean((probs_va - y_va) ** 2)))
@@ -435,7 +513,10 @@ def train(
         history.val_acc.append(_count_correct(probs_va, y_va) / y_va[..., 1].size)
         if history.val_loss[-1] < best_val:
             best_val = history.val_loss[-1]
-            best_model = model.copy()
+            # copied in place: an allocation that outlives training, made amid an epoch's
+            # freed arrays, would keep the heap from shrinking once training ends
+            for name, p in model.params.items():
+                np.copyto(best_model.params[name], p)
 
     return TrainResult(best_model=best_model, history=history)
 

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,15 @@ def test_train_outputs(workspace):
     lines = history.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,train_acc,val_acc"
     assert len(lines) == 9  # header + 8 epochs
+
+
+def test_train_summary_names_epochs_and_wall_time(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    out = tmp_path / "m.json"
+    assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "0.95",
+                 "--epochs", "2", "--layers", "1", "--channels", "4", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert re.search(r"^trained gnn for 2 epochs in \d+\.\d\d s at threshold 0\.95: ", summary, re.M), summary
 
 
 def test_train_deterministic(workspace, tmp_path):

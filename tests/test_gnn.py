@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,83 @@ def test_backward_empty_batch_error(tri3, kind):
         _backward_batch(model, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), topo)
 
 
+# --- the training workspace --------------------------------------------------
+
+
+def _random_batch(rng, size, network):
+    xn = rng.normal(size=(size, network.num_buses, 7))
+    xe = rng.normal(size=(size, network.num_branches, 2))
+    lab = rng.integers(0, 2, (size, network.num_branches)).astype(float)
+    return xn, xe, np.stack([1 - lab, lab], axis=-1)
+
+
+@pytest.mark.parametrize("case, kind, sizes", [
+    ("tri3", "gnn", [5, 5, 5]),  # as many buses as branches: edge and node arrays of one shape
+    ("case14", "gnn", [32, 32, 8]),  # full batches, then a partial one
+    ("case14", "mlp", [32, 32, 8]),
+])
+def test_backward_with_a_reused_workspace_matches_fresh_calls(request, case, kind, sizes):
+    network = request.getfixturevalue(case)
+    topo = to_graph(network)
+    model = init_model(ModelConfig(num_layers=3, channels=8, seed=5), 7, 2, num_buses=network.num_buses,
+                       num_branches=network.num_branches, kind=kind)
+    rng = np.random.default_rng(8)
+    workspace = {}
+    for size in sizes:
+        batch = _random_batch(rng, size, network)
+        fresh_grads, fresh_loss, fresh_probs = _backward_batch(model, *batch, topo)
+        grads, loss, probs = _backward_batch(model, *batch, topo, workspace)
+        assert loss == fresh_loss
+        assert probs.tobytes() == fresh_probs.tobytes()
+        assert list(grads) == list(fresh_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == fresh_grads[name].tobytes(), name
+        for name, p in model.parameters():  # a step, so each batch meets other weights
+            p -= 0.5 * grads[name]
+
+
+def test_backward_reuses_its_workspace(case14):
+    # numpy reports its array memory to tracemalloc, so the traced peak is the
+    # memory a call allocates, whatever the machine
+    topo = to_graph(case14)
+    model = init_model(ModelConfig(seed=5), 7, 2, num_buses=14, num_branches=20)
+    batch = _random_batch(np.random.default_rng(9), 32, case14)
+    workspace = {}
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            _backward_batch(model, *batch, topo, workspace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fresh = traced_peak()  # fills the workspace
+    assert traced_peak() < fresh / 3
+
+
+def test_adam_step_is_the_textbook_expression():
+    rng = np.random.default_rng(11)
+    params = [("w", rng.normal(size=(4, 3))), ("b", rng.normal(size=3))]
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+    optimizer = gnn_module._Adam(params, lr)
+    expected = {name: p.copy() for name, p in params}
+    m = {name: np.zeros_like(p) for name, p in params}
+    v = {name: np.zeros_like(p) for name, p in params}
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=p.shape) for name, p in params}
+        optimizer.step(params, grads)
+        for name, g in grads.items():
+            m[name] = beta1 * m[name] + (1 - beta1) * g
+            v[name] = beta2 * v[name] + (1 - beta2) * g * g
+            expected[name] = expected[name] - lr * (m[name] / (1 - beta1 ** t)) / (
+                np.sqrt(v[name] / (1 - beta2 ** t)) + eps)
+        for name, p in params:
+            assert p.tobytes() == expected[name].tobytes(), (t, name)
+            assert optimizer.m[name].tobytes() == m[name].tobytes()
+            assert optimizer.v[name].tobytes() == v[name].tobytes()
+
+
 # --- training ----------------------------------------------------------------
 
 
@@ -435,8 +513,8 @@ def test_train_history_is_running_batch_mean(tri3, tri3_dataset, monkeypatch):
                        normalizer=fit_normalizer(train_split))
     batches = []
 
-    def recording(model, xn, xe, labels, topology):
-        grads, loss, probs = _backward_batch(model, xn, xe, labels, topology)
+    def recording(model, xn, xe, labels, topology, workspace):
+        grads, loss, probs = _backward_batch(model, xn, xe, labels, topology, workspace)
         correct = int(((probs[..., 1] >= 0.5) == (labels[..., 1] >= 0.5)).sum())
         batches.append((xn.shape[0], loss, correct, labels[..., 1].size))
         return grads, loss, probs
