@@ -53,7 +53,7 @@ def full_monitored_set(network: Network) -> frozenset[int]:
 
 
 def _check_monitored(network: Network, monitored) -> list[int]:
-    mon = sorted(set(int(k) for k in monitored))
+    mon = sorted(set(map(int, monitored)))
     if mon and (mon[0] < 0 or mon[-1] >= network.num_branches):
         raise ValueError(f"monitored branch index out of range: {mon}")
     return mon

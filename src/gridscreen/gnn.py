@@ -22,6 +22,13 @@ whose values are base64 strings of little-endian float64 bytes, the encoding
 datasets use.  The shapes are not stored: the config and binding determine
 them.
 
+The forward and backward passes run on row-stacked 2-D arrays at every
+batch size: (B*N, w) node rows and (B*K, w) edge rows, sample after sample,
+and (B, w) rows for the MLP's towers.  Each GEMM takes the same rows it
+would take with a batch axis, so the bits are those of a batched forward,
+and single-sample inference pays for no batch axis in its gathers,
+concatenations and sums.
+
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
 
@@ -206,28 +213,43 @@ def _scatter_sum(values: np.ndarray, incidence: np.ndarray, out=None) -> np.ndar
     return np.matmul(incidence.T, values, out=out)
 
 
+def _scatter_rows(values: np.ndarray, incidence: np.ndarray, out=None) -> np.ndarray:
+    """_scatter_sum on row-stacked arrays: (B*K, C) edge rows -> (B*N, C) node rows, into `out` when given."""
+    branches, buses = incidence.shape
+    batch = values.shape[0] // branches
+    stacked = None if out is None else out.reshape(batch, buses, -1)
+    return _scatter_sum(values.reshape(batch, branches, -1), incidence, stacked).reshape(batch * buses, -1)
+
+
+def _stacked_ends(topology: GraphTopology, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per branch of each of `batch` samples in turn: the rows of its from- and to-bus among (B*N, w) node rows."""
+    if batch == 1:  # one sample's rows are its buses; a single-sample predict skips the index arithmetic
+        return topology.edge_from, topology.edge_to
+    offsets = np.arange(batch)[:, None] * topology.degree.size
+    return (offsets + topology.edge_from).reshape(-1), (offsets + topology.edge_to).reshape(-1)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _affine(params, w, b, x: np.ndarray, workspace=None) -> np.ndarray:
-    """x (B, R, S) @ params[w] (S, C) + params[b] as one 2-D GEMM, into the workspace's array for w when given.
+    """x (R, S) @ params[w] (S, C) + params[b] as one GEMM, into the workspace's array for w when given.
 
     A row's bits depend on the GEMM's shape as well as the row's content:
     BLAS kernels block and order their sums by shape, so the same sample can
     get other last bits in a batch of another size.  Training therefore keeps
     the batch sizes fixed by the config, and validation runs as one batch.
     """
-    batch, rows, width = x.shape
-    out = None if workspace is None else _buffer(workspace, w, (batch * rows, params[w].shape[1]))
-    z = np.matmul(x.reshape(batch * rows, width), params[w], out=out)
+    out = None if workspace is None else _buffer(workspace, w, (x.shape[0], params[w].shape[1]))
+    z = np.matmul(x, params[w], out=out)
     z += params[b]
-    return z.reshape(batch, rows, -1)
+    return z
 
 
 def _dense(params, w, b, x, keep=False, workspace=None):
-    """relu(x @ params[w] + params[b]) for a (B, R, S) input, and the cache `_dense_backward` reads.
+    """relu(x @ params[w] + params[b]) for an (R, S) input, and the cache `_dense_backward` reads.
 
     The cache is the (input, active mask) pair with `keep`, else None.  With
     a workspace, the output and the mask are its arrays under w's name.
@@ -248,42 +270,39 @@ def _dense_backward(params, w, b, cache, d_out, grads, role, workspace=None, inp
     """
     x, mask = cache
     dz = d_out if mask is None else np.multiply(d_out, mask, out=_buffer(workspace, role + " dz", d_out.shape))
-    batch, rows, width = dz.shape
-    dz_rows = dz.reshape(batch * rows, width)
-    grads[w] = np.matmul(x.reshape(-1, x.shape[2]).T, dz_rows,
-                         out=_buffer(workspace, w + " grad", params[w].shape))
-    grads[b] = dz.sum(axis=(0, 1))
+    grads[w] = np.matmul(x.T, dz, out=_buffer(workspace, w + " grad", params[w].shape))
+    grads[b] = dz.sum(axis=0)
     if not input_grad:
         return None
-    dx = np.matmul(dz_rows, params[w].T, out=_buffer(workspace, role + " dx", (batch * rows, x.shape[2])))
-    return dx.reshape(batch, rows, -1)
+    return np.matmul(dz, params[w].T, out=_buffer(workspace, role + " dx", (dz.shape[0], x.shape[1])))
 
 
-def _layer_forward_batch(params, i, h, e, topology, keep=False, workspace=None):
-    """Message-passing layer i, its weights read from `params` by name.
+def _layer_forward_batch(params, i, h, e, topology, ends, keep=False, workspace=None):
+    """Message-passing layer i on row-stacked (B*N, w) node and (B*K, w) edge rows, weights read from `params`.
 
-    A layer without node weights (the last) returns None for the node embeddings and their cache.
-    With a workspace, the stacks and outputs are its arrays under the layer's
-    names, since the backward pass reads them; the two aggregation sums, which
-    it does not read, are shared by all layers.
+    `ends` are the rows of each edge's from- and to-bus, as _stacked_ends
+    gives them.  A layer without node weights (the last) returns None for
+    the node embeddings and their cache.  With a workspace, the stacks and
+    outputs are its arrays under the layer's names, since the backward pass
+    reads them; the two aggregation sums, which it does not read, are
+    shared by all layers.
     """
     p = f"layers.{i}."
-    ef, et = topology.edge_from, topology.edge_to
-    batch, buses, width = h.shape
+    rows_from, rows_to = ends
     out = None if workspace is None else _buffer(
-        workspace, p + "edge_stack", (batch, ef.size, 2 * width + e.shape[2]))
-    edge_stack = np.concatenate([h[:, ef, :], h[:, et, :], e], axis=2, out=out)
+        workspace, p + "edge_stack", (rows_from.size, 2 * h.shape[1] + e.shape[1]))
+    edge_stack = np.concatenate([h.take(rows_from, axis=0), h.take(rows_to, axis=0), e], axis=1, out=out)
     msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, keep, workspace)
     if p + "w_node" not in params:
         return None, msg, (edge_cache, None)
     sum_out = sum_in = out = None
     if workspace is not None:
-        sums = (batch, buses, msg.shape[2])
+        sums = (h.shape[0], msg.shape[1])
         sum_out, sum_in = _buffer(workspace, "sum_out", sums), _buffer(workspace, "sum_in", sums)
-        out = _buffer(workspace, p + "node_stack", (batch, buses, width + 2 * sums[2]))
-    sum_out = _scatter_sum(msg, topology.incidence_from, sum_out)
-    sum_in = _scatter_sum(msg, topology.incidence_to, sum_in)
-    node_stack = np.concatenate([h, sum_out, sum_in], axis=2, out=out)
+        out = _buffer(workspace, p + "node_stack", (h.shape[0], h.shape[1] + 2 * sums[1]))
+    sum_out = _scatter_rows(msg, topology.incidence_from, sum_out)
+    sum_in = _scatter_rows(msg, topology.incidence_to, sum_in)
+    node_stack = np.concatenate([h, sum_out, sum_in], axis=1, out=out)
     h_next, node_cache = _dense(params, p + "w_node", p + "b_node", node_stack, keep, workspace)
     return h_next, msg, (edge_cache, node_cache)
 
@@ -299,33 +318,36 @@ def _check_widths(model, node_features, edge_features):
 def _forward(model, node_features, edge_features, topology, keep_caches=False, workspace=None):
     """Softmax rows (B, K, 2) for inputs (B, N, fn) / (B, K, fe), the layer caches by name prefix, and the top.
 
-    The kind's encoder gives a (B, R, width) top: the GNN's last edge
-    embeddings (R = K), or the MLP's node and edge stacks over flattened
-    features, side by side (R = 1).  The shared head maps it to the logits.
-    Only with `keep_caches` are the caches built; without, inference frees
-    each layer's stacks as the next one runs.  With a workspace, the layers
-    write into its arrays.
+    The layers run on row-stacked 2-D arrays.  The kind's encoder gives the
+    top: the GNN's last edge embeddings, (B*K, width), or the MLP's node and
+    edge stacks over flattened features, side by side, (B, 2 * width).  The
+    shared head maps it to the logits.  Only with `keep_caches` are the
+    caches built; without, inference frees each layer's stacks as the next
+    one runs.  With a workspace, the layers write into its arrays.
     """
     _check_widths(model, node_features, edge_features)
     h = model.normalizer.apply_node(node_features)
     e = model.normalizer.apply_edge(edge_features)
+    batch = h.shape[0]
     params, caches = model.params, {}
     if model.kind == "gnn":
+        h, e = h.reshape(-1, h.shape[2]), e.reshape(-1, e.shape[2])
+        ends = _stacked_ends(topology, batch)
         for i in range(model.config.num_layers):
-            h, e, caches[f"layers.{i}."] = _layer_forward_batch(params, i, h, e, topology, keep_caches,
+            h, e, caches[f"layers.{i}."] = _layer_forward_batch(params, i, h, e, topology, ends, keep_caches,
                                                                 workspace)
         top = e
     else:
         tops = []
         for tag, x in (("node", h), ("edge", e)):
-            x = x.reshape(x.shape[0], 1, -1)
+            x = x.reshape(batch, -1)
             for i in range(model.config.num_layers):
                 p = f"{tag}_layers.{i}."
                 x, caches[p] = _dense(params, p + "W", p + "b", x, keep_caches, workspace)
             tops.append(x)
-        top = np.concatenate(tops, axis=2)
+        top = np.concatenate(tops, axis=1)
     logits = _affine(params, "dense.w_out", "dense.b_out", top)
-    probs = _softmax(logits.reshape(top.shape[0], model.binding.num_branches, CLASSES))
+    probs = _softmax(logits.reshape(batch, model.binding.num_branches, CLASSES))
     return probs, caches, top
 
 
@@ -354,19 +376,19 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
 
     params, cfg, grads = model.params, model.config, {}
     d_top = _dense_backward(params, "dense.w_out", "dense.b_out", (top, None),
-                            dz.reshape(top.shape[0], top.shape[1], -1), grads, "head", workspace)
+                            dz.reshape(top.shape[0], -1), grads, "head", workspace)
     c = cfg.channels
     if model.kind == "mlp":
-        for tag, d_x in (("node", d_top[:, :, :c]), ("edge", d_top[:, :, c:])):
+        for tag, d_x in (("node", d_top[:, :c]), ("edge", d_top[:, c:])):
             for i in range(cfg.num_layers - 1, -1, -1):
                 p = f"{tag}_layers.{i}."
                 d_x = _dense_backward(params, p + "W", p + "b", caches[p], d_x, grads, tag, workspace,
                                       input_grad=i > 0)
         return grads, loss, probs
 
-    ef, et = topology.edge_from, topology.edge_to
+    rows_from, rows_to = _stacked_ends(topology, batch)
     d_edge = d_top
-    sums = (batch, model.binding.num_buses, c)
+    sums = (batch * model.binding.num_buses, c)
     for i in range(cfg.num_layers - 1, -1, -1):
         p = f"layers.{i}."
         edge_cache, node_cache = caches[p]
@@ -375,19 +397,18 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
         if node_cache is not None:  # every layer but the last updates the nodes
             d_node_stack = _dense_backward(params, p + "w_node", p + "b_node", node_cache, d_node, grads,
                                            "node", workspace)
-            d_msg = np.add(d_msg, d_node_stack[:, ef, in_n:in_n + c],
+            d_msg = np.add(d_msg, d_node_stack[rows_from, in_n:in_n + c],
                            out=_buffer(workspace, "d_msg", d_edge.shape))
-            d_msg += d_node_stack[:, et, in_n + c:]
-            d_h = d_node_stack[:, :, :in_n]
+            d_msg += d_node_stack[rows_to, in_n + c:]
+            d_h = d_node_stack[:, :in_n]
         d_edge_stack = _dense_backward(params, p + "w_edge", p + "b_edge", edge_cache, d_msg, grads,
                                        "edge", workspace, input_grad=i > 0)
         if i == 0:
             break  # layer 0's input is the features, which take no gradient
-        d_sum = _scatter_sum(d_edge_stack[:, :, :in_n], topology.incidence_from,
-                             _buffer(workspace, "d_sum", sums))
+        d_sum = _scatter_rows(d_edge_stack[:, :in_n], topology.incidence_from, _buffer(workspace, "d_sum", sums))
         d_node = np.add(d_h, d_sum, out=_buffer(workspace, "d_node", sums))
-        d_node += _scatter_sum(d_edge_stack[:, :, in_n:2 * in_n], topology.incidence_to, d_sum)
-        d_edge = d_edge_stack[:, :, 2 * in_n:]
+        d_node += _scatter_rows(d_edge_stack[:, in_n:2 * in_n], topology.incidence_to, d_sum)
+        d_edge = d_edge_stack[:, 2 * in_n:]
     return grads, loss, probs
 
 
@@ -524,7 +545,7 @@ def train(
 def predict_congested(model, sample: Sample, topology: GraphTopology) -> frozenset[int]:
     """Branches whose congested-class probability reaches 0.5 (ties included)."""
     probs = forward_any(model, sample.node_features[None], sample.edge_features[None], topology)[0]
-    return frozenset(int(k) for k in np.flatnonzero(probs[:, 1] >= 0.5))
+    return frozenset(np.flatnonzero(probs[:, 1] >= 0.5).tolist())
 
 
 # ---------------------------------------------------------------------------

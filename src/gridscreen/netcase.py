@@ -9,7 +9,9 @@ reported.
 
 A Network also derives, once, the read-only arrays the dispatch LP reads on
 every sample: the shift factors (PTDF), their generator-bus columns, the
-branch ratings and the generator cost and bound vectors.
+branch ratings and the generator cost and bound vectors.  Its case text,
+which every dataset write embeds and the fingerprint hashes, is rendered
+once too.
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ class Network:
     derived index maps refer to positions in those tuples.
 
     The cached properties below are derived on first use and then shared;
-    the arrays are read-only.  cached_property stores them in the instance
-    ``__dict__``, so they stay out of ``__eq__``, ``serialize_case`` and
-    ``fingerprint``, and ``__getstate__`` leaves them out of a pickle (an
+    the arrays are read-only, and the case text is a str.  cached_property
+    stores them in the instance ``__dict__``, so they stay out of
+    ``__eq__``, and ``__getstate__`` leaves them out of a pickle (an
     unpickled array would be writable again); ``dataclasses.replace`` gives
     a Network of its own.
     """
@@ -111,7 +113,7 @@ class Network:
 
     def fingerprint(self) -> str:
         """Stable content hash of the serialized case."""
-        return hashlib.sha256(serialize_case(self).encode("utf-8")).hexdigest()
+        return hashlib.sha256(self._case_text.encode("utf-8")).hexdigest()
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -145,6 +147,21 @@ class Network:
     def gen_p_max(self) -> np.ndarray:
         """(G,) generator upper limits in MW."""
         return _read_only(np.array([gen.p_max_mw for gen in self.generators], dtype=float))
+
+    @cached_property
+    def _case_text(self) -> str:
+        """The case text serialize_case returns, rendered once: every dataset write embeds it."""
+        type_code = {BUS_TYPE_LOAD: 1, BUS_TYPE_GENERATOR: 2, BUS_TYPE_SLACK: 3}
+        lines = ["#BASE", repr(self.base_mva), "#BUS"]
+        for bus in self.buses:
+            lines.append(f"{bus.id} {type_code[bus.bus_type]} {bus.base_load_mw!r}")
+        lines.append("#GEN")
+        for gen in self.generators:
+            lines.append(f"{gen.bus} {gen.cost_per_mwh!r} {gen.p_min_mw!r} {gen.p_max_mw!r}")
+        lines.append("#BRANCH")
+        for br in self.branches:
+            lines.append(f"{br.from_bus} {br.to_bus} {br.reactance_pu!r} {br.rate_a_mw!r}")
+        return "\n".join(lines) + "\n"
 
     @cached_property
     def _warm_starts(self) -> dict:
@@ -343,17 +360,7 @@ def parse_case(text: str) -> Network:
 
 def serialize_case(network: Network) -> str:
     """Render a Network back to case text; parse_case(serialize_case(n)) == n."""
-    type_code = {BUS_TYPE_LOAD: 1, BUS_TYPE_GENERATOR: 2, BUS_TYPE_SLACK: 3}
-    lines = ["#BASE", repr(network.base_mva), "#BUS"]
-    for bus in network.buses:
-        lines.append(f"{bus.id} {type_code[bus.bus_type]} {bus.base_load_mw!r}")
-    lines.append("#GEN")
-    for gen in network.generators:
-        lines.append(f"{gen.bus} {gen.cost_per_mwh!r} {gen.p_min_mw!r} {gen.p_max_mw!r}")
-    lines.append("#BRANCH")
-    for br in network.branches:
-        lines.append(f"{br.from_bus} {br.to_bus} {br.reactance_pu!r} {br.rate_a_mw!r}")
-    return "\n".join(lines) + "\n"
+    return network._case_text
 
 
 def to_graph(network: Network) -> GraphTopology:

@@ -82,7 +82,7 @@ def run_ropf(network: Network, sample: Sample, monitored) -> RopfResult:
     reduced one feasible too (it drops constraints), so an infeasible
     outcome is reported as a solver bug rather than a result.
     """
-    monitored = frozenset(int(k) for k in monitored)
+    monitored = frozenset(map(int, monitored))
     p_g, seconds = _timed_dispatch(network, sample.load_mw, monitored)
     if p_g is None:
         raise RuntimeError(

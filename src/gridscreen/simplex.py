@@ -41,8 +41,13 @@ new rhs leaves A, c, the bounds and the row scaling alone (the core keeps
 its row scale, which divides each new rhs), so B^-1 of the optimal basis
 (formed afresh by a refactorization, not the product-form inverse the
 solve updated) and one pricing pass (no column may improve) are done once.  The
-basis then stays dual feasible for every rhs.  WarmStart.vertices(rhs) reads
-x_B for a batch of right-hand sides with one stacked solve; a row whose
+basis then stays dual feasible for every rhs.  The preparation also keeps,
+read-only, what every read of that basis reuses: B's columns in ascending
+order and B itself, the nonbasic values and N x_N, the basic bounds, and
+the reduced costs a miss's first dual pivot reads.  So one warm answer
+costs only its arithmetic: WarmStart.vertices(rhs) scales the rhs rows,
+reads x_B for all of them with one stacked solve (one rhs column per row),
+checks that x_B is finite and checks it against the bounds.  A row whose
 x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
 is answered with no pivot.  Every other row runs bounded dual simplex
 pivots on a copy of the prepared state: the most infeasible basic variable
@@ -59,7 +64,9 @@ Every vertex, cold or warm, is read with B's columns in ascending index
 order, so its bits depend on the basic set and the nonbasic statuses, not
 on the path that reached them; each item of the stacked read is the same
 one-rhs solve.  So a warm vertex has the bits of a cold solve that ends on
-the same basis.
+the same basis.  One solve with every row as a column of one rhs matrix
+would not keep them: it gives the same bits on case14's 41 rows, but on
+ring14x8's 353 rows they differ by up to 6.7e-12.
 
 A LinearProgram rejects NaN anywhere and infinities outside the bounds when
 it is built, so a bad input fails there rather than mid-solve.  The check
@@ -207,7 +214,16 @@ class WarmStart:
         self._rows = lp.a_eq.shape[0] + lp.a_ub.shape[0]
         self._variables = lp.num_variables
         self.solution, core = _solve(lp, None)
-        self._core = core if self.solution.status == "optimal" and core.prepare_dual() else None
+        d = core.prepare_dual() if self.solution.status == "optimal" else None
+        self._core = None if d is None else core
+        if d is not None:
+            # what every read of the prepared basis reuses; read-only, so a
+            # miss's dual pivots, which run on a copy of the core, leave it be
+            self._read = read = _VertexRead(core)
+            self._lb_basic, self._ub_basic = core.lb[read.cols], core.ub[read.cols]
+            self._reduced_costs = d
+            for array in (self._lb_basic, self._ub_basic, d):
+                array.flags.writeable = False
 
     def vertices(self, rhs) -> list[np.ndarray | None]:
         """Per row of the (S, #rows) array rhs, which stands for [b_eq; b_ub]: the optimal vertex, or None.
@@ -223,13 +239,14 @@ class WarmStart:
             raise ValueError("rhs has a non-finite entry")
         if self._core is None:
             return [None] * len(rhs)
-        core = self._core
-        b_rows = rhs / core.scale
+        b_rows = rhs / self._core.scale
         try:
-            x_rows = core._vertex(b_rows)
+            x_basic = self._read.basics(b_rows)
         except SingularBasisError:
             return [None] * len(rhs)
-        hit = core._infeasibility(x_rows).max(axis=1, initial=-np.inf) <= _START_PRIMAL_TOL
+        infeasibility = np.maximum(self._lb_basic - x_basic, x_basic - self._ub_basic)
+        hit = infeasibility.max(axis=1, initial=-np.inf) <= _START_PRIMAL_TOL
+        x_rows = self._read.vertex(x_basic)
         return [x[:self._variables] if ok else self._pivoted(b, x) for b, x, ok in zip(b_rows, x_rows, hit)]
 
     def _pivoted(self, b: np.ndarray, x: np.ndarray) -> np.ndarray | None:
@@ -237,7 +254,7 @@ class WarmStart:
         core = copy.copy(self._core)
         core.b, core.basis, core.status, core.binv = b, core.basis.copy(), core.status.copy(), core.binv.copy()
         try:
-            x = core.dual_simplex(x)
+            x = core.dual_simplex(x, self._reduced_costs)
         except SingularBasisError:
             return None
         return None if x is None else x[:self._variables]
@@ -325,8 +342,8 @@ class _Core:
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
 
-    def prepare_dual(self) -> bool:
-        """Ready this core, optimal after run_two_phase, for dual_simplex: False where it cannot start one.
+    def prepare_dual(self) -> np.ndarray | None:
+        """Ready this core, optimal after run_two_phase, for dual_simplex: its reduced costs, or None if it cannot.
 
         It cannot while an artificial is basic, when B is singular or its
         B^-1, formed afresh by _refactorize, is non-finite, or when a column
@@ -334,16 +351,17 @@ class _Core:
         dual pivots never let one enter.
         """
         if (self.basis >= self.n_real).any():
-            return False
+            return None
         try:
             self._refactorize()
         except SingularBasisError:
-            return False
+            return None
         self.pivots = 0
-        return self._improving(self._reduced_costs(), _dual_tol(self.c)).size == 0
+        d = self._reduced_costs()
+        return None if self._improving(d, _dual_tol(self.c)).size else d
 
-    def dual_simplex(self, x: np.ndarray) -> np.ndarray | None:
-        """Bounded dual simplex pivots from a dual-feasible basis whose vertex for self.b is x.
+    def dual_simplex(self, x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+        """Bounded dual simplex pivots from a dual-feasible basis with reduced costs d, whose vertex for self.b is x.
 
         Returns the optimal vertex, read by _vertex, or None where no
         column can enter (the LP may be infeasible), where _DUAL_PIVOT_CAP
@@ -352,7 +370,6 @@ class _Core:
         """
         dual_tol = _dual_tol(self.c)
         while True:
-            d = self._reduced_costs()
             infeasibility = self._infeasibility(x)
             r = int(np.argmax(infeasibility))
             if infeasibility[r] <= _START_PRIMAL_TOL:
@@ -379,7 +396,7 @@ class _Core:
                                     else _AT_LOWER if rise > 0 else _AT_UPPER)
             self.status[q] = _BASIC
             self._pivot(r, q, self.binv @ self.a[:, q])
-            x = self._vertex(self.b)
+            x, d = self._vertex(self.b), self._reduced_costs()
 
     def diagnostics(self) -> dict:
         return {
@@ -566,25 +583,48 @@ class _Core:
                 bland = False
 
     def _vertex(self, b: np.ndarray) -> np.ndarray:
-        """The current basis's vertex for rhs b, or for each row of a stacked b.
+        """The current basis's vertex for rhs b, or for each row of a stacked b (see _VertexRead)."""
+        read = _VertexRead(self)
+        return read.vertex(read.basics(b))
 
-        B's columns are taken in ascending index order, so the bits depend
-        on the basic set and not on the row each column was pivoted into;
-        each item of a stacked read is the one-rhs solve of a single read.
-        """
-        cols = np.sort(self.basis)
-        x = np.empty(b.shape[:-1] + (self.n,))
-        nonbasic = (self.status != _BASIC).nonzero()[0]
-        x[..., nonbasic] = x_nb = self._nonbasic_values(nonbasic)
-        rhs = b - self.a[:, nonbasic] @ x_nb
-        bmat = self.a[:, cols]
+
+class _VertexRead:
+    """What reading a basis's vertex needs of that basis alone, derived once and read-only.
+
+    B's columns are taken in ascending index order, so the bits depend on
+    the basic set and not on the row each column was pivoted into; each
+    item of a stacked read is the one-rhs solve of a single read.
+    """
+
+    def __init__(self, core: _Core):
+        self.cols = np.sort(core.basis)
+        nonbasic = (core.status != _BASIC).nonzero()[0]
+        # the vertex with its nonbasic values in place; basic entries are overwritten per read
+        self.x = np.zeros(core.n)
+        self.x[nonbasic] = x_nb = core._nonbasic_values(nonbasic)
+        self.n_x_n = core.a[:, nonbasic] @ x_nb
+        self.bmat = core.a[:, self.cols]
+        for array in (self.cols, self.x, self.n_x_n, self.bmat):
+            array.flags.writeable = False
+
+    def basics(self, b: np.ndarray) -> np.ndarray:
+        """x_B, in self.cols order, for rhs b or for each row of a stacked b."""
+        rhs = b - self.n_x_n
         try:
             # one rhs is solved as a vector, a stack as one column each: the
-            # same LAPACK solve with a single rhs column either way
-            x_basic = np.linalg.solve(bmat, rhs) if rhs.ndim == 1 else np.linalg.solve(bmat, rhs[..., None])[..., 0]
+            # same LAPACK solve with a single rhs column either way (a solve
+            # of many columns at once is not; see the module docstring)
+            x_basic = (np.linalg.solve(self.bmat, rhs) if rhs.ndim == 1
+                       else np.linalg.solve(self.bmat, rhs[..., None])[..., 0])
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix singular at the vertex read") from None
         if not np.isfinite(x_basic).all():
             raise SingularBasisError("basic values non-finite at the vertex read")
-        x[..., cols] = x_basic
+        return x_basic
+
+    def vertex(self, x_basic: np.ndarray) -> np.ndarray:
+        """The vertex whose basic values, in self.cols order, are x_basic (stacked or not)."""
+        x = np.empty(x_basic.shape[:-1] + self.x.shape)
+        x[...] = self.x
+        x[..., self.cols] = x_basic
         return x

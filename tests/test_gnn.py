@@ -128,8 +128,8 @@ def test_init_model_rejects_unknown_kind_and_bad_binding():
 def test_layer_zero_params_zero_outputs(tri3):
     topo = to_graph(tri3)
     model = _zero(init_model(ModelConfig(**SMALL, seed=0), 7, 2, num_buses=3, num_branches=3))
-    h, e, _ = _layer_forward_batch(model.params, 0, np.random.default_rng(0).normal(size=(1, 3, 7)),
-                                   np.ones((1, 3, 2)), topo)
+    h, e, _ = _layer_forward_batch(model.params, 0, np.random.default_rng(0).normal(size=(3, 7)),
+                                   np.ones((3, 2)), topo, (topo.edge_from, topo.edge_to))
     assert np.all(h == 0.0) and np.all(e == 0.0)
 
 
@@ -145,8 +145,9 @@ def test_layer_isolated_node_uses_self_only():
     rng = np.random.default_rng(1)
     h = rng.normal(size=(3, 4))
     e = rng.normal(size=(1, 2))
-    h1 = _layer_forward_batch(params, 0, h[None], e[None], topo)[0][0]
-    h2 = _layer_forward_batch(params, 0, np.vstack([h[:2], h[2] * 0 + 99.0])[None], e[None], topo)[0][0]
+    ends = (topo.edge_from, topo.edge_to)  # one sample's rows are the buses themselves
+    h1 = _layer_forward_batch(params, 0, h, e, topo, ends)[0]
+    h2 = _layer_forward_batch(params, 0, np.vstack([h[:2], h[2] * 0 + 99.0]), e, topo, ends)[0]
     # only the isolated node's own row reacts to its feature change
     assert np.array_equal(h1[:2], h2[:2])
     assert not np.array_equal(h1[2], h2[2])
@@ -220,6 +221,65 @@ def test_scatter_sum_is_branch_order_sum(case14, batch):
             want = _branch_order_sum(values, incidence)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _batch_axis_forward(model, xn, xe, topo):
+    """Softmax rows with a batch axis on every array: (B, N, w) nodes, (B, K, w) edges, (B, 1, w) MLP towers.
+
+    Each GEMM takes the same (B*R, S) rows and weights as the row-stacked
+    forward, and each bus sum is one matmul per batch item, so the two
+    forwards must agree bit for bit at every batch size.
+    """
+    p = model.params
+
+    def dense(x, w, b, relu=True):
+        z = (x.reshape(-1, x.shape[2]) @ p[w] + p[b]).reshape(x.shape[0], x.shape[1], -1)
+        return np.maximum(z, 0.0) if relu else z
+
+    h, e = model.normalizer.apply_node(xn), model.normalizer.apply_edge(xe)
+    if model.kind == "gnn":
+        for i in range(model.config.num_layers):
+            msg = dense(np.concatenate([h[:, topo.edge_from], h[:, topo.edge_to], e], axis=2),
+                        f"layers.{i}.w_edge", f"layers.{i}.b_edge")
+            if f"layers.{i}.w_node" in p:
+                sums = [np.matmul(incidence.T, msg) for incidence in (topo.incidence_from, topo.incidence_to)]
+                h = dense(np.concatenate([h, *sums], axis=2), f"layers.{i}.w_node", f"layers.{i}.b_node")
+            e = msg
+        top = e
+    else:
+        towers = []
+        for tag, x in (("node", h), ("edge", e)):
+            x = x.reshape(x.shape[0], 1, -1)
+            for i in range(model.config.num_layers):
+                x = dense(x, f"{tag}_layers.{i}.W", f"{tag}_layers.{i}.b")
+            towers.append(x)
+        top = np.concatenate(towers, axis=2)
+    logits = dense(top, "dense.w_out", "dense.b_out", relu=False).reshape(len(xn), -1, 2)
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["gnn", "mlp"])
+@pytest.mark.parametrize("case", ["tri3", "case14"])
+def test_single_sample_inference_has_the_batch_axis_bits(request, case, kind):
+    """The row-stacked forward has the bits of a forward that carries the batch axis, alone and in a batch of 8.
+
+    A sample's row in a batch of 8 need not have its single-sample bits:
+    BLAS blocks a GEMM by its shape, and a one-row MLP GEMM is a gemv.
+    """
+    network = request.getfixturevalue(case)
+    samples = request.getfixturevalue(f"{case}_dataset").samples[:8]
+    topo = to_graph(network)
+    model = init_model(ModelConfig(seed=5), 7, 2, num_buses=network.num_buses, num_branches=network.num_branches,
+                       normalizer=fit_normalizer(samples), kind=kind)
+    xn = np.stack([s.node_features for s in samples])
+    xe = np.stack([s.edge_features for s in samples])
+    assert forward_any(model, xn, xe, topo).tobytes() == _batch_axis_forward(model, xn, xe, topo).tobytes()
+    for i, sample in enumerate(samples):
+        single = _batch_axis_forward(model, xn[i:i + 1], xe[i:i + 1], topo)
+        assert forward_any(model, xn[i:i + 1], xe[i:i + 1], topo).tobytes() == single.tobytes()
+        expected = frozenset(int(k) for k in np.flatnonzero(single[0, :, 1] >= 0.5))
+        assert predict_congested(model, sample, topo) == expected
 
 
 def test_mlp_zero_model_outputs_half(tri3):

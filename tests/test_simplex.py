@@ -281,6 +281,49 @@ def test_start_basis_miss_gives_the_cold_answer():
         assert x.tobytes() == solve_lp(_box_lp([1.0, 2.0], -b_ub)).x.tobytes()
 
 
+def _prepared(warm_start) -> dict:
+    """The arrays a WarmStart derives once from its prepared basis, by name."""
+    read = warm_start._read
+    return {"cols": read.cols, "x": read.x, "n_x_n": read.n_x_n, "bmat": read.bmat,
+            "lb_basic": warm_start._lb_basic, "ub_basic": warm_start._ub_basic,
+            "reduced_costs": warm_start._reduced_costs}
+
+
+@pytest.mark.parametrize("name", ["case14", "box"])
+def test_start_basis_misses_leave_the_prepared_start_alone(name, request, monkeypatch):
+    """Rows that hit, miss, hit and miss get their cold bytes, batched or alone, and change no prepared array."""
+    if name == "case14":
+        case14 = request.getfixturevalue("case14")
+        base, everything = case14.base_load(), full_monitored_set(case14)
+        start = build_opf(case14, base, everything)
+        problems = [build_opf(case14, base * f, everything) for f in (1.01, 1.3, 0.99, 1.25)]
+    else:
+        start = _box_lp([1.0, 2.0], 1.0)  # x0 basic; x0 above its bound 2 is a miss
+        problems = [_box_lp([1.0, 2.0], demand) for demand in (1.5, 3.0, 0.5, 2.5)]
+    warm_start = WarmStart(start)
+    core = warm_start._core
+    prepared = _prepared(warm_start)
+    before = {key: array.copy() for key, array in prepared.items()}
+    core_before = [array.copy() for array in (core.basis, core.status, core.binv, core.b)]
+    for key, array in prepared.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    pivots = _count_pivots(monkeypatch)
+    batch = warm_start.vertices([_rhs(p) for p in problems])
+    alone = []
+    for problem, miss in zip(problems, (False, True, False, True)):
+        del pivots[:]
+        alone.append(warm_start.vertices([_rhs(problem)])[0])
+        assert (len(pivots) > 0) == miss
+    for problem, x, y in zip(problems, batch, alone):
+        assert x.tobytes() == y.tobytes() == solve_lp(problem).x.tobytes()
+    assert _prepared(warm_start).keys() == before.keys()
+    for key, array in _prepared(warm_start).items():
+        assert array is prepared[key] and array.tobytes() == before[key].tobytes(), key
+    for array, old in zip((core.basis, core.status, core.binv, core.b), core_before):
+        assert array.tobytes() == old.tobytes()
+
+
 def test_start_vertices_checks_its_rhs():
     problem = _box_lp([1.0, 2.0], 1.0)
     warm_start = WarmStart(problem)
