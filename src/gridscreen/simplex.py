@@ -49,8 +49,8 @@ costs only its arithmetic: WarmStart.vertices(rhs) scales the rhs rows,
 reads x_B for all of them with one stacked solve (one rhs column per row),
 checks that x_B is finite and checks it against the bounds.  A row whose
 x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
-is answered with no pivot.  Every other row runs bounded dual simplex
-pivots on a copy of the prepared state: the most infeasible basic variable
+is answered with no pivot.  Every other row (a miss) runs bounded dual
+simplex pivots from the prepared state: the most infeasible basic variable
 leaves at the bound it violates, the column with the smallest |d/alpha|
 among those that move it toward that bound enters (ties to the largest
 |alpha|), so every reduced cost keeps its sign.  A row where no column can
@@ -59,6 +59,22 @@ basis, answers None; so does every row when the cold solve is not optimal,
 leaves an artificial basic, or ends on a basis that the fresh B^-1 finds
 singular or not optimal.  The caller solves such a row cold, so only the
 two-phase primal judges infeasibility.
+
+A miss's first dual pivot reads B^-1's leaving row, a, the prepared
+reduced costs and statuses, never the rhs, so the basis it reaches (a
+child) is a function of the leaving row and its direction alone.  Each
+start keeps the child of every (row, direction) a miss has met, at most
+2 per row, built on its first sight from the copy of the core that took
+the pivot: the entering column, the statuses, the vertex read without B
+(gathered from a at each read, so no child holds an m x m array), the
+basic bounds, the reduced costs and whether a column prices in there; a
+pivot that finds no column to enter, or a singular one, keeps None.  A
+later miss with the same first pivot reads its vertex against the child,
+and a vertex within bounds there is answered as a hit is, with no pivot.
+Any other miss pivots on: on the child's first sight from the pivoted
+copy, later from a fresh copy on which the child's one pivot is replayed.
+So a miss that pivots past its child takes the pivots it would take
+without children, and every miss reads the bits it would read without.
 
 Every vertex, cold or warm, is read with B's columns in ascending index
 order, so its bits depend on the basic set and the nonbasic statuses, not
@@ -224,6 +240,9 @@ class WarmStart:
             self._reduced_costs = d
             for array in (self._lb_basic, self._ub_basic, d):
                 array.flags.writeable = False
+            # per (leaving row, direction) of a miss's first dual pivot: the
+            # basis it reaches (_Child), or None where it cannot pivot
+            self._children: dict[tuple[int, float], _Child | None] = {}
 
     def vertices(self, rhs) -> list[np.ndarray | None]:
         """Per row of the (S, #rows) array rhs, which stands for [b_eq; b_ub]: the optimal vertex, or None.
@@ -244,20 +263,92 @@ class WarmStart:
             x_basic = self._read.basics(b_rows)
         except SingularBasisError:
             return [None] * len(rhs)
-        infeasibility = np.maximum(self._lb_basic - x_basic, x_basic - self._ub_basic)
-        hit = infeasibility.max(axis=1, initial=-np.inf) <= _START_PRIMAL_TOL
+        hit = _within_bounds(x_basic, self._lb_basic, self._ub_basic)
         x_rows = self._read.vertex(x_basic)
         return [x[:self._variables] if ok else self._pivoted(b, x) for b, x, ok in zip(b_rows, x_rows, hit)]
 
     def _pivoted(self, b: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-        """The optimal vertex for rhs b by dual pivots from the prepared basis, whose vertex for b is x; or None."""
-        core = copy.copy(self._core)
-        core.b, core.basis, core.status, core.binv = b, core.basis.copy(), core.status.copy(), core.binv.copy()
+        """The optimal vertex for rhs b by dual pivots from the prepared basis, whose vertex for b is x; or None.
+
+        The first pivot depends on its leaving row and direction alone, so
+        the basis it reaches is kept as a child: a later miss with the same
+        first pivot reads its vertex there, and pivots on only if that
+        vertex is not primal feasible.
+        """
+        r, rise = key = self._core.leaving(x)
+        core = None
+        if key not in self._children:
+            core = self._copy(b)
+            self._children[key] = _Child.pivot(core, r, rise, self._reduced_costs)
+        child = self._children[key]
+        if child is None:
+            return None
         try:
-            x = core.dual_simplex(x, self._reduced_costs)
+            x_basic = child.read.basics(b)
+        except SingularBasisError:
+            return None
+        x = child.read.vertex(x_basic)
+        if _within_bounds(x_basic, child.lb_basic, child.ub_basic):
+            return None if child.prices_in else x[:self._variables]
+        if core is None:
+            # replay the child's pivot on a fresh copy: the same arithmetic
+            # as its first sight, so the same B^-1 bits
+            core = self._copy(b)
+            core.status[:] = child.status
+            core._pivot(r, child.entering, core.binv @ core.a[:, child.entering])
+        try:
+            x = core.dual_simplex(x, child.reduced_costs)
         except SingularBasisError:
             return None
         return None if x is None else x[:self._variables]
+
+    def _copy(self, b: np.ndarray) -> _Core:
+        """A copy of the prepared core for rhs b, whose pivots leave the prepared one alone."""
+        core = copy.copy(self._core)
+        core.b, core.basis, core.status, core.binv = b, core.basis.copy(), core.status.copy(), core.binv.copy()
+        return core
+
+
+def _within_bounds(x_basic: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Whether the basic values x_basic (last axis) lie within [lb, ub] to _START_PRIMAL_TOL."""
+    infeasibility = np.maximum(lb - x_basic, x_basic - ub)
+    return infeasibility.max(axis=-1, initial=-np.inf) <= _START_PRIMAL_TOL
+
+
+@dataclass(frozen=True)
+class _Child:
+    """The basis that one dual pivot reaches from a prepared start, read-only and free of any rhs.
+
+    It keeps what answering a rhs there needs: the entering column and the
+    statuses after the pivot (to replay it), the vertex read without B
+    (gathered from the core's a at each read, so a child holds no m x m
+    array), the basic bounds, the reduced costs, and whether a column
+    prices in there.
+    """
+
+    entering: int
+    status: np.ndarray
+    read: _VertexRead
+    lb_basic: np.ndarray
+    ub_basic: np.ndarray
+    reduced_costs: np.ndarray
+    prices_in: bool
+
+    @staticmethod
+    def pivot(core: _Core, r: int, rise: float, d: np.ndarray) -> _Child | None:
+        """Take core's dual pivot on row r in direction rise, and keep the basis it reaches; None if it cannot."""
+        try:
+            if not core.dual_pivot(r, rise, d):
+                return None
+        except SingularBasisError:
+            return None
+        read = _VertexRead(core, keep_b=False)
+        d = core._reduced_costs()
+        child = _Child(int(core.basis[r]), core.status.copy(), read, core.lb[read.cols], core.ub[read.cols], d,
+                       bool(core._improving(d, _dual_tol(core.c)).size))
+        for array in (child.status, child.lb_basic, child.ub_basic, d):
+            array.flags.writeable = False
+        return child
 
 
 def _diagonal(a: np.ndarray, row: int, col: int, length: int) -> np.ndarray:
@@ -368,35 +459,50 @@ class _Core:
         pivots do not reach a primal feasible basis, or where a column
         prices in at the end.
         """
-        dual_tol = _dual_tol(self.c)
         while True:
-            infeasibility = self._infeasibility(x)
-            r = int(np.argmax(infeasibility))
-            if infeasibility[r] <= _START_PRIMAL_TOL:
-                return None if self._improving(d, dual_tol).size else x
-            if self.pivots >= _DUAL_PIVOT_CAP:
+            leaving = self.leaving(x)
+            if leaving is None:
+                return None if self._improving(d, _dual_tol(self.c)).size else x
+            if self.pivots >= _DUAL_PIVOT_CAP or not self.dual_pivot(*leaving, d):
                 return None
-            # the leaving variable returns to the bound it violates; a unit
-            # step of nonbasic column j moves it by -alpha_j
-            rise = 1.0 if x[self.basis[r]] < self.lb[self.basis[r]] else -1.0
-            alpha = self.binv[r] @ self.a
-            toward = -rise * alpha
-            piv_tol = 1e-9 * max(1.0, float(np.abs(alpha).max()))
-            entering = ((_CAN_INCREASE[self.status] & (toward > piv_tol))
-                        | (_CAN_DECREASE[self.status] & (toward < -piv_tol))).nonzero()[0]
-            if entering.size == 0:
-                return None
-            # the smallest |d/alpha| keeps every reduced cost's sign; near
-            # ties go to the largest |alpha|
-            ratios = np.abs(d[entering] / alpha[entering])
-            tied = entering[ratios <= ratios.min() + 1e-12]
-            q = int(tied[np.argmax(np.abs(alpha[tied]))])
-            leaving = self.basis[r]
-            self.status[leaving] = (_FIXED if self.lb[leaving] == self.ub[leaving]
-                                    else _AT_LOWER if rise > 0 else _AT_UPPER)
-            self.status[q] = _BASIC
-            self._pivot(r, q, self.binv @ self.a[:, q])
             x, d = self._vertex(self.b), self._reduced_costs()
+
+    def leaving(self, x: np.ndarray) -> tuple[int, float] | None:
+        """The dual pivot's leaving row for vertex x, the most infeasible, and the sign of its return to the bound it violates.
+
+        None when every basic value lies within its bounds to _START_PRIMAL_TOL.
+        """
+        infeasibility = self._infeasibility(x)
+        r = int(np.argmax(infeasibility))
+        if infeasibility[r] <= _START_PRIMAL_TOL:
+            return None
+        return r, 1.0 if x[self.basis[r]] < self.lb[self.basis[r]] else -1.0
+
+    def dual_pivot(self, r: int, rise: float, d: np.ndarray) -> bool:
+        """One bounded dual pivot under reduced costs d: row r's basic variable leaves, moving by rise; False if no column can enter.
+
+        The pivot reads B^-1, a, the statuses and d, never the rhs.
+        """
+        # the leaving variable returns to the bound it violates; a unit
+        # step of nonbasic column j moves it by -alpha_j
+        alpha = self.binv[r] @ self.a
+        toward = -rise * alpha
+        piv_tol = 1e-9 * max(1.0, float(np.abs(alpha).max()))
+        entering = ((_CAN_INCREASE[self.status] & (toward > piv_tol))
+                    | (_CAN_DECREASE[self.status] & (toward < -piv_tol))).nonzero()[0]
+        if entering.size == 0:
+            return False
+        # the smallest |d/alpha| keeps every reduced cost's sign; near
+        # ties go to the largest |alpha|
+        ratios = np.abs(d[entering] / alpha[entering])
+        tied = entering[ratios <= ratios.min() + 1e-12]
+        q = int(tied[np.argmax(np.abs(alpha[tied]))])
+        leaving = self.basis[r]
+        self.status[leaving] = (_FIXED if self.lb[leaving] == self.ub[leaving]
+                                else _AT_LOWER if rise > 0 else _AT_UPPER)
+        self.status[q] = _BASIC
+        self._pivot(r, q, self.binv @ self.a[:, q])
+        return True
 
     def diagnostics(self) -> dict:
         return {
@@ -596,26 +702,30 @@ class _VertexRead:
     item of a stacked read is the one-rhs solve of a single read.
     """
 
-    def __init__(self, core: _Core):
+    def __init__(self, core: _Core, keep_b: bool = True):
+        """The read of core's current basis; with keep_b False, B is gathered from core's a at each read instead."""
         self.cols = np.sort(core.basis)
         nonbasic = (core.status != _BASIC).nonzero()[0]
         # the vertex with its nonbasic values in place; basic entries are overwritten per read
         self.x = np.zeros(core.n)
         self.x[nonbasic] = x_nb = core._nonbasic_values(nonbasic)
         self.n_x_n = core.a[:, nonbasic] @ x_nb
-        self.bmat = core.a[:, self.cols]
+        self.a = core.a
+        self.bmat = core.a[:, self.cols] if keep_b else None
         for array in (self.cols, self.x, self.n_x_n, self.bmat):
-            array.flags.writeable = False
+            if array is not None:
+                array.flags.writeable = False
 
     def basics(self, b: np.ndarray) -> np.ndarray:
         """x_B, in self.cols order, for rhs b or for each row of a stacked b."""
+        bmat = self.a[:, self.cols] if self.bmat is None else self.bmat
         rhs = b - self.n_x_n
         try:
             # one rhs is solved as a vector, a stack as one column each: the
             # same LAPACK solve with a single rhs column either way (a solve
             # of many columns at once is not; see the module docstring)
-            x_basic = (np.linalg.solve(self.bmat, rhs) if rhs.ndim == 1
-                       else np.linalg.solve(self.bmat, rhs[..., None])[..., 0])
+            x_basic = (np.linalg.solve(bmat, rhs) if rhs.ndim == 1
+                       else np.linalg.solve(bmat, rhs[..., None])[..., 0])
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix singular at the vertex read") from None
         if not np.isfinite(x_basic).all():

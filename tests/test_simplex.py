@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -7,6 +9,7 @@ from gridscreen import (
     SimplexIterationLimit,
     build_opf,
     full_monitored_set,
+    parse_case,
     solve_lp,
 )
 from gridscreen import dcopf, simplex
@@ -227,29 +230,41 @@ def _count_pivots(monkeypatch) -> list:
     return pivots
 
 
+def _count_misses(monkeypatch) -> list:
+    """Record the rhs of every row a WarmStart's prepared basis misses from here on."""
+    misses, pivoted = [], WarmStart._pivoted
+    monkeypatch.setattr(WarmStart, "_pivoted", lambda start, b, x: misses.append(b) or pivoted(start, b, x))
+    return misses
+
+
 def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
     rng = np.random.default_rng(4)
     base = case14.base_load()
-    warm_start = WarmStart(build_opf(case14, base, full_monitored_set(case14)))
+    start_lp = build_opf(case14, base, full_monitored_set(case14))
+    warm_start = WarmStart(start_lp)
+    fresh = WarmStart(start_lp)  # no miss seen yet, so its rows alone meet each child first
     start = np.sort(warm_start._core.basis)
     problems = [build_opf(case14, base * rng.uniform(0.9, 1.1, base.size), full_monitored_set(case14))
                 for _ in range(20)]
     batch = warm_start.vertices([_rhs(p) for p in problems])
-    pivots = _count_pivots(monkeypatch)
+    pivots, misses = _count_pivots(monkeypatch), _count_misses(monkeypatch)
     hits = 0
     for problem, warm in zip(problems, batch):
         # one row alone gets the answer it gets in the batch
-        del pivots[:]
-        alone = warm_start.vertices([_rhs(problem)])[0]
-        started_pivots = len(pivots)
+        del pivots[:], misses[:]
+        children = len(fresh._children)
+        alone = fresh.vertices([_rhs(problem)])[0]
+        started_pivots, first_sight = len(pivots), len(fresh._children) > children
         # a cold solve that ends on the same basis reads the same bits
         cold, core = simplex._solve(problem, None)
         assert warm.tobytes() == alone.tobytes() == cold.x.tobytes()
         if np.array_equal(np.sort(core.basis), start):
             hits += 1
-            assert started_pivots == 0
+            assert misses == [] and started_pivots == 0
         else:
-            assert started_pivots > 0  # a miss takes dual pivots
+            assert len(misses) == 1
+            if first_sight:
+                assert started_pivots > 0  # a child's first sight takes its dual pivot
     assert 0 < hits < 20
 
 
@@ -308,18 +323,128 @@ def test_start_basis_misses_leave_the_prepared_start_alone(name, request, monkey
     for key, array in prepared.items():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    pivots = _count_pivots(monkeypatch)
+    pivots, misses = _count_pivots(monkeypatch), _count_misses(monkeypatch)
     batch = warm_start.vertices([_rhs(p) for p in problems])
+    assert len(misses) == 2 and len(pivots) > 0  # the batch meets each child first
     alone = []
     for problem, miss in zip(problems, (False, True, False, True)):
-        del pivots[:]
+        del misses[:]
         alone.append(warm_start.vertices([_rhs(problem)])[0])
-        assert (len(pivots) > 0) == miss
+        assert (len(misses) == 1) == miss
     for problem, x, y in zip(problems, batch, alone):
         assert x.tobytes() == y.tobytes() == solve_lp(problem).x.tobytes()
     assert _prepared(warm_start).keys() == before.keys()
     for key, array in _prepared(warm_start).items():
         assert array is prepared[key] and array.tobytes() == before[key].tobytes(), key
+    for array, old in zip((core.basis, core.status, core.binv, core.b), core_before):
+        assert array.tobytes() == old.tobytes()
+
+
+def _draws(network, count, magnitude, seed):
+    """The full-set dispatch LPs of `count` loads drawn uniformly within +-magnitude of the base load."""
+    rng = np.random.default_rng(seed)
+    base, everything = network.base_load(), full_monitored_set(network)
+    return [build_opf(network, base * rng.uniform(1 - magnitude, 1 + magnitude, base.size), everything)
+            for _ in range(count)]
+
+
+def test_a_known_child_answers_a_miss_without_a_pivot(case14, monkeypatch):
+    """At +-10% every case14 miss takes one dual pivot, so once its child is known it reads the vertex there."""
+    problems = _draws(case14, 60, 0.1, 4)
+    warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
+    first = warm_start.vertices([_rhs(p) for p in problems[:30]])
+    children = dict(warm_start._children)
+    assert children and all(child is not None for child in children.values())
+    pivots, misses = _count_pivots(monkeypatch), _count_misses(monkeypatch)
+    batch = warm_start.vertices([_rhs(p) for p in problems[30:]])
+    assert len(misses) > 0 and pivots == []
+    alone = [warm_start.vertices([_rhs(p)])[0] for p in problems[30:]]
+    assert len(misses) > 2 and pivots == []
+    assert warm_start._children == children
+    for problem, x, y in zip(problems, first + batch, [None] * 30 + alone):
+        cold = solve_lp(problem).x.tobytes()
+        assert x.tobytes() == cold and (y is None or y.tobytes() == cold)
+    # where a column prices in at the child, a miss it answers is left to a
+    # cold solve, as a dual simplex run that ends there leaves it
+    warm_start._children = {key: dataclasses.replace(child, prices_in=True) for key, child in children.items()}
+    del misses[:]
+    answers = warm_start.vertices([_rhs(p) for p in problems[30:]])
+    assert sum(x is None for x in answers) == len(misses) > 0
+
+
+def test_a_miss_past_its_child_pivots_on_as_before(case14, monkeypatch):
+    """A case14 miss at +-60% that takes several dual pivots continues from its child with the pivots of a run from the prepared basis.
+
+    On a child's first sight the miss pivots on from the copy that took
+    the child's pivot; later, that one pivot is replayed on a fresh copy.
+    """
+    problems = _draws(case14, 60, 0.6, 2)
+    start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
+    reference, warm_start = WarmStart(start_lp), WarmStart(start_lp)
+    pivots, misses = _count_pivots(monkeypatch), _count_misses(monkeypatch)
+    seen = {"first": 0, "later": 0}
+    for problem in problems:
+        b = _rhs(problem) / reference._core.scale
+        x = reference._read.vertex(reference._read.basics(b))
+        if reference._core.leaving(x) is None:
+            continue
+        # the whole dual simplex run from the prepared basis, as every miss once took it
+        del pivots[:]
+        run = reference._copy(b).dual_simplex(x, reference._reduced_costs)
+        run_pivots = len(pivots)
+        cold = solve_lp(problem)
+        for sight in ("first", "later"):
+            del pivots[:], misses[:]
+            children = len(warm_start._children)
+            y = warm_start.vertices([_rhs(problem)])[0]
+            assert len(misses) == 1
+            if run is None:
+                assert y is None
+            else:
+                assert y.tobytes() == run[:problem.num_variables].tobytes() == cold.x.tobytes()
+            if len(warm_start._children) > children or run_pivots >= 2:
+                assert len(pivots) == run_pivots
+                seen[sight] += run_pivots >= 2
+            else:
+                assert pivots == []  # the child answers
+    assert seen["first"] > 0 and seen["later"] > 0
+
+
+def test_a_child_without_an_entering_column_answers_none(tri3_text, monkeypatch):
+    """Where a miss's first dual pivot finds no column to enter, its child answers None and dispatches solves cold."""
+    net = parse_case(tri3_text)  # its own network, with no warm start prepared yet
+    everything = full_monitored_set(net)
+    solved, solve = [], dcopf.solve_opf
+    monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
+    # 450 MW and 600 MW exceed the 400 MW the two generators can make
+    loads = [net.base_load() * 3, net.base_load() * 4]
+    mon = sorted(everything)
+    warm_start = dcopf._warm_start(net, mon)
+    pivots = _count_pivots(monkeypatch)
+    assert warm_start.vertices([dcopf._rhs(net, load, mon) for load in loads]) == [None, None]
+    assert pivots == [] and list(warm_start._children.values()) == [None]
+    assert dcopf.dispatches(net, loads, everything) == [None, None]
+    assert [load.tobytes() for load in solved] == [load.tobytes() for load in loads]
+
+
+def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
+    """Misses at +-60% keep at most 2 children per row, each read-only and no larger than a column or row vector."""
+    warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
+    core = warm_start._core
+    prepared = {key: array.copy() for key, array in _prepared(warm_start).items()}
+    core_before = [array.copy() for array in (core.basis, core.status, core.binv, core.b)]
+    problems = _draws(case14, 200, 0.6, 3)
+    for problem, x in zip(problems, warm_start.vertices([_rhs(p) for p in problems])):
+        assert x.tobytes() == solve_lp(problem).x.tobytes()
+    children = [child for child in warm_start._children.values() if child is not None]
+    assert 1 < len(children) and len(warm_start._children) <= 2 * core.m
+    for child in children:
+        assert child.read.bmat is None and child.read.a is core.a  # B is gathered from the core at each read
+        for array in (child.status, child.read.cols, child.read.x, child.read.n_x_n, child.lb_basic,
+                      child.ub_basic, child.reduced_costs):
+            assert not array.flags.writeable and array.size <= core.m + core.n
+    for key, array in _prepared(warm_start).items():
+        assert array.tobytes() == prepared[key].tobytes(), key
     for array, old in zip((core.basis, core.status, core.binv, core.b), core_before):
         assert array.tobytes() == old.tobytes()
 
