@@ -63,6 +63,14 @@ def _load_dataset_for(network, path: str):
     return dataset
 
 
+def _split(dataset, path: str, seed: int):
+    """The train, validation and test splits of the dataset read from path; one too small to split is a ConfigError."""
+    try:
+        return split_dataset(dataset, SPLIT_RATIOS, seed)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _check_outputs_apart(args, outputs: list[tuple[str, str]], inputs: tuple[str, ...]) -> None:
     """Check every output file before any work starts.
 
@@ -204,7 +212,7 @@ def cmd_train(args) -> int:
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
-    train_split, val_split, _ = split_dataset(dataset, SPLIT_RATIOS, args.seed)
+    train_split, val_split, _ = _split(dataset, args.data, args.seed)
     t0 = time.perf_counter()
     result = _train_step(args.baseline, config, network, train_split, val_split, threshold)
     elapsed = time.perf_counter() - t0
@@ -243,7 +251,7 @@ def cmd_eval(args) -> int:
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
     _check_binding(model, network, args.model)
-    _, _, test_split = split_dataset(dataset, SPLIT_RATIOS, seed)
+    _, _, test_split = _split(dataset, args.data, seed)
     report = _eval_step(model, network, test_split, threshold, args.out_dir, tag)
     print(f"threshold {threshold}: prediction error {report.edge_prediction_error_pct:.4f}%, "
           f"samples over limit {report.pct_samples_with_violation:.2f}%, "
@@ -269,7 +277,7 @@ def cmd_sweep(args) -> int:
     config = _config_from_flags(args)
     network = _load_case(args.case)
     dataset = _load_dataset_for(network, args.data)
-    train_split, val_split, test_split = split_dataset(dataset, SPLIT_RATIOS, args.seed)
+    train_split, val_split, test_split = _split(dataset, args.data, args.seed)
     reports = []
     for tau, tag in zip(taus, tags):
         model = _train_step(args.baseline, config, network, train_split, val_split, tau).best_model

@@ -41,13 +41,15 @@ new rhs leaves A, c, the bounds and the row scaling alone (the core keeps
 its row scale, which divides each new rhs), so B^-1 of the optimal basis
 (formed afresh by a refactorization, not the product-form inverse the
 solve updated) and one pricing pass (no column may improve) are done once.  The
-basis then stays dual feasible for every rhs.  The preparation also keeps,
-read-only, what every read of that basis reuses: B's columns in ascending
-order and B itself, the nonbasic values and N x_N, the basic bounds, and
-the reduced costs a miss's first dual pivot reads.  So one warm answer
-costs only its arithmetic: WarmStart.vertices(rhs) scales the rhs rows,
-reads x_B for all of them with one stacked solve (one rhs column per row),
-checks that x_B is finite and checks it against the bounds.  A row whose
+basis then stays dual feasible for every rhs.  The preparation also keeps
+one read-only record of that basis (_Prepared), which every read reuses:
+its vertex read (B's columns in ascending order and B itself, the nonbasic
+values and N x_N, the basic bounds), the statuses, the reduced costs a
+miss's first dual pivot reads, and whether a column prices in.  So one
+warm answer costs only its arithmetic: WarmStart.vertices(rhs) scales the
+rhs rows and, in one call of the read, reads x_B for all of them with one
+stacked solve (one rhs column per row), checks that x_B is finite and
+checks it against the bounds.  A row whose
 x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
 is answered with no pivot.  Every other row (a miss) runs bounded dual
 simplex pivots from the prepared state: the most infeasible basic variable
@@ -64,11 +66,11 @@ A miss's first dual pivot reads B^-1's leaving row, a, the prepared
 reduced costs and statuses, never the rhs, so the basis it reaches (a
 child) is a function of the leaving row and its direction alone.  Each
 start keeps the child of every (row, direction) a miss has met, at most
-2 per row, built on its first sight from the copy of the core that took
-the pivot: the entering column, the statuses, the vertex read without B
-(gathered from a at each read, so no child holds an m x m array), the
-basic bounds, the reduced costs and whether a column prices in there; a
-pivot that finds no column to enter, or a singular one, keeps None.  A
+2 per row: a record of the same type, built by the same constructor on
+its first sight from the copy of the core that took the pivot, which also
+holds the entering column and whose vertex read gathers B from a at each
+read, so no child holds an m x m array.  A pivot that finds no column to
+enter, or a singular one, keeps None.  A
 later miss with the same first pivot reads its vertex against the child,
 and a vertex within bounds there is answered as a hit is, with no pivot.
 Any other miss pivots on: on the child's first sight from the pivoted
@@ -230,19 +232,13 @@ class WarmStart:
         self._rows = lp.a_eq.shape[0] + lp.a_ub.shape[0]
         self._variables = lp.num_variables
         self.solution, core = _solve(lp, None)
-        d = core.prepare_dual() if self.solution.status == "optimal" else None
-        self._core = None if d is None else core
-        if d is not None:
-            # what every read of the prepared basis reuses; read-only, so a
-            # miss's dual pivots, which run on a copy of the core, leave it be
-            self._read = read = _VertexRead(core)
-            self._lb_basic, self._ub_basic = core.lb[read.cols], core.ub[read.cols]
-            self._reduced_costs = d
-            for array in (self._lb_basic, self._ub_basic, d):
-                array.flags.writeable = False
-            # per (leaving row, direction) of a miss's first dual pivot: the
-            # basis it reaches (_Child), or None where it cannot pivot
-            self._children: dict[tuple[int, float], _Child | None] = {}
+        # the prepared basis every read reuses; read-only, so a miss's dual
+        # pivots, which run on a copy of the core, leave it be
+        self._prepared = core.prepare_dual() if self.solution.status == "optimal" else None
+        self._core = None if self._prepared is None else core
+        # per (leaving row, direction) of a miss's first dual pivot: the
+        # basis it reaches, or None where it cannot pivot
+        self._children: dict[tuple[int, float], _Prepared | None] = {}
 
     def vertices(self, rhs) -> list[np.ndarray | None]:
         """Per row of the (S, #rows) array rhs, which stands for [b_eq; b_ub]: the optimal vertex, or None.
@@ -256,15 +252,13 @@ class WarmStart:
             raise ValueError(f"rhs must be a batch of rows of length {self._rows}, got shape {rhs.shape}")
         if not np.isfinite(rhs).all():
             raise ValueError("rhs has a non-finite entry")
-        if self._core is None:
+        if self._prepared is None:
             return [None] * len(rhs)
         b_rows = rhs / self._core.scale
         try:
-            x_basic = self._read.basics(b_rows)
+            x_rows, hit = self._prepared.read.checked_vertex(b_rows)
         except SingularBasisError:
             return [None] * len(rhs)
-        hit = _within_bounds(x_basic, self._lb_basic, self._ub_basic)
-        x_rows = self._read.vertex(x_basic)
         return [x[:self._variables] if ok else self._pivoted(b, x) for b, x, ok in zip(b_rows, x_rows, hit)]
 
     def _pivoted(self, b: np.ndarray, x: np.ndarray) -> np.ndarray | None:
@@ -279,24 +273,21 @@ class WarmStart:
         core = None
         if key not in self._children:
             core = self._copy(b)
-            self._children[key] = _Child.pivot(core, r, rise, self._reduced_costs)
+            pivoted = core.dual_pivot(r, rise, self._prepared.reduced_costs)
+            self._children[key] = _Prepared.of(core, int(core.basis[r])) if pivoted else None
         child = self._children[key]
         if child is None:
             return None
         try:
-            x_basic = child.read.basics(b)
-        except SingularBasisError:
-            return None
-        x = child.read.vertex(x_basic)
-        if _within_bounds(x_basic, child.lb_basic, child.ub_basic):
-            return None if child.prices_in else x[:self._variables]
-        if core is None:
-            # replay the child's pivot on a fresh copy: the same arithmetic
-            # as its first sight, so the same B^-1 bits
-            core = self._copy(b)
-            core.status[:] = child.status
-            core._pivot(r, child.entering, core.binv @ core.a[:, child.entering])
-        try:
+            x, hit = child.read.checked_vertex(b)
+            if hit:
+                return None if child.prices_in else x[:self._variables]
+            if core is None:
+                # replay the child's pivot on a fresh copy: the same arithmetic
+                # as its first sight, so the same B^-1 bits
+                core = self._copy(b)
+                core.status[:] = child.status
+                core._pivot(r, child.entering, core.binv @ core.a[:, child.entering])
             x = core.dual_simplex(x, child.reduced_costs)
         except SingularBasisError:
             return None
@@ -309,46 +300,34 @@ class WarmStart:
         return core
 
 
-def _within_bounds(x_basic: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Whether the basic values x_basic (last axis) lie within [lb, ub] to _START_PRIMAL_TOL."""
-    infeasibility = np.maximum(lb - x_basic, x_basic - ub)
-    return infeasibility.max(axis=-1, initial=-np.inf) <= _START_PRIMAL_TOL
-
-
 @dataclass(frozen=True)
-class _Child:
-    """The basis that one dual pivot reaches from a prepared start, read-only and free of any rhs.
+class _Prepared:
+    """A dual-feasible basis readied to answer right-hand sides, read-only and free of any rhs.
 
-    It keeps what answering a rhs there needs: the entering column and the
-    statuses after the pivot (to replay it), the vertex read without B
-    (gathered from the core's a at each read, so a child holds no m x m
-    array), the basic bounds, the reduced costs, and whether a column
-    prices in there.
+    It keeps what answering a rhs there needs: the vertex read (with the
+    basic bounds), the statuses, the reduced costs and whether a column
+    prices in; a child, the basis one dual pivot reaches from the start,
+    also keeps the column that entered, so its pivot can be replayed.
     """
 
-    entering: int
-    status: np.ndarray
     read: _VertexRead
-    lb_basic: np.ndarray
-    ub_basic: np.ndarray
+    status: np.ndarray
     reduced_costs: np.ndarray
     prices_in: bool
+    entering: int | None = None
 
     @staticmethod
-    def pivot(core: _Core, r: int, rise: float, d: np.ndarray) -> _Child | None:
-        """Take core's dual pivot on row r in direction rise, and keep the basis it reaches; None if it cannot."""
-        try:
-            if not core.dual_pivot(r, rise, d):
-                return None
-        except SingularBasisError:
-            return None
-        read = _VertexRead(core, keep_b=False)
+    def of(core: _Core, entering: int | None = None) -> _Prepared:
+        """The record of core's current basis: a start's, or with entering set, a child's.
+
+        The start keeps B, which every row reads; a child gathers B from
+        core's a at each read, so no child holds an m x m array.
+        """
         d = core._reduced_costs()
-        child = _Child(int(core.basis[r]), core.status.copy(), read, core.lb[read.cols], core.ub[read.cols], d,
-                       bool(core._improving(d, _dual_tol(core.c)).size))
-        for array in (child.status, child.lb_basic, child.ub_basic, d):
-            array.flags.writeable = False
-        return child
+        prepared = _Prepared(_VertexRead(core, keep_b=entering is None), core.status.copy(), d,
+                             bool(core._improving(d, _dual_tol(core.c)).size), entering)
+        prepared.status.flags.writeable = d.flags.writeable = False
+        return prepared
 
 
 def _diagonal(a: np.ndarray, row: int, col: int, length: int) -> np.ndarray:
@@ -433,8 +412,8 @@ class _Core:
         self.x_basic = np.abs(resid)
         self.pivots_since_refactor = 0
 
-    def prepare_dual(self) -> np.ndarray | None:
-        """Ready this core, optimal after run_two_phase, for dual_simplex: its reduced costs, or None if it cannot.
+    def prepare_dual(self) -> _Prepared | None:
+        """Ready this core, optimal after run_two_phase, for dual_simplex: the record of its basis, or None if it cannot.
 
         It cannot while an artificial is basic, when B is singular or its
         B^-1, formed afresh by _refactorize, is non-finite, or when a column
@@ -448,8 +427,8 @@ class _Core:
         except SingularBasisError:
             return None
         self.pivots = 0
-        d = self._reduced_costs()
-        return None if self._improving(d, _dual_tol(self.c)).size else d
+        prepared = _Prepared.of(self)
+        return None if prepared.prices_in else prepared
 
     def dual_simplex(self, x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
         """Bounded dual simplex pivots from a dual-feasible basis with reduced costs d, whose vertex for self.b is x.
@@ -472,15 +451,17 @@ class _Core:
 
         None when every basic value lies within its bounds to _START_PRIMAL_TOL.
         """
-        infeasibility = self._infeasibility(x)
+        x_b = x[self.basis]
+        infeasibility = np.maximum(self.lb[self.basis] - x_b, x_b - self.ub[self.basis])
         r = int(np.argmax(infeasibility))
         if infeasibility[r] <= _START_PRIMAL_TOL:
             return None
         return r, 1.0 if x[self.basis[r]] < self.lb[self.basis[r]] else -1.0
 
     def dual_pivot(self, r: int, rise: float, d: np.ndarray) -> bool:
-        """One bounded dual pivot under reduced costs d: row r's basic variable leaves, moving by rise; False if no column can enter.
+        """One bounded dual pivot under reduced costs d: row r's basic variable leaves, moving by rise.
 
+        False if no column can enter or the pivot element is too small.
         The pivot reads B^-1, a, the statuses and d, never the rhs.
         """
         # the leaving variable returns to the bound it violates; a unit
@@ -501,7 +482,10 @@ class _Core:
         self.status[leaving] = (_FIXED if self.lb[leaving] == self.ub[leaving]
                                 else _AT_LOWER if rise > 0 else _AT_UPPER)
         self.status[q] = _BASIC
-        self._pivot(r, q, self.binv @ self.a[:, q])
+        try:
+            self._pivot(r, q, self.binv @ self.a[:, q])
+        except SingularBasisError:
+            return False
         return True
 
     def diagnostics(self) -> dict:
@@ -515,11 +499,6 @@ class _Core:
 
     def _reduced_costs(self) -> np.ndarray:
         return self.c - (self.c[self.basis] @ self.binv) @ self.a
-
-    def _infeasibility(self, x: np.ndarray) -> np.ndarray:
-        """Per row of the basis (last axis), how far its basic value in x lies outside its bounds."""
-        x_b = x[..., self.basis]
-        return np.maximum(self.lb[self.basis] - x_b, x_b - self.ub[self.basis])
 
     def _improving(self, d: np.ndarray, dual_tol: float) -> np.ndarray:
         """Columns whose reduced cost d lets them enter and lower the objective."""
@@ -712,7 +691,8 @@ class _VertexRead:
         self.n_x_n = core.a[:, nonbasic] @ x_nb
         self.a = core.a
         self.bmat = core.a[:, self.cols] if keep_b else None
-        for array in (self.cols, self.x, self.n_x_n, self.bmat):
+        self.lb, self.ub = core.lb[self.cols], core.ub[self.cols]
+        for array in (self.cols, self.x, self.n_x_n, self.bmat, self.lb, self.ub):
             if array is not None:
                 array.flags.writeable = False
 
@@ -738,3 +718,9 @@ class _VertexRead:
         x[...] = self.x
         x[..., self.cols] = x_basic
         return x
+
+    def checked_vertex(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex for rhs b (stacked or not) and whether its basic values lie within their bounds to _START_PRIMAL_TOL."""
+        x_basic = self.basics(b)
+        infeasibility = np.maximum(self.lb - x_basic, x_basic - self.ub)
+        return self.vertex(x_basic), infeasibility.max(axis=-1, initial=-np.inf) <= _START_PRIMAL_TOL

@@ -648,6 +648,27 @@ def test_seed_out_of_range_fails_first(workspace, tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_dataset_too_small_to_split_fails_first(workspace, tmp_path, capsys, monkeypatch, command):
+    """A dataset too small for non-empty train, validation and test splits exits 2, naming the file, before any work."""
+    _, _, model = workspace
+    data = tmp_path / "small.jsonl"
+    assert main(["gen-data", "--case", TRI3, "--samples", "5", "--seed", "7", "--out", str(data)]) == 0
+    capsys.readouterr()
+    for name in ("train", "evaluate"):
+        monkeypatch.setattr(f"gridscreen.cli.{name}", _no_work)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"train": ["--threshold", "0.95", "--out", str(out / "m.json")],
+            "eval": ["--model", str(model), "--out-dir", str(out / "e")],
+            "sweep": ["--thresholds", "95", "--out-dir", str(out / "s")]}[command]
+    assert main([command, "--case", TRI3, "--data", str(data), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: 5 samples too few" in err
+    assert "Error" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, output", [("eval", "report_095.json"), ("sweep", "model_090.json")])
 def test_out_dir_file_that_is_a_directory_fails_first(workspace, tmp_path, capsys, monkeypatch, command, output):
     """A file eval or sweep would write into --out-dir that is an existing directory exits 2 before any work."""

@@ -298,10 +298,10 @@ def test_start_basis_miss_gives_the_cold_answer():
 
 def _prepared(warm_start) -> dict:
     """The arrays a WarmStart derives once from its prepared basis, by name."""
-    read = warm_start._read
+    read = warm_start._prepared.read
     return {"cols": read.cols, "x": read.x, "n_x_n": read.n_x_n, "bmat": read.bmat,
-            "lb_basic": warm_start._lb_basic, "ub_basic": warm_start._ub_basic,
-            "reduced_costs": warm_start._reduced_costs}
+            "lb_basic": read.lb, "ub_basic": read.ub,
+            "reduced_costs": warm_start._prepared.reduced_costs}
 
 
 @pytest.mark.parametrize("name", ["case14", "box"])
@@ -376,7 +376,8 @@ def test_a_miss_past_its_child_pivots_on_as_before(case14, monkeypatch):
     """A case14 miss at +-60% that takes several dual pivots continues from its child with the pivots of a run from the prepared basis.
 
     On a child's first sight the miss pivots on from the copy that took
-    the child's pivot; later, that one pivot is replayed on a fresh copy.
+    the child's pivot; later, that one pivot is replayed on a fresh copy
+    from the entering column and statuses the child's record keeps.
     """
     problems = _draws(case14, 60, 0.6, 2)
     start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
@@ -385,12 +386,12 @@ def test_a_miss_past_its_child_pivots_on_as_before(case14, monkeypatch):
     seen = {"first": 0, "later": 0}
     for problem in problems:
         b = _rhs(problem) / reference._core.scale
-        x = reference._read.vertex(reference._read.basics(b))
+        x = reference._prepared.read.vertex(reference._prepared.read.basics(b))
         if reference._core.leaving(x) is None:
             continue
         # the whole dual simplex run from the prepared basis, as every miss once took it
         del pivots[:]
-        run = reference._copy(b).dual_simplex(x, reference._reduced_costs)
+        run = reference._copy(b).dual_simplex(x, reference._prepared.reduced_costs)
         run_pivots = len(pivots)
         cold = solve_lp(problem)
         for sight in ("first", "later"):
@@ -427,6 +428,59 @@ def test_a_child_without_an_entering_column_answers_none(tri3_text, monkeypatch)
     assert [load.tobytes() for load in solved] == [load.tobytes() for load in loads]
 
 
+def _singular(*args):
+    raise simplex.SingularBasisError("basis matrix singular at the vertex read")
+
+
+def test_a_singular_read_at_the_start_answers_none_for_every_row(case14, monkeypatch):
+    """Where the prepared basis reads as singular, every row answers None and dispatches solves each load cold."""
+    everything = full_monitored_set(case14)
+    loads = [case14.base_load() * f for f in (1.0, 1.05, 1.3)]
+    rows = [dcopf._rhs(case14, load, sorted(everything)) for load in loads]
+    warm_start = WarmStart(build_opf(case14, case14.base_load(), everything))
+    assert all(x is not None for x in warm_start.vertices(rows))
+    cold = [dcopf.solve_opf(case14, load, everything).p_g.tobytes() for load in loads]
+    monkeypatch.setattr(simplex._VertexRead, "checked_vertex", _singular)
+    solved, solve = [], dcopf.solve_opf
+    monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
+    assert warm_start.vertices(rows) == [None] * len(rows)
+    assert [p_g.tobytes() for p_g in dcopf.dispatches(case14, loads, everything)] == cold
+    assert [load.tobytes() for load in solved] == [load.tobytes() for load in loads]
+
+
+def test_a_singular_read_at_a_child_answers_none_for_its_row_only(case14, monkeypatch):
+    """Where a child's read finds B singular, each miss through it answers None and every hit its cold bytes."""
+    problems = _draws(case14, 30, 0.1, 4)
+    rows = [_rhs(p) for p in problems]
+    warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
+    _, hit = warm_start._prepared.read.checked_vertex(np.array(rows) / warm_start._core.scale)
+    assert 0 < hit.sum() < len(rows)
+    read = simplex._VertexRead.checked_vertex
+    # only a child's read gathers B from a, so only a child's read is singular
+    monkeypatch.setattr(simplex._VertexRead, "checked_vertex",
+                        lambda self, b: _singular() if self.bmat is None else read(self, b))
+    answers = warm_start.vertices(rows)
+    assert warm_start._children and all(child is not None for child in warm_start._children.values())
+    for problem, x, ok in zip(problems, answers, hit):
+        assert x.tobytes() == solve_lp(problem).x.tobytes() if ok else x is None
+
+
+def test_a_singular_dual_simplex_answers_none(case14, monkeypatch):
+    """Where the dual pivots past a child meet a singular basis, that miss answers None and every other row as before."""
+    problems = _draws(case14, 60, 0.6, 2)
+    rows = [_rhs(p) for p in problems]
+    start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
+    before = WarmStart(start_lp).vertices(rows)
+    warm_start = WarmStart(start_lp)
+    ran = []
+    monkeypatch.setattr(simplex._Core, "dual_simplex", lambda core, x, d: ran.append(core.b.tobytes()) or _singular())
+    answers = warm_start.vertices(rows)
+    singular = [(row / warm_start._core.scale).tobytes() in ran for row in rows]
+    assert any(x is not None and hit for x, hit in zip(before, singular))
+    for x, y, hit in zip(answers, before, singular):
+        assert x is None if hit or y is None else x.tobytes() == y.tobytes()
+
+
 def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
     """Misses at +-60% keep at most 2 children per row, each read-only and no larger than a column or row vector."""
     warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
@@ -440,8 +494,8 @@ def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
     assert 1 < len(children) and len(warm_start._children) <= 2 * core.m
     for child in children:
         assert child.read.bmat is None and child.read.a is core.a  # B is gathered from the core at each read
-        for array in (child.status, child.read.cols, child.read.x, child.read.n_x_n, child.lb_basic,
-                      child.ub_basic, child.reduced_costs):
+        for array in (child.status, child.read.cols, child.read.x, child.read.n_x_n, child.read.lb,
+                      child.read.ub, child.reduced_costs):
             assert not array.flags.writeable and array.size <= core.m + core.n
     for key, array in _prepared(warm_start).items():
         assert array.tobytes() == prepared[key].tobytes(), key
