@@ -168,6 +168,11 @@ class Network:
         """dcopf's table of warm starts for this Network, kept per instance and empty until dcopf fills it."""
         return {}
 
+    @cached_property
+    def _feature_template(self) -> list:
+        """samplegen's node and edge feature template for this Network, kept per instance and empty until samplegen fills it."""
+        return []
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False

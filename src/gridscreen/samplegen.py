@@ -3,7 +3,9 @@
 A dataset persists only what varies between samples: the loads and the
 full-problem dispatch.  The case is stored once in the header; node/edge
 features, flows and objective are derived from it on read, by the same code
-that built them at generation.  Congestion labels are never persisted; they
+that built them at generation.  The features at the base load are derived
+once per Network and shared read-only; a sample copies the node matrix and
+sets its load column.  Congestion labels are never persisted; they
 are recomputed from the flows for whatever loading threshold is requested,
 so one dataset serves every threshold without skew.
 
@@ -132,13 +134,16 @@ class Dataset:
 
 
 def _feature_template(network: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Node and edge features at the base load; the edge matrix is read-only, to be shared.
+    """Node and edge features at the base load, derived on a Network's first call and then shared, read-only.
 
     Only the load column of the node features varies between samples.
     """
-    node, edge = extract_features(network, network.base_load())
-    edge.flags.writeable = False
-    return node, edge
+    kept = network._feature_template
+    if not kept:
+        node, edge = extract_features(network, network.base_load())
+        node.flags.writeable = edge.flags.writeable = False
+        kept.extend((node, edge))
+    return kept[0], kept[1]
 
 
 def _build_sample(network: Network, sample_id: int, load: np.ndarray, p_g: np.ndarray,
@@ -159,8 +164,7 @@ def _draw(gen: np.random.Generator, base: np.ndarray, magnitude: float) -> np.nd
     return base * gen.uniform(1 - magnitude, 1 + magnitude, base.size)
 
 
-def _generate_batch(network: Network, magnitude: float, seed: int, indices: range,
-                    template: tuple[np.ndarray, np.ndarray]) -> list[tuple[Sample, int]]:
+def _generate_batch(network: Network, magnitude: float, seed: int, indices: range) -> list[tuple[Sample, int]]:
     """Samples `indices` and their redraw counts: draw all, dispatch all, redraw only the infeasible, repeat.
 
     The first draws share one Philox, re-keyed for each sample; a sample
@@ -191,6 +195,7 @@ def _generate_batch(network: Network, magnitude: float, seed: int, indices: rang
                 gens[k] = _generator(derive_seed(seed, indices[k]))
                 _draw(gens[k], base, magnitude)  # the first draw, already dispatched
             loads[k] = _draw(gens[k], base, magnitude)
+    template = _feature_template(network)
     return [(_build_sample(network, i, load, p_g, template), n)
             for i, load, p_g, n in zip(indices, loads, dispatched, redraws)]
 
@@ -207,7 +212,7 @@ def generate_dataset(
     Infeasible draws are discarded and redrawn (the total is recorded in the
     dataset metadata).  Fails fast if the unperturbed base case is already
     infeasible.  Batches of samples are solved in
-    min(threads, cpu count, batches) worker processes; the result depends
+    min(threads, usable CPUs, batches) worker processes; the result depends
     on neither number.
     """
     if count < 1:
@@ -216,28 +221,34 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    base = _warm_start(network, range(network.num_branches)).solution
+    base = _warm_start(network, range(network.num_branches)).start.solution
     if base.status != "optimal":
         raise RuntimeError(f"base-case OPF is {base.status}; cannot generate samples")
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
-    template = _feature_template(network)
     batches = [range(lo, min(lo + _START_BATCH, count)) for lo in range(0, count, _START_BATCH)]
     # more workers than cores or batches would only add start-up cost
-    workers = min(threads, os.cpu_count() or 1, len(batches))
+    workers = 1 if threads == 1 else min(threads, _usable_cpus(), len(batches))
     if workers > 1:
         n = len(batches)
         # one chunk of batches per worker: a chunk pickles the network once,
-        # so each worker solves the base case once
+        # so each worker solves the base case and derives the features once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_generate_batch, [network] * n, [magnitude] * n, [seed] * n, batches,
-                                    [template] * n, chunksize=-(-n // workers)))
+                                    chunksize=-(-n // workers)))
     else:
-        results = [_generate_batch(network, magnitude, seed, batch, template) for batch in batches]
+        results = [_generate_batch(network, magnitude, seed, batch) for batch in batches]
     for sample, redraws in itertools.chain.from_iterable(results):
         dataset.samples.append(sample)
         dataset.redraws += redraws
     return dataset
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def split_dataset(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> tuple[list[Sample], list[Sample], list[Sample]]:

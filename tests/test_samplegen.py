@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -226,7 +228,7 @@ def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
     ds = generate_dataset(net, 6, 0.3, seed=2)
     assert ds.redraws == 0 and len(batches) == 1
     start, answers = batches[0]
-    assert start is dcopf._warm_start(net, range(net.num_branches)) and len(answers) == 6
+    assert start is dcopf._warm_start(net, range(net.num_branches)).start and len(answers) == 6
     assert [p_g.tobytes() for p_g in answers] == [s.p_g.tobytes() for s in ds.samples]
     assert 0 < len(pivoted) < 6  # the base basis covers some draws and not others
     # the base case was solved by its Network, and the misses were pivoted, not solved cold
@@ -306,14 +308,24 @@ def test_generate_worker_count_capped(tri3, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(samplegen, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(samplegen.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(samplegen, "_START_BATCH", 1)  # workers take whole batches: one per sample
+    usable_cpus = samplegen._usable_cpus
+    monkeypatch.setattr(samplegen, "_usable_cpus", lambda: pytest.fail("CPUs counted for one thread"))
     reference = generate_dataset(tri3, 6, 0.1, seed=3)
+    monkeypatch.setattr(samplegen, "_usable_cpus", lambda: 4)
     capped = generate_dataset(tri3, 6, 0.1, seed=3, threads=10_000)
     generate_dataset(tri3, 3, 0.1, seed=3, threads=64)
     generate_dataset(tri3, 1, 0.1, seed=3, threads=64)  # one sample: no pool
     assert started == [4, 3]
     assert [s.objective for s in capped.samples] == [s.objective for s in reference.samples]
+    # the CPUs this process may use count, not the host's: as under taskset -c 0,1 on 4 CPUs
+    monkeypatch.setattr(samplegen, "_usable_cpus", usable_cpus)
+    monkeypatch.setattr(samplegen.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(samplegen.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    generate_dataset(tri3, 6, 0.1, seed=3, threads=64)
+    assert started == [4, 3, 2]
+    monkeypatch.delattr(samplegen.os, "sched_getaffinity")  # a platform without affinity: the host's count
+    assert usable_cpus() == 4
 
 
 def test_stored_flows_within_limits(tri3_dataset, tri3):
@@ -322,17 +334,29 @@ def test_stored_flows_within_limits(tri3_dataset, tri3):
 
 
 def test_generate_features_from_one_template(tri3, monkeypatch):
-    """Features are derived once per dataset; each sample only sets its load column."""
+    """Features are derived once per Network; each sample only sets its load column of a copy."""
+    net = parse_case(serialize_case(tri3))  # a Network with no template derived yet
     calls = []
     extract = samplegen.extract_features
-    monkeypatch.setattr(samplegen, "extract_features", lambda *a: calls.append(a) or extract(*a))
-    ds = generate_dataset(tri3, 8, 0.1, seed=2)
-    assert len(calls) == 1
-    for s in ds.samples:
-        node, edge = extract(tri3, s.load_mw)
-        assert s.node_features.tolist() == node.tolist()
-        assert s.edge_features is ds.samples[0].edge_features
+    monkeypatch.setattr(samplegen, "extract_features", lambda *a: calls.append(a[0]) or extract(*a))
+    ds = generate_dataset(net, 8, 0.1, seed=2)
+    again = generate_dataset(net, 8, 0.1, seed=3)
+    assert calls == [net]  # one derivation across both datasets
+    samples = ds.samples + again.samples
+    for s in samples:
+        node, edge = extract(net, s.load_mw)
+        assert s.node_features.tolist() == node.tolist() and s.node_features.flags.writeable
+        assert s.edge_features is samples[0].edge_features
         assert s.edge_features.tolist() == edge.tolist() and not s.edge_features.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0].edge_features[0, 0] = 0.0
+    samples[0].node_features[:] = -1.0  # a sample's own copy: no later sample sees it
+    for s in samples[1:] + generate_dataset(net, 8, 0.1, seed=2).samples:
+        assert s.node_features.tolist() == extract(net, s.load_mw)[0].tolist()
+    other = parse_case(serialize_case(tri3))  # an equal Network derives its own
+    generate_dataset(other, 2, 0.1, seed=2)
+    assert calls == [net, other]
+    assert "_feature_template" not in vars(pickle.loads(pickle.dumps(net)))  # not pickled
 
 
 def test_features_finite(tri3_dataset):
@@ -453,6 +477,18 @@ def test_dataset_line_layout(tmp_path, tri3_dataset):
     assert header["case"] == serialize_case(tri3_dataset.network)
     row = json.loads(lines[1])
     assert set(row) == {"sample_id", "load_mw", "p_g"}
+
+
+@pytest.mark.parametrize("name,magnitude,digest", [
+    ("tri3", 0.6, "40f79453a1883b42aad9fc496cb475947431b843706428b4d6e96b82143b364e"),  # 4 redraws
+    ("case14", 0.1, "948c7191112a43bd5ddc00508494d7f231d7101d861ebccf8a640bfc17fb816c"),
+    ("case14", 0.6, "28f088f10476eff346d62d217f0063849759a46e84cc068b6446de6138709d2e"),
+], ids=["tri3-60", "case14-10", "case14-60"])
+def test_write_dataset_bytes_pinned(tmp_path, request, name, magnitude, digest):
+    # every byte a fixed draw writes, loads and dispatches included, never changes
+    path = tmp_path / "ds.jsonl"
+    write_dataset(generate_dataset(request.getfixturevalue(name), 60, magnitude, seed=5), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_write_dataset_interrupted_keeps_old_file(tmp_path, tri3_dataset):

@@ -420,9 +420,9 @@ def test_a_child_without_an_entering_column_answers_none(tri3_text, monkeypatch)
     # 450 MW and 600 MW exceed the 400 MW the two generators can make
     loads = [net.base_load() * 3, net.base_load() * 4]
     mon = sorted(everything)
-    warm_start = dcopf._warm_start(net, mon)
+    warm_start = dcopf._warm_start(net, mon).start
     pivots = _count_pivots(monkeypatch)
-    assert warm_start.vertices([dcopf._rhs(net, load, mon) for load in loads]) == [None, None]
+    assert warm_start.vertices([_rhs(build_opf(net, load, mon)) for load in loads]) == [None, None]
     assert pivots == [] and list(warm_start._children.values()) == [None]
     assert dcopf.dispatches(net, loads, everything) == [None, None]
     assert [load.tobytes() for load in solved] == [load.tobytes() for load in loads]
@@ -436,7 +436,7 @@ def test_a_singular_read_at_the_start_answers_none_for_every_row(case14, monkeyp
     """Where the prepared basis reads as singular, every row answers None and dispatches solves each load cold."""
     everything = full_monitored_set(case14)
     loads = [case14.base_load() * f for f in (1.0, 1.05, 1.3)]
-    rows = [dcopf._rhs(case14, load, sorted(everything)) for load in loads]
+    rows = [_rhs(build_opf(case14, load, everything)) for load in loads]
     warm_start = WarmStart(build_opf(case14, case14.base_load(), everything))
     assert all(x is not None for x in warm_start.vertices(rows))
     cold = [dcopf.solve_opf(case14, load, everything).p_g.tobytes() for load in loads]
