@@ -341,7 +341,7 @@ def test_generate_features_from_one_template(tri3, monkeypatch):
     monkeypatch.setattr(samplegen, "extract_features", lambda *a: calls.append(a[0]) or extract(*a))
     ds = generate_dataset(net, 8, 0.1, seed=2)
     again = generate_dataset(net, 8, 0.1, seed=3)
-    assert calls == [net]  # one derivation across both datasets
+    assert len(calls) == 1 and calls[0] is net  # one derivation across both datasets
     samples = ds.samples + again.samples
     for s in samples:
         node, edge = extract(net, s.load_mw)
@@ -355,7 +355,7 @@ def test_generate_features_from_one_template(tri3, monkeypatch):
         assert s.node_features.tolist() == extract(net, s.load_mw)[0].tolist()
     other = parse_case(serialize_case(tri3))  # an equal Network derives its own
     generate_dataset(other, 2, 0.1, seed=2)
-    assert calls == [net, other]
+    assert len(calls) == 2 and calls[1] is other
     assert "_feature_template" not in vars(pickle.loads(pickle.dumps(net)))  # not pickled
 
 
