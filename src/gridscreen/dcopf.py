@@ -11,12 +11,10 @@ afterwards so violations can be audited.
 
 This module owns the start policy of every dispatch, for any monitored
 set.  On a set's first sight _warm_start builds the set's LP at the base
-load and prepares its solved basis (simplex.WarmStart), and derives the
-set's row indices and ratings, which every rhs row of the set reads;
-dispatches answers each load by dual pivots from that basis, else solves
-cold.  A Network keeps the starts of at most MAX_WARM_STARTS sets, each
-with its constants, and drops the least recently used first.  solve_opf
-is the cold path.
+load and prepares its solved basis (simplex.WarmStart); dispatches answers
+each load by dual pivots from it, else solves cold.  A Network keeps the
+starts of at most MAX_WARM_STARTS sets and drops the least recently used
+first.  solve_opf is the cold path.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcase import Network, _read_only
+from .netcase import Network
 from .simplex import LinearProgram, WarmStart, solve_lp
 
 #: default tolerance (MW) for violation reporting, two orders above solver feasibility
@@ -81,8 +79,7 @@ def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram
     """
     load = _check_load(network, load_mw)
     rows = np.array(_check_monitored(network, monitored), dtype=int)
-    rhs = np.empty(1 + 2 * rows.size)
-    _fill_rhs(rhs, network, load, rows, network.rating[rows])
+    rhs = _rhs(network, [load], rows)[0]
     shift = network.gen_ptdf[rows]
     return LinearProgram(
         c=network.gen_cost, lower=network.gen_p_min, upper=network.gen_p_max,
@@ -91,49 +88,42 @@ def build_opf(network: Network, load_mw: np.ndarray, monitored) -> LinearProgram
     )
 
 
-def _fill_rhs(out: np.ndarray, network: Network, load: np.ndarray, rows: np.ndarray, rating: np.ndarray) -> None:
-    """Write the dispatch LP's [b_eq; b_ub] at a checked load into out: sum(load), then rating + f0 and rating - f0 over rows.
+def _rhs(network: Network, loads: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The dispatch LP's [b_eq; b_ub] at each checked load, one row per load: sum(load), then rating + f0 and rating - f0 over rows.
 
-    `rating` is network.rating[rows].  build_opf and dispatches both build
-    their rows here, so a dispatch reads the rhs its cold solve would.
+    build_opf and dispatches both build their rows here, so a dispatch
+    reads the rhs its cold solve would.
     """
-    # all rows of f0, so each LP row matches _flows to the bit
-    base_flow = (network.ptdf @ load)[rows]
-    out[0] = load.sum()
-    np.add(rating, base_flow, out=out[1:1 + rows.size])
-    np.subtract(rating, base_flow, out=out[1 + rows.size:])
+    rating, k = network.rating[rows], rows.size
+    out = np.empty((len(loads), 1 + 2 * k))
+    for row, load in zip(out, loads):
+        # all rows of f0, so each LP row matches _flows to the bit
+        base_flow = (network.ptdf @ load)[rows]
+        row[0] = load.sum()
+        np.add(rating, base_flow, out=row[1:1 + k])
+        np.subtract(rating, base_flow, out=row[1 + k:])
+    return out
 
 
-@dataclass(frozen=True)
-class _SetStart:
-    """A monitored set's warm start and the read-only constants its rhs rows need, derived at its first sight."""
-
-    rows: np.ndarray                 # the set's branch indices, ascending
-    rating: np.ndarray               # network.rating[rows]
-    start: WarmStart
-
-
-def _warm_start(network: Network, mon) -> _SetStart:
-    """The _SetStart of the monitored set `mon`: the WarmStart of its dispatch LP at the base load, and its constants.
+def _warm_start(network: Network, mon) -> WarmStart:
+    """The WarmStart of the dispatch LP at the base load with limits on `mon` only.
 
     `mon` holds distinct branch indices in ascending order, as
     _check_monitored returns them.  A set's first sight builds and solves
-    its LP and prepares the basis; later calls return the same record until
-    MAX_WARM_STARTS other sets have been used since, and the record goes
-    as a whole.  Its .start.solution is that LP's cold solve; where the LP
-    has no optimal basis, the start answers None for every load.
+    its LP and prepares the basis; later calls return the same start until
+    MAX_WARM_STARTS other sets have been used since.  Its .solution is that
+    LP's cold solve; where the LP has no optimal basis, the start answers
+    None for every load.
     """
     key = tuple(mon)
     starts = network._warm_starts
-    entry = starts.pop(key, None)
-    if entry is None:
-        start = WarmStart(build_opf(network, network.base_load(), key))  # the build checks the set
-        rows = _read_only(np.array(key, dtype=int))
-        entry = _SetStart(rows, _read_only(network.rating[rows]), start)
+    start = starts.pop(key, None)
+    if start is None:
+        start = WarmStart(build_opf(network, network.base_load(), key))
         if len(starts) >= MAX_WARM_STARTS:
             del starts[next(iter(starts))]
-    starts[key] = entry  # reinserted, so the dict runs from least to most recently used
-    return entry
+    starts[key] = start  # reinserted, so the dict runs from least to most recently used
+    return start
 
 
 def dispatches(network: Network, loads, monitored) -> list[np.ndarray | None]:
@@ -151,11 +141,7 @@ def dispatches(network: Network, loads, monitored) -> list[np.ndarray | None]:
     checked = [_check_load(network, load) for load in loads]
     if not checked:
         return []
-    entry = _warm_start(network, mon)
-    rhs = np.empty((len(checked), 1 + 2 * entry.rows.size))
-    for row, load in zip(rhs, checked):
-        _fill_rhs(row, network, load, entry.rows, entry.rating)
-    answers = entry.start.vertices(rhs)
+    answers = _warm_start(network, mon).vertices(_rhs(network, checked, np.array(mon, dtype=int)))
     return [solve_opf(network, load, mon).p_g if p_g is None else p_g
             for load, p_g in zip(checked, answers)]
 

@@ -221,14 +221,14 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    base = _warm_start(network, range(network.num_branches)).start.solution
+    base = _warm_start(network, range(network.num_branches)).solution
     if base.status != "optimal":
         raise RuntimeError(f"base-case OPF is {base.status}; cannot generate samples")
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
     batches = [range(lo, min(lo + _START_BATCH, count)) for lo in range(0, count, _START_BATCH)]
     # more workers than cores or batches would only add start-up cost
-    workers = 1 if threads == 1 else min(threads, _usable_cpus(), len(batches))
+    workers = min(threads, _usable_cpus(), len(batches))
     if workers > 1:
         n = len(batches)
         # one chunk of batches per worker: a chunk pickles the network once,

@@ -123,7 +123,7 @@ def test_dispatches_have_the_cold_bits(case14, monkeypatch):
         assert [load.tobytes() for load in solved] == [loads[1].tobytes()]
         assert near.tobytes() == solve_opf(case14, loads[0], monitored).p_g.tobytes()
         assert infeasible is None
-        assert same.tobytes() == dcopf._warm_start(case14, sorted(monitored)).start.solution.x.tobytes()
+        assert same.tobytes() == dcopf._warm_start(case14, sorted(monitored)).solution.x.tobytes()
         assert far.tobytes() == solve_opf(case14, loads[3], monitored).p_g.tobytes()
     assert dcopf.dispatches(case14, [], {0}) == []
     with pytest.raises(ValueError, match="load vector length"):
@@ -135,7 +135,7 @@ def test_dispatches_have_the_cold_bits(case14, monkeypatch):
 def test_dispatches_without_a_base_basis_solve_cold(tri3_text):
     """A set whose base-load LP has no optimal basis has no basis to check against: every load is solved cold."""
     net = parse_case(tri3_text.replace("3 1 150.0", "3 1 500.0"))
-    assert dcopf._warm_start(net, (0, 1, 2)).start.solution.status == "infeasible"
+    assert dcopf._warm_start(net, (0, 1, 2)).solution.status == "infeasible"
     loads = [net.base_load() * 0.3, net.base_load()]
     low, base = dcopf.dispatches(net, loads, full_monitored_set(net))
     assert low.tobytes() == solve_opf(net, loads[0], full_monitored_set(net)).p_g.tobytes()
@@ -143,8 +143,8 @@ def test_dispatches_without_a_base_basis_solve_cold(tri3_text):
     # at 40 MW, line 1-3 cannot carry the third of the base load that it
     # must, so only its own set is infeasible at the base load
     net = parse_case(tri3_text.replace("1 3 0.1 80.0", "1 3 0.1 40.0"))
-    assert dcopf._warm_start(net, (1,)).start.solution.status == "infeasible"
-    assert dcopf._warm_start(net, ()).start.solution.status == "optimal"
+    assert dcopf._warm_start(net, (1,)).solution.status == "infeasible"
+    assert dcopf._warm_start(net, ()).solution.status == "optimal"
     loads = [net.base_load() * 0.5, net.base_load()]
     for monitored in ({1}, {0, 1, 2}):
         low, base = dcopf.dispatches(net, loads, monitored)
@@ -177,8 +177,8 @@ def test_warm_dispatches_do_not_depend_on_the_sets_before(name, magnitude, reque
     assert solved == []  # every answer came from a warm start
     for (load, mon), first, second in zip(jobs, forward, backward):
         assert first.tobytes() == second.tobytes() == solve(net, load, mon).p_g.tobytes()
-    # a set's rows and ratings go with its start: a batch keeps each load's cold bits at the
-    # set's first sight, after MAX_WARM_STARTS other sets have evicted it, and once it is prepared again
+    # a batch keeps each load's cold bits at its set's first sight, after
+    # MAX_WARM_STARTS other sets have evicted the set's start, and once it is prepared again
     batch = [s.load_mw for s in samples[:6]]
     for mon in (full_monitored_set(net), {0, net.num_branches - 1}):
         fresh = parse_case(serialize_case(net))
@@ -186,13 +186,12 @@ def test_warm_dispatches_do_not_depend_on_the_sets_before(name, magnitude, reque
         others = list(dict.fromkeys(tuple(sorted(m)) for _, m in jobs if set(m) != mon))[:dcopf.MAX_WARM_STARTS]
         cold = [solve(fresh, load, mon).p_g.tobytes() for load in batch]
         assert [p_g.tobytes() for p_g in dcopf.dispatches(fresh, batch, mon)] == cold
-        entry = fresh._warm_starts[key]
-        assert entry.rows.tolist() == list(key) and entry.rating.tolist() == net.rating[list(key)].tolist()
+        start = fresh._warm_starts[key]
         for other in others:
             dcopf.dispatches(fresh, batch[:1], other)
-        assert key not in fresh._warm_starts  # evicted, its constants with it
+        assert key not in fresh._warm_starts  # evicted
         assert [p_g.tobytes() for p_g in dcopf.dispatches(fresh, batch, mon)] == cold
-        assert fresh._warm_starts[key] is not entry  # prepared again
+        assert fresh._warm_starts[key] is not start  # prepared again
         assert [p_g.tobytes() for p_g in dcopf.dispatches(fresh, batch, mon)] == cold
     assert solved == []
 

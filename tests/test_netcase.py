@@ -213,19 +213,19 @@ def test_base_case_derived_once_and_kept_out_of_identity(tri3_text):
     everything = (0, 1, 2)
     start = dcopf._warm_start(net, everything)
     assert dcopf._warm_start(net, everything) is start  # solved and prepared once
-    base = start.start.solution
+    base = start.solution
     assert base.status == "optimal"
     cold = solve_opf(net, net.base_load(), full_monitored_set(net))  # every branch monitored
     assert base.x.tobytes() == cold.p_g.tobytes()
     reduced = dcopf._warm_start(net, (1,))  # each monitored set has a start of its own
-    assert reduced is not start and reduced.start.solution.x.tobytes() == solve_opf(net, net.base_load(), {1}).p_g.tobytes()
+    assert reduced is not start and reduced.solution.x.tobytes() == solve_opf(net, net.base_load(), {1}).p_g.tobytes()
     assert net.fingerprint() == fingerprint
     assert net == parse_case(tri3_text)             # equal to a network that has not solved it
     back = pickle.loads(pickle.dumps(net))
     assert back == net
     assert "_warm_starts" not in vars(back)         # not pickled ...
     assert dcopf._warm_start(back, everything) is not start  # ... but derived again
-    assert dcopf._warm_start(back, everything).start.solution.x.tobytes() == base.x.tobytes()
+    assert dcopf._warm_start(back, everything).solution.x.tobytes() == base.x.tobytes()
 
 
 def test_warm_starts_are_bounded_least_recently_used_first(case14):
@@ -237,7 +237,7 @@ def test_warm_starts_are_bounded_least_recently_used_first(case14):
     assert list(vars(net)["_warm_starts"]) == sets  # the least recently used, every branch, went first
     assert dcopf._warm_start(net, sets[0]) is starts[0]  # kept, and now the most recently used
     again = dcopf._warm_start(net, everything)
-    assert again is not full and again.start.solution.x.tobytes() == full.start.solution.x.tobytes()
+    assert again is not full and again.solution.x.tobytes() == full.solution.x.tobytes()
     assert list(vars(net)["_warm_starts"]) == sets[2:] + [sets[0], everything]
     with pytest.raises(ValueError, match="out of range"):
         dcopf._warm_start(net, (net.num_branches,))
@@ -253,6 +253,6 @@ def test_replace_derives_afresh(tri3):
     assert "_warm_starts" not in vars(wider)        # a start table of its own, empty
     # the 80 MW line binds at the base load, the 160 MW one does not
     for mon in ((0, 1, 2), (1,)):
-        assert dcopf._warm_start(wider, mon).start.solution.x.tolist() != dcopf._warm_start(tri3, mon).start.solution.x.tolist()
+        assert dcopf._warm_start(wider, mon).solution.x.tolist() != dcopf._warm_start(tri3, mon).solution.x.tolist()
         rebuilt = solve_opf(wider, wider.base_load(), mon)
-        assert dcopf._warm_start(wider, mon).start.solution.x.tobytes() == rebuilt.p_g.tobytes()
+        assert dcopf._warm_start(wider, mon).solution.x.tobytes() == rebuilt.p_g.tobytes()

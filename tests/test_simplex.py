@@ -420,7 +420,7 @@ def test_a_child_without_an_entering_column_answers_none(tri3_text, monkeypatch)
     # 450 MW and 600 MW exceed the 400 MW the two generators can make
     loads = [net.base_load() * 3, net.base_load() * 4]
     mon = sorted(everything)
-    warm_start = dcopf._warm_start(net, mon).start
+    warm_start = dcopf._warm_start(net, mon)
     pivots = _count_pivots(monkeypatch)
     assert warm_start.vertices([_rhs(build_opf(net, load, mon)) for load in loads]) == [None, None]
     assert pivots == [] and list(warm_start._children.values()) == [None]
