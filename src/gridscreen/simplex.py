@@ -44,58 +44,62 @@ solve updated) and one pricing pass (no column may improve) are done once.  The
 basis then stays dual feasible for every rhs.  The preparation also keeps
 one read-only record of that basis (_Prepared), which every read reuses:
 its vertex read (B's columns in ascending order and B itself, the nonbasic
-values and N x_N, the basic bounds), the statuses, the reduced costs a
-miss's first dual pivot reads, and whether a column prices in.  So one
-warm answer costs only its arithmetic: WarmStart.vertices(rhs) scales the
-rhs rows and, in one call of the read, reads x_B for all of them with one
-stacked solve (one rhs column per row), checks that x_B is finite and
-checks it against the bounds.  A row whose
-x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
-is answered with no pivot.  Every other row (a miss) runs bounded dual
-simplex pivots from the prepared state: the most infeasible basic variable
-leaves at the bound it violates, the column with the smallest |d/alpha|
-among those that move it toward that bound enters (ties to the largest
-|alpha|), so every reduced cost keeps its sign.  A row where no column can
-enter, or where _DUAL_PIVOT_CAP pivots do not reach a primal feasible
-basis, answers None; so does every row when the cold solve is not optimal,
-leaves an artificial basic, or ends on a basis that the fresh B^-1 finds
-singular or not optimal.  The caller solves such a row cold, so only the
-two-phase primal judges infeasibility.
+values and N x_N, the basic bounds), the reduced costs a miss's first dual
+pivot reads, and whether a column prices in.  So one warm answer costs
+only its arithmetic: WarmStart.vertices(rhs) scales the rhs rows and, in
+one call of the read, reads x_B for all of them with one stacked solve
+(one rhs column per row), checks that x_B is finite and checks it against
+the bounds.  A row whose x_B lies within its bounds to 1e-9 (tighter than
+phase 1's 1e-7 per row) is answered with no pivot.  Every other row (a
+miss) runs bounded dual simplex pivots from the prepared state: the most
+infeasible basic variable leaves at the bound it violates, the column
+with the smallest |d/alpha| among those that move it toward that bound
+enters (ties to the largest |alpha|), so every reduced cost keeps its
+sign.  A row where no column can enter, or where _DUAL_PIVOT_CAP pivots do
+not reach a primal feasible basis, answers None; so does every row when
+the cold solve is not optimal, leaves an artificial basic, or ends on a
+basis that the fresh B^-1 finds singular or not optimal.  The caller
+solves such a row cold, so only the two-phase primal judges
+infeasibility.
 
 A miss's first dual pivot reads B^-1's leaving row, a, the prepared
-reduced costs and statuses, never the rhs, so the basis it reaches (a
-child) is a function of the leaving row and its direction alone.  Each
-start keeps the child of every (row, direction) a miss has met, at most
-2 per row: a record of the same type, built by the same constructor on
-its first sight from the copy of the core that took the pivot, which also
-holds the entering column and whose vertex read gathers B from a at each
-read, so no child holds an m x m array.  A pivot that finds no column to
-enter, or a singular one, keeps None.  A
-later miss with the same first pivot reads its vertex against the child,
-and a vertex within bounds there is answered as a hit is, with no pivot.
+reduced costs and the prepared core's statuses, never the rhs, so the
+basis it reaches (a child) is a function of the leaving row and its
+direction alone.  Each start keeps the child of every (row, direction) a
+miss has met, at most 2 per row: a record of the same type, built by the
+same constructor on its first sight from the copy of the core that took
+the pivot, which also holds the entering column and whose vertex read
+gathers B from a at each read, so no child holds an m x m array.  A pivot
+that finds no column to enter, or a singular one, keeps None.  A later
+miss with the same first pivot reads its vertex against the child, and
+a vertex within bounds there is answered as a hit is, with no pivot.
 Any other miss pivots on: on the child's first sight from the pivoted
-copy, later from a fresh copy on which the child's one pivot is replayed.
-So a miss that pivots past its child takes the pivots it would take
-without children, and every miss reads the bits it would read without.
+copy, later from a fresh copy on which the child's one pivot is replayed
+through the step that ends every dual pivot (_Core._take: the leaving
+variable rests at the bound it returns to, the entering column turns
+basic, B^-1 is updated).  So a miss that pivots past its child takes the
+pivots it would take without children, and every miss reads the bits it
+would read without.
 
 Every vertex, cold or warm, is read with B's columns in ascending index
 order, so its bits depend on the basic set and the nonbasic statuses, not
-on the path that reached them; each item of the stacked read is the same
-one-rhs solve.  So a warm vertex has the bits of a cold solve that ends on
-the same basis.  One solve with every row as a column of one rhs matrix
-would not keep them: it gives the same bits on case14's 41 rows, but on
-ring14x8's 353 rows they differ by up to 6.7e-12.
+on the path that reached them; one rhs and each item of a stacked read
+are solved by the same call, with a single rhs column.  So a warm vertex
+has the bits of a cold solve that ends on the same basis.  One solve with
+every row as a column of one rhs matrix would not keep them: it gives the
+same bits on case14's 41 rows, but on ring14x8's 353 rows they differ by
+up to 6.7e-12.
 
-A LinearProgram rejects NaN anywhere and infinities outside the bounds when
-it is built, so a bad input fails there rather than mid-solve.  The check
-is one scan per rule, cheap beside a solve, so an LP that dcopf.build_opf
-assembles from a checked network and load takes the same constructor.
+A LinearProgram rejects NaN anywhere, infinities outside the bounds and
+bounds out of order when it is built, checking array by array and naming
+the array at fault, so a bad input fails there rather than mid-solve.  An
+LP that dcopf.build_opf assembles from a checked network and load takes
+the same checks.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,15 +154,6 @@ class LinearProgram:
             raise ValueError("bounds length must match objective length")
         if self.b_eq.size != self.a_eq.shape[0] or self.b_ub.size != self.a_ub.shape[0]:
             raise ValueError("constraint matrix/rhs dimensions inconsistent")
-        # one scan for each rule: a sum is finite only if every entry is, and
-        # lower - upper <= 0 holds only for ordered bounds that are neither
-        # NaN nor both +inf or both -inf; where a scan fails (or the sum
-        # overflows), the checks below name the entry at fault
-        if not (math.isfinite(np.concatenate([self.c, self.a_eq, self.b_eq, self.a_ub, self.b_ub], axis=None).sum())
-                and (self.lower - self.upper).max(initial=-np.inf) <= 0.0):
-            self._reject_bad_entries()
-
-    def _reject_bad_entries(self):
         if not np.isfinite(self.c).all():
             raise ValueError("objective coefficients must be finite")
         # an infinite b_ub would make a basic slack infinite; drop the row instead
@@ -283,11 +278,11 @@ class WarmStart:
             if hit:
                 return None if child.prices_in else x[:self._variables]
             if core is None:
-                # replay the child's pivot on a fresh copy: the same arithmetic
-                # as its first sight, so the same B^-1 bits
+                # replay the child's pivot on a fresh copy through the same
+                # pivot step as its first sight, so the same B^-1 bits
                 core = self._copy(b)
-                core.status[:] = child.status
-                core._pivot(r, child.entering, core.binv @ core.a[:, child.entering])
+                if not core._take(r, rise, child.entering):
+                    return None
             x = core.dual_simplex(x, child.reduced_costs)
         except SingularBasisError:
             return None
@@ -305,13 +300,12 @@ class _Prepared:
     """A dual-feasible basis readied to answer right-hand sides, read-only and free of any rhs.
 
     It keeps what answering a rhs there needs: the vertex read (with the
-    basic bounds), the statuses, the reduced costs and whether a column
-    prices in; a child, the basis one dual pivot reaches from the start,
-    also keeps the column that entered, so its pivot can be replayed.
+    basic bounds), the reduced costs and whether a column prices in; a
+    child, the basis one dual pivot reaches from the start, also keeps the
+    column that entered, so its pivot can be replayed.
     """
 
     read: _VertexRead
-    status: np.ndarray
     reduced_costs: np.ndarray
     prices_in: bool
     entering: int | None = None
@@ -324,15 +318,9 @@ class _Prepared:
         core's a at each read, so no child holds an m x m array.
         """
         d = core._reduced_costs()
-        prepared = _Prepared(_VertexRead(core, keep_b=entering is None), core.status.copy(), d,
-                             bool(core._improving(d, _dual_tol(core.c)).size), entering)
-        prepared.status.flags.writeable = d.flags.writeable = False
-        return prepared
-
-
-def _diagonal(a: np.ndarray, row: int, col: int, length: int) -> np.ndarray:
-    """A writable view of the `length` entries a[row + i, col + i] of the C-contiguous matrix a."""
-    return a.reshape(-1)[row * a.shape[1] + col::a.shape[1] + 1][:length]
+        d.flags.writeable = False
+        return _Prepared(_VertexRead(core, keep_b=entering is None), d,
+                         bool(core._improving(d, _dual_tol(core.c)).size), entering)
 
 
 def _dual_tol(c: np.ndarray) -> float:
@@ -367,7 +355,9 @@ class _Core:
         row_max = np.abs(a_real).max(axis=1, initial=0.0)
         self.scale = np.where(row_max > 0.0, np.maximum(row_max, 1e-12), 1.0)
         a_real /= self.scale[:, None]
-        _diagonal(a, me, n, mi)[:] = 1.0
+        rows = np.arange(m)
+        # row me + i's slack is column n + i; row i's artificial is n_real + i
+        a[rows[me:], n - me + rows[me:]] = 1.0
         self.lb = np.zeros(n + mi + m)
         self.ub = np.full(n + mi + m, np.inf)
         self.lb[:n], self.ub[:n] = lp.lower, lp.upper
@@ -400,12 +390,10 @@ class _Core:
         # 0; every other row starts on an artificial oriented to be >= 0
         resid = self.b - a[:, :n_real] @ x_nb
         satisfied = resid >= 0
-        rows = np.arange(m)
         slack_start = (rows >= me) & satisfied
         signs = np.where(satisfied, 1.0, -1.0)
-        _diagonal(a, 0, n_real, m)[:] = signs
+        a[rows, n_real + rows] = signs
         self.status = np.concatenate([status, np.where(slack_start, _FIXED, _BASIC)])
-        # row me + i's slack is column n + i; row i's artificial is n_real + i
         self.basis = np.where(slack_start, n - me + rows, n_real + rows)
         self.status[self.basis] = _BASIC
         self.binv = np.diag(signs)  # inverse of the initial +/-1 diagonal basis
@@ -477,16 +465,21 @@ class _Core:
         # ties go to the largest |alpha|
         ratios = np.abs(d[entering] / alpha[entering])
         tied = entering[ratios <= ratios.min() + 1e-12]
-        q = int(tied[np.argmax(np.abs(alpha[tied]))])
-        leaving = self.basis[r]
-        self.status[leaving] = (_FIXED if self.lb[leaving] == self.ub[leaving]
-                                else _AT_LOWER if rise > 0 else _AT_UPPER)
+        return self._take(r, rise, int(tied[np.argmax(np.abs(alpha[tied]))]))
+
+    def _take(self, r: int, rise: float, q: int) -> bool:
+        """Column q enters at row r, whose basic variable leaves to rest at the bound it returns to by rise; False on a singular pivot."""
+        self.status[self.basis[r]] = self._rest(self.basis[r], rise < 0)
         self.status[q] = _BASIC
         try:
             self._pivot(r, q, self.binv @ self.a[:, q])
         except SingularBasisError:
             return False
         return True
+
+    def _rest(self, j: int, at_upper: bool) -> int:
+        """The status of leaving variable j at its upper bound or its lower one; fixed where lb == ub."""
+        return _FIXED if self.lb[j] == self.ub[j] else _AT_UPPER if at_upper else _AT_LOWER
 
     def diagnostics(self) -> dict:
         return {
@@ -647,14 +640,9 @@ class _Core:
             else:
                 t = t_limit
                 entering_value = self._nonbasic_values(q) + direction * t
-                leaving = self.basis[leave_row]
-                di = delta[leave_row]
-                new_status = _AT_LOWER if di < 0 else _AT_UPPER
-                if self.lb[leaving] == self.ub[leaving]:
-                    new_status = _FIXED
                 self.x_basic += t * delta
                 self.x_basic[leave_row] = entering_value
-                self.status[leaving] = new_status
+                self.status[self.basis[leave_row]] = self._rest(self.basis[leave_row], delta[leave_row] > 0)
                 self.status[q] = _BASIC
                 self._pivot(leave_row, q, w)
 
@@ -699,13 +687,10 @@ class _VertexRead:
     def basics(self, b: np.ndarray) -> np.ndarray:
         """x_B, in self.cols order, for rhs b or for each row of a stacked b."""
         bmat = self.a[:, self.cols] if self.bmat is None else self.bmat
-        rhs = b - self.n_x_n
         try:
-            # one rhs is solved as a vector, a stack as one column each: the
-            # same LAPACK solve with a single rhs column either way (a solve
-            # of many columns at once is not; see the module docstring)
-            x_basic = (np.linalg.solve(bmat, rhs) if rhs.ndim == 1
-                       else np.linalg.solve(bmat, rhs[..., None])[..., 0])
+            # each rhs is its own one-column solve, one rhs or a stack (a
+            # solve of many columns at once is not; see the module docstring)
+            x_basic = np.linalg.solve(bmat, (b - self.n_x_n)[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix singular at the vertex read") from None
         if not np.isfinite(x_basic).all():

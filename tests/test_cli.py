@@ -346,9 +346,10 @@ def test_solve_infeasible_is_not_an_error(tmp_path, capsys):
     (lambda doc: doc["binding"].update(num_buses=True), "num_buses"),
     (lambda doc: doc["binding"].update(num_buses=3.0), "num_buses"),
     (lambda doc: doc["binding"].update(num_branches=0), "num_branches"),
+    (lambda doc: doc.update(kind="forest"), "unknown model kind 'forest'"),
 ], ids=["threshold-string", "threshold-bool", "nan-weight", "zero-std", "format-1", "format-3",
         "config-activation", "config-bool", "config-float", "config-seed-2**64",
-        "binding-bool", "binding-float", "binding-zero"])
+        "binding-bool", "binding-float", "binding-zero", "kind-unknown"])
 def test_eval_rejects_bad_model_values(workspace, tmp_path, capsys, edit, named):
     _, data, model = workspace
     doc = json.loads(model.read_text())
@@ -393,7 +394,9 @@ def test_solve_load_length_error(tmp_path, capsys):
     "[1.0, null, 2.0]",
     '[1.0, "two", 3.0]',
     "[[1.0, 2.0, 3.0]]",
-], ids=["nan", "inf", "null", "string", "nested"])
+    "1.0 two 3.0",
+    f"[1{'0' * 400}, 0, 0]",
+], ids=["nan", "inf", "null", "string", "nested", "not-numbers", "int-beyond-float"])
 def test_solve_malformed_load_is_a_config_error(tmp_path, capsys, text):
     load = tmp_path / "load.json"
     load.write_text(text)
@@ -450,8 +453,10 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ('{"samples": true}', "'samples'"),
     ('{"seed": -1}', "config key 'seed': -1 is not a valid --seed value"),
     ('{"seed": 18446744073709551616}', "config key 'seed': 18446744073709551616 is not a valid --seed value"),
+    ("samples: 5", "invalid JSON"),
+    ("true", "JSON object"),
 ], ids=["top-level-list", "list-value", "object-value", "float-for-int", "null-value", "bool-value",
-        "seed-negative", "seed-2**64"])
+        "seed-negative", "seed-2**64", "not-json", "top-level-bool"])
 def test_config_file_wrong_shape(tmp_path, capsys, text, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -710,3 +715,109 @@ def test_history_csv_is_written_atomically(tmp_path, monkeypatch):
         _write_history_csv(TrainHistory([3.0, 4.0], [5.0, 6.0], [0.0, 1.0], [1.0, 0.0]), path)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
+
+
+def _file(path, text) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _edited_dataset(data, path, edit) -> str:
+    """A copy of the dataset file at path with each of its lines passed through edit(index, line)."""
+    return _file(path, "".join(edit(i, line) + "\n" for i, line in enumerate(data.read_text().splitlines())))
+
+
+def _edited_model(model, path, edit) -> str:
+    doc = json.loads(model.read_text())
+    edit(doc)
+    return _file(path, json.dumps(doc))
+
+
+def _train_on(data: str, tmp):
+    return ["train", "--case", TRI3, "--data", data, "--threshold", "0.95", "--out", str(tmp / "trained.json")]
+
+
+def _eval_with(model: str, data, tmp):
+    return ["eval", "--case", TRI3, "--data", str(data), "--model", model, "--out-dir", str(tmp / "e")]
+
+
+def _solve_with(flag: str, path):
+    return ["solve", "--case", TRI3, flag, str(path)]
+
+
+def _case_renamed(i, line):
+    """A dataset line whose embedded case, in the header, names an unknown section."""
+    if i:
+        return line
+    return json.dumps({**json.loads(line), "case": json.loads(line)["case"].replace("#BASE", "#BASES")})
+
+
+# per input: the argv, from a scratch directory and the workspace's dataset and
+# model, and the message that names the fault
+_REJECTIONS = {
+    "seed-not-an-integer": lambda tmp, data, model: (
+        ["gen-data", "--case", TRI3, "--samples", "5", "--seed", "abc", "--out", str(tmp / "generated.jsonl")],
+        "argument --seed: must be an integer in [0, 2**64), got 'abc'"),
+    "eval-threshold-unknown": lambda tmp, data, model: (
+        _eval_with(_edited_model(model, tmp / "m.json", lambda doc: doc.update(trained_threshold=None)), data, tmp),
+        "--threshold required: model file records no training threshold"),
+    "load-missing": lambda tmp, data, model: (
+        _solve_with("--load", tmp / "none.txt"), f"load file not found: {tmp / 'none.txt'}"),
+    "monitor-missing": lambda tmp, data, model: (
+        _solve_with("--monitor", tmp / "none.txt"), f"no such file: {tmp / 'none.txt'}"),
+    "monitor-not-an-integer": lambda tmp, data, model: (
+        _solve_with("--monitor", _file(tmp / "mon.txt", "0 one")), "bad branch index 'one'"),
+    "monitor-out-of-range": lambda tmp, data, model: (
+        _solve_with("--monitor", _file(tmp / "mon.txt", "0 3")), "branch indices out of range: [3]"),
+    "config-missing": lambda tmp, data, model: (
+        ["--config", str(tmp / "none.json"), "gen-data", "--case", TRI3, "--out", str(tmp / "generated.jsonl")],
+        f"config file not found: {tmp / 'none.json'}"),
+    "dataset-empty": lambda tmp, data, model: (
+        _train_on(_file(tmp / "d.jsonl", ""), tmp), f"{tmp / 'd.jsonl'}: empty dataset file"),
+    "dataset-row-not-an-object": lambda tmp, data, model: (
+        _train_on(_edited_dataset(data, tmp / "d.jsonl", lambda i, line: "[1, 2]" if i == 2 else line), tmp),
+        f"{tmp / 'd.jsonl'}: line 3: expected a JSON object"),
+    "dataset-case-unparsable": lambda tmp, data, model: (
+        _train_on(_edited_dataset(data, tmp / "d.jsonl", _case_renamed), tmp),
+        f"{tmp / 'd.jsonl'}: line 1: embedded case: line 1: unknown section header '#BASES'"),
+    "model-list": lambda tmp, data, model: (
+        _eval_with(_file(tmp / "m.json", "[]"), data, tmp), "corrupt model file: not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REJECTIONS))
+def test_bad_input_exits_2_without_a_traceback(workspace, tmp_path, capsys, name):
+    """Each malformed flag, config, load, monitor, dataset or model file exits 2 with a message naming the fault."""
+    _, data, model = workspace
+    argv, named = _REJECTIONS[name](tmp_path, data, model)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Error" not in err and "Traceback" not in err
+    assert not any((tmp_path / output).exists() for output in ("generated.jsonl", "trained.json", "e"))
+
+
+def test_blank_line_between_dataset_rows_is_accepted(workspace, tmp_path):
+    _, data, _ = workspace
+    spaced = _edited_dataset(data, tmp_path / "spaced.jsonl", lambda i, line: line + ("\n" if i == 2 else ""))
+    flags = ["--case", TRI3, "--threshold", "0.95", "--epochs", "1", "--layers", "1", "--channels", "4"]
+    assert main(["train", *flags, "--data", spaced, "--out", str(tmp_path / "spaced.json")]) == 0
+    assert main(["train", *flags, "--data", str(data), "--out", str(tmp_path / "plain.json")]) == 0
+    assert (tmp_path / "spaced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_eval_on_a_dataset_whose_dispatch_was_edited_exits_1(workspace, tmp_path, capsys):
+    """A stored dispatch that the re-solve contradicts is a runtime failure, named as a dataset/network mismatch."""
+    _, data, model = workspace
+
+    def shifted(i, line):
+        if i == 0:
+            return line
+        row = json.loads(line)
+        return json.dumps({**row, "p_g": _blob(_unblob(row["p_g"]) + [1.0, 0.0])})
+
+    edited = _edited_dataset(data, tmp_path / "d.jsonl", shifted)
+    assert main(_eval_with(str(model), edited, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeError" in err and "dataset/network mismatch" in err
+    assert not (tmp_path / "e").exists()

@@ -109,6 +109,29 @@ def test_parse_errors(tri3_text, mangle, what):
     assert what in str(err.value)
 
 
+@pytest.mark.parametrize("mangle,message,line", [
+    (lambda t: t.replace("#BASE\n100.0\n", ""), "missing #BASE section", None),
+    (lambda t: t.replace("100.0\n", "100.0\n100.0\n"), "multiple #BASE rows", 5),
+    (lambda t: t.replace("100.0\n", "0.0\n"), "base MVA must be positive, got 0.0", 4),
+    (lambda t: t.replace("#BUS\n1 3 0.0\n2 2 0.0\n3 1 150.0\n", ""), "missing #BUS section", None),
+    (lambda t: t.replace("3 1 150.0", "0 1 150.0"), "bus id must be positive, got 0", 8),
+    (lambda t: t.replace("3 1 150.0", "3 4 150.0"), "bus type must be 1, 2 or 3, got 4", 8),
+    (lambda t: t.replace("2 20.0 0.0 200.0", "2 -20.0 0.0 200.0"), "generator cost must be >= 0, got -20.0", 11),
+    (lambda t: t.replace("2 20.0 0.0 200.0", "2 20.0 -1.0 200.0"),
+     "generator limits must satisfy 0 <= pmin <= pmax, got [-1.0, 200.0]", 11),
+    (lambda t: t.replace("2 20.0 0.0 200.0", "2 20.0 50.0 40.0"),
+     "generator limits must satisfy 0 <= pmin <= pmax, got [50.0, 40.0]", 11),
+    (lambda t: t.replace("2 3 0.1 200.0", "9 3 0.1 200.0"), "branch references unknown bus 9", 15),
+], ids=["no-base", "two-base-rows", "base-mva-zero", "no-bus", "bus-id-zero", "bus-type-4", "negative-cost",
+        "negative-pmin", "pmax-below-pmin", "branch-from-unknown"])
+def test_parse_rejects_bad_sections_and_values(tri3_text, mangle, message, line):
+    """Each rule names itself, and a rule about one row names that row's line."""
+    with pytest.raises(CaseError) as err:
+        parse_case(mangle(tri3_text))
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+    assert err.value.line == line
+
+
 def test_syntax_error_reports_line(tri3_text):
     bad = tri3_text.replace("3 1 150.0", "3 1 x")
     line_no = bad.splitlines().index("3 1 x") + 1

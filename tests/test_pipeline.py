@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -251,3 +252,16 @@ def test_report_json_round_trip_fields(tmp_path, tri3, tri3_dataset):
     assert loaded["num_samples"] == 10
     assert loaded["branch_true_pos"] == report.branch_true_pos
     assert loaded["per_sample"][0]["sample_id"] == report.per_sample[0]["sample_id"]
+
+
+def test_evaluate_rejects_a_sample_its_network_contradicts(tri3, tri3_base_sample, case14, case14_dataset):
+    """A re-solve that contradicts a sample's stored objective, or a stored full problem that no longer solves, raises naming the sample."""
+    sample = case14_dataset.samples[0]
+    shifted = dataclasses.replace(sample, sample_id=41, objective=sample.objective + 1.0)
+    with pytest.raises(RuntimeError, match=r"^sample 41: re-solved objective .* dataset/network mismatch$"):
+        evaluate(case14, FixedPredictor(frozenset()), [shifted], 0.9)
+    # at 1.6 times the base load tri3 is infeasible with every line monitored,
+    # and feasible with none
+    heavy = dataclasses.replace(tri3_base_sample, sample_id=42, load_mw=tri3.base_load() * 1.6)
+    with pytest.raises(RuntimeError, match=r"^sample 42: stored full problem no longer solves$"):
+        evaluate(tri3, FixedPredictor(frozenset()), [heavy], 0.9)

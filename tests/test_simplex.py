@@ -160,6 +160,37 @@ def test_beale_cycling_example_terminates():
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
 
+def _scipy_optimum(problem) -> float:
+    ref = linprog(problem.c, A_ub=problem.a_ub if problem.a_ub.size else None,
+                  b_ub=problem.b_ub if problem.b_ub.size else None,
+                  A_eq=problem.a_eq if problem.a_eq.size else None,
+                  b_eq=problem.b_eq if problem.b_eq.size else None,
+                  bounds=list(zip(problem.lower, problem.upper)), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def test_blands_rule_reaches_the_optimum(case14):
+    """With Bland's rule engaged from the first degenerate step, Beale's cycling LP and a case14 dispatch LP reach scipy's optimum.
+
+    Both take a degenerate step and then more steps in the same phase, so
+    the smallest-index entering and leaving choices run.
+    """
+    beale = lp([-0.75, 150.0, -0.02, 6.0], [0.0] * 4, [np.inf] * 4,
+               a_ub=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+               b_ub=[0.0, 0.0, 1.0])
+    # a draw within [0, 2] times the base load whose solve takes degenerate steps
+    load = case14.base_load() * np.random.default_rng(32).uniform(0.0, 2.0, case14.num_buses)
+    dispatch = build_opf(case14, load, full_monitored_set(case14))
+    assert _scipy_optimum(beale) == pytest.approx(-0.05, abs=1e-9)
+    for problem in (beale, dispatch):
+        core = simplex._Core(problem, None)
+        core.bland_threshold = 0
+        assert core.run_two_phase() == "optimal" and core.bland_engaged
+        x = core._vertex(core.b)[:problem.num_variables]
+        assert float(problem.c @ x) == pytest.approx(_scipy_optimum(problem), rel=1e-9, abs=1e-9)
+
+
 @pytest.mark.parametrize("field,bad", [
     ("c", [np.inf, 0.0]),
     ("lower", [1.0, 5.0]),  # lower > upper on second variable
@@ -377,7 +408,7 @@ def test_a_miss_past_its_child_pivots_on_as_before(case14, monkeypatch):
 
     On a child's first sight the miss pivots on from the copy that took
     the child's pivot; later, that one pivot is replayed on a fresh copy
-    from the entering column and statuses the child's record keeps.
+    from the entering column the child's record keeps.
     """
     problems = _draws(case14, 60, 0.6, 2)
     start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
@@ -494,8 +525,8 @@ def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
     assert 1 < len(children) and len(warm_start._children) <= 2 * core.m
     for child in children:
         assert child.read.bmat is None and child.read.a is core.a  # B is gathered from the core at each read
-        for array in (child.status, child.read.cols, child.read.x, child.read.n_x_n, child.read.lb,
-                      child.read.ub, child.reduced_costs):
+        for array in (child.read.cols, child.read.x, child.read.n_x_n, child.read.lb, child.read.ub,
+                      child.reduced_costs):
             assert not array.flags.writeable and array.size <= core.m + core.n
     for key, array in _prepared(warm_start).items():
         assert array.tobytes() == prepared[key].tobytes(), key
