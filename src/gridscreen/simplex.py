@@ -22,16 +22,18 @@ Pricing is Dantzig (most negative reduced cost); the ratio test takes the
 largest pivot among near-ties, and Bland's smallest-index rule engages after
 3*(#vars + #rows) consecutive degenerate steps so cycling cannot occur.  The
 basis inverse is maintained by pivot updates and refactorized periodically.
-The optimal vertex is read with one final solve of B x_B = b - N x_N on the
-optimal basis, with no inverse formed; that solve counts as a
-refactorization.  Each solution reports iteration, pivot, bound-flip and
-refactorization counts.  An iteration is a pivot, a bound flip or a
-pricing pass that finds no improving column, so a phase 1 that ends with
-no artificial basic counts just its pivots and flips (phase1_iterations
-is 0 when the slack start has no artificial); phase 2, and a phase 1
-that leaves an artificial basic, end on one pass that only prices.  An
-LP without rows (bounds only) or without columns (constant rows) runs
-through the same two phases.
+The optimal vertex is read on its tight rows (_VertexRead): the basic
+slacks and artificials each cover their own row, so B x_B = b - N x_N
+reduces to a t x t system over the t rows they leave, solved once per
+basis; that factorization counts as a refactorization.  Each solution
+reports iteration, pivot, bound-flip and refactorization counts.  An
+iteration is a pivot, a bound flip or a pricing pass that finds no
+improving column, so a phase 1 that ends with no artificial basic counts
+just its pivots and flips (phase1_iterations is 0 when the slack start
+has no artificial); phase 2, and a phase 1 that leaves an artificial
+basic, end on one pass that only prices.  An LP without rows (bounds
+only) or without columns (constant rows) runs through the same two
+phases.
 
 Warm start (Koberstein, The dual simplex method, 2005; Maros 2003, the
 dual chapters): WarmStart(lp) solves lp cold, through the same two phases
@@ -43,24 +45,25 @@ its row scale, which divides each new rhs), so B^-1 of the optimal basis
 solve updated) and one pricing pass (no column may improve) are done once.  The
 basis then stays dual feasible for every rhs.  The preparation also keeps
 one read-only record of that basis (_Prepared), which every read reuses:
-its vertex read (B's columns in ascending order and B itself, the nonbasic
-values and N x_N, the basic bounds), the reduced costs a miss's first dual
-pivot reads, and whether a column prices in.  So one warm answer costs
-only its arithmetic: WarmStart.vertices(rhs) scales the rhs rows and, in
-one call of the read, reads x_B for all of them with one stacked solve
-(one rhs column per row), checks that x_B is finite and checks it against
-the bounds.  A row whose x_B lies within its bounds to 1e-9 (tighter than
-phase 1's 1e-7 per row) is answered with no pivot.  Every other row (a
-miss) runs bounded dual simplex pivots from the prepared state: the most
-infeasible basic variable leaves at the bound it violates, the column
-with the smallest |d/alpha| among those that move it toward that bound
-enters (ties to the largest |alpha|), so every reduced cost keeps its
-sign.  A row where no column can enter, or where _DUAL_PIVOT_CAP pivots do
-not reach a primal feasible basis, answers None; so does every row when
-the cold solve is not optimal, leaves an artificial basic, or ends on a
-basis that the fresh B^-1 finds singular or not optimal.  The caller
-solves such a row cold, so only the two-phase primal judges
-infeasibility.
+its vertex read (B's columns in ascending order, the m x t array that maps
+the tight rows' rhs to x_B, the nonbasic values and N x_N, the basic
+bounds), the reduced costs a miss's first dual pivot reads, and whether a
+column prices in.  So one warm answer costs only its arithmetic:
+WarmStart.vertices(rhs) scales the rhs rows and, in one call of the read,
+reads x_B for all of them with a product and a sum over t per basic value,
+checks that x_B is finite and checks it against the bounds.  A row whose
+x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
+is answered with no pivot.  Every other row (a miss) runs bounded dual
+simplex pivots from the prepared state: the most infeasible basic
+variable leaves at the bound it violates, the column with the smallest
+|d/alpha| among those that move it toward that bound enters (ties to the
+largest |alpha|), so every reduced cost keeps its sign.  A row where no
+column can enter, where _DUAL_PIVOT_CAP pivots do not reach a primal
+feasible basis, or whose basis the read finds singular, answers None; so
+does every row when the cold solve is not optimal, leaves an artificial
+basic, or ends on a basis that the fresh B^-1 or the read finds singular
+or that is not optimal.  The caller solves such a row cold, so only the
+two-phase primal judges infeasibility.
 
 A miss's first dual pivot reads B^-1's leaving row, a, the prepared
 reduced costs and the prepared core's statuses, never the rhs, so the
@@ -68,11 +71,13 @@ basis it reaches (a child) is a function of the leaving row and its
 direction alone.  Each start keeps the child of every (row, direction) a
 miss has met, at most 2 per row: a record of the same type, built by the
 same constructor on its first sight from the copy of the core that took
-the pivot, which also holds the entering column and whose vertex read
-gathers B from a at each read, so no child holds an m x m array.  A pivot
-that finds no column to enter, or a singular one, keeps None.  A later
-miss with the same first pivot reads its vertex against the child, and
-a vertex within bounds there is answered as a hit is, with no pivot.
+the pivot, which also holds the entering column.  No record holds an
+m x m array: its largest is the read's m x t one, t being the child's
+tight rows (2 on case14, about 16 on ring14x8's 353 rows).  A pivot that
+finds no column to enter, or a singular one, keeps None, and so does a
+child whose read finds its basis singular.  A later miss with the same
+first pivot reads its vertex against the child, and a vertex within
+bounds there is answered as a hit is, with no pivot.
 Any other miss pivots on: on the child's first sight from the pivoted
 copy, later from a fresh copy on which the child's one pivot is replayed
 through the step that ends every dual pivot (_Core._take: the leaving
@@ -81,14 +86,14 @@ basic, B^-1 is updated).  So a miss that pivots past its child takes the
 pivots it would take without children, and every miss reads the bits it
 would read without.
 
-Every vertex, cold or warm, is read with B's columns in ascending index
-order, so its bits depend on the basic set and the nonbasic statuses, not
-on the path that reached them; one rhs and each item of a stacked read
-are solved by the same call, with a single rhs column.  So a warm vertex
-has the bits of a cold solve that ends on the same basis.  One solve with
-every row as a column of one rhs matrix would not keep them: it gives the
-same bits on case14's 41 rows, but on ring14x8's 353 rows they differ by
-up to 6.7e-12.
+Every vertex, cold or warm, the cold solve's own and the one after each
+dual pivot included, is read by the same tight-row read, with B's columns
+in ascending index order, so its bits depend on the basic set and the
+nonbasic statuses, not on the path that reached them.  The read itself
+calls no BLAS or LAPACK routine, and each basic value's t terms are
+summed in one contiguous run, so each item of a stacked read has the bits
+of a single read.  So a warm vertex has the bits of a cold solve that
+ends on the same basis.
 
 A LinearProgram rejects NaN anywhere, infinities outside the bounds and
 bounds out of order when it is built, checking array by array and naming
@@ -201,8 +206,8 @@ def _solve(lp: LinearProgram, max_iterations: int | None) -> tuple[LpSolution, _
     status = core.run_two_phase()
     x = None
     if status == "optimal":
-        # the vertex read is the solution's factorization of the basis, so
-        # it counts as a refactorization; no inverse is formed
+        # the vertex read factorizes the basis's tight rows, so it counts as
+        # a refactorization; no m x m inverse is formed
         x = core._vertex(core.b)[:lp.num_variables]
         core.refactorizations += 1
     return LpSolution(
@@ -219,8 +224,8 @@ class WarmStart:
 
     .solution is the cold solve's LpSolution, as solve_lp returns it.
     When that solve is not optimal, leaves an artificial basic, or ends on
-    a basis whose fresh B^-1 is singular or lets a column price in, every
-    row answers None.
+    a basis whose fresh B^-1 or vertex read finds it singular, or that
+    lets a column price in, every row answers None.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -269,7 +274,10 @@ class WarmStart:
         if key not in self._children:
             core = self._copy(b)
             pivoted = core.dual_pivot(r, rise, self._prepared.reduced_costs)
-            self._children[key] = _Prepared.of(core, int(core.basis[r])) if pivoted else None
+            try:
+                self._children[key] = _Prepared.of(core, int(core.basis[r])) if pivoted else None
+            except SingularBasisError:
+                self._children[key] = None
         child = self._children[key]
         if child is None:
             return None
@@ -314,13 +322,12 @@ class _Prepared:
     def of(core: _Core, entering: int | None = None) -> _Prepared:
         """The record of core's current basis: a start's, or with entering set, a child's.
 
-        The start keeps B, which every row reads; a child gathers B from
-        core's a at each read, so no child holds an m x m array.
+        SingularBasisError where the vertex read finds that basis singular.
+        No record holds an m x m array: the read keeps an m x t one.
         """
         d = core._reduced_costs()
         d.flags.writeable = False
-        return _Prepared(_VertexRead(core, keep_b=entering is None), d,
-                         bool(core._improving(d, _dual_tol(core.c)).size), entering)
+        return _Prepared(_VertexRead(core), d, bool(core._improving(d, _dual_tol(core.c)).size), entering)
 
 
 def _dual_tol(c: np.ndarray) -> float:
@@ -358,6 +365,8 @@ class _Core:
         rows = np.arange(m)
         # row me + i's slack is column n + i; row i's artificial is n_real + i
         a[rows[me:], n - me + rows[me:]] = 1.0
+        # the row each slack or artificial (a unit column) covers; -1 for a real column
+        self.unit_row = np.concatenate([np.full(n, -1), rows[me:], rows])
         self.lb = np.zeros(n + mi + m)
         self.ub = np.full(n + mi + m, np.inf)
         self.lb[:n], self.ub[:n] = lp.lower, lp.upper
@@ -412,10 +421,10 @@ class _Core:
             return None
         try:
             self._refactorize()
+            prepared = _Prepared.of(self)
         except SingularBasisError:
             return None
         self.pivots = 0
-        prepared = _Prepared.of(self)
         return None if prepared.prices_in else prepared
 
     def dual_simplex(self, x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
@@ -664,35 +673,60 @@ class _Core:
 class _VertexRead:
     """What reading a basis's vertex needs of that basis alone, derived once and read-only.
 
-    B's columns are taken in ascending index order, so the bits depend on
-    the basic set and not on the row each column was pivoted into; each
-    item of a stacked read is the one-rhs solve of a single read.
+    The tight-row read (Koberstein 2005's small working basis, here over
+    a dense B): B's columns, in ascending index order, are the structural
+    ones P and then the unit ones U (slacks and artificials, coefficient s = +-1),
+    each of which covers its own row.  The t rows that no unit column
+    covers, T, fix x_P by the t x t system A_TP x_P = r_T, where
+    r = b - N x_N; each unit column then takes what its row leaves,
+    x_u = s (r_u - A_uP x_P).  So x_B = G r_T, plus s r_U on U's rows, with
+    G = [A_TP^-1; -s A_UP A_TP^-1] the m x t array derived once.  A read
+    takes no BLAS or LAPACK call, only a product and a sum over t per basic
+    value, so each item of a stacked read has the bits of a single read,
+    and the bits depend on the basic set and the nonbasic statuses, not on
+    the row each column was pivoted into.
     """
 
-    def __init__(self, core: _Core, keep_b: bool = True):
-        """The read of core's current basis; with keep_b False, B is gathered from core's a at each read instead."""
+    def __init__(self, core: _Core):
+        """The read of core's current basis; SingularBasisError where B is singular.
+
+        B is singular exactly when two unit columns cover one row, so that
+        A_TP is not square, or when A_TP is singular.
+        """
         self.cols = np.sort(core.basis)
         nonbasic = (core.status != _BASIC).nonzero()[0]
         # the vertex with its nonbasic values in place; basic entries are overwritten per read
         self.x = np.zeros(core.n)
         self.x[nonbasic] = x_nb = core._nonbasic_values(nonbasic)
         self.n_x_n = core.a[:, nonbasic] @ x_nb
-        self.a = core.a
-        self.bmat = core.a[:, self.cols] if keep_b else None
         self.lb, self.ub = core.lb[self.cols], core.ub[self.cols]
-        for array in (self.cols, self.x, self.n_x_n, self.bmat, self.lb, self.ub):
-            if array is not None:
-                array.flags.writeable = False
+        covered = core.unit_row[self.cols]
+        unit = covered >= 0
+        p, u_rows = self.cols[~unit], covered[unit]
+        tight = np.ones(core.m, dtype=bool)
+        tight[u_rows] = False
+        t_rows = tight.nonzero()[0]
+        if t_rows.size != p.size:
+            raise SingularBasisError("two unit columns of the basis cover one row")
+        try:
+            a_tp_inv = np.linalg.inv(core.a[np.ix_(t_rows, p)])
+        except np.linalg.LinAlgError:
+            raise SingularBasisError("basis matrix singular at the vertex read") from None
+        self.t = p.size
+        # r's rows in x_B's order: T for P's values, then the row each unit column covers
+        self.rows = np.concatenate([t_rows, u_rows])
+        self.signs = core.a[u_rows, self.cols[unit]]
+        self.g = np.concatenate([a_tp_inv, -self.signs[:, None] * (core.a[np.ix_(u_rows, p)] @ a_tp_inv)])
+        for array in (self.cols, self.x, self.n_x_n, self.lb, self.ub, self.rows, self.signs, self.g):
+            array.flags.writeable = False
 
     def basics(self, b: np.ndarray) -> np.ndarray:
         """x_B, in self.cols order, for rhs b or for each row of a stacked b."""
-        bmat = self.a[:, self.cols] if self.bmat is None else self.bmat
-        try:
-            # each rhs is its own one-column solve, one rhs or a stack (a
-            # solve of many columns at once is not; see the module docstring)
-            x_basic = np.linalg.solve(bmat, (b - self.n_x_n)[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix singular at the vertex read") from None
+        r = (b - self.n_x_n)[..., self.rows]
+        # laid out in C order, each basic value's t terms are contiguous, so
+        # its sum runs as in a single read whatever the stack's shape
+        x_basic = np.multiply(r[..., None, :self.t], self.g, order="C").sum(axis=-1)
+        x_basic[..., self.t:] += self.signs * r[..., self.t:]
         if not np.isfinite(x_basic).all():
             raise SingularBasisError("basic values non-finite at the vertex read")
         return x_basic

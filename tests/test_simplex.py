@@ -330,8 +330,8 @@ def test_start_basis_miss_gives_the_cold_answer():
 def _prepared(warm_start) -> dict:
     """The arrays a WarmStart derives once from its prepared basis, by name."""
     read = warm_start._prepared.read
-    return {"cols": read.cols, "x": read.x, "n_x_n": read.n_x_n, "bmat": read.bmat,
-            "lb_basic": read.lb, "ub_basic": read.ub,
+    return {"cols": read.cols, "x": read.x, "n_x_n": read.n_x_n, "rows": read.rows, "signs": read.signs,
+            "g": read.g, "lb_basic": read.lb, "ub_basic": read.ub,
             "reduced_costs": warm_start._prepared.reduced_costs}
 
 
@@ -487,9 +487,15 @@ def test_a_singular_read_at_a_child_answers_none_for_its_row_only(case14, monkey
     _, hit = warm_start._prepared.read.checked_vertex(np.array(rows) / warm_start._core.scale)
     assert 0 < hit.sum() < len(rows)
     read = simplex._VertexRead.checked_vertex
-    # only a child's read gathers B from a, so only a child's read is singular
-    monkeypatch.setattr(simplex._VertexRead, "checked_vertex",
-                        lambda self, b: _singular() if self.bmat is None else read(self, b))
+
+    def singular_at_a_child(self, b):
+        # a child is a record with an entering column; only its read is singular
+        if any(child is not None and child.entering is not None and child.read is self
+               for child in warm_start._children.values()):
+            _singular()
+        return read(self, b)
+
+    monkeypatch.setattr(simplex._VertexRead, "checked_vertex", singular_at_a_child)
     answers = warm_start.vertices(rows)
     assert warm_start._children and all(child is not None for child in warm_start._children.values())
     for problem, x, ok in zip(problems, answers, hit):
@@ -513,7 +519,12 @@ def test_a_singular_dual_simplex_answers_none(case14, monkeypatch):
 
 
 def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
-    """Misses at +-60% keep at most 2 children per row, each read-only and no larger than a column or row vector."""
+    """Misses at +-60% keep at most 2 children per row, each read-only, with no array larger than m * t.
+
+    t, a child's count of basic real columns, is its number of tight rows:
+    the child keeps the m x t array G of its vertex read and otherwise
+    vectors no longer than a column or a row, so no m x m array.
+    """
     warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
     core = warm_start._core
     prepared = {key: array.copy() for key, array in _prepared(warm_start).items()}
@@ -524,14 +535,126 @@ def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
     children = [child for child in warm_start._children.values() if child is not None]
     assert 1 < len(children) and len(warm_start._children) <= 2 * core.m
     for child in children:
-        assert child.read.bmat is None and child.read.a is core.a  # B is gathered from the core at each read
-        for array in (child.read.cols, child.read.x, child.read.n_x_n, child.read.lb, child.read.ub,
-                      child.reduced_costs):
+        t = child.read.t
+        assert 0 < t < core.m and child.read.g.shape == (core.m, t) and not child.read.g.flags.writeable
+        for array in (child.read.cols, child.read.x, child.read.n_x_n, child.read.rows, child.read.signs,
+                      child.read.lb, child.read.ub, child.reduced_costs):
             assert not array.flags.writeable and array.size <= core.m + core.n
     for key, array in _prepared(warm_start).items():
         assert array.tobytes() == prepared[key].tobytes(), key
     for array, old in zip((core.basis, core.status, core.binv, core.b), core_before):
         assert array.tobytes() == old.tobytes()
+
+
+def _dense_basics(read, core, b) -> np.ndarray:
+    """x_B on read's sorted columns by one dense solve of B x_B = b - N x_N."""
+    return np.linalg.solve(core.a[:, read.cols], (b - read.n_x_n).T).T
+
+
+def _with_negated_balance_row(problem):
+    """problem with its equality rows repeated, negated, after them: one artificial stays basic, with sign -1."""
+    return dataclasses.replace(problem, a_eq=np.vstack([problem.a_eq, -problem.a_eq]),
+                               b_eq=np.concatenate([problem.b_eq, -problem.b_eq]))
+
+
+@pytest.mark.parametrize("name,magnitude", [("case14", 0.6), ("tri3", 0.3)])
+def test_the_tight_row_read_matches_a_dense_solve(name, magnitude, request):
+    """The start, its children and a cold solve that keeps a -1 artificial basic read x_B as a dense LAPACK solve does, to 1e-9."""
+    network = request.getfixturevalue(name)
+    problems = _draws(network, 200, magnitude, 5)
+    warm_start = WarmStart(build_opf(network, network.base_load(), full_monitored_set(network)))
+    core = warm_start._core
+    warm_start.vertices([_rhs(p) for p in problems])
+    children = [child for child in warm_start._children.values() if child is not None]
+    assert children
+    b = np.array([_rhs(p) for p in problems]) / core.scale
+    for read in [warm_start._prepared.read] + [child.read for child in children]:
+        dense = _dense_basics(read, core, b)
+        assert np.abs(read.basics(b) - dense).max() <= 1e-9 * np.abs(dense).max()
+    # the dependent copy of the balance row keeps its artificial basic at zero
+    for problem in problems[:10]:
+        solution, cold = simplex._solve(_with_negated_balance_row(problem), None)
+        read = simplex._VertexRead(cold)
+        artificials = cold.basis[cold.basis >= cold.n_real]
+        assert solution.status == "optimal" and cold.a[artificials - cold.n_real, artificials].tolist() == [-1.0]
+        assert -1.0 in read.signs.tolist()
+        dense = _dense_basics(read, cold, cold.b)
+        assert np.abs(read.basics(cold.b) - dense).max() <= 1e-9 * np.abs(dense).max()
+        assert np.abs(solution.x - solve_lp(problem).x).max() <= 1e-9 * np.abs(solution.x).max()
+
+
+def test_each_stacked_row_reads_the_bytes_of_a_single_read():
+    """With more tight rows than numpy sums pairwise in one block (8), a stacked read still gives each row its single-read bytes."""
+    rng = np.random.default_rng(0)
+    n, me, mi = 24, 12, 8
+    a_eq, a_ub = rng.normal(0, 1, (me, n)), rng.normal(0, 1, (mi, n))
+    x0 = rng.uniform(1, 9, n)
+    problem = lp(rng.normal(0, 1, n), np.zeros(n), np.full(n, 10.0), a_eq=a_eq, b_eq=a_eq @ x0,
+                 a_ub=a_ub, b_ub=a_ub @ x0 + 1.0)
+    warm_start = WarmStart(problem)
+    read = warm_start._prepared.read
+    assert read.t > 8
+    rows = _rhs(problem) * rng.uniform(0.99, 1.01, (20, me + mi))
+    b = rows / warm_start._core.scale
+    stacked = read.basics(b)
+    for row, x in zip(b, stacked):
+        assert x.tobytes() == read.basics(row).tobytes()
+    for row, x in zip(rows, warm_start.vertices(rows)):
+        assert x.tobytes() == warm_start.vertices([row])[0].tobytes()
+
+
+def test_a_singular_basis_fails_the_read():
+    """Two unit columns on one row, or a singular A_TP, raise SingularBasisError where the read is derived."""
+    # x0 and x1 have the same column, so a basis of both leaves A_TP singular
+    core = simplex._Core(lp([1.0, 1.0, 1.0], [0.0] * 3, [5.0] * 3, a_eq=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                            b_eq=[2.0, 3.0]), None)
+    core.basis, core.status[:3] = np.array([0, 1]), [simplex._BASIC, simplex._BASIC, simplex._AT_LOWER]
+    with pytest.raises(simplex.SingularBasisError, match="singular at the vertex read"):
+        simplex._VertexRead(core)
+    # row 0's slack (column 2) and its artificial (column 4) cover one row
+    core = simplex._Core(lp([1.0, 1.0], [0.0] * 2, [5.0] * 2, a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0]), None)
+    core.basis, core.status[:] = np.array([2, 4]), simplex._AT_LOWER
+    core.status[core.basis] = simplex._BASIC
+    with pytest.raises(simplex.SingularBasisError, match="cover one row"):
+        simplex._VertexRead(core)
+
+
+def _share_a_row(core):
+    """Make core's basis singular: a basic real column gives way to the artificial of a row whose slack is basic."""
+    slack = core.basis[(core.basis < core.n_real) & (core.unit_row[core.basis] >= 0)][0]
+    r = int(np.flatnonzero(core.unit_row[core.basis] < 0)[0])
+    core.status[core.basis[r]] = simplex._AT_LOWER
+    core.basis[r] = core.n_real + core.unit_row[slack]
+    core.status[core.basis[r]] = simplex._BASIC
+
+
+def test_a_start_whose_read_finds_a_shared_row_answers_none(case14, monkeypatch):
+    """Where the prepared basis has two unit columns on one row, its read fails and every row answers None."""
+    start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
+    refactorize, cores = simplex._Core._refactorize, []
+    # after the fresh B^-1 of the preparation, the basis turns singular
+    monkeypatch.setattr(simplex._Core, "_refactorize",
+                        lambda core: refactorize(core) or cores.append(core) or _share_a_row(core))
+    warm_start = WarmStart(start_lp)
+    assert len(cores) == 1 and warm_start.solution.status == "optimal"
+    with pytest.raises(simplex.SingularBasisError, match="cover one row"):
+        simplex._VertexRead(cores[0])
+    assert warm_start._prepared is None
+    assert warm_start.vertices([_rhs(start_lp)] * 3) == [None] * 3
+
+
+def test_a_child_whose_read_finds_a_shared_row_is_kept_as_none(case14, monkeypatch):
+    """Where the basis a miss's first dual pivot reaches has two unit columns on one row, that child is None and its misses answer None."""
+    problems = _draws(case14, 30, 0.1, 4)
+    warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
+    _, hit = warm_start._prepared.read.checked_vertex(np.array([_rhs(p) for p in problems]) / warm_start._core.scale)
+    assert 0 < hit.sum() < len(problems)
+    dual_pivot = simplex._Core.dual_pivot
+    monkeypatch.setattr(simplex._Core, "dual_pivot", lambda core, *a: dual_pivot(core, *a) and _share_a_row(core) is None)
+    answers = warm_start.vertices([_rhs(p) for p in problems])
+    assert warm_start._children and all(child is None for child in warm_start._children.values())
+    for problem, x, ok in zip(problems, answers, hit):
+        assert x.tobytes() == solve_lp(problem).x.tobytes() if ok else x is None
 
 
 def test_start_vertices_checks_its_rhs():
