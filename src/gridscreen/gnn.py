@@ -15,19 +15,22 @@ the forward pass, all in 64-bit floats.  A topology-blind MLP over flattened
 features implements the same contract for baseline comparison.  Both kinds
 are one `Model` type whose `params` map each parameter name to its array, and
 `init_model(kind=...)` builds either.  They share one dense layer (`_dense`
-and `_dense_backward`), one forward (`_forward`: the kind's encoder, then the
-shared head) and one backward (`_backward_batch`).  A model file (format 4)
-stores the `params` map and the normalizer's four vectors as flat objects
-whose values are base64 strings of little-endian float64 bytes, the encoding
-datasets use.  The shapes are not stored: the config and binding determine
-them.
+and `_dense_backward`; the head is that layer without the relu), one
+forward (`_forward`: the kind's encoder, then the shared head) and one
+backward (`_backward_batch`).  A model file (format 4) stores the `params`
+map and the normalizer's four vectors as flat objects whose values are
+base64 strings of little-endian float64 bytes, the encoding datasets use.
+The shapes are not stored: the config and binding determine them.
 
 The forward and backward passes run on row-stacked 2-D arrays at every
 batch size: (B*N, w) node rows and (B*K, w) edge rows, sample after sample,
 and (B, w) rows for the MLP's towers.  Each GEMM takes the same rows it
 would take with a batch axis, so the bits are those of a batched forward,
-and single-sample inference pays for no batch axis in its gathers,
-concatenations and sums.
+and single-sample inference pays for no batch axis in its gathers and sums.
+A layer's bus sums are one call of `_scatter_sum` per direction, which
+writes them into their column block of the node stack, next to the copy of
+the node embeddings; the backward pass scatters its edge-stack gradients
+with the same helper.
 
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
@@ -202,23 +205,23 @@ def _buffer(workspace, key, shape, dtype=float):
 
 
 def _scatter_sum(values: np.ndarray, incidence: np.ndarray, out=None) -> np.ndarray:
-    """(B, K, C) edge values -> (B, N, C) node sums, given a (K, N) 0/1 incidence matrix.
+    """(B*K, C) row-stacked edge values -> (B*N, C) node sums, given a (K, N) 0/1 incidence matrix.
 
-    One matmul of the transposed incidence with each batch item.  Every
-    product is exact (a 0/1 factor) and each bus's sum runs over the branch
-    axis in the fixed branch order, from +0.0, so it equals a plain sum in
-    branch order bit for bit, and relabeling buses permutes output rows
-    without changing a single bit of any sum.
+    The sums are written into `out` when it is given, which may be a column
+    block of a wider array: splitting its rows into (B, N) is a view, never
+    a copy.  One sample is one GEMM of the transposed incidence with its
+    rows, and a batch is one such matmul per item.  Every product is exact
+    (a 0/1 factor) and each bus's sum runs over the branch axis in the fixed
+    branch order, from +0.0, so it equals a plain sum in branch order bit
+    for bit, and relabeling buses permutes output rows without changing a
+    single bit of any sum.
     """
-    return np.matmul(incidence.T, values, out=out)
-
-
-def _scatter_rows(values: np.ndarray, incidence: np.ndarray, out=None) -> np.ndarray:
-    """_scatter_sum on row-stacked arrays: (B*K, C) edge rows -> (B*N, C) node rows, into `out` when given."""
     branches, buses = incidence.shape
+    if values.shape[0] == branches:
+        return np.matmul(incidence.T, values, out=out)
     batch = values.shape[0] // branches
     stacked = None if out is None else out.reshape(batch, buses, -1)
-    return _scatter_sum(values.reshape(batch, branches, -1), incidence, stacked).reshape(batch * buses, -1)
+    return np.matmul(incidence.T, values.reshape(batch, branches, -1), out=stacked).reshape(batch * buses, -1)
 
 
 def _stacked_ends(topology: GraphTopology, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,8 +237,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _affine(params, w, b, x: np.ndarray, workspace=None) -> np.ndarray:
-    """x (R, S) @ params[w] (S, C) + params[b] as one GEMM, into the workspace's array for w when given.
+def _dense(params, w, b, x, keep=False, workspace=None, relu=True):
+    """x (R, S) @ params[w] (S, C) + params[b] as one GEMM, through a relu unless `relu` is False.
+
+    Returns the output and the cache `_dense_backward` reads: the (input,
+    active mask) pair with `keep`, else None; the mask is None without the
+    relu.  With a workspace, the output and the mask are its arrays under
+    w's name.
 
     A row's bits depend on the GEMM's shape as well as the row's content:
     BLAS kernels block and order their sums by shape, so the same sample can
@@ -245,16 +253,8 @@ def _affine(params, w, b, x: np.ndarray, workspace=None) -> np.ndarray:
     out = None if workspace is None else _buffer(workspace, w, (x.shape[0], params[w].shape[1]))
     z = np.matmul(x, params[w], out=out)
     z += params[b]
-    return z
-
-
-def _dense(params, w, b, x, keep=False, workspace=None):
-    """relu(x @ params[w] + params[b]) for an (R, S) input, and the cache `_dense_backward` reads.
-
-    The cache is the (input, active mask) pair with `keep`, else None.  With
-    a workspace, the output and the mask are its arrays under w's name.
-    """
-    z = _affine(params, w, b, x, workspace)
+    if not relu:
+        return z, ((x, None) if keep else None)
     mask = np.greater(z, 0.0, out=_buffer(workspace, w + " mask", z.shape, bool)) if keep else None
     return np.maximum(z, 0.0, out=z), ((x, mask) if keep else None)
 
@@ -282,10 +282,11 @@ def _layer_forward_batch(params, i, h, e, topology, ends, keep=False, workspace=
 
     `ends` are the rows of each edge's from- and to-bus, as _stacked_ends
     gives them.  A layer without node weights (the last) returns None for
-    the node embeddings and their cache.  With a workspace, the stacks and
-    outputs are its arrays under the layer's names, since the backward pass
-    reads them; the two aggregation sums, which it does not read, are
-    shared by all layers.
+    the node embeddings and their cache.  The node stack is built in place:
+    h is copied into its first block and each direction's message sums are
+    written into their own block.  With a workspace, the stacks and outputs
+    are its arrays under the layer's names, since the backward pass reads
+    them.
     """
     p = f"layers.{i}."
     rows_from, rows_to = ends
@@ -295,14 +296,12 @@ def _layer_forward_batch(params, i, h, e, topology, ends, keep=False, workspace=
     msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, keep, workspace)
     if p + "w_node" not in params:
         return None, msg, (edge_cache, None)
-    sum_out = sum_in = out = None
-    if workspace is not None:
-        sums = (h.shape[0], msg.shape[1])
-        sum_out, sum_in = _buffer(workspace, "sum_out", sums), _buffer(workspace, "sum_in", sums)
-        out = _buffer(workspace, p + "node_stack", (h.shape[0], h.shape[1] + 2 * sums[1]))
-    sum_out = _scatter_rows(msg, topology.incidence_from, sum_out)
-    sum_in = _scatter_rows(msg, topology.incidence_to, sum_in)
-    node_stack = np.concatenate([h, sum_out, sum_in], axis=1, out=out)
+    width, c = h.shape[1], msg.shape[1]
+    shape = (h.shape[0], width + 2 * c)
+    node_stack = np.empty(shape) if workspace is None else _buffer(workspace, p + "node_stack", shape)
+    node_stack[:, :width] = h
+    _scatter_sum(msg, topology.incidence_from, node_stack[:, width:width + c])
+    _scatter_sum(msg, topology.incidence_to, node_stack[:, width + c:])
     h_next, node_cache = _dense(params, p + "w_node", p + "b_node", node_stack, keep, workspace)
     return h_next, msg, (edge_cache, node_cache)
 
@@ -316,14 +315,15 @@ def _check_widths(model, node_features, edge_features):
 
 
 def _forward(model, node_features, edge_features, topology, keep_caches=False, workspace=None):
-    """Softmax rows (B, K, 2) for inputs (B, N, fn) / (B, K, fe), the layer caches by name prefix, and the top.
+    """Softmax rows (B, K, 2) for inputs (B, N, fn) / (B, K, fe), and the layer caches by name prefix.
 
     The layers run on row-stacked 2-D arrays.  The kind's encoder gives the
     top: the GNN's last edge embeddings, (B*K, width), or the MLP's node and
     edge stacks over flattened features, side by side, (B, 2 * width).  The
-    shared head maps it to the logits.  Only with `keep_caches` are the
-    caches built; without, inference frees each layer's stacks as the next
-    one runs.  With a workspace, the layers write into its arrays.
+    shared head, cached under "dense.", maps it to the logits.  Only with
+    `keep_caches` are the caches built; without, inference frees each
+    layer's stacks as the next one runs.  With a workspace, the layers write
+    into its arrays.
     """
     _check_widths(model, node_features, edge_features)
     h = model.normalizer.apply_node(node_features)
@@ -346,9 +346,9 @@ def _forward(model, node_features, edge_features, topology, keep_caches=False, w
                 x, caches[p] = _dense(params, p + "W", p + "b", x, keep_caches, workspace)
             tops.append(x)
         top = np.concatenate(tops, axis=1)
-    logits = _affine(params, "dense.w_out", "dense.b_out", top)
+    logits, caches["dense."] = _dense(params, "dense.w_out", "dense.b_out", top, keep_caches, relu=False)
     probs = _softmax(logits.reshape(batch, model.binding.num_branches, CLASSES))
-    return probs, caches, top
+    return probs, caches
 
 
 def forward_any(model, node_features, edge_features, topology):
@@ -367,7 +367,7 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
     """
     if node_features.size == 0:
         raise ValueError("empty batch")
-    probs, caches, top = _forward(model, node_features, edge_features, topology, True, workspace)
+    probs, caches = _forward(model, node_features, edge_features, topology, True, workspace)
     batch = probs.shape[0]
     loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
     # d(mean MSE)/d(probs), then back through the per-row softmax
@@ -375,8 +375,8 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
     dz = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
 
     params, cfg, grads = model.params, model.config, {}
-    d_top = _dense_backward(params, "dense.w_out", "dense.b_out", (top, None),
-                            dz.reshape(top.shape[0], -1), grads, "head", workspace)
+    d_top = _dense_backward(params, "dense.w_out", "dense.b_out", caches["dense."],
+                            dz.reshape(-1, params["dense.b_out"].size), grads, "head", workspace)
     c = cfg.channels
     if model.kind == "mlp":
         for tag, d_x in (("node", d_top[:, :c]), ("edge", d_top[:, c:])):
@@ -405,9 +405,9 @@ def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, 
                                        "edge", workspace, input_grad=i > 0)
         if i == 0:
             break  # layer 0's input is the features, which take no gradient
-        d_sum = _scatter_rows(d_edge_stack[:, :in_n], topology.incidence_from, _buffer(workspace, "d_sum", sums))
+        d_sum = _scatter_sum(d_edge_stack[:, :in_n], topology.incidence_from, _buffer(workspace, "d_sum", sums))
         d_node = np.add(d_h, d_sum, out=_buffer(workspace, "d_node", sums))
-        d_node += _scatter_rows(d_edge_stack[:, in_n:2 * in_n], topology.incidence_to, d_sum)
+        d_node += _scatter_sum(d_edge_stack[:, in_n:2 * in_n], topology.incidence_to, d_sum)
         d_edge = d_edge_stack[:, 2 * in_n:]
     return grads, loss, probs
 

@@ -424,6 +424,21 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert "wrote 7 samples" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["cnn", True, ["mlp"], None], ids=["not-a-choice", "bool", "list", "null"])
+def test_config_file_value_outside_a_flags_choices(workspace, tmp_path, capsys, value):
+    """--baseline takes only gnn or mlp: a config value outside them exits 2, naming its key, before training."""
+    _, data, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"baseline": value}))
+    out = tmp_path / "m.json"
+    assert main(["--config", str(cfg), "train", "--case", TRI3, "--data", str(data), "--threshold", "0.95",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key 'baseline': {json.dumps(value)} is not a valid --baseline value" in err
+    assert "Error" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["train", "eval"])
 def test_config_path_named_like_a_subcommand(workspace, tmp_path, monkeypatch, name):
     """The subcommand is found after --config's value, even where that value names a subcommand."""

@@ -210,17 +210,24 @@ def _branch_order_sum(values, incidence):
 @pytest.mark.parametrize("batch", [1, 32], ids=["inference", "training"])
 def test_scatter_sum_is_branch_order_sum(case14, batch):
     topo = to_graph(case14)
+    n, k = case14.num_buses, case14.num_branches
     rng = np.random.default_rng(batch)
-    # a strided slice, as the backward pass scatters part of the edge-stack gradient
-    wide = rng.normal(size=(batch, case14.num_branches, 3 * 64))
+    # strided slices of row-stacked (B*K, C) values, as the backward pass scatters part of the edge-stack gradient
+    wide = rng.normal(size=(batch * k, 3 * 64))
     signed_zeros = np.where(rng.random(wide.shape) < 0.3, -0.0, wide)
-    all_negative_zero = np.full((batch, case14.num_branches, 64), -0.0)
-    for values in (wide[:, :, :64], wide[:, :, 64:128], signed_zeros[:, :, 5:69], all_negative_zero):
+    all_negative_zero = np.full((batch * k, 64), -0.0)
+    for values in (wide[:, :64], wide[:, 64:128], signed_zeros[:, 5:69], all_negative_zero):
         for incidence in (topo.incidence_from, topo.incidence_to):
+            want = _branch_order_sum(values.reshape(batch, k, -1), incidence).reshape(batch * n, -1)
             got = gnn_module._scatter_sum(values, incidence)
-            want = _branch_order_sum(values, incidence)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            # written into a column block of a wider array, as the node stack is built: a
+            # copy of that block would leave it NaN
+            stack = np.full((batch * n, 7 + 2 * 64), np.nan)
+            gnn_module._scatter_sum(values, incidence, stack[:, 7:7 + 64])
+            assert stack[:, 7:7 + 64].tobytes() == want.tobytes()
+            assert np.isnan(stack[:, :7]).all() and np.isnan(stack[:, 7 + 64:]).all()
 
 
 def _batch_axis_forward(model, xn, xe, topo):
@@ -592,6 +599,26 @@ def test_train_history_is_running_batch_mean(tri3, tri3_dataset, monkeypatch):
         assert result.history.train_loss[e] == pytest.approx(mean_loss, rel=0, abs=1e-12)
         correct = sum(c for _, _, c, _ in epoch)
         assert result.history.train_acc[e] == correct / sum(t for *_, t in epoch)
+
+
+def test_train_names_the_epoch_and_batch_of_a_non_finite_loss(tri3, tri3_dataset, monkeypatch):
+    # 400 training samples in batches of 32 make 13 batches an epoch; the
+    # 16th batch, epoch 1's batch 2, meets a NaN weight
+    train_split, val_split, _ = split_dataset(tri3_dataset, (0.8, 0.1, 0.1), seed=1)
+    model = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3,
+                       normalizer=fit_normalizer(train_split))
+    calls = []
+
+    def poisoned(model, *args):
+        calls.append(None)
+        if len(calls) == 16:
+            model.params["dense.b_out"][0] = np.nan
+        return _backward_batch(model, *args)
+
+    monkeypatch.setattr(gnn_module, "_backward_batch", poisoned)
+    with pytest.raises(RuntimeError, match=r"^non-finite loss at epoch 1, batch 2$"):
+        train(model, tri3, train_split, val_split, threshold=0.95, epochs=3)
+    assert len(calls) == 16
 
 
 def test_train_validation_errors(tri3, tri3_dataset):

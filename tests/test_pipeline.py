@@ -60,6 +60,15 @@ def test_run_ropf_flows_cover_all_branches(tri3, tri3_base_sample):
     assert result.monitored == frozenset({1})
 
 
+def test_run_ropf_reports_a_reduced_problem_without_a_dispatch_as_a_solver_bug(tri3, tri3_base_sample):
+    # four times the base load exceeds what tri3's two generators can make, so
+    # no set has a dispatch, while the sample claims a feasible full problem
+    sample = dataclasses.replace(tri3_base_sample, sample_id=7, load_mw=tri3_base_sample.load_mw * 4)
+    with pytest.raises(RuntimeError, match=r"^sample 7: reduced problem has no optimal dispatch although the full "
+                                           r"problem was feasible; this indicates a solver bug$"):
+        run_ropf(tri3, sample, {1})
+
+
 def _eval_tri3(tri3, tri3_dataset, predictor, threshold=0.95, n=40):
     test = tri3_dataset.samples[:n]
     return evaluate(tri3, predictor, test, threshold)

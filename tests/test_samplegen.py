@@ -174,6 +174,19 @@ def _reference_samples(net, count, magnitude, seed):
     return loads, dispatches, redraws
 
 
+def test_a_sample_still_infeasible_at_the_redraw_cap_is_an_error(tri3, monkeypatch):
+    """At +-60% some tri3 draws are infeasible; the first sample whose draws all are, up to the cap, names itself."""
+    monkeypatch.setattr(samplegen, "_MAX_REDRAWS_PER_SAMPLE", 2)
+    with pytest.raises(RuntimeError, match=r"^sample 77: no feasible load after 2 redraws$"):
+        generate_dataset(tri3, 200, 0.6, seed=1)
+    # sample 77 is the first whose first two draws are both infeasible
+    base, everything = tri3.base_load(), full_monitored_set(tri3)
+    for i in range(78):
+        gen = samplegen._generator(samplegen.derive_seed(1, i))
+        statuses = [solve_opf(tri3, base * gen.uniform(0.4, 1.6, base.size), everything).status for _ in range(2)]
+        assert (statuses == ["infeasible"] * 2) == (i == 77)
+
+
 def test_rekeyed_philox_gives_each_key_its_own_stream():
     """One re-keyed bit generator draws what a new Philox with that key draws, whatever it drew before."""
     bits = np.random.Philox(key=0)

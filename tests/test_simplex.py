@@ -10,6 +10,7 @@ from gridscreen import (
     build_opf,
     full_monitored_set,
     parse_case,
+    serialize_case,
     solve_lp,
 )
 from gridscreen import dcopf, simplex
@@ -236,6 +237,33 @@ def test_optimal_vertex_counts_one_final_factorization():
     assert sol.x.tolist() == [0.0, 0.0]
     assert sol.diagnostics["pivots"] == 0
     assert sol.diagnostics["refactorizations"] == 1
+
+
+@pytest.mark.parametrize("every", [1, 2])
+def test_periodic_refactorization_keeps_the_answer(case14, monkeypatch, every):
+    """With B^-1 rebuilt after every pivot or every second one, case14 dispatch LPs keep scipy's status and optimum.
+
+    Only LPs of more than _REFACTOR_EVERY pivots reach the periodic
+    refactorization otherwise, and no case14 LP takes that many.  Each
+    refactorization counts, beside the optimal vertex's final read.
+    """
+    rng = np.random.default_rng(32)
+    base, everything = case14.base_load(), full_monitored_set(case14)
+    problems = [build_opf(case14, base * rng.uniform(0.4, 1.6, base.size), everything) for _ in range(30)]
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", every)
+    most = 0
+    for problem in problems:
+        sol = solve_lp(problem)
+        ref = linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub, A_eq=problem.a_eq, b_eq=problem.b_eq,
+                      bounds=list(zip(problem.lower, problem.upper)), method="highs")
+        assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+        optimal = sol.status == "optimal"
+        if optimal:
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+        refactorizations = sol.diagnostics["refactorizations"]
+        assert refactorizations == sol.diagnostics["pivots"] // every + optimal
+        most = max(most, refactorizations)
+    assert most > 2
 
 
 def test_dimension_validation():
@@ -516,6 +544,58 @@ def test_a_singular_dual_simplex_answers_none(case14, monkeypatch):
     assert any(x is not None and hit for x, hit in zip(before, singular))
     for x, y, hit in zip(answers, before, singular):
         assert x is None if hit or y is None else x.tobytes() == y.tobytes()
+
+
+def test_a_failing_replay_answers_none_and_the_load_is_solved_cold(case14, monkeypatch):
+    """Where a child's replayed pivot meets a singular pivot element, that miss answers None and dispatches solves it cold.
+
+    Once a batch has met the first pivot of each of its misses, another
+    pass over it pivots only to replay a child's pivot, on a fresh copy of
+    the prepared core, for a miss that pivots past that child.
+    """
+    net = parse_case(serialize_case(case14))  # a Network with no start prepared
+    everything = full_monitored_set(net)
+    rng = np.random.default_rng(2)
+    loads = [net.base_load() * rng.uniform(0.4, 1.6, net.num_buses) for _ in range(60)]
+    cold = [dcopf.solve_opf(net, load, everything).p_g for load in loads]
+    cold = [None if p_g is None else p_g.tobytes() for p_g in cold]
+    assert [None if p_g is None else p_g.tobytes() for p_g in dcopf.dispatches(net, loads, everything)] == cold
+    warm_start = dcopf._warm_start(net, sorted(everything))
+    children = dict(warm_start._children)
+
+    replays, inside, failed = [], [], []
+    pivot, vertices = simplex._Core._pivot, WarmStart.vertices
+
+    def failing_replay(core, *args):
+        if not inside or any(core is other for other in failed):
+            return pivot(core, *args)
+        failed.append(core)
+        replays.append(core.b.tobytes())
+        raise simplex.SingularBasisError("pivot element too small: 0.0")
+
+    def flagged_vertices(start, rhs):
+        inside.append(start)
+        try:
+            return vertices(start, rhs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(simplex._Core, "_pivot", failing_replay)
+    monkeypatch.setattr(WarmStart, "vertices", flagged_vertices)
+    solved, solve = [], dcopf.solve_opf
+    monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1].tobytes()) or solve(*a))
+    rhs = dcopf._rhs(net, loads, np.array(sorted(everything)))
+    answers = warm_start.vertices(rhs)
+    replayed = [(row / warm_start._core.scale).tobytes() in replays for row in rhs]
+    assert 0 < len(replays) == sum(replayed)
+    assert [x is None for x in answers] == [hit or p_g is None for hit, p_g in zip(replayed, cold)]
+    assert warm_start._children.keys() == children.keys()  # no first pivot was taken again
+    assert all(warm_start._children[key] is child for key, child in children.items())
+
+    del solved[:]
+    again = dcopf.dispatches(net, loads, everything)
+    assert [None if p_g is None else p_g.tobytes() for p_g in again] == cold
+    assert solved == [load.tobytes() for load, x in zip(loads, answers) if x is None]
 
 
 def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
