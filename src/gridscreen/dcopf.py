@@ -53,7 +53,16 @@ def full_monitored_set(network: Network) -> frozenset[int]:
 
 
 def _check_monitored(network: Network, monitored) -> list[int]:
-    mon = sorted(set(map(int, monitored)))
+    """The distinct branch indices of `monitored` in ascending order; ValueError on a non-integer entry or one out of range.
+
+    A float or a bool is not a branch index, even where int() would take it.
+    """
+    entries = list(monitored)
+    for entry in entries:
+        # a plain int passes the first test alone, which keeps the check cheap per dispatch
+        if type(entry) is not int and (isinstance(entry, bool) or not isinstance(entry, (int, np.integer))):
+            raise ValueError(f"monitored branch index must be an integer, got {entry!r}")
+    mon = sorted(set(map(int, entries)))
     if mon and (mon[0] < 0 or mon[-1] >= network.num_branches):
         raise ValueError(f"monitored branch index out of range: {mon}")
     return mon

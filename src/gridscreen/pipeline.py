@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dcopf import ViolationReport, _flows, check_limits, dispatches, full_monitored_set
+from .dcopf import ViolationReport, _check_monitored, _flows, check_limits, dispatches, full_monitored_set
 from .gnn import predict_congested
 from .netcase import Network
 from .samplegen import Sample, _write_atomic, label_sample
@@ -82,7 +82,7 @@ def run_ropf(network: Network, sample: Sample, monitored) -> RopfResult:
     reduced one feasible too (it drops constraints), so an infeasible
     outcome is reported as a solver bug rather than a result.
     """
-    monitored = frozenset(map(int, monitored))
+    monitored = frozenset(_check_monitored(network, monitored))
     p_g, seconds = _timed_dispatch(network, sample.load_mw, monitored)
     if p_g is None:
         raise RuntimeError(
@@ -144,7 +144,9 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
     timed over the whole answer.  Each side's time per sample is the
     fastest of _TIMING_REPEATS dispatches, the two sides taking turns to go
     first, so a burst of other load on the machine, or a set's first
-    sight, seldom lands on one side only.
+    sight, seldom lands on one side only.  Only the first screened
+    dispatch is audited by run_ropf; the later ones are timed alone, as
+    the full side's are.
     """
     if not samples:
         raise ValueError("evaluation requires a non-empty sample list")
@@ -168,10 +170,15 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
         for rep in range(_TIMING_REPEATS):
             if rep % 2:  # odd repeats dispatch the full problem first
                 full.append(_timed_dispatch(network, sample.load_mw, all_k))
-            reduced.append(run_ropf(network, sample, pred_set))
+            if rep:
+                # only the first screened dispatch is audited; later ones are timed, as the full side's are
+                reduced.append(_timed_dispatch(network, sample.load_mw, result.monitored)[1])
+            else:
+                result = run_ropf(network, sample, pred_set)
+                reduced.append(result.ropf_solve_seconds)
             if not rep % 2:
                 full.append(_timed_dispatch(network, sample.load_mw, all_k))
-        result, p_full = reduced[0], full[0][0]
+        p_full = full[0][0]
         full_seconds.append(min(seconds for _, seconds in full))
         violated[i] = result.violations.flags
 
@@ -192,7 +199,7 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
             "ropf_objective": result.ropf_objective,
             "full_objective": result.full_objective,
             "cost_delta": result.ropf_objective - result.full_objective,
-            "ropf_solve_seconds": min(r.ropf_solve_seconds for r in reduced),
+            "ropf_solve_seconds": min(reduced),
         })
 
     tp = (oracle & pred).sum(axis=0)

@@ -20,13 +20,19 @@ The LP is infeasible when an artificial ends phase 1 above 1e-7 times
 max(1, |b|) of its own row, so the verdict does not depend on other rows.
 Pricing is Dantzig (most negative reduced cost); the ratio test takes the
 largest pivot among near-ties, and Bland's smallest-index rule engages after
-3*(#vars + #rows) consecutive degenerate steps so cycling cannot occur.  The
-basis inverse is maintained by pivot updates and refactorized periodically.
-The optimal vertex is read on its tight rows (_VertexRead): the basic
-slacks and artificials each cover their own row, so B x_B = b - N x_N
-reduces to a t x t system over the t rows they leave, solved once per
-basis; that factorization counts as a refactorization.  Each solution
-reports iteration, pivot, bound-flip and refactorization counts.  An
+3*(#vars + #rows) consecutive degenerate steps so cycling cannot occur.
+
+B is factorized one way, on its tight rows (_VertexRead, the small
+working basis of Koberstein 2005): the basic slacks and artificials each
+cover their own row, so B x_B = b - N x_N reduces to a t x t system over
+the t rows they leave.  A core derives that read once per change of basis
+or status (a pivot or a bound flip) and takes from it all that the primal
+and dual pivots need: x_B, B^-1 times a column (the ratio test), a row of
+B^-1 (a dual pivot's alpha, an artificial's drive-out), the duals c_B
+B^-1 (pricing) and, from the read of the last pricing pass, the optimal
+vertex.  No m x m inverse is formed or updated, and each derivation of a
+read counts as a refactorization.  Each solution reports iteration,
+pivot, bound-flip and refactorization counts.  An
 iteration is a pivot, a bound flip or a pricing pass that finds no
 improving column, so a phase 1 that ends with no artificial basic counts
 just its pivots and flips (phase1_iterations is 0 when the slack start
@@ -40,10 +46,10 @@ dual chapters): WarmStart(lp) solves lp cold, through the same two phases
 as solve_lp, and keeps the core that solve ends on to answer lp under
 other right-hand sides, so the optimal basis never leaves this module.  A
 new rhs leaves A, c, the bounds and the row scaling alone (the core keeps
-its row scale, which divides each new rhs), so B^-1 of the optimal basis
-(formed afresh by a refactorization, not the product-form inverse the
-solve updated) and one pricing pass (no column may improve) are done once.  The
-basis then stays dual feasible for every rhs.  The preparation also keeps
+its row scale, which divides each new rhs), so the optimal basis's read
+and its one pricing pass (no column may improve), both the cold solve's
+last, serve every rhs, and the basis stays dual feasible for every rhs.
+The preparation keeps
 one read-only record of that basis (_Prepared), which every read reuses:
 its vertex read (B's columns in ascending order, the m x t array that maps
 the tight rows' rhs to x_B, the nonbasic values and N x_N, the basic
@@ -61,11 +67,11 @@ largest |alpha|), so every reduced cost keeps its sign.  A row where no
 column can enter, where _DUAL_PIVOT_CAP pivots do not reach a primal
 feasible basis, or whose basis the read finds singular, answers None; so
 does every row when the cold solve is not optimal, leaves an artificial
-basic, or ends on a basis that the fresh B^-1 or the read finds singular
-or that is not optimal.  The caller solves such a row cold, so only the
+basic, or ends on a basis that the read finds singular or that is not
+optimal.  The caller solves such a row cold, so only the
 two-phase primal judges infeasibility.
 
-A miss's first dual pivot reads B^-1's leaving row, a, the prepared
+A miss's first dual pivot reads the leaving row of B^-1, a, the prepared
 reduced costs and the prepared core's statuses, never the rhs, so the
 basis it reaches (a child) is a function of the leaving row and its
 direction alone.  Each start keeps the child of every (row, direction) a
@@ -74,22 +80,23 @@ same constructor on its first sight from the copy of the core that took
 the pivot, which also holds the entering column.  No record holds an
 m x m array: its largest is the read's m x t one, t being the child's
 tight rows (2 on case14, about 16 on ring14x8's 353 rows).  A pivot that
-finds no column to enter, or a singular one, keeps None, and so does a
-child whose read finds its basis singular.  A later miss with the same
+finds no column to enter keeps None, and so does a child whose read finds
+its basis singular.  A later miss with the same
 first pivot reads its vertex against the child, and a vertex within
 bounds there is answered as a hit is, with no pivot.
 Any other miss pivots on: on the child's first sight from the pivoted
 copy, later from a fresh copy on which the child's one pivot is replayed
-through the step that ends every dual pivot (_Core._take: the leaving
-variable rests at the bound it returns to, the entering column turns
-basic, B^-1 is updated).  So a miss that pivots past its child takes the
-pivots it would take without children, and every miss reads the bits it
-would read without.
+through the basis exchange that ends every pivot, primal or dual
+(_Core._pivot: the leaving variable rests at the bound it returns to, the
+entering column turns basic), and which then reads through the child's
+own read.  So a miss that pivots past its child takes the pivots it would
+take without children, and every miss reads the bits it would read
+without.
 
 Every vertex, cold or warm, the cold solve's own and the one after each
 dual pivot included, is read by the same tight-row read, with B's columns
 in ascending index order, so its bits depend on the basic set and the
-nonbasic statuses, not on the path that reached them.  The read itself
+nonbasic statuses, not on the path that reached them.  Reading x_B
 calls no BLAS or LAPACK routine, and each basic value's t terms are
 summed in one contiguous run, so each item of a stacked read has the bits
 of a single read.  So a warm vertex has the bits of a cold solve that
@@ -119,7 +126,6 @@ _FIXED = 4     # lb == ub, never eligible to enter
 _CAN_INCREASE = np.array([True, False, False, True, False])
 _CAN_DECREASE = np.array([False, True, False, True, False])
 
-_REFACTOR_EVERY = 100
 _DEGEN_STEP = 1e-9
 _START_PRIMAL_TOL = 1e-9
 _DUAL_PIVOT_CAP = 50
@@ -130,7 +136,7 @@ class SimplexIterationLimit(RuntimeError):
 
 
 class SingularBasisError(RuntimeError):
-    """Basis matrix numerically singular even after refactorization retry."""
+    """Basis matrix singular, or its read non-finite."""
 
 
 @dataclass
@@ -206,10 +212,8 @@ def _solve(lp: LinearProgram, max_iterations: int | None) -> tuple[LpSolution, _
     status = core.run_two_phase()
     x = None
     if status == "optimal":
-        # the vertex read factorizes the basis's tight rows, so it counts as
-        # a refactorization; no m x m inverse is formed
+        # the read of the last pricing pass reads the vertex too
         x = core._vertex(core.b)[:lp.num_variables]
-        core.refactorizations += 1
     return LpSolution(
         status=status,
         x=x,
@@ -224,8 +228,8 @@ class WarmStart:
 
     .solution is the cold solve's LpSolution, as solve_lp returns it.
     When that solve is not optimal, leaves an artificial basic, or ends on
-    a basis whose fresh B^-1 or vertex read finds it singular, or that
-    lets a column price in, every row answers None.
+    a basis whose vertex read finds it singular, or that lets a column
+    price in, every row answers None.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -287,10 +291,11 @@ class WarmStart:
                 return None if child.prices_in else x[:self._variables]
             if core is None:
                 # replay the child's pivot on a fresh copy through the same
-                # pivot step as its first sight, so the same B^-1 bits
+                # exchange as its first sight; the basis and statuses it
+                # reaches are the child's, and so is their read
                 core = self._copy(b)
-                if not core._take(r, rise, child.entering):
-                    return None
+                core._pivot(r, child.entering, rise < 0)
+                core._read = child.read
             x = core.dual_simplex(x, child.reduced_costs)
         except SingularBasisError:
             return None
@@ -299,7 +304,7 @@ class WarmStart:
     def _copy(self, b: np.ndarray) -> _Core:
         """A copy of the prepared core for rhs b, whose pivots leave the prepared one alone."""
         core = copy.copy(self._core)
-        core.b, core.basis, core.status, core.binv = b, core.basis.copy(), core.status.copy(), core.binv.copy()
+        core.b, core.basis, core.status = b, core.basis.copy(), core.status.copy()
         return core
 
 
@@ -325,9 +330,10 @@ class _Prepared:
         SingularBasisError where the vertex read finds that basis singular.
         No record holds an m x m array: the read keeps an m x t one.
         """
-        d = core._reduced_costs()
+        read = core.read
+        d = core.c - read.duals(core.c) @ core.a
         d.flags.writeable = False
-        return _Prepared(_VertexRead(core), d, bool(core._improving(d, _dual_tol(core.c)).size), entering)
+        return _Prepared(read, d, bool(core._improving(d, _dual_tol(core.c)).size), entering)
 
 
 def _dual_tol(c: np.ndarray) -> float:
@@ -337,9 +343,11 @@ def _dual_tol(c: np.ndarray) -> float:
 class _Core:
     """Simplex engine on lp's standard-form system a x (+ artificials) = b.
 
-    A core is built from its LP, rhs and slack start included.  Once the
-    two phases end optimal, prepare_dual readies the core for WarmStart,
-    whose copies run dual_simplex for their own rhs.
+    A core is built from its LP, rhs and slack start included.  Its basis
+    is read through one _VertexRead (self.read), derived anew after each
+    pivot or bound flip.  Once the two phases end optimal, prepare_dual
+    readies the core for WarmStart, whose copies run dual_simplex for
+    their own rhs.
     """
 
     def __init__(self, lp: LinearProgram, max_iterations: int | None):
@@ -405,22 +413,19 @@ class _Core:
         self.status = np.concatenate([status, np.where(slack_start, _FIXED, _BASIC)])
         self.basis = np.where(slack_start, n - me + rows, n_real + rows)
         self.status[self.basis] = _BASIC
-        self.binv = np.diag(signs)  # inverse of the initial +/-1 diagonal basis
-        self.x_basic = np.abs(resid)
-        self.pivots_since_refactor = 0
+        self._read = None
 
     def prepare_dual(self) -> _Prepared | None:
         """Ready this core, optimal after run_two_phase, for dual_simplex: the record of its basis, or None if it cannot.
 
-        It cannot while an artificial is basic, when B is singular or its
-        B^-1, formed afresh by _refactorize, is non-finite, or when a column
-        prices in under that B^-1.  The artificials stay fixed at 0, so
-        dual pivots never let one enter.
+        It cannot while an artificial is basic, when the read finds B
+        singular, or when a column prices in.  The record reuses the read
+        of the solve's last pricing pass.  The artificials stay fixed at 0,
+        so dual pivots never let one enter.
         """
         if (self.basis >= self.n_real).any():
             return None
         try:
-            self._refactorize()
             prepared = _Prepared.of(self)
         except SingularBasisError:
             return None
@@ -441,7 +446,7 @@ class _Core:
                 return None if self._improving(d, _dual_tol(self.c)).size else x
             if self.pivots >= _DUAL_PIVOT_CAP or not self.dual_pivot(*leaving, d):
                 return None
-            x, d = self._vertex(self.b), self._reduced_costs()
+            x, d = self._vertex(self.b), self.c - self.read.duals(self.c) @ self.a
 
     def leaving(self, x: np.ndarray) -> tuple[int, float] | None:
         """The dual pivot's leaving row for vertex x, the most infeasible, and the sign of its return to the bound it violates.
@@ -458,12 +463,12 @@ class _Core:
     def dual_pivot(self, r: int, rise: float, d: np.ndarray) -> bool:
         """One bounded dual pivot under reduced costs d: row r's basic variable leaves, moving by rise.
 
-        False if no column can enter or the pivot element is too small.
-        The pivot reads B^-1, a, the statuses and d, never the rhs.
+        False if no column can enter.  The pivot reads row r of B^-1, a,
+        the statuses and d, never the rhs.
         """
         # the leaving variable returns to the bound it violates; a unit
         # step of nonbasic column j moves it by -alpha_j
-        alpha = self.binv[r] @ self.a
+        alpha = self.read.row(r) @ self.a
         toward = -rise * alpha
         piv_tol = 1e-9 * max(1.0, float(np.abs(alpha).max()))
         entering = ((_CAN_INCREASE[self.status] & (toward > piv_tol))
@@ -474,21 +479,21 @@ class _Core:
         # ties go to the largest |alpha|
         ratios = np.abs(d[entering] / alpha[entering])
         tied = entering[ratios <= ratios.min() + 1e-12]
-        return self._take(r, rise, int(tied[np.argmax(np.abs(alpha[tied]))]))
-
-    def _take(self, r: int, rise: float, q: int) -> bool:
-        """Column q enters at row r, whose basic variable leaves to rest at the bound it returns to by rise; False on a singular pivot."""
-        self.status[self.basis[r]] = self._rest(self.basis[r], rise < 0)
-        self.status[q] = _BASIC
-        try:
-            self._pivot(r, q, self.binv @ self.a[:, q])
-        except SingularBasisError:
-            return False
+        # the leaving variable rests at the bound it returns to
+        self._pivot(r, int(tied[np.argmax(np.abs(alpha[tied]))]), rise < 0)
         return True
 
-    def _rest(self, j: int, at_upper: bool) -> int:
-        """The status of leaving variable j at its upper bound or its lower one; fixed where lb == ub."""
-        return _FIXED if self.lb[j] == self.ub[j] else _AT_UPPER if at_upper else _AT_LOWER
+    @property
+    def read(self) -> _VertexRead:
+        """The vertex read of the current basis, derived on first use after each change of basis or status.
+
+        Each derivation counts as a refactorization; SingularBasisError
+        where the read finds B singular.
+        """
+        if self._read is None:
+            self._read = _VertexRead(self)
+            self.refactorizations += 1
+        return self._read
 
     def diagnostics(self) -> dict:
         return {
@@ -499,9 +504,6 @@ class _Core:
             "bland_engaged": self.bland_engaged,
         }
 
-    def _reduced_costs(self) -> np.ndarray:
-        return self.c - (self.c[self.basis] @ self.binv) @ self.a
-
     def _improving(self, d: np.ndarray, dual_tol: float) -> np.ndarray:
         """Columns whose reduced cost d lets them enter and lower the objective."""
         status = self.status
@@ -511,24 +513,6 @@ class _Core:
         """The values of the nonbasic columns cols: at lower or fixed, lb; at upper, ub; free, 0."""
         s = self.status[cols]
         return np.where(s == _AT_UPPER, self.ub[cols], np.where(s == _FREE, 0.0, self.lb[cols]))
-
-    def _recompute_basics(self):
-        nonbasic = (self.status != _BASIC).nonzero()[0]
-        x_nb = self._nonbasic_values(nonbasic)
-        rhs = self.b - self.a[:, nonbasic] @ x_nb
-        self.x_basic = self.binv @ rhs
-
-    def _refactorize(self):
-        bmat = self.a[:, self.basis]
-        try:
-            self.binv = np.linalg.solve(bmat, np.eye(self.m))
-        except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix singular at refactorization") from None
-        if not np.isfinite(self.binv).all():
-            raise SingularBasisError("basis inverse non-finite after refactorization")
-        self.refactorizations += 1
-        self.pivots_since_refactor = 0
-        self._recompute_basics()
 
     def run_two_phase(self) -> str:
         c1 = np.zeros(self.n)
@@ -542,43 +526,40 @@ class _Core:
         if art_rows.size:
             # each basic artificial is judged against the rhs of its own row
             own_b = self.b[self.basis[art_rows] - self.n_real]
-            if np.any(np.abs(self.x_basic[art_rows]) > 1e-7 * np.maximum(1.0, np.abs(own_b))):
+            x_art = self.read.basics(self.b)[self.read.at[art_rows]]
+            if np.any(np.abs(x_art) > 1e-7 * np.maximum(1.0, np.abs(own_b))):
                 return "infeasible"
             self._drive_out_artificials(art_rows)
-        self._recompute_basics()
         # artificials are pinned at zero for phase 2
         self.lb[self.n_real:] = 0.0
         self.ub[self.n_real:] = 0.0
         art_status = self.status[self.n_real:]
         art_status[art_status != _BASIC] = _FIXED
+        self._read = None  # the artificials' bounds and statuses changed
         return self._iterate(self.c, phase=2)
 
     def _drive_out_artificials(self, art_rows: np.ndarray):
         """Pivot a real column into each of art_rows, whose basic artificial is at zero, where one can enter."""
         for r in art_rows:
-            j = self.basis[r]
-            row = self.binv[r, :] @ self.a[:, : self.n_real]
+            row = self.read.row(r) @ self.a[:, : self.n_real]
             candidates = ((np.abs(row) > 1e-7) & (self.status[: self.n_real] != _BASIC)).nonzero()[0]
             if candidates.size == 0:
                 continue  # dependent row; artificial stays basic at zero
-            q = candidates[np.argmax(np.abs(row[candidates]))]
-            w = self.binv @ self.a[:, q]
-            self.status[q] = _BASIC
-            self.status[j] = _FIXED
-            self._pivot(r, q, w)
+            # the artificial rests at 0, where phase 2 fixes it
+            self._pivot(r, int(candidates[np.argmax(np.abs(row[candidates]))]), False)
 
-    def _pivot(self, r: int, q: int, w: np.ndarray):
-        piv = w[r]
-        if abs(piv) < 1e-12:
-            raise SingularBasisError(f"pivot element too small: {piv!r}")
-        pivot_row = self.binv[r, :] / piv
-        self.binv -= np.outer(w, pivot_row)
-        self.binv[r, :] = pivot_row
+    def _pivot(self, r: int, q: int, at_upper: bool):
+        """The basis exchange every pivot ends on, primal or dual: column q turns basic at row r.
+
+        The variable it replaces rests at its upper bound or its lower one
+        (fixed where they meet).  The read of the old basis is dropped.
+        """
+        j = self.basis[r]
+        self.status[j] = _FIXED if self.lb[j] == self.ub[j] else _AT_UPPER if at_upper else _AT_LOWER
+        self.status[q] = _BASIC
         self.basis[r] = q
         self.pivots += 1
-        self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= _REFACTOR_EVERY:
-            self._refactorize()
+        self._read = None
 
     def _iterate(self, c: np.ndarray, phase: int) -> str:
         dual_tol = _dual_tol(c)
@@ -595,14 +576,8 @@ class _Core:
                 )
             self.iterations += 1
 
-            y = c[self.basis] @ self.binv
-            if not (np.isfinite(y).all() and np.isfinite(self.x_basic).all()):
-                # updated inverse drifted; rebuild once from scratch before giving up
-                self._refactorize()
-                y = c[self.basis] @ self.binv
-                if not (np.isfinite(y).all() and np.isfinite(self.x_basic).all()):
-                    raise SingularBasisError("non-finite iterate after refactorization retry")
-            d = c - y @ self.a
+            read = self.read
+            d = c - read.duals(c) @ self.a
             idx = self._improving(d, dual_tol)
             if idx.size == 0:
                 return "optimal"
@@ -612,8 +587,9 @@ class _Core:
                 q = int(idx[np.argmax(np.abs(d[idx]))])
             direction = 1.0 if d[q] < 0 else -1.0
 
-            w = self.binv @ self.a[:, q]
+            w = read.column(self.a[:, q])
             delta = -direction * w  # rate of change of each basic value per unit step
+            x_basic = read.basics(self.b)[read.at]
 
             # ratio test over the rows that can block: basic variables moving
             # toward a finite bound; within 1e-12 of the minimum step the
@@ -627,7 +603,7 @@ class _Core:
             leave_row = -1
             if blocking.size:
                 bound = np.where(falling[blocking], lo[blocking], hi[blocking])
-                steps = np.maximum((bound - self.x_basic[blocking]) / delta[blocking], 0.0)
+                steps = np.maximum((bound - x_basic[blocking]) / delta[blocking], 0.0)
                 t_limit = float(steps.min())
                 tied = blocking[steps <= t_limit + 1e-12]
                 if bland:
@@ -639,21 +615,16 @@ class _Core:
             if gap <= t_limit and np.isfinite(gap):
                 # bound flip, no basis change
                 t = gap
-                self.x_basic += t * delta
                 self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
                 self.bound_flips += 1
+                self._read = None
             elif leave_row < 0:
                 if phase == 1:
                     raise SingularBasisError("phase-1 direction unbounded: numerical failure")
                 return "unbounded"
             else:
                 t = t_limit
-                entering_value = self._nonbasic_values(q) + direction * t
-                self.x_basic += t * delta
-                self.x_basic[leave_row] = entering_value
-                self.status[self.basis[leave_row]] = self._rest(self.basis[leave_row], delta[leave_row] > 0)
-                self.status[q] = _BASIC
-                self._pivot(leave_row, q, w)
+                self._pivot(leave_row, q, delta[leave_row] > 0)
 
             if t <= _DEGEN_STEP:
                 degen_run += 1
@@ -665,13 +636,12 @@ class _Core:
                 bland = False
 
     def _vertex(self, b: np.ndarray) -> np.ndarray:
-        """The current basis's vertex for rhs b, or for each row of a stacked b (see _VertexRead)."""
-        read = _VertexRead(self)
-        return read.vertex(read.basics(b))
+        """The current basis's vertex for rhs b, or for each row of a stacked b, by the current read."""
+        return self.read.vertex(self.read.basics(b))
 
 
 class _VertexRead:
-    """What reading a basis's vertex needs of that basis alone, derived once and read-only.
+    """A basis's one factorization: what reading its vertex, and pivoting from it, needs of that basis alone, derived once and read-only.
 
     The tight-row read (Koberstein 2005's small working basis, here over
     a dense B): B's columns, in ascending index order, are the structural
@@ -684,7 +654,10 @@ class _VertexRead:
     takes no BLAS or LAPACK call, only a product and a sum over t per basic
     value, so each item of a stacked read has the bits of a single read,
     and the bits depend on the basic set and the nonbasic statuses, not on
-    the row each column was pivoted into.
+    the row each column was pivoted into.  The same G, rows and signs give
+    B^-1 times a column, a row of B^-1 and the duals c_B B^-1, the last two
+    as y = v G on T and s v on U's rows; at is the place in cols of each
+    basis row's column, for results in the core's basis order.
     """
 
     def __init__(self, core: _Core):
@@ -694,6 +667,8 @@ class _VertexRead:
         A_TP is not square, or when A_TP is singular.
         """
         self.cols = np.sort(core.basis)
+        # the place in cols of each basis row's column
+        self.at = np.searchsorted(self.cols, core.basis)
         nonbasic = (core.status != _BASIC).nonzero()[0]
         # the vertex with its nonbasic values in place; basic entries are overwritten per read
         self.x = np.zeros(core.n)
@@ -708,28 +683,58 @@ class _VertexRead:
         t_rows = tight.nonzero()[0]
         if t_rows.size != p.size:
             raise SingularBasisError("two unit columns of the basis cover one row")
+        a_p = core.a[:, p]
         try:
-            a_tp_inv = np.linalg.inv(core.a[np.ix_(t_rows, p)])
+            # a basis of unit columns alone, as every slack start is, has no A_TP to invert
+            a_tp_inv = np.linalg.inv(a_p[t_rows]) if p.size else np.zeros((0, 0))
         except np.linalg.LinAlgError:
             raise SingularBasisError("basis matrix singular at the vertex read") from None
         self.t = p.size
         # r's rows in x_B's order: T for P's values, then the row each unit column covers
         self.rows = np.concatenate([t_rows, u_rows])
         self.signs = core.a[u_rows, self.cols[unit]]
-        self.g = np.concatenate([a_tp_inv, -self.signs[:, None] * (core.a[np.ix_(u_rows, p)] @ a_tp_inv)])
-        for array in (self.cols, self.x, self.n_x_n, self.lb, self.ub, self.rows, self.signs, self.g):
+        self.g = np.concatenate([a_tp_inv, -self.signs[:, None] * (a_p[u_rows] @ a_tp_inv)])
+        if not np.isfinite(self.g).all():
+            raise SingularBasisError("basis inverse non-finite at the vertex read")
+        for array in (self.cols, self.at, self.x, self.n_x_n, self.lb, self.ub, self.rows, self.signs, self.g):
             array.flags.writeable = False
 
     def basics(self, b: np.ndarray) -> np.ndarray:
         """x_B, in self.cols order, for rhs b or for each row of a stacked b."""
-        r = (b - self.n_x_n)[..., self.rows]
-        # laid out in C order, each basic value's t terms are contiguous, so
-        # its sum runs as in a single read whatever the stack's shape
-        x_basic = np.multiply(r[..., None, :self.t], self.g, order="C").sum(axis=-1)
-        x_basic[..., self.t:] += self.signs * r[..., self.t:]
+        x_basic = self._solve(b - self.n_x_n)
         if not np.isfinite(x_basic).all():
             raise SingularBasisError("basic values non-finite at the vertex read")
         return x_basic
+
+    def column(self, column: np.ndarray) -> np.ndarray:
+        """B^-1 column, in the basis's row order."""
+        return self._solve(column)[self.at]
+
+    def row(self, r: int) -> np.ndarray:
+        """Row r of B^-1, r being a row of the basis: the duals of a unit cost on that row's column alone."""
+        unit = np.zeros(self.cols.size)
+        unit[self.at[r]] = 1.0
+        return self._left(unit)
+
+    def duals(self, c: np.ndarray) -> np.ndarray:
+        """The duals c_B B^-1 of the column costs c."""
+        return self._left(c[self.cols])
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        """B^-1 r, in self.cols order, for r or for each row of a stacked r."""
+        r = r[..., self.rows]
+        # laid out in C order, each basic value's t terms are contiguous, so
+        # its sum runs as in a single read whatever the stack's shape
+        x = np.multiply(r[..., None, :self.t], self.g, order="C").sum(axis=-1)
+        x[..., self.t:] += self.signs * r[..., self.t:]
+        return x
+
+    def _left(self, v: np.ndarray) -> np.ndarray:
+        """v B^-1 for v in self.cols order: G's rows weighted by v on T, and s v on the rows U covers."""
+        y = np.empty(self.rows.size)
+        y[self.rows[:self.t]] = v @ self.g
+        y[self.rows[self.t:]] = self.signs * v[self.t:]
+        return y
 
     def vertex(self, x_basic: np.ndarray) -> np.ndarray:
         """The vertex whose basic values, in self.cols order, are x_basic (stacked or not)."""

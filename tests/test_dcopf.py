@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -69,9 +70,19 @@ def test_non_finite_load_rejected(tri3, bad):
         build_opf(tri3, load, full_monitored_set(tri3))
 
 
-def test_build_monitored_range_error(tri3):
+def test_build_monitored_range_error(tri3, tri3_base_sample):
     with pytest.raises(ValueError, match="out of range"):
         build_opf(tri3, tri3.base_load(), {3})
+    # int() would turn these into branches 0, 9 and 1; each is named instead
+    for entry in (0.9, 9.99, True, np.bool_(True), np.float64(1.0)):
+        for monitored in ([entry], [0, entry]):
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {entry!r}")):
+                build_opf(tri3, tri3.base_load(), monitored)
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {entry!r}")):
+                run_ropf(tri3, tri3_base_sample, monitored)
+    # numpy integers are branch indices
+    assert build_opf(tri3, tri3.base_load(), np.array([2, 0])).b_ub.tolist() == \
+        build_opf(tri3, tri3.base_load(), [0, 2]).b_ub.tolist()
 
 
 def test_tri3_full_solution(tri3):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from gridscreen import pipeline
+from gridscreen.dcopf import dispatches
 from gridscreen import (
     ModelConfig,
     ModelPredictor,
@@ -148,6 +150,27 @@ def test_evaluate_confusion_counts_consistent(tri3, tri3_dataset):
         100.0 * (report.false_pos + report.false_neg) / (n * nk)
     )
     assert sum(report.wrong_prediction_histogram) == n
+
+
+def test_evaluate_audits_one_screened_dispatch_and_takes_turns(tri3, tri3_dataset, monkeypatch):
+    """Per sample: one audited screened dispatch, then timed-only ones, the sides alternating first; each time is the fastest of 3."""
+    calls, audits, clock = [], [], iter(range(1, 1000))
+    full = frozenset(range(tri3.num_branches))
+
+    def timed(network, load, monitored):
+        calls.append("full" if monitored == full else "screened")
+        return dispatches(network, [load], monitored)[0], float(next(clock))
+
+    run_ropf = pipeline.run_ropf
+    monkeypatch.setattr(pipeline, "_timed_dispatch", timed)
+    monkeypatch.setattr(pipeline, "run_ropf", lambda *a: audits.append(a[1].sample_id) or run_ropf(*a))
+    samples = tri3_dataset.samples[:2]
+    report = evaluate(tri3, FixedPredictor(frozenset({1})), samples, 0.95)
+    assert audits == [s.sample_id for s in samples]
+    assert calls == ["screened", "full", "full", "screened", "screened", "full"] * 2
+    # the clock counts dispatches, so each side's fastest is its first
+    assert [row["ropf_solve_seconds"] for row in report.per_sample] == [1.0, 7.0]
+    assert report.total_full_opf_seconds == 2.0 + 8.0
 
 
 def test_evaluate_validation(tri3, tri3_dataset):

@@ -134,10 +134,13 @@ def test_solver_counters_bound_flips():
 
 
 def test_case14_iteration_counts(case14):
-    """The shift-factor LP and the slack start keep the solve short; counts repeat on any machine."""
+    """The shift-factor LP and the slack start keep the solve short; counts repeat on any machine.
+
+    Each LP's (iterations, pivots) is pinned, so a change of pivot path fails here.
+    """
     rng = np.random.default_rng(0)
     base = case14.base_load()
-    phase1, total = [], []
+    phase1, total, counts = [], [], []
     for _ in range(20):
         load = base * rng.uniform(0.9, 1.1, base.size)
         sol = solve_lp(build_opf(case14, load, full_monitored_set(case14)))
@@ -145,8 +148,11 @@ def test_case14_iteration_counts(case14):
         assert sol.diagnostics["refactorizations"] >= 1
         phase1.append(sol.diagnostics["phase1_iterations"])
         total.append(sol.iterations)
+        counts.append((sol.iterations, sol.diagnostics["pivots"]))
     assert np.mean(phase1) <= 4
     assert np.mean(total) <= 6
+    assert counts == [(2, 1), (3, 2), (2, 1), (2, 1), (2, 1), (3, 2), (3, 2), (2, 1), (2, 1), (2, 1),
+                      (2, 1), (3, 2), (2, 1), (2, 1), (3, 2), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1)]
 
 
 def test_beale_cycling_example_terminates():
@@ -239,18 +245,15 @@ def test_optimal_vertex_counts_one_final_factorization():
     assert sol.diagnostics["refactorizations"] == 1
 
 
-@pytest.mark.parametrize("every", [1, 2])
-def test_periodic_refactorization_keeps_the_answer(case14, monkeypatch, every):
-    """With B^-1 rebuilt after every pivot or every second one, case14 dispatch LPs keep scipy's status and optimum.
+def test_wide_case14_draws_keep_scipys_answer(case14):
+    """Case14 dispatch LPs within +-60% of the base load keep scipy's status and optimum.
 
-    Only LPs of more than _REFACTOR_EVERY pivots reach the periodic
-    refactorization otherwise, and no case14 LP takes that many.  Each
-    refactorization counts, beside the optimal vertex's final read.
+    Each basis a solve reaches is read anew on its tight rows, and each
+    read counts as a refactorization.
     """
     rng = np.random.default_rng(32)
     base, everything = case14.base_load(), full_monitored_set(case14)
     problems = [build_opf(case14, base * rng.uniform(0.4, 1.6, base.size), everything) for _ in range(30)]
-    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", every)
     most = 0
     for problem in problems:
         sol = solve_lp(problem)
@@ -260,10 +263,40 @@ def test_periodic_refactorization_keeps_the_answer(case14, monkeypatch, every):
         optimal = sol.status == "optimal"
         if optimal:
             assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
-        refactorizations = sol.diagnostics["refactorizations"]
-        assert refactorizations == sol.diagnostics["pivots"] // every + optimal
-        most = max(most, refactorizations)
+        most = max(most, sol.diagnostics["refactorizations"])
     assert most > 2
+
+
+@pytest.mark.parametrize("every", [1, 2])
+def test_periodic_refactorization_keeps_the_answer(case14, monkeypatch, every):
+    """With the read of an unchanged basis derived afresh at every use of it or every second one, case14 LPs keep their answer.
+
+    A solve keeps its status, the bytes of its vertex and its iteration and
+    pivot counts; each forced derivation counts as one more refactorization.
+    """
+    rng = np.random.default_rng(32)
+    base, everything = case14.base_load(), full_monitored_set(case14)
+    problems = [build_opf(case14, base * rng.uniform(0.4, 1.6, base.size), everything) for _ in range(30)]
+    plain = [solve_lp(problem) for problem in problems]
+    uses, forced, read = [0], [0], simplex._Core.read.fget
+
+    def periodic(core):
+        uses[0] += 1
+        if uses[0] % every == 0 and core._read is not None:
+            core._read = None
+            forced[0] += 1
+        return read(core)
+
+    monkeypatch.setattr(simplex._Core, "read", property(periodic))
+    for problem, old in zip(problems, plain):
+        forced[0] = 0
+        sol = solve_lp(problem)
+        assert sol.status == old.status
+        if sol.status == "optimal":
+            assert sol.x.tobytes() == old.x.tobytes()
+        assert (sol.iterations, sol.diagnostics["pivots"]) == (old.iterations, old.diagnostics["pivots"])
+        assert sol.diagnostics["refactorizations"] == old.diagnostics["refactorizations"] + forced[0]
+    assert forced[0] > 0
 
 
 def test_dimension_validation():
@@ -283,7 +316,7 @@ def _rhs(problem):
 
 
 def _count_pivots(monkeypatch) -> list:
-    """Record every simplex pivot from here on."""
+    """Record every simplex pivot from here on, primal or dual, at the basis exchange each ends on."""
     pivots, pivot = [], simplex._Core._pivot
     monkeypatch.setattr(simplex._Core, "_pivot", lambda core, *a: pivots.append(a) or pivot(core, *a))
     return pivots
@@ -378,7 +411,7 @@ def test_start_basis_misses_leave_the_prepared_start_alone(name, request, monkey
     core = warm_start._core
     prepared = _prepared(warm_start)
     before = {key: array.copy() for key, array in prepared.items()}
-    core_before = [array.copy() for array in (core.basis, core.status, core.binv, core.b)]
+    core_before = [array.copy() for array in (core.basis, core.status, core.b)]
     for key, array in prepared.items():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -395,7 +428,7 @@ def test_start_basis_misses_leave_the_prepared_start_alone(name, request, monkey
     assert _prepared(warm_start).keys() == before.keys()
     for key, array in _prepared(warm_start).items():
         assert array is prepared[key] and array.tobytes() == before[key].tobytes(), key
-    for array, old in zip((core.basis, core.status, core.binv, core.b), core_before):
+    for array, old in zip((core.basis, core.status, core.b), core_before):
         assert array.tobytes() == old.tobytes()
 
 
@@ -608,7 +641,7 @@ def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
     warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
     core = warm_start._core
     prepared = {key: array.copy() for key, array in _prepared(warm_start).items()}
-    core_before = [array.copy() for array in (core.basis, core.status, core.binv, core.b)]
+    core_before = [array.copy() for array in (core.basis, core.status, core.b)]
     problems = _draws(case14, 200, 0.6, 3)
     for problem, x in zip(problems, warm_start.vertices([_rhs(p) for p in problems])):
         assert x.tobytes() == solve_lp(problem).x.tobytes()
@@ -622,8 +655,22 @@ def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
             assert not array.flags.writeable and array.size <= core.m + core.n
     for key, array in _prepared(warm_start).items():
         assert array.tobytes() == prepared[key].tobytes(), key
-    for array, old in zip((core.basis, core.status, core.binv, core.b), core_before):
+    for array, old in zip((core.basis, core.status, core.b), core_before):
         assert array.tobytes() == old.tobytes()
+
+
+def test_no_prepared_array_is_m_by_m(case14):
+    """No array that a prepared case14 start, its core or its children hold has the shape (m, m) of a basis inverse."""
+    warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
+    problems = _draws(case14, 200, 0.6, 3)
+    warm_start.vertices([_rhs(p) for p in problems])
+    children = [child for child in warm_start._children.values() if child is not None]
+    assert children
+    core = warm_start._core
+    records = [warm_start._prepared, *children]
+    holders = [warm_start, core, *records, *(record.read for record in records)]
+    arrays = [value for holder in holders for value in vars(holder).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) > 10 and (core.m, core.m) not in {array.shape for array in arrays}
 
 
 def _dense_basics(read, core, b) -> np.ndarray:
@@ -706,15 +753,16 @@ def _share_a_row(core):
     core.status[core.basis[r]] = simplex._AT_LOWER
     core.basis[r] = core.n_real + core.unit_row[slack]
     core.status[core.basis[r]] = simplex._BASIC
+    core._read = None  # the basis changed outside _pivot, so drop the read of the old one as _pivot does
 
 
 def test_a_start_whose_read_finds_a_shared_row_answers_none(case14, monkeypatch):
     """Where the prepared basis has two unit columns on one row, its read fails and every row answers None."""
     start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
-    refactorize, cores = simplex._Core._refactorize, []
-    # after the fresh B^-1 of the preparation, the basis turns singular
-    monkeypatch.setattr(simplex._Core, "_refactorize",
-                        lambda core: refactorize(core) or cores.append(core) or _share_a_row(core))
+    prepare, cores = simplex._Core.prepare_dual, []
+    # between the cold solve and the preparation, the basis turns singular
+    monkeypatch.setattr(simplex._Core, "prepare_dual",
+                        lambda core: cores.append(core) or _share_a_row(core) or prepare(core))
     warm_start = WarmStart(start_lp)
     assert len(cores) == 1 and warm_start.solution.status == "optimal"
     with pytest.raises(simplex.SingularBasisError, match="cover one row"):
