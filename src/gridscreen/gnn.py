@@ -35,16 +35,20 @@ with the same helper.
 All aggregation sums run in branch order, so a consistent relabeling of the
 buses reproduces per-branch outputs bit for bit.
 
-Training gives each epoch one workspace: a dict of arrays keyed by role and
-shape, which every batch's forward caches, backward arrays and weight
-gradients are written into (`out=`), so a batch reuses the arrays of the one
-before instead of allocating its own.  Forward arrays are keyed per layer,
-since the backward pass reads them; backward arrays are shared by the layers
-of one role ("edge", "node", "head" or an MLP tower), never by shape alone.
-The workspace is emptied before each epoch's validation pass, and the
-best-validation snapshot is copied into arrays made before the first epoch.
-Inference passes no workspace and allocates as it goes.  The bits are the
-same either way.
+A workspace is the one switch between training and inference: a dict of
+arrays keyed by role and shape.  Given one, the forward pass keeps the caches
+the backward pass reads, and every batch's forward arrays (the head's logits
+included), backward arrays and weight gradients are written into it
+(`out=`).  Training gives each epoch one workspace, so a batch reuses the
+arrays of the one before instead of allocating its own.  Forward arrays are
+keyed per layer, since the backward pass reads them; backward arrays are
+shared by the layers of one role ("edge", "node", "head" or an MLP tower),
+never by shape alone.  The workspace is emptied before each epoch's
+validation pass, and the best-validation snapshot is copied into arrays made
+before the first epoch.  Inference passes no workspace, keeps no cache and
+allocates as it goes.  The bits are the same either way.  Adam's beta1,
+beta2 and eps are fixed at 0.9, 0.999 and 1e-8; only the learning rate is
+configured.
 """
 
 from __future__ import annotations
@@ -191,36 +195,34 @@ def init_model(
 
 
 def _buffer(workspace, key, shape, dtype=float):
-    """The workspace's array for `key` and `shape`, made on first use; None (numpy allocates) without one.
+    """The workspace's array for `key` and `shape`, made on first use.
 
     The forward pass tests for a workspace before it calls this: single-sample
-    inference would pay for the calls and their shape tuples.
+    inference, which passes none, would pay for the calls and their shape tuples.
     """
-    if workspace is None:
-        return None
     array = workspace.get((key, shape))
     if array is None:
         array = workspace[key, shape] = np.empty(shape, dtype)
     return array
 
 
-def _scatter_sum(values: np.ndarray, incidence: np.ndarray, out=None) -> np.ndarray:
+def _scatter_sum(values: np.ndarray, incidence: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(B*K, C) row-stacked edge values -> (B*N, C) node sums, given a (K, N) 0/1 incidence matrix.
 
-    The sums are written into `out` when it is given, which may be a column
-    block of a wider array: splitting its rows into (B, N) is a view, never
-    a copy.  One sample is one GEMM of the transposed incidence with its
-    rows, and a batch is one such matmul per item.  Every product is exact
-    (a 0/1 factor) and each bus's sum runs over the branch axis in the fixed
-    branch order, from +0.0, so it equals a plain sum in branch order bit
-    for bit, and relabeling buses permutes output rows without changing a
-    single bit of any sum.
+    The sums are written into `out`, which may be a column block of a wider
+    array: splitting its rows into (B, N) is a view, never a copy.  One
+    sample is one GEMM of the transposed incidence with its rows, and a
+    batch is one such matmul per item.  Every product is exact (a 0/1
+    factor) and each bus's sum runs over the branch axis in the fixed branch
+    order, from +0.0, so it equals a plain sum in branch order bit for bit,
+    and relabeling buses permutes output rows without changing a single bit
+    of any sum.
     """
     branches, buses = incidence.shape
     if values.shape[0] == branches:
         return np.matmul(incidence.T, values, out=out)
     batch = values.shape[0] // branches
-    stacked = None if out is None else out.reshape(batch, buses, -1)
+    stacked = out.reshape(batch, buses, -1)
     return np.matmul(incidence.T, values.reshape(batch, branches, -1), out=stacked).reshape(batch * buses, -1)
 
 
@@ -237,13 +239,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _dense(params, w, b, x, keep=False, workspace=None, relu=True):
+def _dense(params, w, b, x, workspace=None, relu=True):
     """x (R, S) @ params[w] (S, C) + params[b] as one GEMM, through a relu unless `relu` is False.
 
-    Returns the output and the cache `_dense_backward` reads: the (input,
-    active mask) pair with `keep`, else None; the mask is None without the
-    relu.  With a workspace, the output and the mask are its arrays under
-    w's name.
+    Returns the output and the cache `_dense_backward` reads: with a
+    workspace, the (input, active mask) pair, the mask None without the
+    relu, and the output and the mask are its arrays under w's name; without
+    one, None.
 
     A row's bits depend on the GEMM's shape as well as the row's content:
     BLAS kernels block and order their sums by shape, so the same sample can
@@ -253,19 +255,19 @@ def _dense(params, w, b, x, keep=False, workspace=None, relu=True):
     out = None if workspace is None else _buffer(workspace, w, (x.shape[0], params[w].shape[1]))
     z = np.matmul(x, params[w], out=out)
     z += params[b]
-    if not relu:
-        return z, ((x, None) if keep else None)
-    mask = np.greater(z, 0.0, out=_buffer(workspace, w + " mask", z.shape, bool)) if keep else None
-    return np.maximum(z, 0.0, out=z), ((x, mask) if keep else None)
+    cache = None
+    if workspace is not None:
+        cache = x, (np.greater(z, 0.0, out=_buffer(workspace, w + " mask", z.shape, bool)) if relu else None)
+    return (np.maximum(z, 0.0, out=z) if relu else z), cache
 
 
-def _dense_backward(params, w, b, cache, d_out, grads, role, workspace=None, input_grad=True):
+def _dense_backward(params, w, b, cache, d_out, grads, role, workspace, input_grad=True):
     """Store the gradients of params[w] and params[b] in `grads`; return the input gradient.
 
     A cache whose mask is None is a layer without the relu (the head).
     With input_grad False the input gradient is not computed and None is returned.
-    With a workspace, the gradient of w and the backward arrays are its
-    arrays: the pre-activation and input gradients under `role`, which layers
+    The gradient of w and the backward arrays are the workspace's arrays:
+    the pre-activation and input gradients under `role`, which layers
     of one role share, so each is overwritten by the next layer of its role.
     """
     x, mask = cache
@@ -277,23 +279,23 @@ def _dense_backward(params, w, b, cache, d_out, grads, role, workspace=None, inp
     return np.matmul(dz, params[w].T, out=_buffer(workspace, role + " dx", (dz.shape[0], x.shape[1])))
 
 
-def _layer_forward_batch(params, i, h, e, topology, ends, keep=False, workspace=None):
+def _layer_forward_batch(params, i, h, e, topology, ends, workspace=None):
     """Message-passing layer i on row-stacked (B*N, w) node and (B*K, w) edge rows, weights read from `params`.
 
     `ends` are the rows of each edge's from- and to-bus, as _stacked_ends
     gives them.  A layer without node weights (the last) returns None for
     the node embeddings and their cache.  The node stack is built in place:
     h is copied into its first block and each direction's message sums are
-    written into their own block.  With a workspace, the stacks and outputs
-    are its arrays under the layer's names, since the backward pass reads
-    them.
+    written into their own block.  With a workspace, the caches are kept
+    and the stacks and outputs are its arrays under the layer's names, since
+    the backward pass reads them; without one, the caches are None.
     """
     p = f"layers.{i}."
     rows_from, rows_to = ends
     out = None if workspace is None else _buffer(
         workspace, p + "edge_stack", (rows_from.size, 2 * h.shape[1] + e.shape[1]))
     edge_stack = np.concatenate([h.take(rows_from, axis=0), h.take(rows_to, axis=0), e], axis=1, out=out)
-    msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, keep, workspace)
+    msg, edge_cache = _dense(params, p + "w_edge", p + "b_edge", edge_stack, workspace)
     if p + "w_node" not in params:
         return None, msg, (edge_cache, None)
     width, c = h.shape[1], msg.shape[1]
@@ -302,7 +304,7 @@ def _layer_forward_batch(params, i, h, e, topology, ends, keep=False, workspace=
     node_stack[:, :width] = h
     _scatter_sum(msg, topology.incidence_from, node_stack[:, width:width + c])
     _scatter_sum(msg, topology.incidence_to, node_stack[:, width + c:])
-    h_next, node_cache = _dense(params, p + "w_node", p + "b_node", node_stack, keep, workspace)
+    h_next, node_cache = _dense(params, p + "w_node", p + "b_node", node_stack, workspace)
     return h_next, msg, (edge_cache, node_cache)
 
 
@@ -314,16 +316,16 @@ def _check_widths(model, node_features, edge_features):
             raise ValueError(f"{part} features {x.shape[-2:]} do not match model binding ({rows}, {width})")
 
 
-def _forward(model, node_features, edge_features, topology, keep_caches=False, workspace=None):
+def _forward(model, node_features, edge_features, topology, workspace=None):
     """Softmax rows (B, K, 2) for inputs (B, N, fn) / (B, K, fe), and the layer caches by name prefix.
 
     The layers run on row-stacked 2-D arrays.  The kind's encoder gives the
     top: the GNN's last edge embeddings, (B*K, width), or the MLP's node and
     edge stacks over flattened features, side by side, (B, 2 * width).  The
-    shared head, cached under "dense.", maps it to the logits.  Only with
-    `keep_caches` are the caches built; without, inference frees each
-    layer's stacks as the next one runs.  With a workspace, the layers write
-    into its arrays.
+    shared head, cached under "dense.", maps it to the logits.  Only with a
+    workspace are the caches built, and every layer, the head included,
+    writes into its arrays; without one (inference), each layer's stacks are
+    freed as the next one runs.
     """
     _check_widths(model, node_features, edge_features)
     h = model.normalizer.apply_node(node_features)
@@ -334,8 +336,7 @@ def _forward(model, node_features, edge_features, topology, keep_caches=False, w
         h, e = h.reshape(-1, h.shape[2]), e.reshape(-1, e.shape[2])
         ends = _stacked_ends(topology, batch)
         for i in range(model.config.num_layers):
-            h, e, caches[f"layers.{i}."] = _layer_forward_batch(params, i, h, e, topology, ends, keep_caches,
-                                                                workspace)
+            h, e, caches[f"layers.{i}."] = _layer_forward_batch(params, i, h, e, topology, ends, workspace)
         top = e
     else:
         tops = []
@@ -343,10 +344,10 @@ def _forward(model, node_features, edge_features, topology, keep_caches=False, w
             x = x.reshape(batch, -1)
             for i in range(model.config.num_layers):
                 p = f"{tag}_layers.{i}."
-                x, caches[p] = _dense(params, p + "W", p + "b", x, keep_caches, workspace)
+                x, caches[p] = _dense(params, p + "W", p + "b", x, workspace)
             tops.append(x)
         top = np.concatenate(tops, axis=1)
-    logits, caches["dense."] = _dense(params, "dense.w_out", "dense.b_out", top, keep_caches, relu=False)
+    logits, caches["dense."] = _dense(params, "dense.w_out", "dense.b_out", top, workspace, relu=False)
     probs = _softmax(logits.reshape(batch, model.binding.num_branches, CLASSES))
     return probs, caches
 
@@ -356,18 +357,18 @@ def forward_any(model, node_features, edge_features, topology):
     return _forward(model, node_features, edge_features, topology)[0]
 
 
-def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology, workspace=None):
+def _backward_batch(model: Model, node_features, edge_features, labels_one_hot, topology, workspace):
     """Exact gradients of the batch-mean MSE loss for every parameter, with the loss and probabilities.
 
     Arrays are (B, N, fn), (B, K, fe) and (B, K, 2) one-hot labels.  The
     forward caches, backward arrays and weight gradients are written into
-    `workspace`, a dict of arrays keyed by (role, shape), when one is given.
-    Calls that pass one dict reuse its arrays, so each call's gradients are
-    overwritten by the next call's.
+    `workspace`, a dict of arrays keyed by (role, shape).  Calls that pass
+    one dict reuse its arrays, so each call's gradients are overwritten by
+    the next call's.
     """
     if node_features.size == 0:
         raise ValueError("empty batch")
-    probs, caches = _forward(model, node_features, edge_features, topology, True, workspace)
+    probs, caches = _forward(model, node_features, edge_features, topology, workspace)
     batch = probs.shape[0]
     loss = float(np.mean((probs - labels_one_hot) ** 2, axis=(1, 2)).mean())
     # d(mean MSE)/d(probs), then back through the per-row softmax
@@ -435,8 +436,10 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the defaults of Kingma and Ba (2015), fixed
+
+    def __init__(self, params, learning_rate):
+        self.lr = learning_rate
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params}
         self.v = {name: np.zeros_like(p) for name, p in params}

@@ -21,6 +21,9 @@ max(1, |b|) of its own row, so the verdict does not depend on other rows.
 Pricing is Dantzig (most negative reduced cost); the ratio test takes the
 largest pivot among near-ties, and Bland's smallest-index rule engages after
 3*(#vars + #rows) consecutive degenerate steps so cycling cannot occur.
+The iteration budget is max(2000, 50*(#vars + #rows)) of the standard
+form; a solve that spends it raises SimplexIterationLimit, which is
+distinct from infeasibility.
 
 B is factorized one way, on its tight rows (_VertexRead, the small
 working basis of Koberstein 2005): the basic slacks and artificials each
@@ -194,21 +197,19 @@ class LpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP, reporting optimal/infeasible/unbounded faithfully.
 
-    Raises SimplexIterationLimit when the pivot budget runs out (distinct
-    from infeasibility) and SingularBasisError on an unrecoverable basis.
-    max_iterations=None uses a budget that grows with the LP's size.
+    Raises SimplexIterationLimit when the iteration budget, which grows
+    with the LP's size, runs out (distinct from infeasibility) and
+    SingularBasisError on an unrecoverable basis.
     """
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1 or None, got {max_iterations}")
-    return _solve(lp, max_iterations)[0]
+    return _solve(lp)[0]
 
 
-def _solve(lp: LinearProgram, max_iterations: int | None) -> tuple[LpSolution, _Core]:
+def _solve(lp: LinearProgram) -> tuple[LpSolution, _Core]:
     """The two-phase cold solve of lp: its solution and the core it ends on."""
-    core = _Core(lp, max_iterations)
+    core = _Core(lp)
     status = core.run_two_phase()
     x = None
     if status == "optimal":
@@ -235,7 +236,7 @@ class WarmStart:
     def __init__(self, lp: LinearProgram):
         self._rows = lp.a_eq.shape[0] + lp.a_ub.shape[0]
         self._variables = lp.num_variables
-        self.solution, core = _solve(lp, None)
+        self.solution, core = _solve(lp)
         # the prepared basis every read reuses; read-only, so a miss's dual
         # pivots, which run on a copy of the core, leave it be
         self._prepared = core.prepare_dual() if self.solution.status == "optimal" else None
@@ -350,7 +351,7 @@ class _Core:
     their own rhs.
     """
 
-    def __init__(self, lp: LinearProgram, max_iterations: int | None):
+    def __init__(self, lp: LinearProgram):
         """The standard form of lp and its slack start.
 
         The rows are [A_eq; A_ub] with one slack (bounds [0, inf)) per
@@ -383,9 +384,7 @@ class _Core:
         self.a, self.b = a, np.concatenate([lp.b_eq, lp.b_ub]) / self.scale
         self.m, self.n = a.shape
         self.n_real = n_real = n + mi
-        if max_iterations is None:
-            max_iterations = max(2000, 50 * (self.n + self.m))
-        self.max_iterations = max_iterations
+        self.max_iterations = max(2000, 50 * (self.n + self.m))
         self.iterations = 0
         self.phase1_iterations = 0
         self.pivots = 0
@@ -517,11 +516,9 @@ class _Core:
     def run_two_phase(self) -> str:
         c1 = np.zeros(self.n)
         c1[self.n_real:] = 1.0
-        status = self._iterate(c1, phase=1)
+        # phase 1 ends optimal or raises: its objective is bounded below
+        self._iterate(c1, phase=1)
         self.phase1_iterations = self.iterations
-        if status != "optimal":
-            # a bounded-below phase-1 objective cannot be unbounded
-            raise SingularBasisError("phase-1 terminated abnormally: " + status)
         art_rows = (self.basis >= self.n_real).nonzero()[0]
         if art_rows.size:
             # each basic artificial is judged against the rhs of its own row

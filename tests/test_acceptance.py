@@ -136,7 +136,7 @@ def test_criterion_5_gradient_check(tri3):
     xe = rng.normal(size=(6, 3, 2))
     lab = rng.integers(0, 2, (6, 3)).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
-    grads, _, _ = _backward_batch(model, xn, xe, y, topo)
+    grads, _, _ = _backward_batch(model, xn, xe, y, topo, {})
 
     def loss_at():
         p = forward_any(model, xn, xe, topo)

@@ -219,7 +219,7 @@ def test_scatter_sum_is_branch_order_sum(case14, batch):
     for values in (wide[:, :64], wide[:, 64:128], signed_zeros[:, 5:69], all_negative_zero):
         for incidence in (topo.incidence_from, topo.incidence_to):
             want = _branch_order_sum(values.reshape(batch, k, -1), incidence).reshape(batch * n, -1)
-            got = gnn_module._scatter_sum(values, incidence)
+            got = gnn_module._scatter_sum(values, incidence, np.empty(want.shape))
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             # written into a column block of a wider array, as the node stack is built: a
@@ -347,7 +347,7 @@ def test_receptive_field_edge_rating_perturbation():
 
 
 def _fd_worst(model, xn, xe, y, topo, n_draws, seed=17, h=1e-5):
-    grads, _, _ = _backward_batch(model, xn, xe, y, topo)
+    grads, _, _ = _backward_batch(model, xn, xe, y, topo, {})
 
     def loss_at():
         probs = forward_any(model, xn, xe, topo)
@@ -407,7 +407,7 @@ def test_gradient_zero_at_exact_fit(tri3):
     xn = rng.normal(size=(2, 3, 7))
     xe = rng.normal(size=(2, 3, 2))
     y = forward_any(model, xn, xe, topo)
-    grads, loss, _ = _backward_batch(model, xn, xe, y, topo)
+    grads, loss, _ = _backward_batch(model, xn, xe, y, topo, {})
     assert loss == 0.0
     assert max(np.abs(g).max() for g in grads.values()) <= 1e-6
 
@@ -422,7 +422,7 @@ def test_gradient_paths_wiring(tri3):
     xe = rng.normal(size=(2, 3, 2))
     lab = rng.integers(0, 2, (2, 3)).astype(float)
     y = np.stack([1 - lab, lab], axis=-1)
-    grads, _, _ = _backward_batch(model, xn, xe, y, topo)
+    grads, _, _ = _backward_batch(model, xn, xe, y, topo, {})
     assert np.abs(grads["dense.w_out"]).max() > 0
     for name, g in grads.items():
         if name.startswith("layers."):
@@ -434,7 +434,7 @@ def test_backward_empty_batch_error(tri3, kind):
     topo = to_graph(tri3)
     model = init_model(ModelConfig(**SMALL, seed=9), 7, 2, num_buses=3, num_branches=3, kind=kind)
     with pytest.raises(ValueError, match="empty batch"):
-        _backward_batch(model, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), topo)
+        _backward_batch(model, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), topo, {})
 
 
 # --- the training workspace --------------------------------------------------
@@ -461,7 +461,7 @@ def test_backward_with_a_reused_workspace_matches_fresh_calls(request, case, kin
     workspace = {}
     for size in sizes:
         batch = _random_batch(rng, size, network)
-        fresh_grads, fresh_loss, fresh_probs = _backward_batch(model, *batch, topo)
+        fresh_grads, fresh_loss, fresh_probs = _backward_batch(model, *batch, topo, {})
         grads, loss, probs = _backward_batch(model, *batch, topo, workspace)
         assert loss == fresh_loss
         assert probs.tobytes() == fresh_probs.tobytes()
@@ -490,6 +490,39 @@ def test_backward_reuses_its_workspace(case14):
 
     fresh = traced_peak()  # fills the workspace
     assert traced_peak() < fresh / 3
+
+
+@pytest.mark.parametrize("kind", ["gnn", "mlp"])
+def test_a_workspace_is_the_one_switch_that_keeps_the_caches(case14, kind):
+    """Given a workspace, a forward keeps every layer's cache and writes the head's logits there; without one, no cache."""
+    topo = to_graph(case14)
+    model = init_model(ModelConfig(num_layers=3, channels=8, seed=5), 7, 2, num_buses=14, num_branches=20,
+                       kind=kind)
+    xn, xe, _ = _random_batch(np.random.default_rng(6), 4, case14)
+    workspace = {}
+    probs, caches = gnn_module._forward(model, xn, xe, topo, workspace)
+    bare, no_caches = gnn_module._forward(model, xn, xe, topo)
+    assert probs.tobytes() == bare.tobytes()
+    if kind == "gnn":
+        layers = [f"layers.{i}." for i in range(3)]
+        # every layer keeps its edge cache; all but the last, which has no node update, keep a node cache
+        kept = [caches[p][0] for p in layers] + [caches[p][1] for p in layers[:-1]]
+        assert caches[layers[-1]][1] is None
+        assert all(no_caches[p] == (None, None) for p in layers)
+        logits_shape = (4 * 20, 2)
+    else:
+        layers = [f"{tag}_layers.{i}." for tag in ("node", "edge") for i in range(3)]
+        kept = [caches[p] for p in layers]
+        assert all(no_caches[p] is None for p in layers)
+        logits_shape = (4, 20 * 2)
+    assert list(caches) == list(no_caches) == layers + ["dense."]
+    for x, mask in kept:  # each relu layer's (input, active mask)
+        assert x.ndim == 2 and mask.dtype == bool and mask.shape[0] == x.shape[0]
+    head_input, head_mask = caches["dense."]
+    assert head_mask is None and no_caches["dense."] is None
+    logits = workspace["dense.w_out", logits_shape]
+    assert np.array_equal(logits, head_input @ model.params["dense.w_out"] + model.params["dense.b_out"])
+    assert gnn_module._softmax(logits.reshape(4, 20, 2)).tobytes() == probs.tobytes()
 
 
 def test_adam_step_is_the_textbook_expression():
@@ -526,6 +559,47 @@ def test_train_zero_epochs_identity(tri3, tri3_dataset):
     assert len(result.history) == 0
     for (_, p), b in zip(model.parameters(), before):
         assert np.array_equal(p, b)
+
+
+# 2 epochs of the SMALL config on tri3, taken before the forward lost its cache flag: each history
+# value, then each best-model parameter's checksum sum(|p| * position), with position 1..size in C order
+_PINNED_RUNS = {
+    "gnn": (
+        {"train_loss": [0.2433766959023369, 0.16971038650511897],
+         "val_loss": [0.19017397116173676, 0.14870153117458584],
+         "train_acc": [0.4891666666666667, 0.7616666666666667], "val_acc": [0.6666666666666666, 1.0]},
+        {"layers.0.w_edge": 2192.2515939996088, "layers.0.b_edge": 0.4453217124778979,
+         "layers.0.w_node": 3574.362596437126, "layers.0.b_node": 0.39052733039553056,
+         "layers.1.w_edge": 4055.6252144234813, "layers.1.b_edge": 0.3460517100752475,
+         "dense.w_out": 51.14513417999859, "dense.b_out": 0.07142291674760959},
+    ),
+    "mlp": (
+        {"train_loss": [0.2063853971362273, 0.17000846891617552],
+         "val_loss": [0.18290292513799128, 0.1542973010515124],
+         "train_acc": [0.8666666666666667, 1.0], "val_acc": [1.0, 1.0]},
+        {"node_layers.0.W": 3406.2427359094695, "node_layers.0.b": 0.3352380372996961,
+         "node_layers.1.W": 591.1606783066325, "node_layers.1.b": 0.2924749476536355,
+         "edge_layers.0.W": 364.1084846477655, "edge_layers.0.b": 0.6051597603593263,
+         "edge_layers.1.W": 633.5372520723333, "edge_layers.1.b": 0.4640571436724201,
+         "dense.w_out": 1243.4363240873267, "dense.b_out": 0.5344572474053347},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["gnn", "mlp"])
+def test_a_tiny_training_run_keeps_its_numbers(tri3, tri3_dataset, kind):
+    """Training against fixed numbers, not only against itself: a change to the forward, backward or Adam moves them."""
+    train_split, val_split, _ = split_dataset(tri3_dataset, (0.8, 0.1, 0.1), seed=1)
+    model = init_model(ModelConfig(**SMALL, seed=2), 7, 2, num_buses=3, num_branches=3,
+                       normalizer=fit_normalizer(train_split), kind=kind)
+    result = train(model, tri3, train_split, val_split, threshold=0.95, epochs=2)
+    history, checksums = _PINNED_RUNS[kind]
+    for name, values in history.items():
+        assert getattr(result.history, name) == pytest.approx(values, rel=1e-9, abs=0), name
+    assert list(result.best_model.params) == list(checksums)
+    for name, p in result.best_model.params.items():
+        checksum = float(np.abs(p).ravel() @ np.arange(1, p.size + 1))
+        assert checksum == pytest.approx(checksums[name], rel=1e-9, abs=0), name
 
 
 def test_train_tri3_converges(tri3, tri3_dataset):

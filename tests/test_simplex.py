@@ -115,13 +115,11 @@ def test_tri3_opf_lp_objective(tri3):
 
 
 def test_iteration_limit_distinct_from_infeasible(tri3):
-    problem = build_opf(tri3, tri3.base_load(), full_monitored_set(tri3))
-    with pytest.raises(SimplexIterationLimit):
-        solve_lp(problem, max_iterations=2)
-    # only None selects the default budget; a budget below one is an input error
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_iterations"):
-            solve_lp(problem, max_iterations=bad)
+    # tri3's base-load LP takes 3 iterations; a core held to 2 stops with the limit, not a verdict
+    core = simplex._Core(build_opf(tri3, tri3.base_load(), full_monitored_set(tri3)))
+    core.max_iterations = 2
+    with pytest.raises(SimplexIterationLimit, match="exceeded 2 iterations"):
+        core.run_two_phase()
 
 
 def test_solver_counters_bound_flips():
@@ -191,7 +189,7 @@ def test_blands_rule_reaches_the_optimum(case14):
     dispatch = build_opf(case14, load, full_monitored_set(case14))
     assert _scipy_optimum(beale) == pytest.approx(-0.05, abs=1e-9)
     for problem in (beale, dispatch):
-        core = simplex._Core(problem, None)
+        core = simplex._Core(problem)
         core.bland_threshold = 0
         assert core.run_two_phase() == "optimal" and core.bland_engaged
         x = core._vertex(core.b)[:problem.num_variables]
@@ -348,7 +346,7 @@ def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
         alone = fresh.vertices([_rhs(problem)])[0]
         started_pivots, first_sight = len(pivots), len(fresh._children) > children
         # a cold solve that ends on the same basis reads the same bits
-        cold, core = simplex._solve(problem, None)
+        cold, core = simplex._solve(problem)
         assert warm.tobytes() == alone.tobytes() == cold.x.tobytes()
         if np.array_equal(np.sort(core.basis), start):
             hits += 1
@@ -700,7 +698,7 @@ def test_the_tight_row_read_matches_a_dense_solve(name, magnitude, request):
         assert np.abs(read.basics(b) - dense).max() <= 1e-9 * np.abs(dense).max()
     # the dependent copy of the balance row keeps its artificial basic at zero
     for problem in problems[:10]:
-        solution, cold = simplex._solve(_with_negated_balance_row(problem), None)
+        solution, cold = simplex._solve(_with_negated_balance_row(problem))
         read = simplex._VertexRead(cold)
         artificials = cold.basis[cold.basis >= cold.n_real]
         assert solution.status == "optimal" and cold.a[artificials - cold.n_real, artificials].tolist() == [-1.0]
@@ -734,12 +732,12 @@ def test_a_singular_basis_fails_the_read():
     """Two unit columns on one row, or a singular A_TP, raise SingularBasisError where the read is derived."""
     # x0 and x1 have the same column, so a basis of both leaves A_TP singular
     core = simplex._Core(lp([1.0, 1.0, 1.0], [0.0] * 3, [5.0] * 3, a_eq=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                            b_eq=[2.0, 3.0]), None)
+                            b_eq=[2.0, 3.0]))
     core.basis, core.status[:3] = np.array([0, 1]), [simplex._BASIC, simplex._BASIC, simplex._AT_LOWER]
     with pytest.raises(simplex.SingularBasisError, match="singular at the vertex read"):
         simplex._VertexRead(core)
     # row 0's slack (column 2) and its artificial (column 4) cover one row
-    core = simplex._Core(lp([1.0, 1.0], [0.0] * 2, [5.0] * 2, a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0]), None)
+    core = simplex._Core(lp([1.0, 1.0], [0.0] * 2, [5.0] * 2, a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0]))
     core.basis, core.status[:] = np.array([2, 4]), simplex._AT_LOWER
     core.status[core.basis] = simplex._BASIC
     with pytest.raises(simplex.SingularBasisError, match="cover one row"):
