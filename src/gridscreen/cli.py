@@ -382,7 +382,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--config", help="JSON file of flag defaults (explicit flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("gen-data", help="generate a solved-sample dataset")
     p.add_argument("--case", required=True)
@@ -392,7 +391,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_gen_data)
-    subs["gen-data"] = p
 
     p = sub.add_parser("train", help="train a congestion predictor")
     p.add_argument("--case", required=True)
@@ -403,7 +401,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--history", help="history CSV path (default: <out>_history.csv)")
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
-    subs["train"] = p
 
     p = sub.add_parser("eval", help="evaluate a model and emit report files")
     p.add_argument("--case", required=True)
@@ -415,7 +412,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="split seed; defaults to the seed the model was trained with")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
-    subs["eval"] = p
 
     p = sub.add_parser("sweep", help="train and evaluate across thresholds")
     p.add_argument("--case", required=True)
@@ -425,7 +421,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out-dir", required=True)
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep)
-    subs["sweep"] = p
 
     p = sub.add_parser("solve", help="solve one case and print the dispatch")
     p.add_argument("--case", required=True)
@@ -433,9 +428,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--monitor", default="all",
                    help="'all', 'none', or a file of 0-based branch indices")
     p.set_defaults(func=cmd_solve)
-    subs["solve"] = p
 
-    return parser, subs
+    # argparse's own map of each subcommand's name to its parser
+    return parser, sub.choices
 
 
 def _config_tokens(path: Path, parser: argparse.ArgumentParser) -> list[str]:

@@ -163,8 +163,9 @@ def evaluate(network: Network, predictor, samples: list[Sample], threshold: floa
 
     for i, sample in enumerate(samples):
         oracle[i] = label_sample(sample.flows_mw, network, threshold)
-        pred_set = predictor.predict(sample)
-        pred[i, list(pred_set)] = True
+        # checked before it indexes, so a bad entry raises the package's ValueError naming it
+        pred_set = _check_monitored(network, predictor.predict(sample))
+        pred[i, pred_set] = True
 
         reduced, full = [], []
         for rep in range(_TIMING_REPEATS):

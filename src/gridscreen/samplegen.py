@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcopf import REPORT_TOL_MW, _check_load, _flows, _warm_start, dispatches
+from .dcopf import REPORT_TOL_MW, _check_load, _flows, dispatches
 from .netcase import (
     BUS_TYPE_GENERATOR, BUS_TYPE_LOAD, BUS_TYPE_SLACK, CaseError, Network, parse_case,
     serialize_case, to_graph,
@@ -221,9 +221,9 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    base = _warm_start(network, range(network.num_branches)).solution
-    if base.status != "optimal":
-        raise RuntimeError(f"base-case OPF is {base.status}; cannot generate samples")
+    # with bounded generators the base case is optimal or infeasible
+    if dispatches(network, [network.base_load()], range(network.num_branches))[0] is None:
+        raise RuntimeError("base-case OPF is infeasible; cannot generate samples")
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
     batches = [range(lo, min(lo + _START_BATCH, count)) for lo in range(0, count, _START_BATCH)]

@@ -52,49 +52,47 @@ new rhs leaves A, c, the bounds and the row scaling alone (the core keeps
 its row scale, which divides each new rhs), so the optimal basis's read
 and its one pricing pass (no column may improve), both the cold solve's
 last, serve every rhs, and the basis stays dual feasible for every rhs.
-The preparation keeps
-one read-only record of that basis (_Prepared), which every read reuses:
-its vertex read (B's columns in ascending order, the m x t array that maps
-the tight rows' rhs to x_B, the nonbasic values and N x_N, the basic
-bounds), the reduced costs a miss's first dual pivot reads, and whether a
-column prices in.  So one warm answer costs only its arithmetic:
-WarmStart.vertices(rhs) scales the rhs rows and, in one call of the read,
-reads x_B for all of them with a product and a sum over t per basic value,
-checks that x_B is finite and checks it against the bounds.  A row whose
-x_B lies within its bounds to 1e-9 (tighter than phase 1's 1e-7 per row)
-is answered with no pivot.  Every other row (a miss) runs bounded dual
-simplex pivots from the prepared state: the most infeasible basic
-variable leaves at the bound it violates, the column with the smallest
-|d/alpha| among those that move it toward that bound enters (ties to the
-largest |alpha|), so every reduced cost keeps its sign.  A row where no
-column can enter, where _DUAL_PIVOT_CAP pivots do not reach a primal
-feasible basis, or whose basis the read finds singular, answers None; so
-does every row when the cold solve is not optimal, leaves an artificial
-basic, or ends on a basis that the read finds singular or that is not
-optimal.  The caller solves such a row cold, so only the
-two-phase primal judges infeasibility.
+The preparation keeps one read-only record of that basis (_Prepared),
+which every read reuses: the core it was read from (its basis, statuses
+and dual-pivot count), its vertex read (B's columns in ascending order,
+the m x t array that maps the tight rows' rhs to x_B, the nonbasic values
+and N x_N, the basic bounds), the reduced costs a miss's first dual pivot
+reads, and whether a column prices in.  So one warm answer costs only its
+arithmetic: WarmStart.vertices(rhs) scales the rhs rows and, in one call
+of the read, reads x_B for all of them with a product and a sum over t
+per basic value, checks that x_B is finite and checks it against the
+bounds.  A row whose x_B lies within its bounds to 1e-9 (tighter than
+phase 1's 1e-7 per row) is answered with no pivot.  Every other row (a
+miss) runs bounded dual simplex pivots from the prepared state: the most
+infeasible basic variable leaves at the bound it violates, the column
+with the smallest |d/alpha| among those that move it toward that bound
+enters (ties to the largest |alpha|), so every reduced cost keeps its
+sign.  A row where no column can enter, where _DUAL_PIVOT_CAP pivots do
+not reach a primal feasible basis, or whose basis the read finds
+singular, answers None; so does every row when the cold solve is not
+optimal, leaves an artificial basic, or ends on a basis that is not
+optimal.  The caller solves such a row cold, so only the two-phase
+primal judges infeasibility.
 
 A miss's first dual pivot reads the leaving row of B^-1, a, the prepared
 reduced costs and the prepared core's statuses, never the rhs, so the
 basis it reaches (a child) is a function of the leaving row and its
 direction alone.  Each start keeps the child of every (row, direction) a
 miss has met, at most 2 per row: a record of the same type, built by the
-same constructor on its first sight from the copy of the core that took
-the pivot, which also holds the entering column.  No record holds an
-m x m array: its largest is the read's m x t one, t being the child's
-tight rows (2 on case14, about 16 on ring14x8's 353 rows).  A pivot that
-finds no column to enter keeps None, and so does a child whose read finds
-its basis singular.  A later miss with the same
-first pivot reads its vertex against the child, and a vertex within
-bounds there is answered as a hit is, with no pivot.
-Any other miss pivots on: on the child's first sight from the pivoted
-copy, later from a fresh copy on which the child's one pivot is replayed
-through the basis exchange that ends every pivot, primal or dual
-(_Core._pivot: the leaving variable rests at the bound it returns to, the
-entering column turns basic), and which then reads through the child's
-own read.  So a miss that pivots past its child takes the pivots it would
-take without children, and every miss reads the bits it would read
-without.
+same constructor from a fork of the start (_Prepared.fork, a copy of the
+record's core for one rhs) that took the pivot, whose core the child
+keeps.  No record holds an m x m array: its largest is the read's m x t
+one, t being the child's tight rows (2 on case14, about 16 on
+ring14x8's 353 rows).  A pivot that finds no column to enter keeps None,
+and so does a child whose read finds its basis singular.  Every miss
+with that first pivot reads its vertex against the child, and a vertex
+within bounds there is answered as a hit is, with no pivot.  Any other
+miss continues from the child: it forks the child, whose core brings the
+child's basis, statuses, read and pivot count, and runs the dual pivots
+on the fork, so the record stays as it was.  So a miss that pivots past
+its child takes the pivots it would take without children, the child's
+one kept rather than taken again, and every miss reads the bits it would
+read without.
 
 Every vertex, cold or warm, the cold solve's own and the one after each
 dual pivot included, is read by the same tight-row read, with B's columns
@@ -229,18 +227,17 @@ class WarmStart:
 
     .solution is the cold solve's LpSolution, as solve_lp returns it.
     When that solve is not optimal, leaves an artificial basic, or ends on
-    a basis whose vertex read finds it singular, or that lets a column
-    price in, every row answers None.
+    a basis that lets a column price in, every row answers None.
     """
 
     def __init__(self, lp: LinearProgram):
         self._rows = lp.a_eq.shape[0] + lp.a_ub.shape[0]
         self._variables = lp.num_variables
         self.solution, core = _solve(lp)
-        # the prepared basis every read reuses; read-only, so a miss's dual
-        # pivots, which run on a copy of the core, leave it be
+        # the prepared basis every read reuses, which keeps the core the
+        # cold solve ends on; read-only, so a miss's dual pivots, which run
+        # on a fork of it, leave it be
         self._prepared = core.prepare_dual() if self.solution.status == "optimal" else None
-        self._core = None if self._prepared is None else core
         # per (leaving row, direction) of a miss's first dual pivot: the
         # basis it reaches, or None where it cannot pivot
         self._children: dict[tuple[int, float], _Prepared | None] = {}
@@ -259,7 +256,7 @@ class WarmStart:
             raise ValueError("rhs has a non-finite entry")
         if self._prepared is None:
             return [None] * len(rhs)
-        b_rows = rhs / self._core.scale
+        b_rows = rhs / self._prepared.core.scale
         try:
             x_rows, hit = self._prepared.read.checked_vertex(b_rows)
         except SingularBasisError:
@@ -270,17 +267,16 @@ class WarmStart:
         """The optimal vertex for rhs b by dual pivots from the prepared basis, whose vertex for b is x; or None.
 
         The first pivot depends on its leaving row and direction alone, so
-        the basis it reaches is kept as a child: a later miss with the same
-        first pivot reads its vertex there, and pivots on only if that
-        vertex is not primal feasible.
+        the basis it reaches is kept as a child: every miss with that
+        first pivot reads its vertex there, and pivots on from a fork of
+        the child only if that vertex is not primal feasible.
         """
-        r, rise = key = self._core.leaving(x)
-        core = None
+        start = self._prepared
+        r, rise = key = start.core.leaving(x)
         if key not in self._children:
-            core = self._copy(b)
-            pivoted = core.dual_pivot(r, rise, self._prepared.reduced_costs)
+            core = start.fork(b)
             try:
-                self._children[key] = _Prepared.of(core, int(core.basis[r])) if pivoted else None
+                self._children[key] = _Prepared.of(core) if core.dual_pivot(r, rise, start.reduced_costs) else None
             except SingularBasisError:
                 self._children[key] = None
         child = self._children[key]
@@ -290,51 +286,43 @@ class WarmStart:
             x, hit = child.read.checked_vertex(b)
             if hit:
                 return None if child.prices_in else x[:self._variables]
-            if core is None:
-                # replay the child's pivot on a fresh copy through the same
-                # exchange as its first sight; the basis and statuses it
-                # reaches are the child's, and so is their read
-                core = self._copy(b)
-                core._pivot(r, child.entering, rise < 0)
-                core._read = child.read
-            x = core.dual_simplex(x, child.reduced_costs)
+            x = child.fork(b).dual_simplex(x, child.reduced_costs)
         except SingularBasisError:
             return None
         return None if x is None else x[:self._variables]
 
-    def _copy(self, b: np.ndarray) -> _Core:
-        """A copy of the prepared core for rhs b, whose pivots leave the prepared one alone."""
-        core = copy.copy(self._core)
-        core.b, core.basis, core.status = b, core.basis.copy(), core.status.copy()
-        return core
-
 
 @dataclass(frozen=True)
 class _Prepared:
-    """A dual-feasible basis readied to answer right-hand sides, read-only and free of any rhs.
+    """A dual-feasible basis readied to answer right-hand sides, read-only.
 
-    It keeps what answering a rhs there needs: the vertex read (with the
-    basic bounds), the reduced costs and whether a column prices in; a
-    child, the basis one dual pivot reaches from the start, also keeps the
-    column that entered, so its pivot can be replayed.
+    It keeps the core it was read from, whose basis, statuses and
+    dual-pivot count fork hands out, and what answering a rhs there needs:
+    the vertex read (with the basic bounds), the reduced costs and whether
+    a column prices in.
     """
 
+    core: _Core
     read: _VertexRead
     reduced_costs: np.ndarray
     prices_in: bool
-    entering: int | None = None
 
     @staticmethod
-    def of(core: _Core, entering: int | None = None) -> _Prepared:
-        """The record of core's current basis: a start's, or with entering set, a child's.
+    def of(core: _Core) -> _Prepared:
+        """The record of core's current basis, which keeps core and makes its basis and statuses read-only.
 
         SingularBasisError where the vertex read finds that basis singular.
         No record holds an m x m array: the read keeps an m x t one.
         """
-        read = core.read
-        d = core.c - read.duals(core.c) @ core.a
-        d.flags.writeable = False
-        return _Prepared(read, d, bool(core._improving(d, _dual_tol(core.c)).size), entering)
+        read, d = core.read, core._reduced_costs(core.c)
+        d.flags.writeable = core.basis.flags.writeable = core.status.flags.writeable = False
+        return _Prepared(core, read, d, bool(core._improving(d, _dual_tol(core.c)).size))
+
+    def fork(self, b: np.ndarray) -> _Core:
+        """A core at this basis for rhs b, with its read and dual-pivot count, whose pivots leave this record alone."""
+        core = copy.copy(self.core)
+        core.b, core.basis, core.status = b, core.basis.copy(), core.status.copy()
+        return core
 
 
 def _dual_tol(c: np.ndarray) -> float:
@@ -347,7 +335,7 @@ class _Core:
     A core is built from its LP, rhs and slack start included.  Its basis
     is read through one _VertexRead (self.read), derived anew after each
     pivot or bound flip.  Once the two phases end optimal, prepare_dual
-    readies the core for WarmStart, whose copies run dual_simplex for
+    readies the core for WarmStart, whose forks run dual_simplex for
     their own rhs.
     """
 
@@ -417,18 +405,15 @@ class _Core:
     def prepare_dual(self) -> _Prepared | None:
         """Ready this core, optimal after run_two_phase, for dual_simplex: the record of its basis, or None if it cannot.
 
-        It cannot while an artificial is basic, when the read finds B
-        singular, or when a column prices in.  The record reuses the read
-        of the solve's last pricing pass.  The artificials stay fixed at 0,
-        so dual pivots never let one enter.
+        It cannot while an artificial is basic or when a column prices
+        in.  The record reuses the read of the solve's last pricing pass,
+        already derived, so it cannot find B singular.  The artificials
+        stay fixed at 0, so dual pivots never let one enter.
         """
         if (self.basis >= self.n_real).any():
             return None
-        try:
-            prepared = _Prepared.of(self)
-        except SingularBasisError:
-            return None
         self.pivots = 0
+        prepared = _Prepared.of(self)
         return None if prepared.prices_in else prepared
 
     def dual_simplex(self, x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
@@ -445,7 +430,7 @@ class _Core:
                 return None if self._improving(d, _dual_tol(self.c)).size else x
             if self.pivots >= _DUAL_PIVOT_CAP or not self.dual_pivot(*leaving, d):
                 return None
-            x, d = self._vertex(self.b), self.c - self.read.duals(self.c) @ self.a
+            x, d = self._vertex(self.b), self._reduced_costs(self.c)
 
     def leaving(self, x: np.ndarray) -> tuple[int, float] | None:
         """The dual pivot's leaving row for vertex x, the most infeasible, and the sign of its return to the bound it violates.
@@ -502,6 +487,10 @@ class _Core:
             "refactorizations": self.refactorizations,
             "bland_engaged": self.bland_engaged,
         }
+
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        """The reduced costs c - c_B B^-1 a of the column costs c at the current basis."""
+        return c - self.read.duals(c) @ self.a
 
     def _improving(self, d: np.ndarray, dual_tol: float) -> np.ndarray:
         """Columns whose reduced cost d lets them enter and lower the objective."""
@@ -573,8 +562,7 @@ class _Core:
                 )
             self.iterations += 1
 
-            read = self.read
-            d = c - read.duals(c) @ self.a
+            d = self._reduced_costs(c)
             idx = self._improving(d, dual_tol)
             if idx.size == 0:
                 return "optimal"
@@ -584,6 +572,7 @@ class _Core:
                 q = int(idx[np.argmax(np.abs(d[idx]))])
             direction = 1.0 if d[q] < 0 else -1.0
 
+            read = self.read
             w = read.column(self.a[:, q])
             delta = -direction * w  # rate of change of each basic value per unit step
             x_basic = read.basics(self.b)[read.at]

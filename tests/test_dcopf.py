@@ -119,7 +119,8 @@ def test_solve_opf_checks_the_load_once(tri3_text, case14, monkeypatch):
     assert sol.flows.tobytes() == dcopf._flows(case14, sol.p_g, load).tobytes()
     calls.clear()
     generate_dataset(tri3, 4, 0.1, seed=1)
-    assert len(calls) == 5  # the base case's build and each sample's check, none for the flows
+    # the base case's build, its dispatch's check and each sample's check, none for the flows
+    assert len(calls) == 6
 
 
 def test_dispatches_have_the_cold_bits(case14, monkeypatch):

@@ -182,6 +182,13 @@ def test_evaluate_validation(tri3, tri3_dataset):
         evaluate(tri3, OraclePredictor(tri3, 0.95), tri3_dataset.samples[:2], 0.0)
 
 
+@pytest.mark.parametrize("pred_set", [{0.9}, {True}, {np.float64(1.0)}, {7}, {-1}])
+def test_evaluate_rejects_a_predicted_set_that_is_not_branch_indices(tri3, tri3_dataset, pred_set):
+    """A predicted entry that is not an integer, or is out of range on tri3's 3 branches, raises the ValueError naming it."""
+    with pytest.raises(ValueError, match=r"monitored branch index (must be an integer|out of range)"):
+        evaluate(tri3, FixedPredictor(frozenset(pred_set)), tri3_dataset.samples[:2], 0.95)
+
+
 def test_evaluate_trained_model_predictor(tri3, tri3_dataset):
     train_split, val_split, _ = split_dataset(tri3_dataset, (0.8, 0.1, 0.1), seed=1)
     model = init_model(ModelConfig(num_layers=2, channels=8, seed=2),

@@ -239,9 +239,11 @@ def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
     monkeypatch.setattr(simplex.WarmStart, "_pivoted", lambda start, b, x: pivoted.append(b) or pivot(start, b, x))
     monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
     ds = generate_dataset(net, 6, 0.3, seed=2)
-    assert ds.redraws == 0 and len(batches) == 1
-    start, answers = batches[0]
-    assert start is dcopf._warm_start(net, range(net.num_branches)) and len(answers) == 6
+    # the base-case check dispatches the base load first, from the same start
+    assert ds.redraws == 0 and len(batches) == 2
+    (checked, base), (start, answers) = batches
+    assert checked is start is dcopf._warm_start(net, range(net.num_branches)) and len(answers) == 6
+    assert len(base) == 1 and base[0].tobytes() == start.solution.x.tobytes()
     assert [p_g.tobytes() for p_g in answers] == [s.p_g.tobytes() for s in ds.samples]
     assert 0 < len(pivoted) < 6  # the base basis covers some draws and not others
     # the base case was solved by its Network, and the misses were pivoted, not solved cold

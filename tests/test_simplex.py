@@ -333,7 +333,7 @@ def test_start_basis_hit_reads_the_vertex_without_a_pivot(case14, monkeypatch):
     start_lp = build_opf(case14, base, full_monitored_set(case14))
     warm_start = WarmStart(start_lp)
     fresh = WarmStart(start_lp)  # no miss seen yet, so its rows alone meet each child first
-    start = np.sort(warm_start._core.basis)
+    start = np.sort(warm_start._prepared.core.basis)
     problems = [build_opf(case14, base * rng.uniform(0.9, 1.1, base.size), full_monitored_set(case14))
                 for _ in range(20)]
     batch = warm_start.vertices([_rhs(p) for p in problems])
@@ -371,7 +371,8 @@ def test_start_basis_is_none_unless_optimal_without_artificials():
         assert warm_start.vertices([_rhs(problem), _rhs(problem)]) == [None, None]
     box = _box_lp([1.0, 2.0], 1.0)
     warm_start = WarmStart(box)
-    assert warm_start._core.basis.tolist() == [0] and warm_start._core.status[:3].tolist() == [2, 0, 0]
+    core = warm_start._prepared.core
+    assert core.basis.tolist() == [0] and core.status[:3].tolist() == [2, 0, 0]
     assert warm_start.vertices([_rhs(box)])[0].tobytes() == warm_start.solution.x.tobytes()
 
 
@@ -406,7 +407,7 @@ def test_start_basis_misses_leave_the_prepared_start_alone(name, request, monkey
         start = _box_lp([1.0, 2.0], 1.0)  # x0 basic; x0 above its bound 2 is a miss
         problems = [_box_lp([1.0, 2.0], demand) for demand in (1.5, 3.0, 0.5, 2.5)]
     warm_start = WarmStart(start)
-    core = warm_start._core
+    core = warm_start._prepared.core
     prepared = _prepared(warm_start)
     before = {key: array.copy() for key, array in prepared.items()}
     core_before = [array.copy() for array in (core.basis, core.status, core.b)]
@@ -465,26 +466,28 @@ def test_a_known_child_answers_a_miss_without_a_pivot(case14, monkeypatch):
 def test_a_miss_past_its_child_pivots_on_as_before(case14, monkeypatch):
     """A case14 miss at +-60% that takes several dual pivots continues from its child with the pivots of a run from the prepared basis.
 
-    On a child's first sight the miss pivots on from the copy that took
-    the child's pivot; later, that one pivot is replayed on a fresh copy
-    from the entering column the child's record keeps.
+    A miss that meets its child first takes the child's pivot on a fork of
+    the start and every later pivot on a fork of the child, so it takes
+    each pivot of the run.  A miss through a child kept before the call
+    forks that child, so it takes one pivot fewer: the child's own.
     """
     problems = _draws(case14, 60, 0.6, 2)
     start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
     reference, warm_start = WarmStart(start_lp), WarmStart(start_lp)
     pivots, misses = _count_pivots(monkeypatch), _count_misses(monkeypatch)
-    seen = {"first": 0, "later": 0}
+    # per sight of a child, first or kept: the misses that pivot past it
+    past = {True: 0, False: 0}
     for problem in problems:
-        b = _rhs(problem) / reference._core.scale
+        b = _rhs(problem) / reference._prepared.core.scale
         x = reference._prepared.read.vertex(reference._prepared.read.basics(b))
-        if reference._core.leaving(x) is None:
+        if reference._prepared.core.leaving(x) is None:
             continue
         # the whole dual simplex run from the prepared basis, as every miss once took it
         del pivots[:]
-        run = reference._copy(b).dual_simplex(x, reference._prepared.reduced_costs)
+        run = reference._prepared.fork(b).dual_simplex(x, reference._prepared.reduced_costs)
         run_pivots = len(pivots)
         cold = solve_lp(problem)
-        for sight in ("first", "later"):
+        for _ in range(2):
             del pivots[:], misses[:]
             children = len(warm_start._children)
             y = warm_start.vertices([_rhs(problem)])[0]
@@ -493,12 +496,11 @@ def test_a_miss_past_its_child_pivots_on_as_before(case14, monkeypatch):
                 assert y is None
             else:
                 assert y.tobytes() == run[:problem.num_variables].tobytes() == cold.x.tobytes()
-            if len(warm_start._children) > children or run_pivots >= 2:
-                assert len(pivots) == run_pivots
-                seen[sight] += run_pivots >= 2
-            else:
-                assert pivots == []  # the child answers
-    assert seen["first"] > 0 and seen["later"] > 0
+            first_sight = len(warm_start._children) > children
+            # a kept child answers with no pivot, or hands its pivot on to the fork
+            assert len(pivots) == (run_pivots if first_sight else max(run_pivots - 1, 0))
+            past[first_sight] += run_pivots >= 2
+    assert past[True] > 0 and past[False] > 0
 
 
 def test_a_child_without_an_entering_column_answers_none(tri3_text, monkeypatch):
@@ -543,14 +545,13 @@ def test_a_singular_read_at_a_child_answers_none_for_its_row_only(case14, monkey
     problems = _draws(case14, 30, 0.1, 4)
     rows = [_rhs(p) for p in problems]
     warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
-    _, hit = warm_start._prepared.read.checked_vertex(np.array(rows) / warm_start._core.scale)
+    _, hit = warm_start._prepared.read.checked_vertex(np.array(rows) / warm_start._prepared.core.scale)
     assert 0 < hit.sum() < len(rows)
     read = simplex._VertexRead.checked_vertex
 
     def singular_at_a_child(self, b):
-        # a child is a record with an entering column; only its read is singular
-        if any(child is not None and child.entering is not None and child.read is self
-               for child in warm_start._children.values()):
+        # only the reads of the records the start keeps as children are singular
+        if any(child is not None and child.read is self for child in warm_start._children.values()):
             _singular()
         return read(self, b)
 
@@ -571,18 +572,18 @@ def test_a_singular_dual_simplex_answers_none(case14, monkeypatch):
     ran = []
     monkeypatch.setattr(simplex._Core, "dual_simplex", lambda core, x, d: ran.append(core.b.tobytes()) or _singular())
     answers = warm_start.vertices(rows)
-    singular = [(row / warm_start._core.scale).tobytes() in ran for row in rows]
+    singular = [(row / warm_start._prepared.core.scale).tobytes() in ran for row in rows]
     assert any(x is not None and hit for x, hit in zip(before, singular))
     for x, y, hit in zip(answers, before, singular):
         assert x is None if hit or y is None else x.tobytes() == y.tobytes()
 
 
-def test_a_failing_replay_answers_none_and_the_load_is_solved_cold(case14, monkeypatch):
-    """Where a child's replayed pivot meets a singular pivot element, that miss answers None and dispatches solves it cold.
+def test_a_failing_pivot_past_a_child_answers_none_and_the_load_is_solved_cold(case14, monkeypatch):
+    """Where a miss's first pivot past its child meets a singular pivot element, that miss answers None and dispatches solves it cold.
 
     Once a batch has met the first pivot of each of its misses, another
-    pass over it pivots only to replay a child's pivot, on a fresh copy of
-    the prepared core, for a miss that pivots past that child.
+    pass over it pivots only past a child, on a fork of that child's core,
+    for a miss whose vertex at the child is not primal feasible.
     """
     net = parse_case(serialize_case(case14))  # a Network with no start prepared
     everything = full_monitored_set(net)
@@ -594,14 +595,14 @@ def test_a_failing_replay_answers_none_and_the_load_is_solved_cold(case14, monke
     warm_start = dcopf._warm_start(net, sorted(everything))
     children = dict(warm_start._children)
 
-    replays, inside, failed = [], [], []
+    continued, inside, failed = [], [], []
     pivot, vertices = simplex._Core._pivot, WarmStart.vertices
 
-    def failing_replay(core, *args):
+    def failing_pivot(core, *args):
         if not inside or any(core is other for other in failed):
             return pivot(core, *args)
         failed.append(core)
-        replays.append(core.b.tobytes())
+        continued.append(core.b.tobytes())
         raise simplex.SingularBasisError("pivot element too small: 0.0")
 
     def flagged_vertices(start, rhs):
@@ -611,15 +612,15 @@ def test_a_failing_replay_answers_none_and_the_load_is_solved_cold(case14, monke
         finally:
             inside.pop()
 
-    monkeypatch.setattr(simplex._Core, "_pivot", failing_replay)
+    monkeypatch.setattr(simplex._Core, "_pivot", failing_pivot)
     monkeypatch.setattr(WarmStart, "vertices", flagged_vertices)
     solved, solve = [], dcopf.solve_opf
     monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1].tobytes()) or solve(*a))
     rhs = dcopf._rhs(net, loads, np.array(sorted(everything)))
     answers = warm_start.vertices(rhs)
-    replayed = [(row / warm_start._core.scale).tobytes() in replays for row in rhs]
-    assert 0 < len(replays) == sum(replayed)
-    assert [x is None for x in answers] == [hit or p_g is None for hit, p_g in zip(replayed, cold)]
+    failing = [(row / warm_start._prepared.core.scale).tobytes() in continued for row in rhs]
+    assert 0 < len(continued) == sum(failing)
+    assert [x is None for x in answers] == [hit or p_g is None for hit, p_g in zip(failing, cold)]
     assert warm_start._children.keys() == children.keys()  # no first pivot was taken again
     assert all(warm_start._children[key] is child for key, child in children.items())
 
@@ -629,28 +630,45 @@ def test_a_failing_replay_answers_none_and_the_load_is_solved_cold(case14, monke
     assert solved == [load.tobytes() for load, x in zip(loads, answers) if x is None]
 
 
-def test_children_are_bounded_read_only_and_leave_the_start_alone(case14):
+def test_children_are_bounded_read_only_and_leave_the_start_alone(case14, monkeypatch):
     """Misses at +-60% keep at most 2 children per row, each read-only, with no array larger than m * t.
 
     t, a child's count of basic real columns, is its number of tight rows:
     the child keeps the m x t array G of its vertex read and otherwise
-    vectors no longer than a column or a row, so no m x m array.
+    vectors no longer than a column or a row, so no m x m array.  The
+    misses that later pivot on from a kept child leave its core's basis,
+    statuses and pivot count as they were.
     """
     warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
-    core = warm_start._core
+    core = warm_start._prepared.core
     prepared = {key: array.copy() for key, array in _prepared(warm_start).items()}
     core_before = [array.copy() for array in (core.basis, core.status, core.b)]
     problems = _draws(case14, 200, 0.6, 3)
-    for problem, x in zip(problems, warm_start.vertices([_rhs(p) for p in problems])):
+    rows = [_rhs(p) for p in problems]
+    first = warm_start.vertices(rows[:100])
+    kept = {id(child): (child.core.basis.tobytes(), child.core.status.tobytes(), child.core.pivots)
+            for child in warm_start._children.values() if child is not None}
+    forks, fork = [], simplex._Prepared.fork
+
+    def recording_fork(record, b):
+        forks.append((record, fork(record, b)))
+        return forks[-1][1]
+
+    monkeypatch.setattr(simplex._Prepared, "fork", recording_fork)
+    for problem, x in zip(problems, first + warm_start.vertices(rows[100:])):
         assert x.tobytes() == solve_lp(problem).x.tobytes()
+    # some misses pivot on from a child kept before the second batch
+    assert any(id(record) in kept and forked.pivots > record.core.pivots for record, forked in forks)
     children = [child for child in warm_start._children.values() if child is not None]
     assert 1 < len(children) and len(warm_start._children) <= 2 * core.m
     for child in children:
         t = child.read.t
         assert 0 < t < core.m and child.read.g.shape == (core.m, t) and not child.read.g.flags.writeable
         for array in (child.read.cols, child.read.x, child.read.n_x_n, child.read.rows, child.read.signs,
-                      child.read.lb, child.read.ub, child.reduced_costs):
+                      child.read.lb, child.read.ub, child.reduced_costs, child.core.basis, child.core.status):
             assert not array.flags.writeable and array.size <= core.m + core.n
+        if id(child) in kept:
+            assert (child.core.basis.tobytes(), child.core.status.tobytes(), child.core.pivots) == kept[id(child)]
     for key, array in _prepared(warm_start).items():
         assert array.tobytes() == prepared[key].tobytes(), key
     for array, old in zip((core.basis, core.status, core.b), core_before):
@@ -664,7 +682,7 @@ def test_no_prepared_array_is_m_by_m(case14):
     warm_start.vertices([_rhs(p) for p in problems])
     children = [child for child in warm_start._children.values() if child is not None]
     assert children
-    core = warm_start._core
+    core = warm_start._prepared.core
     records = [warm_start._prepared, *children]
     holders = [warm_start, core, *records, *(record.read for record in records)]
     arrays = [value for holder in holders for value in vars(holder).values() if isinstance(value, np.ndarray)]
@@ -688,7 +706,7 @@ def test_the_tight_row_read_matches_a_dense_solve(name, magnitude, request):
     network = request.getfixturevalue(name)
     problems = _draws(network, 200, magnitude, 5)
     warm_start = WarmStart(build_opf(network, network.base_load(), full_monitored_set(network)))
-    core = warm_start._core
+    core = warm_start._prepared.core
     warm_start.vertices([_rhs(p) for p in problems])
     children = [child for child in warm_start._children.values() if child is not None]
     assert children
@@ -720,7 +738,7 @@ def test_each_stacked_row_reads_the_bytes_of_a_single_read():
     read = warm_start._prepared.read
     assert read.t > 8
     rows = _rhs(problem) * rng.uniform(0.99, 1.01, (20, me + mi))
-    b = rows / warm_start._core.scale
+    b = rows / warm_start._prepared.core.scale
     stacked = read.basics(b)
     for row, x in zip(b, stacked):
         assert x.tobytes() == read.basics(row).tobytes()
@@ -773,7 +791,8 @@ def test_a_child_whose_read_finds_a_shared_row_is_kept_as_none(case14, monkeypat
     """Where the basis a miss's first dual pivot reaches has two unit columns on one row, that child is None and its misses answer None."""
     problems = _draws(case14, 30, 0.1, 4)
     warm_start = WarmStart(build_opf(case14, case14.base_load(), full_monitored_set(case14)))
-    _, hit = warm_start._prepared.read.checked_vertex(np.array([_rhs(p) for p in problems]) / warm_start._core.scale)
+    start = warm_start._prepared
+    _, hit = start.read.checked_vertex(np.array([_rhs(p) for p in problems]) / start.core.scale)
     assert 0 < hit.sum() < len(problems)
     dual_pivot = simplex._Core.dual_pivot
     monkeypatch.setattr(simplex._Core, "dual_pivot", lambda core, *a: dual_pivot(core, *a) and _share_a_row(core) is None)
