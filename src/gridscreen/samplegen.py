@@ -15,7 +15,10 @@ changing the result.  A batch of samples is drawn, dispatched at once
 with every branch monitored (dcopf.dispatches, which answers every load
 from the base case's optimal basis, with dual pivots where that basis
 misses, and solves cold only what it leaves unanswered), and only its
-infeasible draws are redrawn and dispatched again, until none is left.  No
+infeasible draws are redrawn and dispatched again, until none is left.  A
+batch's first dispatch answers the base load too, in its first row, so
+generation never solves the base case apart: where that row is infeasible
+the batch raises before it redraws anything.  No
 sample starts from another sample's basis, so a sample still depends only
 on the case, the seed and its index, whatever the batch or worker count.
 """
@@ -167,6 +170,8 @@ def _draw(gen: np.random.Generator, base: np.ndarray, magnitude: float) -> np.nd
 def _generate_batch(network: Network, magnitude: float, seed: int, indices: range) -> list[tuple[Sample, int]]:
     """Samples `indices` and their redraw counts: draw all, dispatch all, redraw only the infeasible, repeat.
 
+    The first dispatch carries the base load in row 0 and raises
+    RuntimeError, before any redraw, where the base case is infeasible.
     The first draws share one Philox, re-keyed for each sample; a sample
     that needs a redraw gets a generator of its own, past its first draw,
     so every draw continues the sample's own stream.
@@ -178,15 +183,15 @@ def _generate_batch(network: Network, magnitude: float, seed: int, indices: rang
     for i in indices:
         _rekey(bits, derive_seed(seed, i))
         loads.append(_draw(shared, base, magnitude))
-    gens = {}
-    dispatched = [None] * len(loads)
-    redraws = [0] * len(loads)
-    pending = list(range(len(loads)))
     everything = range(network.num_branches)
+    # with bounded generators the base case is optimal or infeasible
+    base_p_g, *dispatched = dispatches(network, [base, *loads], everything)
+    if base_p_g is None:
+        raise RuntimeError("base-case OPF is infeasible; cannot generate samples")
+    gens = {}
+    redraws = [0] * len(loads)
+    pending = [k for k, p_g in enumerate(dispatched) if p_g is None]
     while pending:
-        for k, p_g in zip(pending, dispatches(network, [loads[k] for k in pending], everything)):
-            dispatched[k] = p_g
-        pending = [k for k in pending if dispatched[k] is None]
         for k in pending:
             redraws[k] += 1
             if redraws[k] >= _MAX_REDRAWS_PER_SAMPLE:
@@ -195,6 +200,9 @@ def _generate_batch(network: Network, magnitude: float, seed: int, indices: rang
                 gens[k] = _generator(derive_seed(seed, indices[k]))
                 _draw(gens[k], base, magnitude)  # the first draw, already dispatched
             loads[k] = _draw(gens[k], base, magnitude)
+        for k, p_g in zip(pending, dispatches(network, [loads[k] for k in pending], everything)):
+            dispatched[k] = p_g
+        pending = [k for k in pending if dispatched[k] is None]
     template = _feature_template(network)
     return [(_build_sample(network, i, load, p_g, template), n)
             for i, load, p_g, n in zip(indices, loads, dispatched, redraws)]
@@ -211,9 +219,10 @@ def generate_dataset(
 
     Infeasible draws are discarded and redrawn (the total is recorded in the
     dataset metadata).  Fails fast if the unperturbed base case is already
-    infeasible.  Batches of samples are solved in
-    min(threads, usable CPUs, batches) worker processes; the result depends
-    on neither number.
+    infeasible: each batch dispatches the base load in the first row of its
+    first dispatch and raises RuntimeError there, before any redraw.
+    Batches of samples are solved in min(threads, usable CPUs, batches)
+    worker processes; the result depends on neither number.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -221,9 +230,6 @@ def generate_dataset(
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # with bounded generators the base case is optimal or infeasible
-    if dispatches(network, [network.base_load()], range(network.num_branches))[0] is None:
-        raise RuntimeError("base-case OPF is infeasible; cannot generate samples")
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
     batches = [range(lo, min(lo + _START_BATCH, count)) for lo in range(0, count, _START_BATCH)]

@@ -70,9 +70,8 @@ enters (ties to the largest |alpha|), so every reduced cost keeps its
 sign.  A row where no column can enter, where _DUAL_PIVOT_CAP pivots do
 not reach a primal feasible basis, or whose basis the read finds
 singular, answers None; so does every row when the cold solve is not
-optimal, leaves an artificial basic, or ends on a basis that is not
-optimal.  The caller solves such a row cold, so only the two-phase
-primal judges infeasibility.
+optimal or leaves an artificial basic.  The caller solves such a row
+cold, so only the two-phase primal judges infeasibility.
 
 A miss's first dual pivot reads the leaving row of B^-1, a, the prepared
 reduced costs and the prepared core's statuses, never the rhs, so the
@@ -226,8 +225,8 @@ class WarmStart:
     """One LP solved cold, its optimal basis prepared to answer that LP under other right-hand sides.
 
     .solution is the cold solve's LpSolution, as solve_lp returns it.
-    When that solve is not optimal, leaves an artificial basic, or ends on
-    a basis that lets a column price in, every row answers None.
+    When that solve is not optimal or leaves an artificial basic, every
+    row answers None.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -405,16 +404,16 @@ class _Core:
     def prepare_dual(self) -> _Prepared | None:
         """Ready this core, optimal after run_two_phase, for dual_simplex: the record of its basis, or None if it cannot.
 
-        It cannot while an artificial is basic or when a column prices
-        in.  The record reuses the read of the solve's last pricing pass,
-        already derived, so it cannot find B singular.  The artificials
-        stay fixed at 0, so dual pivots never let one enter.
+        It cannot while an artificial is basic.  The record reuses the
+        read, costs and tolerance of the solve's last pricing pass, which
+        found no improving column, so it cannot find B singular and no
+        column prices in.  The artificials stay fixed at 0, so dual pivots
+        never let one enter.
         """
         if (self.basis >= self.n_real).any():
             return None
         self.pivots = 0
-        prepared = _Prepared.of(self)
-        return None if prepared.prices_in else prepared
+        return _Prepared.of(self)
 
     def dual_simplex(self, x: np.ndarray, d: np.ndarray) -> np.ndarray | None:
         """Bounded dual simplex pivots from a dual-feasible basis with reduced costs d, whose vertex for self.b is x.

@@ -89,10 +89,13 @@ def test_gen_data_config_errors(argv, capsys):
 def test_gen_data_runtime_failure(tmp_path, tri3_text, capsys):
     bad = tmp_path / "hot.case"
     bad.write_text(tri3_text.replace("3 1 150.0", "3 1 500.0"))
-    code = main(["gen-data", "--case", str(bad), "--samples", "5",
-                 "--out", str(tmp_path / "x.jsonl")])
-    assert code == 1
-    assert "base-case" in capsys.readouterr().err
+    # 20 samples make two batches, so two workers really run
+    for threads in ("1", "2"):
+        code = main(["gen-data", "--case", str(bad), "--samples", "20", "--threads", threads,
+                     "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        assert "base-case" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_train_outputs(workspace):

@@ -142,10 +142,20 @@ def test_generate_validation(tri3):
         generate_dataset(tri3, 5, 0.1, seed=1, threads=0)
 
 
-def test_generate_infeasible_base_fails_fast(tri3_text):
+def test_generate_infeasible_base_fails_fast(tri3_text, monkeypatch):
+    """Each batch's first dispatch answers the base load, and an infeasible one raises before any draw is redrawn.
+
+    20 samples make two batches, so two workers really run.
+    """
     net = parse_case(tri3_text.replace("3 1 150.0", "3 1 500.0"))
-    with pytest.raises(RuntimeError, match="base-case"):
-        generate_dataset(net, 10, 0.1, seed=1)
+
+    def no_redraw(key):
+        raise AssertionError("a draw was redrawn")
+
+    monkeypatch.setattr(samplegen, "_generator", no_redraw)  # a redraw's generator
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="base-case OPF is infeasible"):
+            generate_dataset(net, 20, 0.1, seed=1, threads=threads)
 
 
 def test_generate_prefix_stable(tri3):
@@ -239,11 +249,11 @@ def test_every_sample_starts_from_the_base_basis(case14, monkeypatch):
     monkeypatch.setattr(simplex.WarmStart, "_pivoted", lambda start, b, x: pivoted.append(b) or pivot(start, b, x))
     monkeypatch.setattr(dcopf, "solve_opf", lambda *a: solved.append(a[1]) or solve(*a))
     ds = generate_dataset(net, 6, 0.3, seed=2)
-    # the base-case check dispatches the base load first, from the same start
-    assert ds.redraws == 0 and len(batches) == 2
-    (checked, base), (start, answers) = batches
-    assert checked is start is dcopf._warm_start(net, range(net.num_branches)) and len(answers) == 6
-    assert len(base) == 1 and base[0].tobytes() == start.solution.x.tobytes()
+    # one batch: its first row is the base load, the base-case check's
+    assert ds.redraws == 0 and len(batches) == 1
+    (start, (base, *answers)), = batches
+    assert start is dcopf._warm_start(net, range(net.num_branches)) and len(answers) == 6
+    assert base.tobytes() == start.solution.x.tobytes()
     assert [p_g.tobytes() for p_g in answers] == [s.p_g.tobytes() for s in ds.samples]
     assert 0 < len(pivoted) < 6  # the base basis covers some draws and not others
     # the base case was solved by its Network, and the misses were pivoted, not solved cold

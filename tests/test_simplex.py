@@ -772,8 +772,13 @@ def _share_a_row(core):
     core._read = None  # the basis changed outside _pivot, so drop the read of the old one as _pivot does
 
 
-def test_a_start_whose_read_finds_a_shared_row_answers_none(case14, monkeypatch):
-    """Where the prepared basis has two unit columns on one row, its read fails and every row answers None."""
+def test_a_start_that_keeps_an_artificial_basic_is_not_prepared(case14, monkeypatch):
+    """Where the cold solve's basis keeps an artificial basic, prepare_dual answers None before any read, and every row answers None.
+
+    The artificial swapped in shares a row with a basic slack, so that
+    basis is also singular, but prepare_dual's basic-artificial check
+    returns before a read could find it so.
+    """
     start_lp = build_opf(case14, case14.base_load(), full_monitored_set(case14))
     prepare, cores = simplex._Core.prepare_dual, []
     # between the cold solve and the preparation, the basis turns singular
@@ -785,6 +790,31 @@ def test_a_start_whose_read_finds_a_shared_row_answers_none(case14, monkeypatch)
         simplex._VertexRead(cores[0])
     assert warm_start._prepared is None
     assert warm_start.vertices([_rhs(start_lp)] * 3) == [None] * 3
+
+
+def test_an_optimal_cold_solve_gives_a_start_where_no_column_prices_in(case14, tri3):
+    """Every optimal cold solve that leaves no artificial basic is prepared, and no column prices in at its basis.
+
+    The start's record reuses the read, costs and tolerance of the cold
+    solve's last pricing pass, which found no improving column.  Over the
+    random LP suite and case14/tri3 dispatch LPs within +-60% of the base load.
+    """
+    problems = _draws(case14, 40, 0.6, 5) + _draws(tri3, 40, 0.6, 5)
+    for maker, seed in ((_random_problem, 0), (_random_degenerate_problem, 1), (_random_free_column_problem, 2)):
+        rng = np.random.default_rng(seed)
+        problems += [lp(*maker(rng)) for _ in range(80)]
+    prepared = artificial_basic = 0
+    for problem in problems:
+        solution, core = simplex._solve(problem)
+        if solution.status != "optimal":
+            continue
+        if (core.basis >= core.n_real).any():
+            artificial_basic += 1
+            continue
+        record = core.prepare_dual()
+        assert record is not None and record.prices_in is False
+        prepared += 1
+    assert prepared > len(problems) // 3 and artificial_basic > 0
 
 
 def test_a_child_whose_read_finds_a_shared_row_is_kept_as_none(case14, monkeypatch):
