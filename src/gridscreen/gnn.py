@@ -63,7 +63,8 @@ import numpy as np
 
 from .netcase import GraphTopology, Network, to_graph
 from .samplegen import (
-    Normalizer, Sample, _decode_array, _encode_array, _is_seed, _write_atomic, derive_seed, label_sample,
+    Normalizer, Sample, _decode_array, _encode_array, _generator, _is_seed, _write_atomic, derive_seed,
+    label_sample,
 )
 
 MODEL_FORMAT_VERSION = 4
@@ -182,7 +183,7 @@ def init_model(
     if kind not in ("gnn", "mlp"):
         raise ValueError(f"unknown model kind {kind!r}")
     binding = Binding(num_buses, num_branches, node_feature_width, edge_feature_width)
-    gen = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0)))
+    gen = _generator(derive_seed(config.seed, 0))
     params = {name: _xavier(gen, *shape) if len(shape) == 2 else np.zeros(shape)
               for name, shape in _parameter_shapes(kind, config, binding)}
     normalizer = normalizer or _identity_normalizer(node_feature_width, edge_feature_width)
@@ -514,9 +515,7 @@ def train(
     n = len(train_split)
     workspace = {}  # the arrays each batch of an epoch writes into, reused by the next batch
     for epoch in range(epochs):
-        order = np.random.Generator(
-            np.random.Philox(key=derive_seed(cfg.seed, epoch + 1))
-        ).permutation(n)
+        order = _generator(derive_seed(cfg.seed, epoch + 1)).permutation(n)
         loss_sum, correct = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]

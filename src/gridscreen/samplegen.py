@@ -321,9 +321,13 @@ def _write_atomic(path, chunks) -> None:
     """Write the strings of `chunks` to a temporary file beside `path`, then rename it over `path`.
 
     If writing raises, `path` keeps its old content and the temporary file is removed.
-    A symlink at `path` stays a symlink: its target is replaced.
+    A symlink at `path` stays a symlink: its target, found by os.path.realpath, is
+    replaced.  Any other path is replaced where it is, in the directory the system
+    resolves it to (the one realpath would give), without realpath's lstat of
+    every path component.
     """
-    path = os.path.realpath(path)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -360,7 +364,21 @@ def _decode_array(value, shape: tuple, name: str, origin: str) -> np.ndarray:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """One header line carrying the case text, then one JSON object per sample."""
+    """One header line carrying the case text, then one JSON object per sample.
+
+    The header goes through json.dumps, which escapes the case text.  Each
+    row is formatted directly as the text json.dumps(row, sort_keys=True)
+    gives, `{"load_mw": "<base64>", "p_g": "<base64>", "sample_id": <int>}`:
+    base64 needs no escaping, and an integer id is its own JSON.  So a
+    sample_id that is not an integer (a bool included, as read_dataset
+    refuses one), or a count that differs from the number of samples, raises
+    ValueError before the file is touched.
+    """
+    if dataset.count != len(dataset.samples):
+        raise ValueError(f"dataset count {dataset.count} != {len(dataset.samples)} samples")
+    for s in dataset.samples:
+        if not _is_int(s.sample_id):
+            raise ValueError(f"sample_id is not an integer: {s.sample_id!r}")
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "case": serialize_case(dataset.network),
@@ -369,12 +387,10 @@ def write_dataset(dataset: Dataset, path) -> None:
         "count": dataset.count,
         "redraws": dataset.redraws,
     }
-    rows = ({
-        "sample_id": s.sample_id,
-        "load_mw": _encode_array(s.load_mw),
-        "p_g": _encode_array(s.p_g),
-    } for s in dataset.samples)
-    _write_atomic(path, (json.dumps(doc, sort_keys=True) + "\n" for doc in itertools.chain([header], rows)))
+    # %d writes an int subclass as its value, as json.dumps does
+    rows = ('{"load_mw": "%s", "p_g": "%s", "sample_id": %d}\n'
+            % (_encode_array(s.load_mw), _encode_array(s.p_g), s.sample_id) for s in dataset.samples)
+    _write_atomic(path, itertools.chain([json.dumps(header, sort_keys=True) + "\n"], rows))
 
 
 def _parse_line(path, line_no: int, line: str) -> dict:

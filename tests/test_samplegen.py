@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -490,6 +491,31 @@ def test_dataset_round_trip(tmp_path, tri3, tri3_dataset):
         assert np.float64(sa.objective).tobytes() == np.float64(sb.objective).tobytes()
 
 
+@pytest.mark.parametrize("name", ["case14", "tri3"])
+def test_dataset_rows_are_sorted_key_json(tmp_path, request, name):
+    """Rows are formatted without the JSON encoder, so each line must be the text json.dumps(row, sort_keys=True) gives.
+
+    An id that is not an int (np.int64, str or bool) would be written
+    unquoted as invalid JSON, so it raises before the file changes.
+    """
+    dataset = generate_dataset(request.getfixturevalue(name), 3, 0.1, seed=2)
+    samples = [dataclasses.replace(s, sample_id=i) for s, i in zip(dataset.samples, [0, 7, 2**64 - 1])]
+    path = tmp_path / "ds.jsonl"
+    write_dataset(dataclasses.replace(dataset, samples=samples), path)
+    old = path.read_bytes()
+    lines = old.decode("utf-8").split("\n")
+    assert lines.pop() == "" and len(lines) == 4
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+    assert [json.loads(line)["sample_id"] for line in lines[1:]] == [0, 7, 2**64 - 1]
+    for bad in (np.int64(7), "7", True):
+        samples[1] = dataclasses.replace(samples[1], sample_id=bad)
+        with pytest.raises(ValueError, match=re.escape(f"sample_id is not an integer: {bad!r}")):
+            write_dataset(dataclasses.replace(dataset, samples=samples), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
+
+
 def test_dataset_line_layout(tmp_path, tri3_dataset):
     path = tmp_path / "ds.jsonl"
     write_dataset(tri3_dataset, path)
@@ -543,15 +569,45 @@ def test_write_dataset_interrupted_keeps_old_file(tmp_path, tri3_dataset):
     assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
 
 
-def test_write_dataset_through_symlink(tmp_path, tri3_dataset):
-    (tmp_path / "data").mkdir()
-    target = tmp_path / "data" / "ds.jsonl"
-    target.write_text("old\n")
-    link = tmp_path / "link.jsonl"
-    link.symlink_to(target)
-    write_dataset(tri3_dataset, link)
-    assert link.is_symlink()
+@pytest.mark.parametrize("count,keep", [(+1, None), (0, -1)], ids=["count-above", "sample-dropped"])
+def test_write_dataset_count_mismatch_keeps_old_file(tmp_path, tri3_dataset, count, keep):
+    """A count that differs from the number of samples raises, naming both, before the file is touched."""
+    path = tmp_path / "ds.jsonl"
+    path.write_text("old\n")
+    broken = dataclasses.replace(tri3_dataset, count=tri3_dataset.count + count,
+                                 samples=tri3_dataset.samples[:keep])
+    with pytest.raises(ValueError, match=rf"count {broken.count} != {len(broken.samples)} samples"):
+        write_dataset(broken, path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
+
+
+@pytest.mark.parametrize("layout", ["link", "two-link chain", "dangling link", "linked directory"])
+def test_write_dataset_through_symlink(tmp_path, tri3_dataset, layout):
+    """Every symlink on the way stays a symlink; the plain file they lead to is replaced, or created."""
+    data = tmp_path / "data"
+    data.mkdir()
+    target = data / "ds.jsonl"
+    if layout != "dangling link":
+        target.write_text("old\n")
+    if layout == "two-link chain":
+        links = [tmp_path / "first.jsonl", tmp_path / "last.jsonl"]
+        links[1].symlink_to(target)
+        links[0].symlink_to(links[1])
+        path = links[0]
+    elif layout == "linked directory":
+        links = [tmp_path / "linked"]
+        links[0].symlink_to(data, target_is_directory=True)
+        path = links[0] / "ds.jsonl"
+    else:
+        links = [tmp_path / "link.jsonl"]
+        links[0].symlink_to(target)
+        path = links[0]
+    write_dataset(tri3_dataset, path)
+    assert all(link.is_symlink() for link in links)
+    assert not target.is_symlink()
     assert read_dataset(target).count == tri3_dataset.count
+    assert sorted(p.name for p in data.iterdir()) == ["ds.jsonl"]
 
 
 def test_dataset_version_check(tmp_path, tri3_dataset):
