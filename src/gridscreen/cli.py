@@ -163,7 +163,7 @@ def cmd_gen_data(args) -> int:
     dataset = generate_dataset(network, args.samples, args.magnitude, args.seed, threads=args.threads)
     elapsed = time.perf_counter() - t0
     write_dataset(dataset, args.out)
-    print(f"wrote {dataset.count} samples to {args.out} "
+    print(f"wrote {len(dataset.samples)} samples to {args.out} "
           f"({dataset.redraws} infeasible redraws, {elapsed:.2f} s)")
     return 0
 
@@ -367,12 +367,12 @@ def cmd_solve(args) -> int:
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     """Model kind, training hyperparameters and seed, shared by train and sweep."""
     p.add_argument("--baseline", choices=("gnn", "mlp"), default="gnn")
-    p.add_argument("--epochs", type=int, default=250)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--epochs", type=int, default=ModelConfig.epochs)
+    p.add_argument("--lr", type=float, default=ModelConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=ModelConfig.batch_size)
+    p.add_argument("--layers", type=int, default=ModelConfig.num_layers)
+    p.add_argument("--channels", type=int, default=ModelConfig.channels)
+    p.add_argument("--seed", type=_seed, default=ModelConfig.seed)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

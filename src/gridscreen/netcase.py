@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,24 +68,23 @@ class Generator:
 class Network:
     """Validated grid model with dense 0-based internal indices.
 
-    ``buses``, ``branches`` and ``generators`` are ordered tuples; all
-    derived index maps refer to positions in those tuples.
+    A Network is its case's four parts: the base MVA and the ordered
+    ``buses``, ``branches`` and ``generators`` tuples.  Everything else is
+    derived from them; ``bus_index`` maps each bus id to its position in
+    ``buses``, and the slack is the bus whose type says so.
 
     The cached properties below are derived on first use and then shared;
     the arrays are read-only, and the case text is a str.  cached_property
     stores them in the instance ``__dict__``, so they stay out of
     ``__eq__``, and ``__getstate__`` leaves them out of a pickle (an
     unpickled array would be writable again); ``dataclasses.replace`` gives
-    a Network of its own.
+    a Network of its own, which derives them again from its own parts.
     """
 
     base_mva: float
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
-    # internal index maps, derived in parse_case
-    bus_index: dict[int, int] = field(repr=False)           # external id -> dense index
-    slack_index: int = field(repr=False, default=0)
 
     @property
     def num_buses(self) -> int:
@@ -117,6 +116,11 @@ class Network:
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def bus_index(self) -> dict[int, int]:
+        """External bus id -> position in ``buses``."""
+        return {bus.id: i for i, bus in enumerate(self.buses)}
 
     @cached_property
     def rating(self) -> np.ndarray:
@@ -185,7 +189,7 @@ def _shift_factors(network: Network) -> np.ndarray:
     unit = np.eye(network.num_buses)
     incidence = unit[ef] - unit[et]
     weighted = incidence / network.branch_reactance()[:, None]
-    keep = np.arange(network.num_buses) != network.slack_index
+    keep = np.array([bus.bus_type != BUS_TYPE_SLACK for bus in network.buses])
     susceptance = incidence[:, keep].T @ weighted[:, keep]
     ptdf = np.zeros_like(incidence)
     ptdf[:, keep] = np.linalg.solve(susceptance, weighted[:, keep].T).T
@@ -294,12 +298,10 @@ def parse_case(text: str) -> Network:
     if len(slack_ids) > 1:
         raise CaseError(f"multiple slack buses: {slack_ids}")
 
-    bus_index = {bid: i for i, (bid, _, _) in enumerate(raw_buses)}
-
     generators: list[Generator] = []
     gen_buses: set[int] = set()
     for line_no, (gbus, cost, pmin, pmax) in sections["#GEN"]:
-        if gbus not in bus_index:
+        if gbus not in seen_ids:
             raise CaseError(f"generator references unknown bus {gbus}", line_no)
         if cost < 0:
             raise CaseError(f"generator cost must be >= 0, got {cost}", line_no)
@@ -310,9 +312,9 @@ def parse_case(text: str) -> Network:
 
     branches: list[Branch] = []
     for line_no, (fb, tb, x, rate) in sections["#BRANCH"]:
-        if fb not in bus_index:
+        if fb not in seen_ids:
             raise CaseError(f"branch references unknown bus {fb}", line_no)
-        if tb not in bus_index:
+        if tb not in seen_ids:
             raise CaseError(f"branch references unknown bus {tb}", line_no)
         if fb == tb:
             raise CaseError(f"self-loop branch {fb}->{tb}", line_no)
@@ -325,7 +327,7 @@ def parse_case(text: str) -> Network:
     # connectivity over undirected adjacency; a branch-less case is degenerate
     if not branches:
         raise CaseError("degenerate case: no branches")
-    neighbors: dict[int, set[int]] = {bid: set() for bid in bus_index}
+    neighbors: dict[int, set[int]] = {bid: set() for bid in seen_ids}
     for br in branches:
         neighbors[br.from_bus].add(br.to_bus)
         neighbors[br.to_bus].add(br.from_bus)
@@ -337,8 +339,8 @@ def parse_case(text: str) -> Network:
             continue
         reached.add(bid)
         stack.extend(neighbors[bid] - reached)
-    if reached != set(bus_index):
-        missing = sorted(set(bus_index) - reached)
+    if reached != seen_ids:
+        missing = sorted(seen_ids - reached)
         raise CaseError(f"disconnected graph: buses {missing} unreachable from bus {raw_buses[0][0]}")
 
     buses = tuple(
@@ -358,8 +360,6 @@ def parse_case(text: str) -> Network:
         buses=buses,
         branches=tuple(branches),
         generators=tuple(generators),
-        bus_index=bus_index,
-        slack_index=bus_index[slack_ids[0]],
     )
 
 

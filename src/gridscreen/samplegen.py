@@ -128,10 +128,11 @@ class Sample:
 
 @dataclass
 class Dataset:
+    """Samples drawn from `network` with `seed` and `magnitude`; the file header's count is len(samples)."""
+
     network: Network
     seed: int
     magnitude: float
-    count: int
     redraws: int = 0
     samples: list[Sample] = field(default_factory=list)
 
@@ -231,7 +232,7 @@ def generate_dataset(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
-    dataset = Dataset(network=network, seed=seed, magnitude=magnitude, count=count)
+    dataset = Dataset(network=network, seed=seed, magnitude=magnitude)
     batches = [range(lo, min(lo + _START_BATCH, count)) for lo in range(0, count, _START_BATCH)]
     # more workers than cores or batches would only add start-up cost
     workers = min(threads, _usable_cpus(), len(batches))
@@ -371,11 +372,10 @@ def write_dataset(dataset: Dataset, path) -> None:
     gives, `{"load_mw": "<base64>", "p_g": "<base64>", "sample_id": <int>}`:
     base64 needs no escaping, and an integer id is its own JSON.  So a
     sample_id that is not an integer (a bool included, as read_dataset
-    refuses one), or a count that differs from the number of samples, raises
-    ValueError before the file is touched.
+    refuses one) raises ValueError before the file is touched.  The header's
+    count is the number of samples, which read_dataset checks against the
+    rows it reads.
     """
-    if dataset.count != len(dataset.samples):
-        raise ValueError(f"dataset count {dataset.count} != {len(dataset.samples)} samples")
     for s in dataset.samples:
         if not _is_int(s.sample_id):
             raise ValueError(f"sample_id is not an integer: {s.sample_id!r}")
@@ -384,7 +384,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         "case": serialize_case(dataset.network),
         "seed": dataset.seed,
         "magnitude": dataset.magnitude,
-        "count": dataset.count,
+        "count": len(dataset.samples),
         "redraws": dataset.redraws,
     }
     # %d writes an int subclass as its value, as json.dumps does
@@ -447,8 +447,7 @@ def read_dataset(path) -> Dataset:
             network = parse_case(header["case"])
         except CaseError as exc:
             raise ValueError(f"{path}: line 1: embedded case: {exc}") from None
-        dataset = Dataset(network, header["seed"], header["magnitude"], header["count"],
-                          header["redraws"])
+        dataset = Dataset(network, header["seed"], header["magnitude"], header["redraws"])
         template = _feature_template(network)
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -462,6 +461,6 @@ def read_dataset(path) -> Dataset:
             load = _decode_array(row["load_mw"], (network.num_buses,), where + "load_mw", "the case")
             p_g = _decode_array(row["p_g"], (network.num_generators,), where + "p_g", "the case")
             dataset.samples.append(_build_sample(network, sample_id, load, p_g, template))
-    if len(dataset.samples) != dataset.count:
-        raise ValueError(f"{path}: header count {dataset.count} != {len(dataset.samples)} sample lines")
+    if len(dataset.samples) != header["count"]:
+        raise ValueError(f"{path}: header count {header['count']} != {len(dataset.samples)} sample lines")
     return dataset

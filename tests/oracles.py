@@ -22,7 +22,7 @@ def ptdf_matrix(network) -> np.ndarray:
         lap[t, t] += sus[k]
         lap[f, t] -= sus[k]
         lap[t, f] -= sus[k]
-    keep = [i for i in range(nb) if i != network.slack_index]
+    keep = [i for i, bus in enumerate(network.buses) if bus.bus_type != "slack"]
     linv = np.zeros((nb, nb))
     linv[np.ix_(keep, keep)] = np.linalg.inv(lap[np.ix_(keep, keep)])
     ptdf = np.zeros((nk, nb))

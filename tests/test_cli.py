@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gridscreen import load_model, read_dataset, split_dataset
-from gridscreen.cli import _write_history_csv, main
-from gridscreen.gnn import TrainHistory
+from gridscreen.cli import _config_from_flags, _write_history_csv, build_parser, main
+from gridscreen.gnn import ModelConfig, TrainHistory
 
 CASES = Path(__file__).resolve().parents[1] / "cases"
 TRI3 = str(CASES / "tri3.case")
@@ -136,6 +136,16 @@ def test_train_threshold_range(workspace, capsys):
     assert main(["train", "--case", TRI3, "--data", str(data), "--threshold", "1.5",
                  "--out", "x.json"]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--case", "c", "--data", "d", "--threshold", "0.9", "--out", "m.json"],
+    ["sweep", "--case", "c", "--data", "d", "--thresholds", "0.9", "--out-dir", "o"],
+], ids=["train", "sweep"])
+def test_model_flag_defaults_are_model_config_defaults(argv):
+    args = build_parser()[0].parse_args(argv)
+    assert _config_from_flags(args) == ModelConfig()
+    assert args.baseline == "gnn"
 
 
 def test_train_bad_hyperparameters_are_config_errors(workspace, capsys, monkeypatch):

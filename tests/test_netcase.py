@@ -47,7 +47,6 @@ def test_parse_tri3_counts(tri3):
 
 def test_parse_tri3_bus_types(tri3):
     assert [b.bus_type for b in tri3.buses] == ["slack", "generator", "load"]
-    assert tri3.slack_index == 0
     assert tri3.base_load().tolist() == [0.0, 0.0, 150.0]
 
 
@@ -279,3 +278,22 @@ def test_replace_derives_afresh(tri3):
         assert dcopf._warm_start(wider, mon).solution.x.tolist() != dcopf._warm_start(tri3, mon).solution.x.tolist()
         rebuilt = solve_opf(wider, wider.base_load(), mon)
         assert dcopf._warm_start(wider, mon).solution.x.tobytes() == rebuilt.p_g.tobytes()
+
+
+def _slack_at_bus_2(net):
+    """tri3 with the slack moved to bus 2; bus 1 keeps its generator, so parse_case would type it generator."""
+    types = {1: "generator", 2: "slack"}
+    return replace(net, buses=tuple(replace(b, bus_type=types.get(b.id, b.bus_type)) for b in net.buses))
+
+
+@pytest.mark.parametrize("rebuild", [
+    lambda net: replace(net, buses=tuple(reversed(net.buses))),
+    _slack_at_bus_2,
+], ids=["buses-reversed", "slack-at-bus-2"])
+def test_replaced_buses_derive_their_index_and_slack(tri3, rebuild):
+    """A Network replaced in its buses derives its index map and slack from them, as its parsed text does."""
+    net = rebuild(tri3)
+    parsed = parse_case(serialize_case(net))
+    assert parsed == net
+    assert net.bus_index == {b.id: i for i, b in enumerate(net.buses)}
+    assert net.ptdf.tobytes() == parsed.ptdf.tobytes()

@@ -402,7 +402,7 @@ def _dummy_dataset(n):
         Sample(i, np.zeros(1), np.zeros(1), np.zeros((1, 7)), np.zeros((1, 2)), np.zeros(1), 0.0)
         for i in range(n)
     ]
-    return Dataset(None, 0, 0.1, n, 0, samples)
+    return Dataset(None, 0, 0.1, 0, samples)
 
 
 def test_split_sizes_large_corpus():
@@ -475,7 +475,7 @@ def test_dataset_round_trip(tmp_path, tri3, tri3_dataset):
     write_dataset(tri3_dataset, path)
     back = read_dataset(path)
     assert back.network == tri3
-    assert back.count == tri3_dataset.count
+    assert len(back.samples) == len(tri3_dataset.samples)
     assert back.seed == tri3_dataset.seed
     assert back.magnitude == tri3_dataset.magnitude
     assert back.redraws == tri3_dataset.redraws
@@ -520,7 +520,7 @@ def test_dataset_line_layout(tmp_path, tri3_dataset):
     path = tmp_path / "ds.jsonl"
     write_dataset(tri3_dataset, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == tri3_dataset.count + 1
+    assert len(lines) == len(tri3_dataset.samples) + 1
     header = json.loads(lines[0])
     assert header["format_version"] == 3
     assert set(header) == {"format_version", "case", "seed", "magnitude", "count", "redraws"}
@@ -569,19 +569,6 @@ def test_write_dataset_interrupted_keeps_old_file(tmp_path, tri3_dataset):
     assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
 
 
-@pytest.mark.parametrize("count,keep", [(+1, None), (0, -1)], ids=["count-above", "sample-dropped"])
-def test_write_dataset_count_mismatch_keeps_old_file(tmp_path, tri3_dataset, count, keep):
-    """A count that differs from the number of samples raises, naming both, before the file is touched."""
-    path = tmp_path / "ds.jsonl"
-    path.write_text("old\n")
-    broken = dataclasses.replace(tri3_dataset, count=tri3_dataset.count + count,
-                                 samples=tri3_dataset.samples[:keep])
-    with pytest.raises(ValueError, match=rf"count {broken.count} != {len(broken.samples)} samples"):
-        write_dataset(broken, path)
-    assert path.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
-
-
 @pytest.mark.parametrize("layout", ["link", "two-link chain", "dangling link", "linked directory"])
 def test_write_dataset_through_symlink(tmp_path, tri3_dataset, layout):
     """Every symlink on the way stays a symlink; the plain file they lead to is replaced, or created."""
@@ -606,7 +593,7 @@ def test_write_dataset_through_symlink(tmp_path, tri3_dataset, layout):
     write_dataset(tri3_dataset, path)
     assert all(link.is_symlink() for link in links)
     assert not target.is_symlink()
-    assert read_dataset(target).count == tri3_dataset.count
+    assert len(read_dataset(target).samples) == len(tri3_dataset.samples)
     assert sorted(p.name for p in data.iterdir()) == ["ds.jsonl"]
 
 
