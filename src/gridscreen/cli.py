@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  Flags may
 also be supplied through a JSON file via --config; explicit flags win.
+Every flag value, from the command line or --config, is checked before
+any work starts.  A seed, sample or thread count, magnitude, threshold or
+model kind is checked when it is parsed, by its flag's argparse type or
+choices, which are built on the predicate the library checks that value
+with; so a bad value exits 2 naming its flag, or its config key.  The
+other model hyperparameters are checked as ModelConfig is built from them,
+and a file path as the command first reads or writes it.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dcopf import check_limits, full_monitored_set, solve_opf
-from .gnn import Binding, ModelConfig, init_model, load_model, save_model, train
+from .gnn import MODEL_KINDS, Binding, ModelConfig, init_model, load_model, save_model, train
 from .netcase import CaseError, parse_case, to_graph
 from .pipeline import (
     ModelPredictor, _report_files, _write_csv, evaluate, write_report, write_sweep_csv,
@@ -24,7 +31,10 @@ from .pipeline import (
 from .samplegen import (
     EDGE_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
+    _is_count,
+    _is_magnitude,
     _is_seed,
+    _is_threshold,
     fit_normalizer,
     generate_dataset,
     read_dataset,
@@ -58,7 +68,7 @@ def _load_case(path: str):
 
 def _load_dataset_for(network, path: str):
     dataset = _read_input("dataset", path, read_dataset)
-    if dataset.network.fingerprint() != network.fingerprint():
+    if dataset.network != network:
         raise ConfigError(f"{path}: dataset was generated from a different network than the case file")
     return dataset
 
@@ -113,50 +123,53 @@ def _check_binding(model, network, path: str) -> None:
         raise ConfigError(f"{path}: model does not fit the case: " + ", ".join(wrong))
 
 
-def _check_threshold(value: float) -> float:
-    if not 0 < value <= 1:
-        raise ConfigError(f"threshold must be in (0, 1], got {value}")
-    return float(value)
+def _checked(convert, ok, wanted: str):
+    """An argparse type: `convert` the text, then refuse a value that `ok` rejects, saying it must be `wanted`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _checked(int, _is_seed, "an integer in [0, 2**64)")
+_count = _checked(int, _is_count, "a positive integer")
+_threshold = _checked(float, _is_threshold, "a number in (0, 1]")
+_magnitude = _checked(float, _is_magnitude, "a number in [0, 1)")
+
+
+def _tau_tag(threshold: float) -> str:
+    return f"{int(round(threshold * 100)):03d}"
 
 
 def _parse_threshold_list(text: str) -> list[float]:
+    """The argparse type of --thresholds: sorted fractions from a comma list, read above 1 as percents; one file tag each."""
     taus = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in filter(None, (t.strip() for t in text.split(","))):
         try:
             value = float(tok)
         except ValueError:
-            raise ConfigError(f"threshold {tok!r} is not a number") from None
+            raise argparse.ArgumentTypeError(f"threshold {tok!r} is not a number") from None
         if value > 1.0:
             value /= 100.0  # percent form, e.g. 95 -> 0.95
-        if not 0 < value <= 1:
-            raise ConfigError(f"threshold {tok} out of range (0, 1] (or (0, 100] as percent)")
+        if not _is_threshold(value):
+            raise argparse.ArgumentTypeError(f"threshold {tok} out of range (0, 1] (or (0, 100] as percent)")
         taus.append(value)
     if not taus:
-        raise ConfigError("no thresholds given")
-    return sorted(set(taus))
-
-
-def _seed(text: str) -> int:
-    """The argparse type of every --seed, so a flag and a --config value get the one check."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if not _is_seed(value):
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError("no thresholds given")
+    taus = sorted(set(taus))
+    for low, high in zip(taus, taus[1:]):  # sorted, so thresholds that share a tag are neighbours
+        if _tau_tag(low) == _tau_tag(high):
+            raise argparse.ArgumentTypeError(f"thresholds {low} and {high} share the file tag {_tau_tag(high)}, "
+                                             f"so the files of one would replace the other's")
+    return taus
 
 
 def cmd_gen_data(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    if not 0 <= args.magnitude < 1:
-        raise ConfigError(f"--magnitude must be in [0, 1), got {args.magnitude}")
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     _check_outputs_apart(args, [("--out", args.out)], ("case",))
     network = _load_case(args.case)
     t0 = time.perf_counter()
@@ -206,7 +219,6 @@ def _config_from_flags(args) -> ModelConfig:
 
 
 def cmd_train(args) -> int:
-    threshold = _check_threshold(args.threshold)
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
     _check_outputs_apart(args, [("--out", args.out), ("--history", history_path)], ("case", "data"))
     config = _config_from_flags(args)
@@ -214,20 +226,16 @@ def cmd_train(args) -> int:
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, _ = _split(dataset, args.data, args.seed)
     t0 = time.perf_counter()
-    result = _train_step(args.baseline, config, network, train_split, val_split, threshold)
+    result = _train_step(args.baseline, config, network, train_split, val_split, args.threshold)
     elapsed = time.perf_counter() - t0
     save_model(result.best_model, args.out)
     _write_history_csv(result.history, history_path)
     last = len(result.history) - 1
-    print(f"trained {args.baseline} for {len(result.history)} epochs in {elapsed:.2f} s at threshold {threshold}: "
+    print(f"trained {args.baseline} for {len(result.history)} epochs in {elapsed:.2f} s at threshold {args.threshold}: "
           f"val_loss {result.history.val_loss[last]:.6f}, "
           f"val_acc {result.history.val_acc[last]:.4f}; "
           f"model -> {args.out}, history -> {history_path}")
     return 0
-
-
-def _tau_tag(threshold: float) -> str:
-    return f"{int(round(threshold * 100)):03d}"
 
 
 def cmd_eval(args) -> int:
@@ -236,7 +244,7 @@ def cmd_eval(args) -> int:
     threshold = args.threshold if args.threshold is not None else model.trained_threshold
     if threshold is None:
         raise ConfigError("--threshold required: model file records no training threshold")
-    threshold = _check_threshold(threshold)
+    threshold = float(threshold)  # load_model checked a model's threshold; an int one prints as a float
     if model.trained_threshold is not None and abs(model.trained_threshold - threshold) > 1e-12:
         print(f"warning: model was trained at threshold {model.trained_threshold}, "
               f"evaluating at {threshold}", file=sys.stderr)
@@ -261,12 +269,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    taus = _parse_threshold_list(args.thresholds)
-    tags = [_tau_tag(tau) for tau in taus]
-    for i in range(1, len(taus)):  # sorted, so thresholds that share a tag are neighbours
-        if tags[i] == tags[i - 1]:
-            raise ConfigError(f"thresholds {taus[i - 1]} and {taus[i]} share the file tag {tags[i]}, "
-                              f"so the files of one would replace the other's")
+    tags = [_tau_tag(tau) for tau in args.thresholds]
     _check_out_dir_target(args.out_dir)
     out_dir = Path(args.out_dir)
     outputs = [("--out-dir", str(out_dir / "sweep.csv"))]
@@ -279,7 +282,7 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset_for(network, args.data)
     train_split, val_split, test_split = _split(dataset, args.data, args.seed)
     reports = []
-    for tau, tag in zip(taus, tags):
+    for tau, tag in zip(args.thresholds, tags):
         model = _train_step(args.baseline, config, network, train_split, val_split, tau).best_model
         out_dir.mkdir(parents=True, exist_ok=True)  # once a model is trained, so an early failure leaves no directory
         save_model(model, out_dir / f"model_{tag}.json")
@@ -366,7 +369,7 @@ def cmd_solve(args) -> int:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     """Model kind, training hyperparameters and seed, shared by train and sweep."""
-    p.add_argument("--baseline", choices=("gnn", "mlp"), default="gnn")
+    p.add_argument("--baseline", choices=MODEL_KINDS, default=MODEL_KINDS[0])
     p.add_argument("--epochs", type=int, default=ModelConfig.epochs)
     p.add_argument("--lr", type=float, default=ModelConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=ModelConfig.batch_size)
@@ -385,17 +388,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("gen-data", help="generate a solved-sample dataset")
     p.add_argument("--case", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--magnitude", type=float, default=0.1)
+    p.add_argument("--samples", type=_count, required=True)
+    p.add_argument("--magnitude", type=_magnitude, default=0.1,
+                   help="largest load draw away from the base, as a fraction in [0, 1)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count, default=1)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a congestion predictor")
     p.add_argument("--case", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, required=True,
+    p.add_argument("--threshold", type=_threshold, required=True,
                    help="loading threshold as a fraction in (0, 1]")
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="history CSV path (default: <out>_history.csv)")
@@ -406,8 +410,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--case", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="defaults to the model's training threshold")
+    p.add_argument("--threshold", type=_threshold, default=None,
+                   help="fraction in (0, 1]; defaults to the model's training threshold")
     p.add_argument("--seed", type=_seed, default=None,
                    help="split seed; defaults to the seed the model was trained with")
     p.add_argument("--out-dir", required=True)
@@ -416,8 +420,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("sweep", help="train and evaluate across thresholds")
     p.add_argument("--case", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--thresholds", required=True,
-                   help="comma list; values above 1 are read as percent (e.g. 70,75,95)")
+    p.add_argument("--thresholds", type=_parse_threshold_list, required=True,
+                   help="comma list of fractions in (0, 1]; values above 1 are read as percent (e.g. 70,75,95)")
     p.add_argument("--out-dir", required=True)
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep)

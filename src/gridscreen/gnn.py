@@ -56,19 +56,19 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .netcase import GraphTopology, Network, to_graph
 from .samplegen import (
-    Normalizer, Sample, _decode_array, _encode_array, _generator, _is_seed, _write_atomic, derive_seed,
-    label_sample,
+    Normalizer, Sample, _decode_array, _encode_array, _generator, _is_count, _is_number, _is_seed,
+    _is_threshold, _write_atomic, derive_seed, label_sample,
 )
 
 MODEL_FORMAT_VERSION = 4
 CLASSES = 2  # a branch is congested or not
+MODEL_KINDS = ("gnn", "mlp")  # the first is the default
 
 
 @dataclass
@@ -83,15 +83,12 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("num_layers", "channels", "epochs", "batch_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"config field {name} must be an integer, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"config field {name} must be positive, got {value}")
+            if not _is_count(value):
+                raise ValueError(f"config field {name} must be a positive integer, got {value!r}")
         if not _is_seed(self.seed):
             raise ValueError(f"config field seed must be an integer in [0, 2**64), got {self.seed!r}")
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
-            raise ValueError(f"learning_rate must be a positive finite number, got {lr!r}")
+        if not (_is_number(self.learning_rate) and 0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -105,7 +102,7 @@ class Binding:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+            if not _is_count(value):
                 raise ValueError(f"binding field {name} must be a positive integer, got {value!r}")
 
 
@@ -176,11 +173,11 @@ def init_model(
     num_buses: int,
     num_branches: int,
     normalizer: Normalizer | None = None,
-    kind: str = "gnn",
+    kind: str = MODEL_KINDS[0],
 ) -> Model:
     """A `kind` model ("gnn" or the "mlp" baseline): Xavier-uniform weights and zero biases,
     drawn in parameter order from the config seed."""
-    if kind not in ("gnn", "mlp"):
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     binding = Binding(num_buses, num_branches, node_feature_width, edge_feature_width)
     gen = _generator(derive_seed(config.seed, 0))
@@ -584,12 +581,11 @@ def load_model(path):
         hint = "; retrain it with train" if version in range(1, MODEL_FORMAT_VERSION) else ""
         raise ValueError(f"{path}: unsupported model format_version {version!r}{hint}")
     threshold = doc.get("trained_threshold")
-    if threshold is not None and (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-                                  or not 0 < threshold <= 1):
+    if threshold is not None and not _is_threshold(threshold):
         raise ValueError(f"{path}: trained_threshold must be null or a number in (0, 1], got {threshold!r}")
     try:
         kind = doc["kind"]
-        if kind not in ("gnn", "mlp"):
+        if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         config = ModelConfig(**doc["config"])
         binding = Binding(**doc["binding"])

@@ -10,13 +10,12 @@ reported.
 A Network also derives, once, the read-only arrays the dispatch LP reads on
 every sample: the shift factors (PTDF), their generator-bus columns, the
 branch ratings and the generator cost and bound vectors.  Its case text,
-which every dataset write embeds and the fingerprint hashes, is rendered
-once too.
+which every dataset write embeds, is rendered once too.  Two Networks are
+the same case exactly when they compare equal.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -109,10 +108,6 @@ class Network:
 
     def branch_reactance(self) -> np.ndarray:
         return np.array([b.reactance_pu for b in self.branches], dtype=float)
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the serialized case."""
-        return hashlib.sha256(self._case_text.encode("utf-8")).hexdigest()
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

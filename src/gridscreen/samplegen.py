@@ -30,6 +30,7 @@ import contextlib
 import itertools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -62,6 +63,25 @@ def derive_seed(seed: int, index: int) -> int:
 def _is_seed(value) -> bool:
     """Whether `value` is a seed: an integer in [0, 2**64), the high word of derive_seed's key."""
     return _is_int(value) and 0 <= value <= _MASK64
+
+
+def _is_count(value) -> bool:
+    """Whether `value` is a count of at least one (samples, workers, layers): a positive integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _is_threshold(value) -> bool:
+    """Whether `value` is a loading threshold: a number in (0, 1], the share of a rating that labels a line congested."""
+    return _is_number(value) and 0 < value <= 1
+
+
+def _is_magnitude(value) -> bool:
+    """Whether `value` is a draw magnitude: a number in [0, 1), the most a bus load moves from its base, as a share."""
+    return _is_number(value) and 0 <= value < 1
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _generator(key: int) -> np.random.Generator:
@@ -107,7 +127,7 @@ def label_sample(flows_mw: np.ndarray, network: Network, threshold: float) -> np
     tolerance check_limits allows above a rating), so the label never turns
     on the last bits of a binding flow.
     """
-    if not 0 < threshold <= 1:
+    if not _is_threshold(threshold):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     flows = np.asarray(flows_mw, dtype=float)
     if flows.shape != (network.num_branches,):
@@ -225,11 +245,11 @@ def generate_dataset(
     Batches of samples are solved in min(threads, usable CPUs, batches)
     worker processes; the result depends on neither number.
     """
-    if count < 1:
+    if not _is_count(count):
         raise ValueError(f"count must be >= 1, got {count}")
-    if not 0 <= magnitude < 1:
+    if not _is_magnitude(magnitude):
         raise ValueError(f"magnitude must be in [0, 1), got {magnitude}")
-    if threads < 1:
+    if not _is_count(threads):
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     dataset = Dataset(network=network, seed=seed, magnitude=magnitude)
@@ -418,7 +438,7 @@ def _check_header(path, header: dict) -> None:
     rules = {
         "case": ("a string", lambda v: isinstance(v, str)),
         "seed": ("an integer in [0, 2**64)", _is_seed),
-        "magnitude": ("a number in [0, 1)", lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v < 1),
+        "magnitude": ("a number in [0, 1)", _is_magnitude),
         "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
         "redraws": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     }

@@ -681,6 +681,51 @@ def test_seed_out_of_range_fails_first(workspace, tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+# per flag value that breaks its flag's rule: the subcommand, the flag and the
+# value, as a JSON value for a --config entry and as its text for the flag
+_BROKEN_FLAGS = {
+    "samples-0": ("gen-data", "--samples", 0),
+    "threads-0": ("gen-data", "--threads", 0),
+    "magnitude-1.5": ("gen-data", "--magnitude", 1.5),
+    "train-threshold-0": ("train", "--threshold", 0),
+    "eval-threshold-0": ("eval", "--threshold", 0),
+    "thresholds-150": ("sweep", "--thresholds", 150),
+    "thresholds-sharing-a-tag": ("sweep", "--thresholds", "90,90.4"),
+    "baseline-forest": ("train", "--baseline", "forest"),
+    "seed--1": ("gen-data", "--seed", -1),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name", list(_BROKEN_FLAGS))
+def test_flag_value_outside_its_rule_fails_when_parsed(workspace, tmp_path, capsys, monkeypatch, name, source):
+    """A value outside its flag's rule exits 2 before any work or output, naming the flag, or its config key."""
+    _, data, model = workspace
+    for work in ("generate_dataset", "read_dataset", "load_model", "train", "evaluate"):
+        monkeypatch.setattr(f"gridscreen.cli.{work}", _no_work)
+    command, flag, value = _BROKEN_FLAGS[name]
+    required = {"gen-data": {"--samples": "5", "--out": str(tmp_path / "d.jsonl")},
+                "train": {"--data": str(data), "--threshold": "0.95", "--out": str(tmp_path / "m.json")},
+                "eval": {"--data": str(data), "--model": str(model), "--out-dir": str(tmp_path / "e")},
+                "sweep": {"--data": str(data), "--thresholds": "95", "--out-dir": str(tmp_path / "s")}}[command]
+    argv = [command, "--case", TRI3, *(token for other, text in required.items() if other != flag
+                                       for token in (other, text))]
+    if source == "flag":
+        argv += [flag, str(value)]
+        named = f"argument {flag}: "
+    else:
+        key = flag.removeprefix("--")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        argv = ["--config", str(config), *argv]
+        named = f"config key {key!r}: {json.dumps(value)} is not a valid {flag} value"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Error" not in err and "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ([] if source == "flag" else ["cfg.json"])
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
 def test_dataset_too_small_to_split_fails_first(workspace, tmp_path, capsys, monkeypatch, command):
     """A dataset too small for non-empty train, validation and test splits exits 2, naming the file, before any work."""
